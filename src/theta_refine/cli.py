@@ -95,13 +95,7 @@ def _cmd_refine(args) -> int:
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("THETA_REFINE_THREADS", "1"))
-    try:
-        result = run_algorithm(
-            args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter, threads
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter, threads)
     if args.emit == "json":
         print(
             json.dumps(
@@ -134,8 +128,7 @@ def _cmd_verify(args) -> int:
 def _cmd_classify(args) -> int:
     alphas = tuple(Fraction(t.strip()) for t in args.alphas.split(","))
     if len(alphas) != 3:
-        print("error: expected three comma-separated rationals", file=sys.stderr)
-        return 2
+        raise ValueError("expected three comma-separated rationals")
     forms = tuple(parse_int_form(t) for t in (args.q1, args.q2, args.q3))
     result = classify(alphas, forms, args.max_coeff)
     print(f"{result.label} (bound {result.bound}): {result.detail}")
@@ -145,8 +138,7 @@ def _cmd_classify(args) -> int:
 def _cmd_decompose(args) -> int:
     triple = tuple(int(t.strip()) for t in args.triple.split(","))
     if len(triple) != 3:
-        print("error: expected x,y,z", file=sys.stderr)
-        return 2
+        raise ValueError("expected x,y,z")
     result = key_lemma_decompose(args.a, args.b, triple)
     if result is None:
         print("none")
@@ -296,8 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    0 is success; 1 is a negative answer from ``verify``, ``classify``,
+    ``decompose``, ``fixtures`` or ``ycheck``; 2 is bad input, reported as a
+    one-line ``error:`` message on standard error.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        if getattr(args, "max_coeff", 0) < 0:
+            raise ValueError(f"--max-coeff must be non-negative, got {args.max_coeff}")
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,22 +6,34 @@ rationals.  All arithmetic is exact: rows and rays are stored as integer
 tuples obtained by clearing denominators, so no floating point enters any
 computation.
 
+Rows are put in canonical form once, at the public boundary: the ``Cone``
+constructor scales every row to a primitive integer vector, drops duplicates
+and drops zero closed rows.  ``intersect`` and ``product3`` combine rows of
+existing cones, which are canonical already (zero-padding keeps a row
+primitive), so they build their result without normalising again.
+
 Extreme rays of the *closed* part are computed by an incremental double
-description pass that inserts one constraint at a time.  The computation can
-be seeded with the already-known rays of a parent cone, which is what makes
-repeated intersection against a fixed cone cheap inside the refinement loop.
-Strict rows are carried symbolically; they are consulted only by membership
-and emptiness tests, never by ray enumeration.
+description pass that inserts one constraint at a time.  Each ray carries a
+bitmask of the closed rows tight at it, and the cone caches the masks with
+its rays.  ``intersect`` puts this cone's rows first in the result, so the
+child's DD resumes from the parent's rays and masks and only inserts the new
+rows.  Strict rows are carried symbolically; they are consulted only by
+membership and emptiness tests, never by ray enumeration.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
+# Sorted extreme rays, lineality generators, and per-ray tight-row masks
+# (None when the rays were installed without running DD).
+Description = tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...] | None]
 
 
 class ConeDimensionError(ValueError):
@@ -33,30 +45,27 @@ class NonPointedConeError(ValueError):
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _vec_gcd(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return sum(map(mul, u, v))
 
 
 def scale_primitive(v: Sequence) -> Vector:
     """Scale a rational vector by a positive factor to primitive integer form.
 
     Clears denominators and divides by the gcd of the entries.  The scale
-    factor is always positive, so the direction of a ray is preserved.
+    factor is always positive, so the direction of a ray is preserved.  A
+    vector of ``int`` entries needs only the gcd.
     """
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = _vec_gcd(ints)
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fracs = [Fraction(x) for x in v]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // gcd(den, f.denominator)
+        ints = [int(f * den) for f in fracs]
+    g = gcd(*ints)
     if g > 1:
-        ints = [x // g for x in ints]
+        return tuple(x // g for x in ints)
     return tuple(ints)
 
 
@@ -75,34 +84,47 @@ def _dedup_rows(rows: Iterable[Sequence], dim: int, drop_zero: bool) -> tuple[Ve
     return tuple(out)
 
 
+def _tight_mask(rows: Sequence[Vector], ray: Vector) -> int:
+    """Bitmask of the rows with ``row . ray == 0``; bit ``i`` is ``rows[i]``."""
+    mask = 0
+    for i, row in enumerate(rows):
+        if _dot(row, ray) == 0:
+            mask |= 1 << i
+    return mask
+
+
 def _extreme_rays(
     rows: Sequence[Vector],
     dim: int,
     seed_rays: Sequence[Vector] | None = None,
     seed_count: int = 0,
-) -> tuple[list[Vector], list[Vector]]:
+    seed_masks: Sequence[int] | None = None,
+) -> tuple[list[Vector], list[Vector], list[int]]:
     """Double description on ``{x | r . x >= 0 for all r in rows}``.
 
-    Returns ``(rays, lineality)`` where ``rays`` generate the cone modulo the
-    lineality space spanned by ``lineality``.  The cone is pointed iff the
-    lineality list is empty.  When ``seed_rays`` is given it must be the
-    extreme-ray list of the (pointed) cone cut out by ``rows[:seed_count]``;
-    insertion then resumes from row ``seed_count``.
+    Returns ``(rays, lineality, masks)`` where ``rays`` generate the cone
+    modulo the lineality space spanned by ``lineality``, and ``masks[k]`` has
+    bit ``i`` set iff ``rows[i]`` is tight at ``rays[k]``.  The cone is
+    pointed iff the lineality list is empty.  When ``seed_rays`` is given it
+    must be the extreme-ray list of the (pointed) cone cut out by
+    ``rows[:seed_count]``; insertion then resumes from row ``seed_count``.
+    ``seed_masks``, when given, are the tight-row masks of ``seed_rays`` over
+    those rows; otherwise they are recomputed.
 
-    Each ray carries a bitmask of the already-inserted rows that are tight at
-    it; the standard combinatorial adjacency test on those masks decides which
+    The masks drive the combinatorial adjacency test (Fukuda and Prodon,
+    "Double description method revisited", 1996) that decides which
     positive/negative ray pairs combine when a new hyperplane is inserted.
+    They stay exact: a combined ray is tight at an earlier row iff both of
+    its parents are, because both terms of the combination are non-negative
+    on that row.
     """
     rays: list[tuple[Vector, int]]
     if seed_rays is not None:
         lineality: list[Vector] = []
-        rays = []
-        for r in seed_rays:
-            mask = 0
-            for i in range(seed_count):
-                if _dot(rows[i], r) == 0:
-                    mask |= 1 << i
-            rays.append((r, mask))
+        if seed_masks is None:
+            seed_rows = rows[:seed_count]
+            seed_masks = [_tight_mask(seed_rows, r) for r in seed_rays]
+        rays = list(zip(seed_rays, seed_masks))
         start = seed_count
     else:
         lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
@@ -179,16 +201,25 @@ def _extreme_rays(
                     kept.append((comb, t | bit))
         rays = kept
 
-    return [r for r, _ in rays], lineality
+    return [r for r, _ in rays], lineality, [m for _, m in rays]
 
 
 class Cone:
     """A polyhedral cone ``{x | a.x >= 0 for a in closed, b.x > 0 for b in strict}``.
 
-    Immutable after construction apart from the extreme-ray memo, which is a
-    write-once cache; concurrent computations install identical canonical
-    results.  The constructor only normalizes and deduplicates rows, it does
-    no feasibility work.
+    Row invariant: ``closed`` and ``strict`` are tuples of primitive integer
+    rows without duplicates, and ``closed`` has no zero row.  (A zero strict
+    row, ``0 > 0``, is unsatisfiable and is kept.)  The constructor
+    establishes it from arbitrary rational rows; ``intersect`` and
+    ``product3`` preserve it and skip normalisation.
+
+    Immutable after construction apart from the extreme-ray memo ``_desc``,
+    a write-once ``(rays, lineality, masks)`` tuple: the sorted rays, the
+    lineality generators, and for each ray the bitmask of the closed rows
+    tight at it (``None`` when rays were installed without running DD).  One
+    assignment publishes all three, and concurrent computations install
+    identical canonical results.  ``_seed`` holds the parent's rays, masks
+    and row count for an intersection whose DD has not run yet.
     """
 
     __slots__ = ("dim", "closed", "strict", "_desc", "_seed")
@@ -200,22 +231,38 @@ class Cone:
         self.closed = _dedup_rows(closed, dim, drop_zero=True)
         # A zero strict row 0 > 0 is unsatisfiable and must be kept as-is.
         self.strict = _dedup_rows(strict, dim, drop_zero=False)
-        self._desc: tuple[tuple[Vector, ...], tuple[Vector, ...]] | None = None
-        self._seed: tuple[tuple[Vector, ...], int] | None = None
+        self._desc: Description | None = None
+        self._seed: tuple[tuple[Vector, ...], tuple[int, ...] | None, int] | None = None
+
+    @classmethod
+    def _from_canonical(
+        cls, dim: int, closed: tuple[Vector, ...], strict: tuple[Vector, ...]
+    ) -> "Cone":
+        """A cone from rows that already satisfy the row invariant, unchecked."""
+        cone = cls.__new__(cls)
+        cone.dim = dim
+        cone.closed = closed
+        cone.strict = strict
+        cone._desc = None
+        cone._seed = None
+        return cone
 
     def __repr__(self) -> str:
         return f"Cone(dim={self.dim}, closed={len(self.closed)}, strict={len(self.strict)})"
 
-    def _closed_description(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    def _closed_description(self) -> Description:
         desc = self._desc
         if desc is None:
-            if self._seed is not None:
-                seed_rays, n = self._seed
-                rays, lin = _extreme_rays(self.closed, self.dim, seed_rays, n)
+            seed = self._seed
+            if seed is not None:
+                seed_rays, seed_masks, n = seed
+                rays, lin, masks = _extreme_rays(self.closed, self.dim, seed_rays, n, seed_masks)
             else:
-                rays, lin = _extreme_rays(self.closed, self.dim)
-            desc = (tuple(sorted(rays)), tuple(lin))
+                rays, lin, masks = _extreme_rays(self.closed, self.dim)
+            order = sorted(range(len(rays)), key=rays.__getitem__)
+            desc = (tuple(rays[k] for k in order), tuple(lin), tuple(masks[k] for k in order))
             self._desc = desc
+            self._seed = None
         return desc
 
     def edges(self) -> tuple[Vector, ...]:
@@ -223,7 +270,7 @@ class Cone:
 
         Raises NonPointedConeError when the closed cone contains a line.
         """
-        rays, lin = self._closed_description()
+        rays, lin, _ = self._closed_description()
         if lin:
             raise NonPointedConeError(
                 f"closed cone has a lineality space of dimension {len(lin)}"
@@ -235,7 +282,7 @@ class Cone:
 
     def interior_witness(self) -> Vector:
         """Sum of the extreme rays: a relative-interior point of the closed cone."""
-        rays, _ = self._closed_description()
+        rays = self._closed_description()[0]
         return tuple(sum(col) for col in zip(*rays)) if rays else (0,) * self.dim
 
     def is_member_empty(self) -> bool:
@@ -254,8 +301,12 @@ class Cone:
         return len(self.edges()) == 0
 
     def is_subset_of(self, equalities: Iterable[Sequence]) -> bool:
-        """True iff every extreme ray lies on every hyperplane ``e . x = 0``."""
-        rows = [scale_primitive(e) for e in equalities]
+        """True iff every extreme ray lies on every hyperplane ``e . x = 0``.
+
+        Rows may be rational and need no normal form: scaling a row does not
+        change whether its dot product with a ray is zero.
+        """
+        rows = tuple(equalities)
         for row in rows:
             if len(row) != self.dim:
                 raise ConeDimensionError("equality row has wrong length")
@@ -263,25 +314,20 @@ class Cone:
         return all(_dot(e, r) == 0 for e in rows for r in rays)
 
     def intersect(self, *others: "Cone") -> "Cone":
-        """Intersection; the result reuses this cone's cached rays as a DD seed."""
-        closed = list(self.closed)
-        seen = set(closed)
-        strict = list(self.strict)
-        seen_strict = set(strict)
+        """Intersection; the result reuses this cone's cached rays as a DD seed.
+
+        This cone's closed rows come first in the result, in order, so the
+        cached tight-row masks of its rays carry over bit for bit.
+        """
         for o in others:
             if o.dim != self.dim:
                 raise ConeDimensionError(f"cannot intersect dim {self.dim} with dim {o.dim}")
-            for row in o.closed:
-                if row not in seen:
-                    seen.add(row)
-                    closed.append(row)
-            for row in o.strict:
-                if row not in seen_strict:
-                    seen_strict.add(row)
-                    strict.append(row)
-        result = Cone(self.dim, closed, strict)
-        if self.has_cached_edges():
-            result._seed = (self.edges(), len(self.closed))
+        closed = tuple(dict.fromkeys(chain(self.closed, *(o.closed for o in others))))
+        strict = tuple(dict.fromkeys(chain(self.strict, *(o.strict for o in others))))
+        result = Cone._from_canonical(self.dim, closed, strict)
+        desc = self._desc
+        if desc is not None and not desc[1]:
+            result._seed = (desc[0], desc[2], len(self.closed))
         return result
 
     def member_contains(self, point: Sequence) -> bool:
@@ -301,9 +347,10 @@ class Cone:
 def product3(c1: Cone, c2: Cone, c3: Cone) -> Cone:
     """Cross product of three cones as one cone in the sum of the dimensions.
 
-    Rows are zero-padded into their coordinate block.  When all factors have
-    cached extreme rays, the product's rays (the block-embedded union, valid
-    for pointed factors) are installed directly.
+    Rows are zero-padded into their coordinate block, which keeps them
+    canonical; only zero strict rows of different factors can coincide.
+    When all factors have cached extreme rays, the product's rays (the
+    block-embedded union, valid for pointed factors) are installed directly.
     """
     factors = (c1, c2, c3)
     dim = sum(c.dim for c in factors)
@@ -314,12 +361,14 @@ def product3(c1: Cone, c2: Cone, c3: Cone) -> Cone:
         out[off : off + d] = row
         return tuple(out)
 
-    closed = [embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.closed]
-    strict = [embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.strict]
-    result = Cone(dim, closed, strict)
+    closed = tuple(embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.closed)
+    strict = tuple(
+        dict.fromkeys(embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.strict)
+    )
+    result = Cone._from_canonical(dim, closed, strict)
     if all(c.has_cached_edges() for c in factors):
         rays = [embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.edges()]
-        result._desc = (tuple(sorted(rays)), ())
+        result._desc = (tuple(sorted(rays)), (), None)
     return result
 
 
@@ -369,7 +418,7 @@ def cone_from_json_dict(data: dict) -> Cone:
     cone = Cone(dim, closed, strict)
     if "rays" in data and data["rays"] is not None:
         rays = tuple(sorted(tuple(int(x) for x in r) for r in data["rays"]))
-        cone._desc = (rays, ())
+        cone._desc = (rays, (), None)
     return cone
 
 

@@ -243,6 +243,8 @@ def run_algorithm(
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError("need non-negative a, b with (a, b) != (0, 0)")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if gcd(a, b) != 1:
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
     ls = linset(a, b)
@@ -252,7 +254,7 @@ def run_algorithm(
     start = time.perf_counter()
     generation = [initial_pair()]
     result.generations.append(generation)
-    result.log.append(_record(0, generation, rows, time.perf_counter() - start))
+    result.log.append(_record(0, generation, rows, start))
 
     i = 0
     while result.log[i].total > 0 and i < max_iter:
@@ -266,7 +268,7 @@ def run_algorithm(
         generation = [child for lst in child_lists for child in lst]
         result.generations.append(generation)
         i += 1
-        result.log.append(_record(i, generation, rows, time.perf_counter() - start))
+        result.log.append(_record(i, generation, rows, start))
     return result
 
 
@@ -274,8 +276,10 @@ def _record(
     index: int,
     generation: Sequence[RefinementPair],
     stop_rows: tuple[Vector, ...],
-    seconds: float,
+    start: float,
 ) -> IterationRecord:
+    """Classify a generation; its seconds run from ``start`` to the end of
+    the classification, which is where each child's rays are first computed."""
     surviving = 0
     stopped = 0
     for p in generation:
@@ -285,7 +289,9 @@ def _record(
             stopped += 1
         else:
             surviving += 1
-    return IterationRecord(index, len(generation), surviving, stopped, seconds)
+    return IterationRecord(
+        index, len(generation), surviving, stopped, time.perf_counter() - start
+    )
 
 
 def format_table(result: RunResult, verbose: bool = False) -> str:

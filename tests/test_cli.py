@@ -22,10 +22,34 @@ def test_refine_table_output(capsys):
     assert "seconds" not in out
 
 
+def run_cli_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_refine_invalid_pair(capsys):
-    code = main(["refine", "--a", "0", "--b", "0"])
-    capsys.readouterr()
-    assert code == 2
+    code, out, err = run_cli_error(capsys, "refine", "--a", "0", "--b", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_bad_input_exits_2_with_one_line(capsys):
+    # exit 1 means "relation fails" for verify; bad input must not look like it
+    for argv in (
+        ("verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", "1,0,-1",
+         "--a", "1", "--b", "1", "--max-coeff", "10"),
+        ("verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", "1,0,3",
+         "--a", "1", "--b", "1", "--max-coeff", "-1"),
+        ("classify", "--alphas", "0,0,0", "--q1", "1,0,1", "--q2", "1,0,1",
+         "--q3", "1,0,1", "--max-coeff", "-5"),
+        ("refine", "--a", "1", "--b", "1", "--max-iter", "-1"),
+        ("ycheck", "--max-iter", "-1"),
+        ("decompose", "--a", "1", "--b", "2", "--triple", "1,2"),
+    ):
+        code, out, err = run_cli_error(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 def test_refine_json_and_determinism(capsys):

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,3 +250,119 @@ def test_json_round_trip():
     back = cone_from_json(text)
     assert cones_closed_equal(v, back)
     assert back.strict == v.strict
+
+
+def _int_rows(dim, max_size):
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=max_size)
+
+
+@st.composite
+def _row_pair(draw):
+    dim = draw(st.integers(2, 4))
+    return (
+        dim,
+        draw(_int_rows(dim, 6)),
+        draw(_int_rows(dim, 6)),
+        draw(_int_rows(dim, 2)),
+        draw(_int_rows(dim, 2)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_pair(), st.booleans())
+def test_intersect_equals_public_construction(rows, warm):
+    dim, a, b, sa, sb = rows
+    left, right = Cone(dim, a, sa), Cone(dim, b, sb)
+    merged = Cone(dim, a + b, sa + sb)
+    if warm:
+        # cached rays and masks on the left operand seed the intersection
+        try:
+            left.edges()
+        except NonPointedConeError:
+            pass
+    inter = left.intersect(right)
+    assert inter.closed == merged.closed
+    assert inter.strict == merged.strict
+    try:
+        expected = merged.edges()
+    except NonPointedConeError:
+        with pytest.raises(NonPointedConeError):
+            inter.edges()
+        return
+    assert inter.edges() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), _int_rows(3, 4), _int_rows(3, 2)), min_size=3, max_size=3))
+def test_product3_rows_equal_embedded_construction(specs):
+    # strict rows include zero rows, which coincide after embedding
+    cones = []
+    for dim, closed, strict in specs:
+        closed = [row[:dim] for row in closed]
+        strict = [row[:dim] for row in strict] + [(0,) * dim]
+        cones.append(Cone(dim, closed, strict))
+    total = sum(c.dim for c in cones)
+    embedded_closed, embedded_strict, offset = [], [], 0
+    for dim, closed, strict in specs:
+        left, right = (0,) * offset, (0,) * (total - offset - dim)
+        embedded_closed += [left + row[:dim] + right for row in closed]
+        embedded_strict += [left + row[:dim] + right for row in strict] + [(0,) * total]
+        offset += dim
+    reference = Cone(total, embedded_closed, embedded_strict)
+    p = product3(*cones)
+    assert p.dim == total
+    assert p.closed == reference.closed
+    assert p.strict == reference.strict
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=5), st.integers(1, 50), st.lists(st.booleans(), min_size=5, max_size=5))
+def test_scale_primitive_int_path_matches_fraction_path(ints, den, picks):
+    # the all-int fast path against the Fraction path on the same direction
+    expected = scale_primitive([Fraction(x) for x in ints])
+    assert scale_primitive(ints) == scale_primitive(tuple(ints)) == expected
+    assert scale_primitive([Fraction(x, den) for x in ints]) == expected
+    mixed = [Fraction(x * den, den) if pick else x for x, pick in zip(ints, picks)]
+    assert scale_primitive(mixed) == expected
+    assert all(type(x) is int for x in expected)
+    assert all(x * y >= 0 for x, y in zip(expected, ints))
+    if any(ints):
+        g = 0
+        for x in expected:
+            g = gcd(g, x)
+        assert g == 1
+    else:
+        assert expected == (0,) * len(ints)
+
+
+def test_scale_primitive_edge_cases():
+    assert scale_primitive(()) == ()
+    assert scale_primitive((0, 0, 0)) == (0, 0, 0)
+    assert scale_primitive((Fraction(0), 0)) == (0, 0)
+    assert scale_primitive((-4, 6, -8)) == (-2, 3, -4)
+    assert scale_primitive((-7,)) == (-1,)
+    assert scale_primitive((Fraction(-1, 2), 3)) == (-1, 6)
+
+
+def test_dd_invariants_on_reference_run(run_12):
+    # Every cone of the (1, 2) diagonal/14 run: each stored ray satisfies
+    # every closed row, is primitive and extreme (tight rows of rank
+    # dim - 1), its cached mask is its tight set recomputed from scratch,
+    # and the seeded DD agrees with an unseeded one.
+    for gen in run_12.generations:
+        for pair in gen:
+            cone = pair.cone
+            rays = cone.edges()
+            masks = cone._desc[2]
+            assert masks is not None and len(masks) == len(rays)
+            for k, ray in enumerate(rays):
+                dots = [sum(a * b for a, b in zip(row, ray)) for row in cone.closed]
+                assert all(d >= 0 for d in dots)
+                g = 0
+                for x in ray:
+                    g = gcd(g, x)
+                assert g == 1
+                tight = [row for row, d in zip(cone.closed, dots) if d == 0]
+                assert _rank(tight) == cone.dim - 1
+                assert masks[k] == sum(1 << i for i, d in enumerate(dots) if d == 0)
+            assert Cone(cone.dim, cone.closed).edges() == rays

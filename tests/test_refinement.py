@@ -2,6 +2,8 @@
 
 import pytest
 
+from theta_refine import refinement
+from theta_refine.geometry import Cone
 from theta_refine.refinement import (
     CoveringParameter,
     RefinementPair,
@@ -124,6 +126,8 @@ def test_threaded_run_is_identical(run_11):
 def test_run_validation():
     with pytest.raises(ValueError):
         run_algorithm(0, 0)
+    with pytest.raises(ValueError, match="max_iter"):
+        run_algorithm(1, 1, "diagonal", -1)
     with pytest.warns(UserWarning):
         run_algorithm(2, 2, "diagonal", 1)
 
@@ -167,3 +171,24 @@ def test_iteration_log_consistency(run_11):
                 child.param.z_sets[:-1],
             )
             assert key in parents
+
+
+def test_seconds_cover_classification(monkeypatch):
+    # A fake clock that advances one tick per emptiness test, the call that
+    # first computes a child's rays.  Each record must then count the
+    # survivor filter of the previous generation plus the classification of
+    # its own: 1 pair at generation 0, then totals[i-1] + totals[i] ticks.
+    ticks = [0]
+    is_member_empty = Cone.is_member_empty
+
+    def counting(self):
+        ticks[0] += 1
+        return is_member_empty(self)
+
+    monkeypatch.setattr(refinement.time, "perf_counter", lambda: ticks[0])
+    monkeypatch.setattr(Cone, "is_member_empty", counting)
+    result = run_algorithm(3, 1, "diagonal", 13)
+    totals = result.totals()
+    assert totals == [1, 3, 3, 5, 0]
+    expected = [totals[0]] + [totals[i - 1] + totals[i] for i in range(1, len(totals))]
+    assert [rec.seconds for rec in result.log] == expected
