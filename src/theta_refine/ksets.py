@@ -10,7 +10,6 @@ judges emptiness.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 from .geometry import Cone
@@ -55,32 +54,41 @@ def kset_chain(vectors: Sequence[Pair]) -> Cone:
 
 
 def _normalize_sets(sets: Iterable[Iterable[Pair]]) -> tuple[tuple[Pair, ...], ...]:
-    normalized = tuple(tuple(tuple(v) for v in s) for s in sets)
+    """The non-empty sets as tuples of tuples, checked to be disjoint."""
+    normalized = tuple(t for t in (tuple(tuple(v) for v in s) for s in sets) if t)
     flat = [v for s in normalized for v in s]
     if len(flat) != len(set(flat)):
         raise ValueError("sets must be pairwise disjoint with distinct members")
     return normalized
 
 
+# Keyed by the non-empty sets.  dict.get and dict.setdefault are atomic under
+# the GIL, so threaded runs share the memo without a lock.
 _kset_cache: dict[tuple[tuple[Pair, ...], ...], Cone] = {}
-_kset_lock = threading.Lock()
 
 
 def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
     """Cone for an ordered sequence of disjoint vector sets.
 
-    Empty sets contribute nothing.  The chain on the flattened vectors is
-    intersected with the within-set equalities Q(first) = Q(other), each as a
-    pair of opposite closed rows.  Results are memoized; the same sequences
-    recur constantly across refinement branches.
+    The chain on the flattened vectors is intersected with the within-set
+    equalities Q(first) = Q(other), each as a pair of opposite closed rows.
+    Empty sets add to neither, so the memo key is the tuple of the non-empty
+    sets: ``kset([[v], [], [w]])`` and ``kset([[v], [w]])`` return the same
+    cached cone, and list input hits the entry of the equal tuple input.  A
+    hit costs only building the key.  The checks (disjointness here, strong
+    primitivity in ``kset_chain``) run on every miss, before anything is
+    stored, so an invalid sequence is never cached and raises every time.
     """
-    key = _normalize_sets(sets)
-    with _kset_lock:
-        cached = _kset_cache.get(key)
+    key = tuple(s for s in sets if s)
+    try:
+        return _kset_cache[key]
+    except (KeyError, TypeError):  # TypeError: list parts are unhashable
+        pass
+    key = _normalize_sets(key)
+    cached = _kset_cache.get(key)
     if cached is not None:
         return cached
-    flat = [v for s in key if s for v in s]
-    cone = kset_chain(flat)
+    cone = kset_chain([v for s in key for v in s])
     eq_rows = []
     for s in key:
         for other in s[1:]:
@@ -89,9 +97,7 @@ def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
             eq_rows.append(tuple(-x for x in row))
     if eq_rows:
         cone = cone.intersect(Cone(3, eq_rows))
-    with _kset_lock:
-        _kset_cache.setdefault(key, cone)
-    return cone
+    return _kset_cache.setdefault(key, cone)
 
 
 def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:
@@ -108,5 +114,4 @@ def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:
 
 
 def clear_cache() -> None:
-    with _kset_lock:
-        _kset_cache.clear()
+    _kset_cache.clear()

@@ -10,7 +10,6 @@ the next n minimal vectors in sequence.
 
 from __future__ import annotations
 
-import threading
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -40,17 +39,24 @@ def min_of_finite(vectors: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
     return tuple(sorted(set(out)))
 
 
-def _check_exclusion(excluded: Iterable[Sequence[int]]) -> frozenset[Pair]:
-    exc = frozenset(tuple(v) for v in excluded)
+def _exclusion_key(excluded: Iterable[Sequence[int]]) -> frozenset[Pair]:
+    if type(excluded) is frozenset:
+        return excluded
+    return frozenset(tuple(v) for v in excluded)
+
+
+def _check_exclusion(exc: frozenset[Pair]) -> None:
     for v in exc:
         if not is_strongly_primitive(v):
             raise ValueError(f"exclusion {v} is not strongly primitive")
-    return exc
 
 
+# Both memos are looked up before the exclusion is checked; the check runs on
+# every miss, before anything is stored, so an invalid exclusion is never
+# cached.  dict.get and dict.setdefault are atomic under the GIL, so threaded
+# runs share the memos without a lock.
 _min_complement_cache: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 _min_n_cache: dict[tuple[frozenset[Pair], int], tuple[tuple[Pair, ...], ...]] = {}
-_cache_lock = threading.Lock()
 
 
 def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
@@ -61,11 +67,11 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
     ||v||_inf <= ceil(sqrt(2 (a^2 + max(a, 0) + 1))), so the minimal set of
     the complement equals the minimal set of a finite subset of that box.
     """
-    exc = _check_exclusion(excluded)
-    with _cache_lock:
-        cached = _min_complement_cache.get(exc)
+    exc = _exclusion_key(excluded)
+    cached = _min_complement_cache.get(exc)
     if cached is not None:
         return cached
+    _check_exclusion(exc)
 
     a = 0
     k = 0
@@ -85,10 +91,7 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
                 continue
             if not preceq(witness, v):
                 candidates.append(v)
-    result = min_of_finite(candidates)
-    with _cache_lock:
-        _min_complement_cache.setdefault(exc, result)
-    return result
+    return _min_complement_cache.setdefault(exc, min_of_finite(candidates))
 
 
 def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], ...]:
@@ -100,12 +103,12 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    exc = _check_exclusion(excluded)
+    exc = _exclusion_key(excluded)
     key = (exc, n)
-    with _cache_lock:
-        cached = _min_n_cache.get(key)
+    cached = _min_n_cache.get(key)
     if cached is not None:
         return cached
+    _check_exclusion(exc)
     if n == 0:
         result: tuple[tuple[Pair, ...], ...] = ((),)
     else:
@@ -115,15 +118,12 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
                 candidate = prefix + (v,)
                 chosen.setdefault(frozenset(candidate), candidate)
         result = tuple(sorted(chosen.values(), key=lambda c: tuple(sorted(c))))
-    with _cache_lock:
-        _min_n_cache.setdefault(key, result)
-    return result
+    return _min_n_cache.setdefault(key, result)
 
 
 def clear_caches() -> None:
-    with _cache_lock:
-        _min_complement_cache.clear()
-        _min_n_cache.clear()
+    _min_complement_cache.clear()
+    _min_n_cache.clear()
 
 
 def _min_value_over_complement(q: BQF, excluded: frozenset[Pair]):

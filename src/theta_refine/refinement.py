@@ -2,17 +2,17 @@
 
 State is a set of pairs (T, P): a cone T in the 9-dimensional product of
 three copies of form space, and a covering parameter P recording, per factor,
-the sequence of vector sets already pinned down as successive minima.  One
-iteration discards pairs whose cone has an empty member set or is contained
-in the stop set, then replaces each survivor by all of its refinements: for
-every shape in the linset and every admissible choice of next minimal-vector
-sets, intersect T with the corresponding product cone and value-equality
-rows and extend P.
+the sequence of vector sets already pinned down as successive minima.  Each
+generation is classified once: a pair is empty (no member), absorbed (its
+cone lies in the stop set) or live.  The next generation replaces each live
+pair by all of its refinements: for every shape in the linset and every
+admissible choice of next minimal-vector sets, intersect T with the
+corresponding product cone and value-equality rows and extend P.
 
 Counting convention for the per-iteration table: generation i holds every
-pair produced by refining generation i-1's survivors, including pairs whose
-member set is empty; those are only removed at the start of the next
-iteration, together with the stop-set-contained ones.
+pair produced by refining generation i-1's live pairs, including pairs whose
+member set is empty; those are only dropped when generation i is refined,
+together with the stop-set-contained ones.
 """
 
 from __future__ import annotations
@@ -206,10 +206,6 @@ def refine_pair(pair: RefinementPair, ls: Linset) -> list[RefinementPair]:
     return children
 
 
-def _survives(pair: RefinementPair, stop_rows: tuple[Vector, ...]) -> bool:
-    return not pair.cone.is_member_empty() and not pair.cone.is_subset_of(stop_rows)
-
-
 def check_y_projection_argument(
     pairs: Iterable[RefinementPair], stop_rows: Sequence[Vector]
 ) -> bool:
@@ -234,10 +230,11 @@ def run_algorithm(
     max_iter: int = 13,
     threads: int = 1,
 ) -> RunResult:
-    """The refinement loop: filter stop-set subsets, refine, repeat.
+    """The refinement loop: classify a generation, refine its live pairs, repeat.
 
     Pairs whose member set is empty are subsets of every stop set and are
-    removed in the same filtering step.  Runs for at most ``max_iter``
+    dropped together with the absorbed ones; each pair is classified once,
+    when its generation is recorded.  Runs for at most ``max_iter``
     refinements or until a generation is produced with no pairs at all.
     Results are deterministic and independent of ``threads``.
     """
@@ -254,21 +251,22 @@ def run_algorithm(
     start = time.perf_counter()
     generation = [initial_pair()]
     result.generations.append(generation)
-    result.log.append(_record(0, generation, rows, start))
+    live, record = _record(0, generation, rows, start)
+    result.log.append(record)
 
     i = 0
-    while result.log[i].total > 0 and i < max_iter:
+    while record.total > 0 and i < max_iter:
         start = time.perf_counter()
-        survivors = [p for p in generation if _survives(p, rows)]
-        if threads > 1 and len(survivors) > 1:
+        if threads > 1 and len(live) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                child_lists = list(pool.map(lambda p: refine_pair(p, ls), survivors))
+                child_lists = list(pool.map(lambda p: refine_pair(p, ls), live))
         else:
-            child_lists = [refine_pair(p, ls) for p in survivors]
+            child_lists = [refine_pair(p, ls) for p in live]
         generation = [child for lst in child_lists for child in lst]
         result.generations.append(generation)
         i += 1
-        result.log.append(_record(i, generation, rows, start))
+        live, record = _record(i, generation, rows, start)
+        result.log.append(record)
     return result
 
 
@@ -277,10 +275,14 @@ def _record(
     generation: Sequence[RefinementPair],
     stop_rows: tuple[Vector, ...],
     start: float,
-) -> IterationRecord:
-    """Classify a generation; its seconds run from ``start`` to the end of
-    the classification, which is where each child's rays are first computed."""
-    surviving = 0
+) -> tuple[list[RefinementPair], IterationRecord]:
+    """Classify each pair of a generation once; return its live pairs and record.
+
+    A pair is empty, absorbed by the stop set, or live; only the live pairs
+    are refined next.  The seconds run from ``start`` to the end of the
+    classification, which is where each child's rays are first computed.
+    """
+    live = []
     stopped = 0
     for p in generation:
         if p.cone.is_member_empty():
@@ -288,10 +290,11 @@ def _record(
         if p.cone.is_subset_of(stop_rows):
             stopped += 1
         else:
-            surviving += 1
-    return IterationRecord(
-        index, len(generation), surviving, stopped, time.perf_counter() - start
+            live.append(p)
+    record = IterationRecord(
+        index, len(generation), len(live), stopped, time.perf_counter() - start
     )
+    return live, record
 
 
 def format_table(result: RunResult, verbose: bool = False) -> str:

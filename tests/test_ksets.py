@@ -1,10 +1,13 @@
 """Chain cones and grouped-set cones, with membership verified independently."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from theta_refine import ksets
 from theta_refine.geometry import Cone, cones_closed_equal
 from theta_refine.ksets import (
     V_CLOSURE_CONE,
@@ -41,6 +44,77 @@ def test_grouped_examples():
     assert kset([[(1, 0), (0, 1), (-1, 1), (1, 1)]]).is_zero_cone()
     with pytest.raises(ValueError):
         kset([[(1, 0)], [(1, 0)]])
+
+
+def test_kset_memo_key_is_the_non_empty_sets():
+    v, w = (1, 0), (0, 1)
+    cone = kset([[v], [w]])
+    for variant in (
+        [[v], [], [w]],
+        [[], [v], [w], []],
+        [[], [], [v], [], [w]],
+        ((v,), (), (w,)),
+        (((1, 0),), ((0, 1),)),
+        [[[1, 0]], [[0, 1]]],
+        iter([[v], [], [w]]),
+    ):
+        assert kset(variant) is cone
+    grouped = kset(((v, w), (), ((-1, 1),)))
+    assert kset([[v, w], [(-1, 1)]]) is grouped
+    assert kset([[list(v), list(w)], [], [[-1, 1]]]) is grouped
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[(1, 0)], [(1, 0)]],
+        [[(1, 0)], [], [(0, 1), (1, 0)]],
+        [[(1, 0), (1, 0)]],
+        [[(0, 2)]],
+        [[(1, 0)], [], [(3, 3)]],
+        [[(1, 0)], [[0, 2]]],
+    ],
+)
+def test_invalid_kset_key_raises_every_time(bad):
+    kset([[(1, 0)]])
+    kset([[(1, 0)], [(0, 1)]])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            kset(bad)
+
+
+def test_concurrent_misses_return_one_cached_cone():
+    # The memo has no lock: concurrent misses on one key may each build the
+    # cone, and dict.setdefault makes every caller return the stored one.
+    keys = [
+        [[(1, 0)], [], [(x, y)]]
+        for x in range(-3, 4)
+        for y in range(1, 4)
+        if is_strongly_primitive((x, y))
+    ]
+    workers = 6
+    barrier = threading.Barrier(workers)
+    results = [[] for _ in range(workers)]
+
+    def work(out):
+        barrier.wait(timeout=30)
+        out.extend(kset(key) for key in keys)
+
+    ksets.clear_cache()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, key in enumerate(keys):
+        cached = kset(key)
+        assert all(out[i] is cached for out in results)
 
 
 def test_zero_certificates():

@@ -75,6 +75,26 @@ def test_min_n_examples():
         min_n((), -1)
 
 
+@pytest.mark.parametrize("as_frozenset", [False, True])
+@pytest.mark.parametrize(
+    "call", [min_complement, lambda exc: min_n(exc, 0), lambda exc: min_n(exc, 2)]
+)
+def test_invalid_exclusion_raises_every_time(call, as_frozenset):
+    min_complement([(1, 0)])
+    min_n([(1, 0)], 2)
+    bad = [(1, 0), (2, 2)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not strongly primitive"):
+            call(frozenset(bad) if as_frozenset else bad)
+
+
+def test_min_memos_share_entries_across_input_types():
+    exc = [(1, 0), (0, 1)]
+    assert min_complement(frozenset(exc)) is min_complement(exc)
+    assert min_complement([[1, 0], [0, 1]]) is min_complement(tuple(exc))
+    assert min_n(frozenset(exc), 3) is min_n(exc, 3)
+
+
 def test_partial_order_axioms_box12():
     succ = {}
     for u in BOX12:

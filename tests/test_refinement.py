@@ -2,7 +2,7 @@
 
 import pytest
 
-from theta_refine import refinement
+from theta_refine import ksets, minima, refinement
 from theta_refine.geometry import Cone
 from theta_refine.refinement import (
     CoveringParameter,
@@ -175,9 +175,8 @@ def test_iteration_log_consistency(run_11):
 
 def test_seconds_cover_classification(monkeypatch):
     # A fake clock that advances one tick per emptiness test, the call that
-    # first computes a child's rays.  Each record must then count the
-    # survivor filter of the previous generation plus the classification of
-    # its own: 1 pair at generation 0, then totals[i-1] + totals[i] ticks.
+    # first computes a child's rays.  Each pair is classified once, when its
+    # generation is recorded, so record i counts exactly totals[i] ticks.
     ticks = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -190,5 +189,30 @@ def test_seconds_cover_classification(monkeypatch):
     result = run_algorithm(3, 1, "diagonal", 13)
     totals = result.totals()
     assert totals == [1, 3, 3, 5, 0]
-    expected = [totals[0]] + [totals[i - 1] + totals[i] for i in range(1, len(totals))]
-    assert [rec.seconds for rec in result.log] == expected
+    assert [rec.seconds for rec in result.log] == totals
+
+
+def test_work_counters_on_reference_run(monkeypatch):
+    # Exact work on the (1, 2) diagonal run from cold memos: one chain-cone
+    # build per distinct sequence of non-empty sets, and one emptiness test
+    # per pair produced.
+    builds = [0]
+    empties = [0]
+    kset_chain = ksets.kset_chain
+    is_member_empty = Cone.is_member_empty
+
+    def counting_chain(vectors):
+        builds[0] += 1
+        return kset_chain(vectors)
+
+    def counting_empty(self):
+        empties[0] += 1
+        return is_member_empty(self)
+
+    monkeypatch.setattr(ksets, "kset_chain", counting_chain)
+    monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
+    ksets.clear_cache()
+    minima.clear_caches()
+    result = run_algorithm(1, 2, "diagonal", 14)
+    assert builds[0] == 225
+    assert empties[0] == sum(result.totals()) == 676
