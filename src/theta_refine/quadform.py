@@ -229,8 +229,19 @@ def sp_from_rep_moebius(q: IntBQF, m: int) -> int:
 def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     """Coefficients r_Q(m) (or strongly primitive) for m = 0..m_max.
 
-    Single enumeration pass over the lattice box {Q <= m_max} rather than
-    m_max independent counts.
+    One exact pass over the half-plane y > 0, plus y = 0 with x > 0, of the
+    ellipse {Q <= m_max}, rather than m_max independent counts.
+
+    * Exact rows: with D = 4ac - b^2, 4a Q(x, y) = (2ax + by)^2 + D y^2, so
+      Q(x, y) <= m_max iff |2ax + by| <= isqrt(4a m_max - D y^2).  Each row's
+      x range comes from that bound, and every visited point is counted.
+    * Half-plane: Q(-v) = Q(v), so the ordinary variant adds 2 per point and
+      sets r(0) = 1 for the origin.  The half-plane is exactly the sign
+      condition of ``is_strongly_primitive`` (last non-zero coordinate
+      positive), so the strongly primitive variant counts each point with
+      gcd(x, y) = 1 once, and its r(0) is 0.
+    * Along a row, Q(x + 1, y) - Q(x, y) = a(2x + 1) + by grows by 2a per
+      step, so values are updated by two additions instead of evaluated.
     """
     if variant not in ("ordinary", "strongly_primitive"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -241,20 +252,28 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     sp = variant == "strongly_primitive"
     out = [0] * (m_max + 1)
     out[0] = 0 if sp else 1
-    a, b = q.a, q.b
+    a, b, c = q.a, q.b, q.c
+    two_a = 2 * a
+    bound = 4 * a * m_max
     disc = -q.discriminant()
-    ymax = isqrt(4 * a * m_max // disc)
-    for y in range(-ymax, ymax + 1):
-        e = 4 * a * m_max - disc * y * y
-        s = isqrt(e)
-        xlo = (-b * y - s) // (2 * a) - 1
-        xhi = (-b * y + s) // (2 * a) + 1
-        for x in range(xlo, xhi + 1):
-            if x == 0 and y == 0:
-                continue
-            m = q.evaluate((x, y))
-            if m <= m_max and (not sp or is_strongly_primitive((x, y))):
-                out[m] += 1
+    for y in range(isqrt(bound // disc) + 1):
+        s = isqrt(bound - disc * y * y)
+        by = b * y
+        xlo = -((s + by) // two_a) if y else 1
+        xhi = (s - by) // two_a
+        m = (a * xlo + by) * xlo + c * y * y
+        d = a * (2 * xlo + 1) + by
+        if sp:
+            for x in range(xlo, xhi + 1):
+                if gcd(x, y) == 1:
+                    out[m] += 1
+                m += d
+                d += two_a
+        else:
+            for _ in range(xhi - xlo + 1):
+                out[m] += 2
+                m += d
+                d += two_a
     return out
 
 

@@ -126,17 +126,30 @@ def key_lemma_decompose(a: int, b: int, triple: Sequence[int]) -> tuple[int, int
 
 
 def verify_relation(
-    q1: IntBQF, q2: IntBQF, q3: IntBQF, a: int, b: int, m_max: int
+    q1: IntBQF,
+    q2: IntBQF,
+    q3: IntBQF,
+    a: int,
+    b: int,
+    m_max: int,
+    variant: str = "ordinary",
 ) -> tuple[bool, int | None]:
     """Check a r_1(m) + b r_2(m) = (a+b) r_3(m) for 0 <= m <= m_max.
 
+    ``variant`` selects the coefficients as in ``theta_coeffs``.  The weights
+    follow the linset rule: a, b >= 0 and (a, b) != (0, 0); anything else
+    raises ``ValueError``, since a = b = 0 would make every relation hold.
     Returns (True, None) or (False, first failing m).
     """
-    t1 = theta_coeffs(q1, m_max)
-    t2 = theta_coeffs(q2, m_max)
-    t3 = theta_coeffs(q3, m_max)
-    for m in range(m_max + 1):
-        if a * t1[m] + b * t2[m] != (a + b) * t3[m]:
+    if (a, b) == (0, 0) or a < 0 or b < 0:
+        raise ValueError(f"need weights a, b >= 0 with (a, b) != (0, 0), got ({a}, {b})")
+    t1 = theta_coeffs(q1, m_max, variant)
+    t2 = theta_coeffs(q2, m_max, variant)
+    t3 = theta_coeffs(q3, m_max, variant)
+    ab = a + b
+    # most coefficients are 0 on all three forms, and 0 = 0 needs no arithmetic
+    for m, r1, r2, r3 in zip(range(m_max + 1), t1, t2, t3):
+        if (r1 or r2 or r3) and a * r1 + b * r2 != ab * r3:
             return False, m
     return True, None
 
@@ -145,13 +158,7 @@ def verify_sp_relation(
     q1: IntBQF, q2: IntBQF, q3: IntBQF, a: int, b: int, m_max: int
 ) -> tuple[bool, int | None]:
     """Same check on strongly primitive coefficients (constant term 0)."""
-    t1 = theta_coeffs(q1, m_max, "strongly_primitive")
-    t2 = theta_coeffs(q2, m_max, "strongly_primitive")
-    t3 = theta_coeffs(q3, m_max, "strongly_primitive")
-    for m in range(m_max + 1):
-        if a * t1[m] + b * t2[m] != (a + b) * t3[m]:
-            return False, m
-    return True, None
+    return verify_relation(q1, q2, q3, a, b, m_max, "strongly_primitive")
 
 
 def nontrivial_family(c: int) -> tuple[IntBQF, IntBQF, IntBQF]:

@@ -96,6 +96,15 @@ def test_verify_exit_codes(capsys):
     assert code == 1 and "m=1" in out
 
 
+def test_verify_degenerate_weights_exit_2(capsys):
+    code, out, err = run_cli_error(
+        capsys, "verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", "1,0,3",
+        "--a", "0", "--b", "0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_classify_output(capsys):
     code, out = run_cli(
         capsys, "classify", "--alphas", "1/3,2/3,-1",

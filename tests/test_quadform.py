@@ -133,16 +133,44 @@ def test_counts_match_brute_force(seed, m):
     assert sp_rep_number(q, m) == brute_sp_count(q, m)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_theta_single_pass_matches_counts(seed):
-    q = random_posdef(random.Random(seed))
-    m_max = 30
+@st.composite
+def theta_cases(draw):
+    """A positive-definite form, reduced or not, with content up to 3, and a bound."""
+    k = draw(st.integers(1, 3))
+    a, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    b = draw(st.integers(-isqrt(4 * a * c - 1), isqrt(4 * a * c - 1)))
+    q = IntBQF(k * a, k * b, k * c)
+    m_max = draw(st.sampled_from([0, 1, q.a - 1, q.a, q.a + 1]) | st.integers(0, 60))
+    return q, m_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta_cases())
+def test_theta_single_pass_matches_counts(case):
+    q, m_max = case
+    assert q.is_positive_definite()
     coeffs = theta_coeffs(q, m_max)
     sp_coeffs = theta_coeffs(q, m_max, "strongly_primitive")
-    for m in range(m_max + 1):
-        assert coeffs[m] == rep_number(q, m)
-        assert sp_coeffs[m] == (sp_rep_number(q, m) if m else 0)
+    assert coeffs == [rep_number(q, m) for m in range(m_max + 1)]
+    assert sp_coeffs == [sp_rep_number(q, m) for m in range(m_max + 1)]
+
+
+def test_theta_divisor_sums_on_hexagonal_family():
+    # r(m) = 2 * sum over d^2 | m of sp(m / d^2), and r(m) is even for m >= 1
+    m_max = 5000
+    for k in (1, 2, 3):
+        for q in (IntBQF(k, k, k), IntBQF(4 * k, 4 * k, 4 * k), IntBQF(k, 0, 3 * k)):
+            coeffs = theta_coeffs(q, m_max)
+            sp = theta_coeffs(q, m_max, "strongly_primitive")
+            assert coeffs[0] == 1 and sp[0] == 0
+            assert all(r % 2 == 0 for r in coeffs[1:])
+            sums = [0] * (m_max + 1)
+            d = 1
+            while d * d <= m_max:
+                for n in range(1, m_max // (d * d) + 1):
+                    sums[n * d * d] += 2 * sp[n]
+                d += 1
+            assert coeffs[1:] == sums[1:], q
 
 
 def test_moebius_and_divisor_sum_identities():

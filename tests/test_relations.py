@@ -117,6 +117,26 @@ def test_verify_relation_family():
     assert bad == (False, 1)
 
 
+def test_verify_rejects_degenerate_weights():
+    # a = b = 0 would "verify" any three forms
+    forms = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
+    for a, b in ((0, 0), (-1, 2), (2, -1), (-1, -1)):
+        for verify in (verify_relation, verify_sp_relation):
+            with pytest.raises(ValueError):
+                verify(*forms, a, b, 10)
+    assert verify_relation(*forms, 0, 1, 10) == (False, 2)
+    assert verify_relation(*forms, 1, 0, 10) == (False, 1)
+
+
+def test_verify_variant_parameter():
+    q1, q2, q3 = nontrivial_family(1)
+    assert verify_relation(q1, q2, q3, 1, 2, 500, "strongly_primitive") == (True, None)
+    bad = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
+    assert verify_relation(*bad, 1, 1, 10, "strongly_primitive") == (False, 1)
+    with pytest.raises(ValueError):
+        verify_relation(q1, q2, q3, 1, 2, 10, "bogus")
+
+
 def test_ordinary_and_sp_verification_agree():
     rng = random.Random(37)
     m_max = 300
