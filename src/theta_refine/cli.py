@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -92,10 +91,7 @@ def _dump_run(result: RunResult, out_dir: Path) -> None:
 
 
 def _cmd_refine(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("THETA_REFINE_THREADS", "1"))
-    result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter, threads)
+    result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
     if args.emit == "json":
         print(
             json.dumps(
@@ -207,7 +203,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_ycheck(args) -> int:
-    result = run_algorithm(1, 0, "q1_eq_q3", args.max_iter, args.threads or 1)
+    result = run_algorithm(1, 0, "q1_eq_q3", args.max_iter)
     ok = check_y_projection_argument(result.final_pairs, stop_set("q1_eq_q3"))
     print(f"y-projection check: {'holds' if ok else 'fails'}")
     return 0 if ok else 1
@@ -225,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--stop-set", choices=sorted(STOP_CHOICES), default="diagonal")
     p.add_argument("--max-iter", type=int, default=13)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="directory for per-pair JSON dumps")
     p.add_argument("--emit", choices=("text", "json"), default="text")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -281,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ycheck", help="projection argument for the 2-term case")
     p.add_argument("--max-iter", type=int, default=13)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_ycheck)
 
     return parser

@@ -17,8 +17,12 @@ description pass that inserts one constraint at a time.  Each ray carries a
 bitmask of the closed rows tight at it, and the cone caches the masks with
 its rays.  ``intersect`` puts this cone's rows first in the result, so the
 child's DD resumes from the parent's rays and masks and only inserts the new
-rows.  Strict rows are carried symbolically; they are consulted only by
-membership and emptiness tests, never by ray enumeration.
+rows.  Strict rows are carried symbolically and never enter the cached
+rays; they are consulted only by membership and emptiness tests.  Emptiness
+is exact for every cone: when the ray sum misses a strict row, the test
+enumerates the rays of the closed cone cut by ``b . x >= 0`` for the strict
+rows, a DD that runs only when the missed row is negative somewhere on the
+closed cone.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ def _dedup_rows(rows: Iterable[Sequence], dim: int, drop_zero: bool) -> tuple[Ve
             seen.add(r)
             out.append(r)
     return tuple(out)
+
+
+def _ray_sum(rays: Sequence[Vector], dim: int) -> Vector:
+    return tuple(sum(col) for col in zip(*rays)) if rays else (0,) * dim
 
 
 def _tight_mask(rows: Sequence[Vector], ray: Vector) -> int:
@@ -280,21 +288,48 @@ class Cone:
     def has_cached_edges(self) -> bool:
         return self._desc is not None and not self._desc[1]
 
+    def _member(self) -> Vector | None:
+        """A member point, or None when the member set is empty.
+
+        First the sum of the extreme rays, a relative-interior point of the
+        closed cone.  If that misses a strict row ``b`` that is non-negative
+        on every ray and zero on the lineality space, ``b`` vanishes on the
+        whole closed cone and there is no member.  Otherwise the sum of the
+        rays of ``C' = closed cone ∩ {b . x >= 0 for every strict b}``: every
+        ray of ``C'`` has ``b . r >= 0`` and every lineality direction has
+        ``b . l = 0``, so ``C'`` has a point with ``b . x > 0`` iff some ray
+        does, and the ray sum is then a member (Motzkin's transposition
+        theorem; Schrijver, *Theory of Linear and Integer Programming*, 1986,
+        ch. 7).  ``C'`` comes from a DD seeded with the cached rays, or from
+        scratch when the closed cone contains a line.
+        """
+        rays, lin, masks = self._closed_description()
+        w = _ray_sum(rays, self.dim)
+        missed = next((b for b in self.strict if _dot(b, w) <= 0), None)
+        if missed is None:
+            return w
+        if all(_dot(missed, r) >= 0 for r in rays) and not any(_dot(missed, l) for l in lin):
+            return None
+        rows = self.closed + self.strict
+        if lin:
+            cut = _extreme_rays(rows, self.dim)[0]
+        else:
+            cut = _extreme_rays(rows, self.dim, rays, len(self.closed), masks)[0]
+        w = _ray_sum(cut, self.dim)
+        return w if all(_dot(b, w) > 0 for b in self.strict) else None
+
     def interior_witness(self) -> Vector:
-        """Sum of the extreme rays: a relative-interior point of the closed cone."""
-        rays = self._closed_description()[0]
-        return tuple(sum(col) for col in zip(*rays)) if rays else (0,) * self.dim
+        """A member point when one exists; otherwise the sum of the extreme
+        rays, a relative-interior point of the closed cone."""
+        w = self._member()
+        return _ray_sum(self._closed_description()[0], self.dim) if w is None else w
 
     def is_member_empty(self) -> bool:
         """True iff no point satisfies all closed and all strict constraints.
 
-        Decided on the ray-sum witness: the member set is non-empty exactly
-        when the witness satisfies every strict row.  (Sound for the cones of
-        the refinement algorithm, whose strict rows are non-negative on the
-        closed cone.)
+        Exact for every cone; see ``_member``.
         """
-        w = self.interior_witness()
-        return not all(_dot(b, w) > 0 for b in self.strict)
+        return self._member() is None
 
     def is_zero_cone(self) -> bool:
         """True iff the closed cone is the single point 0."""

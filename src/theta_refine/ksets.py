@@ -63,7 +63,7 @@ def _normalize_sets(sets: Iterable[Iterable[Pair]]) -> tuple[tuple[Pair, ...], .
 
 
 # Keyed by the non-empty sets.  dict.get and dict.setdefault are atomic under
-# the GIL, so threaded runs share the memo without a lock.
+# the GIL, so concurrent callers share the memo without a lock.
 _kset_cache: dict[tuple[tuple[Pair, ...], ...], Cone] = {}
 
 

@@ -13,13 +13,18 @@ Counting convention for the per-iteration table: generation i holds every
 pair produced by refining generation i-1's live pairs, including pairs whose
 member set is empty; those are only dropped when generation i is refined,
 together with the stop-set-contained ones.
+
+Each run hash-conses its cones in a ``RunTable``: pairs whose cones have the
+same closed and strict row sets share one ``Cone`` object, so each distinct
+cone gets one double description and one verdict, however many pairs hold
+it.  A repeated construction (same parent cone, chain cones, shape and link
+vectors) is looked up instead of rebuilt.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
@@ -155,6 +160,23 @@ def _cross_equality_rows(block_i: int, vi: Pair, block_j: int, vj: Pair) -> list
     return [tuple(row), tuple(-x for x in row)]
 
 
+def _link_cone(
+    shape: Shape, xs: tuple[Pair, ...], ys: tuple[Pair, ...], zs: tuple[Pair, ...]
+) -> Cone:
+    """Value-link rows between the first elements of the linked sets."""
+    rows: list[Vector] = []
+    if shape == (1, 1, 1):
+        rows += _cross_equality_rows(0, xs[0], 1, ys[0])
+        rows += _cross_equality_rows(0, xs[0], 2, zs[0])
+    elif shape[1] == 0:
+        if xs and zs:
+            rows += _cross_equality_rows(0, xs[0], 2, zs[0])
+    else:
+        if ys and zs:
+            rows += _cross_equality_rows(1, ys[0], 2, zs[0])
+    return Cone(9, rows)
+
+
 def aux_cones(
     param: CoveringParameter,
     xs: tuple[Pair, ...],
@@ -173,36 +195,119 @@ def aux_cones(
     k1 = kset(param.x_sets + (xs,))
     k2 = kset(param.y_sets + (ys,))
     k3 = kset(param.z_sets + (zs,))
-    product = product3(k1, k2, k3)
-    rows: list[Vector] = []
-    if shape == (1, 1, 1):
-        rows += _cross_equality_rows(0, xs[0], 1, ys[0])
-        rows += _cross_equality_rows(0, xs[0], 2, zs[0])
-    elif shape[1] == 0:
-        if xs and zs:
-            rows += _cross_equality_rows(0, xs[0], 2, zs[0])
-    else:
-        if ys and zs:
-            rows += _cross_equality_rows(1, ys[0], 2, zs[0])
-    return product, Cone(9, rows)
+    return product3(k1, k2, k3), _link_cone(shape, xs, ys, zs)
 
 
-def refine_pair(pair: RefinementPair, ls: Linset) -> list[RefinementPair]:
+def _row_hash(rows: Iterable[Vector]) -> int:
+    """Order-insensitive hash of rows that never repeat: the sum of theirs."""
+    return sum(map(hash, rows))
+
+
+def _same_rows(a: Cone, b: Cone) -> bool:
+    """Equal ``(closed, strict)`` row sets, for rows without duplicates."""
+    return all(
+        ra == rb or (len(ra) == len(rb) and set(ra).issuperset(rb))
+        for ra, rb in ((a.closed, b.closed), (a.strict, b.strict))
+    )
+
+
+class RunTable:
+    """The cones of one refinement run, hash-consed, with their verdicts.
+
+    ``intern`` maps every cone to the first cone of the run with the same
+    ``(closed, strict)`` row set, so pairs with equal row sets share one
+    ``Cone`` object, one double description and one verdict.  The bucket key
+    is an order-insensitive hash of the closed rows, and a hit is confirmed by
+    comparing both row sets.  A child's key is its parent's plus the hashes
+    of the closed rows the intersection appended (``intersect`` keeps the
+    parent's rows first), so only new rows are hashed.  ``child`` memoises
+    the child built from a parent cone, three chain cones, the shape and the
+    first elements of the linked sets, so a repeated construction skips the
+    product, the link cone and the intersection.  ``verdicts`` holds
+    ``_record``'s classification of each interned cone.  A table serves one
+    sequential run: which cone is seen first fixes the row order a shared
+    cone is dumped with.
+    """
+
+    __slots__ = ("_buckets", "_keys", "_children", "verdicts")
+
+    def __init__(self) -> None:
+        self._buckets: dict[int, list[Cone]] = {}
+        self._keys: dict[Cone, int] = {}
+        self._children: dict[tuple, Cone] = {}
+        self.verdicts: dict[Cone, int] = {}
+
+    def _key(self, cone: Cone) -> int:
+        key = self._keys.get(cone)
+        return _row_hash(cone.closed) if key is None else key
+
+    def intern(self, cone: Cone, key: int | None = None) -> Cone:
+        """The run's cone with this row set; ``key`` is ``cone``'s bucket key
+        when the caller already knows it."""
+        if key is None:
+            key = self._key(cone)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [cone]
+        else:
+            for seen in bucket:
+                if _same_rows(seen, cone):
+                    return seen
+            bucket.append(cone)
+        self._keys[cone] = key
+        return cone
+
+    def child(
+        self,
+        parent: Cone,
+        k1: Cone,
+        k2: Cone,
+        k3: Cone,
+        shape: Shape,
+        x1: tuple[Pair, ...],
+        y1: tuple[Pair, ...],
+        z1: tuple[Pair, ...],
+    ) -> Cone:
+        """``parent ∩ (k1 x k2 x k3) ∩ link``, interned; ``x1``, ``y1`` and
+        ``z1`` hold the first element of each chosen set (empty for an empty
+        set)."""
+        memo_key = (parent, k1, k2, k3, shape, x1, y1, z1)
+        cone = self._children.get(memo_key)
+        if cone is None:
+            cone = parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
+            key = self._key(parent) + _row_hash(cone.closed[len(parent.closed) :])
+            cone = self._children[memo_key] = self.intern(cone, key)
+        return cone
+
+
+def refine_pair(
+    pair: RefinementPair, ls: Linset, table: RunTable | None = None
+) -> list[RefinementPair]:
     """All children of one pair, in canonical order.
 
     Shapes are taken in linset order; within a shape the choice collections
     are each canonically sorted, and the nested product enumerates them
-    lexicographically.  Children with empty member sets are kept.
+    lexicographically.  Children with empty member sets are kept.  Each chain
+    cone is looked up once per shape and chosen set, not once per child.
+    The child cones come from ``table`` (a fresh one when none is given), so
+    children with equal row sets share one ``Cone``.
     """
-    exc = [pair.param.excluded(axis) for axis in range(3)]
+    if table is None:
+        table = RunTable()
+    param = pair.param
+    seqs = (param.x_sets, param.y_sets, param.z_sets)
+    exc = [param.excluded(axis) for axis in range(3)]
     children = []
     for shape in ls.shapes:
-        for xs in min_n(exc[0], shape[0]):
-            for ys in min_n(exc[1], shape[1]):
-                for zs in min_n(exc[2], shape[2]):
-                    kc, qc = aux_cones(pair.param, xs, ys, zs, shape)
-                    cone = pair.cone.intersect(kc, qc)
-                    children.append(RefinementPair(cone, pair.param.extended(xs, ys, zs)))
+        xl, yl, zl = (
+            [(s, kset(seqs[axis] + (s,))) for s in min_n(exc[axis], shape[axis])]
+            for axis in range(3)
+        )
+        for xs, k1 in xl:
+            for ys, k2 in yl:
+                for zs, k3 in zl:
+                    cone = table.child(pair.cone, k1, k2, k3, shape, xs[:1], ys[:1], zs[:1])
+                    children.append(RefinementPair(cone, param.extended(xs, ys, zs)))
     return children
 
 
@@ -233,41 +338,46 @@ def run_algorithm(
     """The refinement loop: classify a generation, refine its live pairs, repeat.
 
     Pairs whose member set is empty are subsets of every stop set and are
-    dropped together with the absorbed ones; each pair is classified once,
-    when its generation is recorded.  Runs for at most ``max_iter``
-    refinements or until a generation is produced with no pairs at all.
-    Results are deterministic and independent of ``threads``.
+    dropped together with the absorbed ones.  The run has its own
+    ``RunTable``: every cone, the initial one included, is interned by its
+    row set, so pairs with equal row sets share one ``Cone``, and each
+    distinct cone is classified once, when its first pair is recorded.  Runs
+    for at most ``max_iter`` refinements or until a generation is produced
+    with no pairs at all.  The run is sequential and deterministic;
+    ``threads`` is accepted for compatibility and must be 1.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError("need non-negative a, b with (a, b) != (0, 0)")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    if threads != 1:
+        raise ValueError(f"runs are single-threaded; threads must be 1, got {threads}")
     if gcd(a, b) != 1:
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
     ls = linset(a, b)
     rows = stop_set(stop_kind)
     result = RunResult(a, b, stop_kind, max_iter)
+    table = RunTable()
 
     start = time.perf_counter()
-    generation = [initial_pair()]
+    first = initial_pair()
+    generation = [RefinementPair(table.intern(first.cone), first.param)]
     result.generations.append(generation)
-    live, record = _record(0, generation, rows, start)
+    live, record = _record(0, generation, rows, start, table)
     result.log.append(record)
 
     i = 0
     while record.total > 0 and i < max_iter:
         start = time.perf_counter()
-        if threads > 1 and len(live) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                child_lists = list(pool.map(lambda p: refine_pair(p, ls), live))
-        else:
-            child_lists = [refine_pair(p, ls) for p in live]
-        generation = [child for lst in child_lists for child in lst]
+        generation = [child for p in live for child in refine_pair(p, ls, table)]
         result.generations.append(generation)
         i += 1
-        live, record = _record(i, generation, rows, start)
+        live, record = _record(i, generation, rows, start, table)
         result.log.append(record)
     return result
+
+
+_EMPTY, _ABSORBED, _LIVE = range(3)
 
 
 def _record(
@@ -275,22 +385,35 @@ def _record(
     generation: Sequence[RefinementPair],
     stop_rows: tuple[Vector, ...],
     start: float,
+    table: RunTable,
 ) -> tuple[list[RefinementPair], IterationRecord]:
-    """Classify each pair of a generation once; return its live pairs and record.
+    """Classify a generation, one verdict per distinct cone; return its live
+    pairs and record.
 
     A pair is empty, absorbed by the stop set, or live; only the live pairs
-    are refined next.  The seconds run from ``start`` to the end of the
-    classification, which is where each child's rays are first computed.
+    are refined next.  Each interned cone is classified the first time a
+    pair holding it is recorded, and every later pair that shares it reuses
+    the verdict from ``table``.  The seconds run from ``start`` to the end of
+    the classification, which is where each new cone's rays are first
+    computed.
     """
+    verdicts = table.verdicts
     live = []
     stopped = 0
     for p in generation:
-        if p.cone.is_member_empty():
-            continue
-        if p.cone.is_subset_of(stop_rows):
-            stopped += 1
-        else:
+        verdict = verdicts.get(p.cone)
+        if verdict is None:
+            if p.cone.is_member_empty():
+                verdict = _EMPTY
+            elif p.cone.is_subset_of(stop_rows):
+                verdict = _ABSORBED
+            else:
+                verdict = _LIVE
+            verdicts[p.cone] = verdict
+        if verdict == _LIVE:
             live.append(p)
+        elif verdict == _ABSORBED:
+            stopped += 1
     record = IterationRecord(
         index, len(generation), len(live), stopped, time.perf_counter() - start
     )

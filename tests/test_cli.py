@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from theta_refine.cli import main
 from theta_refine.geometry import Cone, cone_from_json_dict, cones_closed_equal
@@ -58,13 +59,19 @@ def test_refine_json_and_determinism(capsys):
     payload = json.loads(out1)
     assert payload["totals"] == [1, 3, 3, 5, 0]
     _, out2 = run_cli(capsys, "refine", "--a", "3", "--b", "1", "--emit", "json")
-    _, out3 = run_cli(
-        capsys, "refine", "--a", "3", "--b", "1", "--emit", "json", "--threads", "3"
-    )
-    assert out1 == out2 == out3
+    assert out1 == out2
     _, text1 = run_cli(capsys, "refine", "--a", "3", "--b", "1")
-    _, text2 = run_cli(capsys, "refine", "--a", "3", "--b", "1", "--threads", "3")
+    _, text2 = run_cli(capsys, "refine", "--a", "3", "--b", "1")
     assert text1 == text2
+
+
+def test_threads_flag_is_gone(capsys):
+    # runs are single-threaded; argparse rejects the old flag with exit 2
+    for argv in (("refine", "--a", "1", "--b", "1", "--threads", "2"), ("ycheck", "--threads", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 def test_refine_dumps_round_trip(tmp_path, capsys):
@@ -169,10 +176,3 @@ def test_fixture_comparison_detects_corruption():
     corrupted = fx.Cone(3, [(-1, 1, 0), (1, 0, -1), (0, 0, 1), (1, -1, 0)])
     assert not fx.cones_closed_equal(fx.kset_chain([(1, 0), (0, 1), (-1, 1)]), corrupted)
     assert fx.cones_closed_equal(fx.kset_chain([(1, 0), (0, 1), (-1, 1)]), good)
-
-
-def test_env_threads_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("THETA_REFINE_THREADS", "2")
-    code, out = run_cli(capsys, "refine", "--a", "3", "--b", "1", "--emit", "json")
-    assert code == 0
-    assert json.loads(out)["totals"] == [1, 3, 3, 5, 0]

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -115,6 +115,23 @@ def test_member_emptiness_cases():
     assert not Cone(3, V_ROWS, V_STRICT).is_member_empty()
     # closed-only cones always contain the origin
     assert not zero.is_member_empty()
+
+
+def test_member_emptiness_when_strict_rows_cut_the_closed_cone():
+    # a strict row negative on some ray: the ray sum (1, 1) misses it, but
+    # (2, 1) is a member
+    quadrant = Cone(2, [(1, 0), (0, 1)], [(1, -1)])
+    assert not quadrant.is_member_empty()
+    assert quadrant.member_contains(quadrant.interior_witness())
+    # a closed cone that is a line: no rays to sum, but (1,) is a member
+    line = Cone(1, [], [(1,)])
+    assert not line.is_member_empty()
+    assert line.member_contains(line.interior_witness())
+    # the strict rows cut the quadrant down to the ray (1, 1), where x - y = 0
+    assert Cone(2, [(1, 0), (0, 1)], [(1, -1), (-1, 1)]).is_member_empty()
+    assert Cone(2, [(1, 0), (0, 1)], [(1, -1), (0, 1)]).member_contains((2, 1))
+    assert not Cone(2, [(1, 0), (0, 1)], [(1, -1), (0, 1)]).is_member_empty()
+    assert Cone(3, [(1, 0, 0)], [(0, 0, 0)]).is_member_empty()
 
 
 def test_zero_cone_detection():
@@ -254,6 +271,33 @@ def test_json_round_trip():
 
 def _int_rows(dim, max_size):
     return st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=max_size)
+
+
+_BOX = {dim: list(product(range(-3, 4), repeat=dim)) for dim in (2, 3, 4)}
+
+
+@st.composite
+def _rows_and_strict(draw):
+    dim = draw(st.integers(2, 4))
+    return dim, draw(_int_rows(dim, 5)), draw(_int_rows(dim, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rows_and_strict(), st.booleans())
+def test_member_emptiness_against_lattice_search(spec, warm):
+    # A "non-empty" verdict comes with a member (the witness); an "empty"
+    # verdict must survive a brute-force search of the lattice box.
+    dim, closed, strict = spec
+    cone = Cone(dim, closed, strict)
+    if warm:
+        try:
+            cone.edges()
+        except NonPointedConeError:
+            pass
+    if cone.is_member_empty():
+        assert not any(cone.member_contains(p) for p in _BOX[dim])
+    else:
+        assert cone.member_contains(cone.interior_witness())
 
 
 @st.composite

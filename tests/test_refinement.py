@@ -2,7 +2,7 @@
 
 import pytest
 
-from theta_refine import ksets, minima, refinement
+from theta_refine import geometry, ksets, minima, refinement
 from theta_refine.geometry import Cone
 from theta_refine.refinement import (
     CoveringParameter,
@@ -114,15 +114,6 @@ def test_every_surviving_cone_ends_in_diagonal(run_11):
     assert run_11.generations[6] == []
 
 
-def test_threaded_run_is_identical(run_11):
-    threaded = run_algorithm(1, 1, "diagonal", 13, threads=4)
-    assert threaded.totals() == run_11.totals()
-    assert threaded.non_empty_counts() == run_11.non_empty_counts()
-    for gen_a, gen_b in zip(run_11.generations, threaded.generations):
-        assert [p.param for p in gen_a] == [p.param for p in gen_b]
-        assert [p.cone.edges() for p in gen_a] == [p.cone.edges() for p in gen_b]
-
-
 def test_run_validation():
     with pytest.raises(ValueError):
         run_algorithm(0, 0)
@@ -130,6 +121,9 @@ def test_run_validation():
         run_algorithm(1, 1, "diagonal", -1)
     with pytest.warns(UserWarning):
         run_algorithm(2, 2, "diagonal", 1)
+    for threads in (0, 2):
+        with pytest.raises(ValueError, match="threads"):
+            run_algorithm(1, 1, "diagonal", 13, threads=threads)
 
 
 def test_y_projection_negative_control():
@@ -175,8 +169,10 @@ def test_iteration_log_consistency(run_11):
 
 def test_seconds_cover_classification(monkeypatch):
     # A fake clock that advances one tick per emptiness test, the call that
-    # first computes a child's rays.  Each pair is classified once, when its
-    # generation is recorded, so record i counts exactly totals[i] ticks.
+    # first computes a cone's rays.  Each distinct cone is classified once,
+    # when the first pair holding it is recorded, so record i counts one tick
+    # per cone first seen in generation i.  No two pairs of this run share a
+    # cone, so that is totals[i].
     ticks = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -189,7 +185,14 @@ def test_seconds_cover_classification(monkeypatch):
     result = run_algorithm(3, 1, "diagonal", 13)
     totals = result.totals()
     assert totals == [1, 3, 3, 5, 0]
-    assert [rec.seconds for rec in result.log] == totals
+    seen = set()
+    first_seen = []
+    for gen in result.generations:
+        new = {id(p.cone) for p in gen} - seen
+        seen |= new
+        first_seen.append(len(new))
+    assert first_seen == totals
+    assert [rec.seconds for rec in result.log] == first_seen
 
 
 def test_work_counters_on_reference_run(monkeypatch):
@@ -216,3 +219,71 @@ def test_work_counters_on_reference_run(monkeypatch):
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
     assert empties[0] == sum(result.totals()) == 676
+
+
+def _parents(result):
+    """(parent pair, child pair) for every pair after the first generation."""
+    for i in range(1, len(result.generations)):
+        by_param = {
+            (p.param.x_sets, p.param.y_sets, p.param.z_sets): p
+            for p in result.generations[i - 1]
+        }
+        for child in result.generations[i]:
+            parent = by_param[
+                (child.param.x_sets[:-1], child.param.y_sets[:-1], child.param.z_sets[:-1])
+            ]
+            yield parent, child
+
+
+def test_shared_cones_equal_rebuilt_intersections(run_10):
+    # Without the run table, each child is its parent's cone intersected with
+    # its own aux cones; the shared cone must have that row set exactly.
+    checked = 0
+    for parent, child in _parents(run_10):
+        xs, ys, zs = (s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
+        shape = (len(xs), len(ys), len(zs))
+        rebuilt = parent.cone.intersect(*aux_cones(parent.param, xs, ys, zs, shape))
+        assert set(child.cone.closed) == set(rebuilt.closed)
+        assert set(child.cone.strict) == set(rebuilt.strict)
+        checked += 1
+    assert checked == sum(run_10.totals()) - 1
+
+
+def test_one_cone_object_per_row_set(run_10):
+    pairs = [p for gen in run_10.generations for p in gen]
+    objects = {id(p.cone) for p in pairs}
+    row_sets = {(frozenset(p.cone.closed), frozenset(p.cone.strict)) for p in pairs}
+    assert len(objects) == len(row_sets) == 634
+    assert len(pairs) == 10558
+    last = run_10.generations[-1]
+    assert len({id(p.cone) for p in last}) == 305
+
+
+def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
+    # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  The
+    # reduction domain's rays are computed first, so the initial product gets
+    # its rays without a DD; every other distinct cone gets one DD and one
+    # emptiness test, and no cone needs the extra DD of the exact emptiness
+    # path, because its strict rows are non-negative on its rays.
+    dd = [0]
+    empties = [0]
+    extreme_rays = geometry._extreme_rays
+    is_member_empty = Cone.is_member_empty
+
+    def counting_dd(*args):
+        dd[0] += 1
+        return extreme_rays(*args)
+
+    def counting_empty(self):
+        empties[0] += 1
+        return is_member_empty(self)
+
+    ksets.clear_cache()
+    minima.clear_caches()
+    ksets.V_CONE.edges()
+    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
+    result = run_algorithm(1, 0, "q1_eq_q3", 13)
+    assert sum(result.totals()) == 10558
+    assert empties[0] == 634
+    assert dd[0] == 633
