@@ -64,20 +64,9 @@ class BQF:
         return self.q11 > 0 and 4 * self.q11 * self.q22 - self.q12 * self.q12 > 0
 
 
-def evaluate(q: BQF, v: Sequence[int]) -> Fraction:
-    return q.evaluate(v)
-
-
 def in_v(q: BQF) -> bool:
     """Membership in the reduction domain: q22 >= q11 >= q12 >= 0 and q11 > 0."""
     return q.q22 >= q.q11 and q.q12 >= 0 and q.q11 >= q.q12 and q.q11 > 0
-
-
-def in_v_closure(q: BQF) -> bool:
-    return q.q22 >= q.q11 and q.q12 >= 0 and q.q11 >= q.q12 and q.q11 >= 0
-
-
-EDGE_FORMS = (BQF(0, 1, 0), BQF(1, 1, 0), BQF(1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -103,9 +92,6 @@ class IntBQF:
 
     def to_bqf(self) -> BQF:
         return BQF(self.a, self.c, self.b)
-
-    def scaled(self, k: int) -> "IntBQF":
-        return IntBQF(k * self.a, k * self.b, k * self.c)
 
     def __str__(self) -> str:
         return f"{self.a},{self.b},{self.c}"
@@ -284,15 +270,3 @@ def parse_int_form(text: str) -> IntBQF:
         raise ValueError(f"expected 'a,b,c', got {text!r}")
     a, b, c = (int(p.strip()) for p in parts)
     return IntBQF(a, b, c)
-
-
-def parse_bqf(text: str) -> BQF:
-    """Parse the CLI tuple syntax ``(q11,q22,q12)`` with rational entries."""
-    t = text.strip()
-    if t.startswith("(") and t.endswith(")"):
-        t = t[1:-1]
-    parts = t.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected '(q11,q22,q12)', got {text!r}")
-    vals = [Fraction(p.strip()) for p in parts]
-    return BQF(*vals)

@@ -14,11 +14,12 @@ pair produced by refining generation i-1's live pairs, including pairs whose
 member set is empty; those are only dropped when generation i is refined,
 together with the stop-set-contained ones.
 
-Each run hash-conses its cones in a ``RunTable``: pairs whose cones have the
-same closed and strict row sets share one ``Cone`` object, so each distinct
-cone gets one double description and one verdict, however many pairs hold
-it.  A repeated construction (same parent cone, chain cones, shape and link
-vectors) is looked up instead of rebuilt.
+Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
+sorted extreme rays of the (pointed) closed cone plus the strict rows.  Pairs
+whose cones have the same member set share one ``Cone`` object and one
+verdict, however many pairs hold it and whatever rows built it.  A repeated
+construction (same parent cone, chain cones, shape and link vectors) is
+looked up instead of rebuilt.
 """
 
 from __future__ import annotations
@@ -198,64 +199,34 @@ def aux_cones(
     return product3(k1, k2, k3), _link_cone(shape, xs, ys, zs)
 
 
-def _row_hash(rows: Iterable[Vector]) -> int:
-    """Order-insensitive hash of rows that never repeat: the sum of theirs."""
-    return sum(map(hash, rows))
-
-
-def _same_rows(a: Cone, b: Cone) -> bool:
-    """Equal ``(closed, strict)`` row sets, for rows without duplicates."""
-    return all(
-        ra == rb or (len(ra) == len(rb) and set(ra).issuperset(rb))
-        for ra, rb in ((a.closed, b.closed), (a.strict, b.strict))
-    )
-
-
 class RunTable:
-    """The cones of one refinement run, hash-consed, with their verdicts.
+    """The cones of one refinement run, hash-consed by member set, with their
+    verdicts.
 
     ``intern`` maps every cone to the first cone of the run with the same
-    ``(closed, strict)`` row set, so pairs with equal row sets share one
-    ``Cone`` object, one double description and one verdict.  The bucket key
-    is an order-insensitive hash of the closed rows, and a hit is confirmed by
-    comparing both row sets.  A child's key is its parent's plus the hashes
-    of the closed rows the intersection appended (``intersect`` keeps the
-    parent's rows first), so only new rows are hashed.  ``child`` memoises
-    the child built from a parent cone, three chain cones, the shape and the
-    first elements of the linked sets, so a repeated construction skips the
-    product, the link cone and the intersection.  ``verdicts`` holds
-    ``_record``'s classification of each interned cone.  A table serves one
-    sequential run: which cone is seen first fixes the row order a shared
-    cone is dumped with.
+    key ``(dim, edges(), frozenset(strict))``.  Every refinement cone is
+    pointed, so its sorted primitive extreme rays fix its closed cone, and
+    with the strict rows they fix its member set: pairs whose cones have the
+    same member set share one ``Cone`` object and one verdict, however
+    differently their rows were built.  ``child`` memoises the child built
+    from a parent cone, three chain cones, the shape and the first elements
+    of the linked sets, so a repeated construction skips the product, the
+    link cone, the intersection and its double description.  ``verdicts``
+    holds ``_record``'s classification of each interned cone.  A table
+    serves one sequential run: which construction is seen first fixes the
+    rows a shared cone is dumped with.
     """
 
-    __slots__ = ("_buckets", "_keys", "_children", "verdicts")
+    __slots__ = ("_cones", "_children", "verdicts")
 
     def __init__(self) -> None:
-        self._buckets: dict[int, list[Cone]] = {}
-        self._keys: dict[Cone, int] = {}
+        self._cones: dict[tuple, Cone] = {}
         self._children: dict[tuple, Cone] = {}
         self.verdicts: dict[Cone, int] = {}
 
-    def _key(self, cone: Cone) -> int:
-        key = self._keys.get(cone)
-        return _row_hash(cone.closed) if key is None else key
-
-    def intern(self, cone: Cone, key: int | None = None) -> Cone:
-        """The run's cone with this row set; ``key`` is ``cone``'s bucket key
-        when the caller already knows it."""
-        if key is None:
-            key = self._key(cone)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [cone]
-        else:
-            for seen in bucket:
-                if _same_rows(seen, cone):
-                    return seen
-            bucket.append(cone)
-        self._keys[cone] = key
-        return cone
+    def intern(self, cone: Cone) -> Cone:
+        """The run's cone with this member set; computes ``cone``'s rays."""
+        return self._cones.setdefault((cone.dim, cone.edges(), frozenset(cone.strict)), cone)
 
     def child(
         self,
@@ -275,8 +246,7 @@ class RunTable:
         cone = self._children.get(memo_key)
         if cone is None:
             cone = parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
-            key = self._key(parent) + _row_hash(cone.closed[len(parent.closed) :])
-            cone = self._children[memo_key] = self.intern(cone, key)
+            cone = self._children[memo_key] = self.intern(cone)
         return cone
 
 
@@ -290,7 +260,7 @@ def refine_pair(
     lexicographically.  Children with empty member sets are kept.  Each chain
     cone is looked up once per shape and chosen set, not once per child.
     The child cones come from ``table`` (a fresh one when none is given), so
-    children with equal row sets share one ``Cone``.
+    children with equal member sets share one ``Cone``.
     """
     if table is None:
         table = RunTable()
@@ -318,12 +288,15 @@ def check_y_projection_argument(
 
     This is the machine-checkable core of the argument that, for the relation
     with zero second coefficient, the factor-2 choices carry no information
-    and all genuine solutions already lie in the stop set.
+    and all genuine solutions already lie in the stop set.  Each distinct
+    cone object is classified once, however many pairs share it.
     """
+    dead: dict[Cone, bool] = {}
     for pair in pairs:
-        if pair.cone.is_member_empty() or pair.cone.is_subset_of(stop_rows):
-            continue
-        if not any(len(s) > 0 for s in pair.param.y_sets):
+        cone = pair.cone
+        if cone not in dead:
+            dead[cone] = cone.is_member_empty() or cone.is_subset_of(stop_rows)
+        if not dead[cone] and not any(pair.param.y_sets):
             return False
     return True
 
@@ -340,10 +313,10 @@ def run_algorithm(
     Pairs whose member set is empty are subsets of every stop set and are
     dropped together with the absorbed ones.  The run has its own
     ``RunTable``: every cone, the initial one included, is interned by its
-    row set, so pairs with equal row sets share one ``Cone``, and each
-    distinct cone is classified once, when its first pair is recorded.  Runs
-    for at most ``max_iter`` refinements or until a generation is produced
-    with no pairs at all.  The run is sequential and deterministic;
+    member set (extreme rays and strict rows), so pairs with equal member
+    sets share one ``Cone``, and each distinct member set is classified
+    once, when its first pair is recorded.  Runs for at most ``max_iter``
+    refinements or until a generation is produced with no pairs at all.  The run is sequential and deterministic;
     ``threads`` is accepted for compatibility and must be 1.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
@@ -387,15 +360,15 @@ def _record(
     start: float,
     table: RunTable,
 ) -> tuple[list[RefinementPair], IterationRecord]:
-    """Classify a generation, one verdict per distinct cone; return its live
-    pairs and record.
+    """Classify a generation, one verdict per distinct member set; return
+    its live pairs and record.
 
     A pair is empty, absorbed by the stop set, or live; only the live pairs
-    are refined next.  Each interned cone is classified the first time a
-    pair holding it is recorded, and every later pair that shares it reuses
-    the verdict from ``table``.  The seconds run from ``start`` to the end of
-    the classification, which is where each new cone's rays are first
-    computed.
+    are refined next.  Each interned cone, one per member set, is classified
+    the first time a pair holding it is recorded, and every later pair that
+    shares it reuses the verdict from ``table``.  The seconds run from
+    ``start`` to the end of the classification; the cones' rays were already
+    computed when they were interned.
     """
     verdicts = table.verdicts
     live = []

@@ -1,5 +1,7 @@
 """Linsets, auxiliary cones, and the refinement loop invariants."""
 
+from math import gcd
+
 import pytest
 
 from theta_refine import geometry, ksets, minima, refinement
@@ -126,6 +128,23 @@ def test_run_validation():
             run_algorithm(1, 1, "diagonal", 13, threads=threads)
 
 
+# The 27 coprime pairs a < b with 4 <= a + b <= 13; each runs in both orders.
+SWEEP_PAIRS = [
+    (a, s - a) for s in range(4, 14) for a in range(1, s) if a < s - a and gcd(a, s) == 1
+]
+
+
+@pytest.mark.parametrize("a, b", SWEEP_PAIRS)
+def test_no_further_relations_sweep(a, b):
+    # The a + b >= 4 claim beyond its worked example (3, 1): every coprime
+    # run ends after 4 refinements, and swapping a and b keeps the table.
+    forward = run_algorithm(a, b, "diagonal", 13)
+    backward = run_algorithm(b, a, "diagonal", 13)
+    for res in (forward, backward):
+        assert len(res.log) == 5 and res.totals()[-1] == 0
+    assert forward.totals() == backward.totals()
+
+
 def test_y_projection_negative_control():
     rows = stop_set("q1_eq_q3")
     cone = initial_pair().cone
@@ -168,11 +187,10 @@ def test_iteration_log_consistency(run_11):
 
 
 def test_seconds_cover_classification(monkeypatch):
-    # A fake clock that advances one tick per emptiness test, the call that
-    # first computes a cone's rays.  Each distinct cone is classified once,
-    # when the first pair holding it is recorded, so record i counts one tick
-    # per cone first seen in generation i.  No two pairs of this run share a
-    # cone, so that is totals[i].
+    # A fake clock that advances one tick per emptiness test.  Each distinct
+    # member set is classified once, when the first pair holding its cone is
+    # recorded, so record i counts one tick per cone first seen in
+    # generation i.
     ticks = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -191,14 +209,14 @@ def test_seconds_cover_classification(monkeypatch):
         new = {id(p.cone) for p in gen} - seen
         seen |= new
         first_seen.append(len(new))
-    assert first_seen == totals
+    assert first_seen == [1, 3, 3, 3, 0]
     assert [rec.seconds for rec in result.log] == first_seen
 
 
 def test_work_counters_on_reference_run(monkeypatch):
     # Exact work on the (1, 2) diagonal run from cold memos: one chain-cone
     # build per distinct sequence of non-empty sets, and one emptiness test
-    # per pair produced.
+    # per distinct member set: 21 for the 676 pairs produced.
     builds = [0]
     empties = [0]
     kset_chain = ksets.kset_chain
@@ -218,7 +236,8 @@ def test_work_counters_on_reference_run(monkeypatch):
     minima.clear_caches()
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
-    assert empties[0] == sum(result.totals()) == 676
+    assert empties[0] == 21
+    assert sum(result.totals()) == 676
 
 
 def _parents(result):
@@ -237,34 +256,37 @@ def _parents(result):
 
 def test_shared_cones_equal_rebuilt_intersections(run_10):
     # Without the run table, each child is its parent's cone intersected with
-    # its own aux cones; the shared cone must have that row set exactly.
+    # its own aux cones; the shared cone must have that member set.  Its rows
+    # may differ: it keeps the rows of the first construction with its
+    # member set.
     checked = 0
     for parent, child in _parents(run_10):
         xs, ys, zs = (s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
         shape = (len(xs), len(ys), len(zs))
         rebuilt = parent.cone.intersect(*aux_cones(parent.param, xs, ys, zs, shape))
-        assert set(child.cone.closed) == set(rebuilt.closed)
-        assert set(child.cone.strict) == set(rebuilt.strict)
+        assert geometry.cones_equivalent(child.cone, rebuilt)
         checked += 1
-    assert checked == sum(run_10.totals()) - 1
+    assert checked == sum(run_10.totals()) - 1 == 10557
 
 
-def test_one_cone_object_per_row_set(run_10):
+def test_one_cone_object_per_member_set(run_10):
     pairs = [p for gen in run_10.generations for p in gen]
     objects = {id(p.cone) for p in pairs}
-    row_sets = {(frozenset(p.cone.closed), frozenset(p.cone.strict)) for p in pairs}
-    assert len(objects) == len(row_sets) == 634
+    member_sets = {(p.cone.dim, p.cone.edges(), frozenset(p.cone.strict)) for p in pairs}
+    assert len(objects) == len(member_sets) == 318
     assert len(pairs) == 10558
     last = run_10.generations[-1]
-    assert len({id(p.cone) for p in last}) == 305
+    assert len({id(p.cone) for p in last}) == 182
 
 
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  The
     # reduction domain's rays are computed first, so the initial product gets
-    # its rays without a DD; every other distinct cone gets one DD and one
-    # emptiness test, and no cone needs the extra DD of the exact emptiness
-    # path, because its strict rows are non-negative on its rays.
+    # its rays without a DD.  Every distinct construction needs its rays
+    # before it can be interned, so each of the 860 gets one DD; each of the
+    # 318 distinct member sets gets one emptiness test, and no cone needs the
+    # extra DD of the exact emptiness path, because its strict rows are
+    # non-negative on its rays.
     dd = [0]
     empties = [0]
     extreme_rays = geometry._extreme_rays
@@ -285,5 +307,21 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     assert sum(result.totals()) == 10558
-    assert empties[0] == 634
-    assert dd[0] == 633
+    assert empties[0] == 318
+    assert dd[0] == 860
+
+
+def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
+    # The last generation of the (1, 0) run holds 5 890 pairs on 182 distinct
+    # cones; each cone is tested for emptiness once.
+    empties = [0]
+    is_member_empty = Cone.is_member_empty
+
+    def counting_empty(self):
+        empties[0] += 1
+        return is_member_empty(self)
+
+    monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
+    assert check_y_projection_argument(run_10.final_pairs, stop_set("q1_eq_q3"))
+    assert len(run_10.final_pairs) == 5890
+    assert empties[0] == 182
