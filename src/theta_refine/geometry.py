@@ -224,10 +224,9 @@ class Cone:
     Immutable after construction apart from the extreme-ray memo ``_desc``,
     a write-once ``(rays, lineality, masks)`` tuple: the sorted rays, the
     lineality generators, and for each ray the bitmask of the closed rows
-    tight at it (``None`` when rays were installed without running DD).  One
-    assignment publishes all three, and concurrent computations install
-    identical canonical results.  ``_seed`` holds the parent's rays, masks
-    and row count for an intersection whose DD has not run yet.
+    tight at it (``None`` when rays were installed without running DD).
+    ``_seed`` holds the parent's rays, masks and row count for an
+    intersection whose DD has not run yet.
     """
 
     __slots__ = ("dim", "closed", "strict", "_desc", "_seed")

@@ -62,8 +62,7 @@ def _normalize_sets(sets: Iterable[Iterable[Pair]]) -> tuple[tuple[Pair, ...], .
     return normalized
 
 
-# Keyed by the non-empty sets.  dict.get and dict.setdefault are atomic under
-# the GIL, so concurrent callers share the memo without a lock.
+# Keyed by the non-empty sets.
 _kset_cache: dict[tuple[tuple[Pair, ...], ...], Cone] = {}
 
 

@@ -53,8 +53,7 @@ def _check_exclusion(exc: frozenset[Pair]) -> None:
 
 # Both memos are looked up before the exclusion is checked; the check runs on
 # every miss, before anything is stored, so an invalid exclusion is never
-# cached.  dict.get and dict.setdefault are atomic under the GIL, so concurrent
-# callers share the memos without a lock.
+# cached.
 _min_complement_cache: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 _min_n_cache: dict[tuple[frozenset[Pair], int], tuple[tuple[Pair, ...], ...]] = {}
 

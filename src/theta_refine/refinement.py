@@ -17,9 +17,12 @@ together with the stop-set-contained ones.
 Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
 sorted extreme rays of the (pointed) closed cone plus the strict rows.  Pairs
 whose cones have the same member set share one ``Cone`` object and one
-verdict, however many pairs hold it and whatever rows built it.  A repeated
-construction (same parent cone, chain cones, shape and link vectors) is
-looked up instead of rebuilt.
+verdict, however many pairs hold it and whatever rows built it.  The chain
+cones are interned the same way, one per run and per non-empty set sequence,
+in the ``AxisState`` that also holds the sequence's next choices.  A repeated
+construction (same parent cone, interned chain cones, shape and link
+vectors) is looked up instead of rebuilt, so chain sequences with equal
+chain geometry share one child.
 """
 
 from __future__ import annotations
@@ -73,23 +76,24 @@ class CoveringParameter:
     y_sets: tuple[tuple[Pair, ...], ...] = ()
     z_sets: tuple[tuple[Pair, ...], ...] = ()
 
-    def extended(self, xs: tuple[Pair, ...], ys: tuple[Pair, ...], zs: tuple[Pair, ...]):
-        return CoveringParameter(
-            self.x_sets + (xs,), self.y_sets + (ys,), self.z_sets + (zs,)
-        )
-
-    def excluded(self, axis: int) -> frozenset[Pair]:
-        seqs = (self.x_sets, self.y_sets, self.z_sets)[axis]
-        return frozenset(v for s in seqs for v in s)
-
     def depth(self) -> int:
         return len(self.x_sets)
 
 
 @dataclass(frozen=True)
 class RefinementPair:
+    """A cone and its covering parameter.
+
+    ``states`` holds the run's per-axis chain states that ``refine_pair``
+    reads the next choices from; it takes no part in equality, and a pair
+    built without it has its states looked up from ``param``.
+    """
+
     cone: Cone
     param: CoveringParameter
+    states: tuple[AxisState, AxisState, AxisState] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -199,34 +203,77 @@ def aux_cones(
     return product3(k1, k2, k3), _link_cone(shape, xs, ys, zs)
 
 
-class RunTable:
-    """The cones of one refinement run, hash-consed by member set, with their
-    verdicts.
+class AxisState:
+    """One factor's chain state within a run.
 
-    ``intern`` maps every cone to the first cone of the run with the same
-    key ``(dim, edges(), frozenset(strict))``.  Every refinement cone is
-    pointed, so its sorted primitive extreme rays fix its closed cone, and
-    with the strict rows they fix its member set: pairs whose cones have the
-    same member set share one ``Cone`` object and one verdict, however
-    differently their rows were built.  ``child`` memoises the child built
-    from a parent cone, three chain cones, the shape and the first elements
-    of the linked sets, so a repeated construction skips the product, the
-    link cone, the intersection and its double description.  ``verdicts``
-    holds ``_record``'s classification of each interned cone.  A table
-    serves one sequential run: which construction is seen first fixes the
-    rows a shared cone is dumped with.
+    ``key`` is the sequence of non-empty sets chosen so far (the ``kset``
+    key) and ``cone`` its chain cone, interned in the run's table.
+    ``choices`` maps ``n`` to the admissible next ``n``-sets, each with the
+    state it leads to; ``RunTable.choices`` fills it on first use.  An empty
+    chosen set leads back to the same state, since it changes neither the
+    excluded vectors nor the chain cone.
     """
 
-    __slots__ = ("_cones", "_children", "verdicts")
+    __slots__ = ("key", "cone", "choices")
+
+    def __init__(self, key: tuple[tuple[Pair, ...], ...], cone: Cone) -> None:
+        self.key = key
+        self.cone = cone
+        self.choices: dict[int, list[tuple[tuple[Pair, ...], AxisState]]] = {}
+
+
+class RunTable:
+    """The cones and chain states of one refinement run, hash-consed by
+    member set, with their verdicts.
+
+    ``intern`` maps every cone to the first cone of the run with the same
+    key ``(dim, edges(), frozenset(strict))``.  Every refinement cone and
+    every chain cone is pointed, so its sorted primitive extreme rays fix
+    its closed cone, and with the strict rows they fix its member set: pairs
+    whose cones have the same member set share one ``Cone`` object and one
+    verdict, however differently their rows were built.  ``state`` holds one
+    ``AxisState`` per non-empty set sequence, whose chain cone is interned
+    the same way, so chain sequences with equal chain geometry share one
+    cone.  ``child`` memoises the child built from a parent cone, three
+    interned chain cones, the shape and the first elements of the linked
+    sets: a child's member set depends only on those, so a repeated
+    construction skips the product, the link cone, the intersection and
+    its double description.  ``verdicts`` holds ``_record``'s
+    classification of each interned cone.  A table serves one sequential
+    run: which construction is seen first fixes the rows a shared cone is
+    dumped with.
+    """
+
+    __slots__ = ("_cones", "_children", "_states", "verdicts")
 
     def __init__(self) -> None:
         self._cones: dict[tuple, Cone] = {}
         self._children: dict[tuple, Cone] = {}
+        self._states: dict[tuple[tuple[Pair, ...], ...], AxisState] = {}
         self.verdicts: dict[Cone, int] = {}
 
     def intern(self, cone: Cone) -> Cone:
         """The run's cone with this member set; computes ``cone``'s rays."""
         return self._cones.setdefault((cone.dim, cone.edges(), frozenset(cone.strict)), cone)
+
+    def state(self, key: tuple[tuple[Pair, ...], ...]) -> AxisState:
+        """The run's state for a sequence of non-empty sets."""
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = AxisState(key, self.intern(kset(key)))
+        return state
+
+    def choices(self, state: AxisState, n: int) -> list[tuple[tuple[Pair, ...], AxisState]]:
+        """The admissible next ``n``-sets after ``state``, canonically sorted,
+        each with the state it leads to."""
+        found = state.choices.get(n)
+        if found is None:
+            key = state.key
+            excluded = frozenset(v for s in key for v in s)
+            found = state.choices[n] = [
+                (s, self.state(key + (s,)) if s else state) for s in min_n(excluded, n)
+            ]
+        return found
 
     def child(
         self,
@@ -257,27 +304,30 @@ def refine_pair(
 
     Shapes are taken in linset order; within a shape the choice collections
     are each canonically sorted, and the nested product enumerates them
-    lexicographically.  Children with empty member sets are kept.  Each chain
-    cone is looked up once per shape and chosen set, not once per child.
-    The child cones come from ``table`` (a fresh one when none is given), so
-    children with equal member sets share one ``Cone``.
+    lexicographically.  Children with empty member sets are kept.  Each
+    axis's choices and chain cones come from its ``AxisState`` in ``table``
+    (a fresh table when none is given), and each extended set sequence is
+    built once per shape and choice and shared by the children that take
+    it.  Children with equal member sets share one ``Cone``.
     """
     if table is None:
         table = RunTable()
     param = pair.param
     seqs = (param.x_sets, param.y_sets, param.z_sets)
-    exc = [param.excluded(axis) for axis in range(3)]
+    states = pair.states or tuple(table.state(tuple(s for s in seq if s)) for seq in seqs)
     children = []
     for shape in ls.shapes:
         xl, yl, zl = (
-            [(s, kset(seqs[axis] + (s,))) for s in min_n(exc[axis], shape[axis])]
-            for axis in range(3)
+            [(seq + (s,), s[:1], nxt) for s, nxt in table.choices(state, n)]
+            for seq, state, n in zip(seqs, states, shape)
         )
-        for xs, k1 in xl:
-            for ys, k2 in yl:
-                for zs, k3 in zl:
-                    cone = table.child(pair.cone, k1, k2, k3, shape, xs[:1], ys[:1], zs[:1])
-                    children.append(RefinementPair(cone, param.extended(xs, ys, zs)))
+        for xe, x1, xn in xl:
+            for ye, y1, yn in yl:
+                for ze, z1, zn in zl:
+                    cone = table.child(pair.cone, xn.cone, yn.cone, zn.cone, shape, x1, y1, z1)
+                    children.append(
+                        RefinementPair(cone, CoveringParameter(xe, ye, ze), (xn, yn, zn))
+                    )
     return children
 
 
@@ -316,8 +366,9 @@ def run_algorithm(
     member set (extreme rays and strict rows), so pairs with equal member
     sets share one ``Cone``, and each distinct member set is classified
     once, when its first pair is recorded.  Runs for at most ``max_iter``
-    refinements or until a generation is produced with no pairs at all.  The run is sequential and deterministic;
-    ``threads`` is accepted for compatibility and must be 1.
+    refinements or until a generation is produced with no pairs at all.  The
+    run is sequential and deterministic, whatever ran before it in the
+    process; ``threads`` is accepted for compatibility and must be 1.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError("need non-negative a, b with (a, b) != (0, 0)")

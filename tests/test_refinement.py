@@ -128,9 +128,9 @@ def test_run_validation():
             run_algorithm(1, 1, "diagonal", 13, threads=threads)
 
 
-# The 27 coprime pairs a < b with 4 <= a + b <= 13; each runs in both orders.
+# The 62 coprime pairs a < b with 4 <= a + b <= 20; each runs in both orders.
 SWEEP_PAIRS = [
-    (a, s - a) for s in range(4, 14) for a in range(1, s) if a < s - a and gcd(a, s) == 1
+    (a, s - a) for s in range(4, 21) for a in range(1, s) if a < s - a and gcd(a, s) == 1
 ]
 
 
@@ -213,10 +213,32 @@ def test_seconds_cover_classification(monkeypatch):
     assert [rec.seconds for rec in result.log] == first_seen
 
 
+def _count_dd_by_dim(monkeypatch):
+    """Cold memos, then a counter of ``_extreme_rays`` calls per dimension.
+
+    The reduction domain's rays are computed first, so the initial product
+    gets its rays without a DD, which fixes the counts whatever ran before.
+    """
+    ksets.clear_cache()
+    minima.clear_caches()
+    ksets.V_CONE.edges()
+    dd = {3: 0, 9: 0}
+    extreme_rays = geometry._extreme_rays
+
+    def counting_dd(rows, dim, *rest):
+        dd[dim] += 1
+        return extreme_rays(rows, dim, *rest)
+
+    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    return dd
+
+
 def test_work_counters_on_reference_run(monkeypatch):
     # Exact work on the (1, 2) diagonal run from cold memos: one chain-cone
-    # build per distinct sequence of non-empty sets, and one emptiness test
-    # per distinct member set: 21 for the 676 pairs produced.
+    # build per distinct sequence of non-empty sets, one nine-dimensional DD
+    # per distinct construction (parent, interned chain cones, shape and
+    # link vectors), and one emptiness test per distinct member set: 21 for
+    # the 676 pairs produced.
     builds = [0]
     empties = [0]
     kset_chain = ksets.kset_chain
@@ -230,14 +252,56 @@ def test_work_counters_on_reference_run(monkeypatch):
         empties[0] += 1
         return is_member_empty(self)
 
+    dd = _count_dd_by_dim(monkeypatch)
     monkeypatch.setattr(ksets, "kset_chain", counting_chain)
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    ksets.clear_cache()
-    minima.clear_caches()
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
+    assert dd == {3: 225, 9: 318}
     assert empties[0] == 21
     assert sum(result.totals()) == 676
+
+
+def test_chain_geometry_collapses_constructions(monkeypatch):
+    # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
+    # chain cones, so its 8 922 children come from 17 distinct
+    # constructions, each one intersection and one nine-dimensional DD.
+    constructions = [0]
+    intersect = Cone.intersect
+
+    def counting_intersect(self, *others):
+        constructions[0] += self.dim == 9
+        return intersect(self, *others)
+
+    dd = _count_dd_by_dim(monkeypatch)
+    monkeypatch.setattr(Cone, "intersect", counting_intersect)
+    result = run_algorithm(19, 1, "diagonal", 13)
+    assert result.totals() == [1, 2010, 2851, 4061, 0]
+    assert constructions[0] == 17
+    assert dd == {3: 326, 9: 17}
+
+
+def test_dump_does_not_depend_on_earlier_runs():
+    # The kset memo is global and chain cones are interned per run, so a run
+    # from cold memos and the same run after others must give every pair the
+    # same rows, rays and covering parameter.
+    def snapshot():
+        result = run_algorithm(1, 2, "diagonal", 14)
+        return [
+            (p.cone.closed, p.cone.strict, p.cone.edges(), p.param)
+            for gen in result.generations
+            for p in gen
+        ]
+
+    ksets.clear_cache()
+    minima.clear_caches()
+    cold = snapshot()
+    run_algorithm(2, 1, "diagonal", 13)
+    run_algorithm(1, 0, "q1_eq_q3", 8)
+    run_algorithm(1, 1, "diagonal", 13)
+    warm = snapshot()
+    assert len(cold) == 676
+    assert warm == cold
 
 
 def _parents(result):
@@ -269,6 +333,20 @@ def test_shared_cones_equal_rebuilt_intersections(run_10):
     assert checked == sum(run_10.totals()) - 1 == 10557
 
 
+def test_pair_without_states_refines_the_same(run_12):
+    # A pair built from a cone and a parameter alone has its chain states
+    # looked up from the parameter, and gets the same children.
+    ls = linset(1, 2)
+    for pair in run_12.generations[4]:
+        bare = RefinementPair(pair.cone, pair.param)
+        assert bare == pair and bare.states is None and pair.states is not None
+        with_states, without = refine_pair(pair, ls), refine_pair(bare, ls)
+        assert [c.param for c in with_states] == [c.param for c in without]
+        assert all(
+            geometry.cones_equivalent(c.cone, d.cone) for c, d in zip(with_states, without)
+        )
+
+
 def test_one_cone_object_per_member_set(run_10):
     pairs = [p for gen in run_10.generations for p in gen]
     objects = {id(p.cone) for p in pairs}
@@ -280,35 +358,27 @@ def test_one_cone_object_per_member_set(run_10):
 
 
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
-    # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  The
-    # reduction domain's rays are computed first, so the initial product gets
-    # its rays without a DD.  Every distinct construction needs its rays
-    # before it can be interned, so each of the 860 gets one DD; each of the
-    # 318 distinct member sets gets one emptiness test, and no cone needs the
-    # extra DD of the exact emptiness path, because its strict rows are
-    # non-negative on its rays.
-    dd = [0]
+    # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  Each of
+    # the 336 distinct chain sequences gets one three-dimensional DD, so its
+    # chain cone can be interned by geometry.  Every distinct construction
+    # (parent, interned chain cones, shape and link vectors) needs its rays
+    # before it can be interned, so each of the 762 gets one nine-dimensional
+    # DD; each of the 318 distinct member sets gets one emptiness test, and
+    # no cone needs the extra DD of the exact emptiness path, because its
+    # strict rows are non-negative on its rays.
     empties = [0]
-    extreme_rays = geometry._extreme_rays
     is_member_empty = Cone.is_member_empty
-
-    def counting_dd(*args):
-        dd[0] += 1
-        return extreme_rays(*args)
 
     def counting_empty(self):
         empties[0] += 1
         return is_member_empty(self)
 
-    ksets.clear_cache()
-    minima.clear_caches()
-    ksets.V_CONE.edges()
-    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    dd = _count_dd_by_dim(monkeypatch)
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     assert sum(result.totals()) == 10558
     assert empties[0] == 318
-    assert dd[0] == 860
+    assert dd == {3: 336, 9: 762}
 
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
