@@ -12,17 +12,20 @@ and drops zero closed rows.  ``intersect`` and ``product3`` combine rows of
 existing cones, which are canonical already (zero-padding keeps a row
 primitive), so they build their result without normalising again.
 
-Extreme rays of the *closed* part are computed by an incremental double
-description pass that inserts one constraint at a time.  Each ray carries a
-bitmask of the closed rows tight at it, and the cone caches the masks with
-its rays.  ``intersect`` puts this cone's rows first in the result, so the
-child's DD resumes from the parent's rays and masks and only inserts the new
-rows.  Strict rows are carried symbolically and never enter the cached
-rays; they are consulted only by membership and emptiness tests.  Emptiness
-is exact for every cone: when the ray sum misses a strict row, the test
-enumerates the rays of the closed cone cut by ``b . x >= 0`` for the strict
-rows, a DD that runs only when the missed row is negative somewhere on the
-closed cone.
+Extreme rays of the *closed* part come from one place only: an incremental
+double description pass that inserts one constraint at a time.  Each ray
+carries a bitmask of the closed rows tight at it, and the cone caches the
+masks with its rays.  ``intersect`` puts this cone's rows first in the
+result, so when this cone already has pointed rays the child's DD resumes
+from them and their masks at once and only inserts the new rows; any other
+cone runs its DD from scratch on first use.  Rays are never installed from
+outside the DD: ``product3`` returns rows only, and loading a cone from
+JSON ignores stored rays.  Strict rows are carried symbolically and never
+enter the cached rays; they are consulted only by membership and emptiness
+tests.  Emptiness is exact for every cone: when the ray sum misses a strict
+row, the test enumerates the rays of the closed cone cut by ``b . x >= 0``
+for the strict rows, a DD that runs only when the missed row is negative
+somewhere on the closed cone.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
-# Sorted extreme rays, lineality generators, and per-ray tight-row masks
-# (None when the rays were installed without running DD).
-Description = tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...] | None]
+# Sorted extreme rays, lineality generators, and per-ray tight-row masks.
+Description = tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...]]
 
 
 class ConeDimensionError(ValueError):
@@ -92,15 +94,6 @@ def _ray_sum(rays: Sequence[Vector], dim: int) -> Vector:
     return tuple(sum(col) for col in zip(*rays)) if rays else (0,) * dim
 
 
-def _tight_mask(rows: Sequence[Vector], ray: Vector) -> int:
-    """Bitmask of the rows with ``row . ray == 0``; bit ``i`` is ``rows[i]``."""
-    mask = 0
-    for i, row in enumerate(rows):
-        if _dot(row, ray) == 0:
-            mask |= 1 << i
-    return mask
-
-
 def _extreme_rays(
     rows: Sequence[Vector],
     dim: int,
@@ -115,9 +108,9 @@ def _extreme_rays(
     bit ``i`` set iff ``rows[i]`` is tight at ``rays[k]``.  The cone is
     pointed iff the lineality list is empty.  When ``seed_rays`` is given it
     must be the extreme-ray list of the (pointed) cone cut out by
-    ``rows[:seed_count]``; insertion then resumes from row ``seed_count``.
-    ``seed_masks``, when given, are the tight-row masks of ``seed_rays`` over
-    those rows; otherwise they are recomputed.
+    ``rows[:seed_count]``, and ``seed_masks`` their tight-row masks over
+    those rows, as an earlier call returned them; insertion then resumes
+    from row ``seed_count``.
 
     The masks drive the combinatorial adjacency test (Fukuda and Prodon,
     "Double description method revisited", 1996) that decides which
@@ -129,9 +122,6 @@ def _extreme_rays(
     rays: list[tuple[Vector, int]]
     if seed_rays is not None:
         lineality: list[Vector] = []
-        if seed_masks is None:
-            seed_rows = rows[:seed_count]
-            seed_masks = [_tight_mask(seed_rows, r) for r in seed_rays]
         rays = list(zip(seed_rays, seed_masks))
         start = seed_count
     else:
@@ -212,6 +202,12 @@ def _extreme_rays(
     return [r for r, _ in rays], lineality, [m for _, m in rays]
 
 
+def _describe(rays: list[Vector], lineality: list[Vector], masks: list[int]) -> Description:
+    """A DD result as a ``Description``, its rays and masks sorted by ray."""
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    return tuple(rays[k] for k in order), tuple(lineality), tuple(masks[k] for k in order)
+
+
 class Cone:
     """A polyhedral cone ``{x | a.x >= 0 for a in closed, b.x > 0 for b in strict}``.
 
@@ -222,14 +218,12 @@ class Cone:
     ``product3`` preserve it and skip normalisation.
 
     Immutable after construction apart from the extreme-ray memo ``_desc``,
-    a write-once ``(rays, lineality, masks)`` tuple: the sorted rays, the
-    lineality generators, and for each ray the bitmask of the closed rows
-    tight at it (``None`` when rays were installed without running DD).
-    ``_seed`` holds the parent's rays, masks and row count for an
-    intersection whose DD has not run yet.
+    a write-once ``(rays, lineality, masks)`` tuple from a DD over
+    ``closed``: the sorted rays, the lineality generators, and for each ray
+    the bitmask of the closed rows tight at it.
     """
 
-    __slots__ = ("dim", "closed", "strict", "_desc", "_seed")
+    __slots__ = ("dim", "closed", "strict", "_desc")
 
     def __init__(self, dim: int, closed: Iterable[Sequence] = (), strict: Iterable[Sequence] = ()):
         if dim <= 0:
@@ -239,7 +233,6 @@ class Cone:
         # A zero strict row 0 > 0 is unsatisfiable and must be kept as-is.
         self.strict = _dedup_rows(strict, dim, drop_zero=False)
         self._desc: Description | None = None
-        self._seed: tuple[tuple[Vector, ...], tuple[int, ...] | None, int] | None = None
 
     @classmethod
     def _from_canonical(
@@ -251,7 +244,6 @@ class Cone:
         cone.closed = closed
         cone.strict = strict
         cone._desc = None
-        cone._seed = None
         return cone
 
     def __repr__(self) -> str:
@@ -260,16 +252,7 @@ class Cone:
     def _closed_description(self) -> Description:
         desc = self._desc
         if desc is None:
-            seed = self._seed
-            if seed is not None:
-                seed_rays, seed_masks, n = seed
-                rays, lin, masks = _extreme_rays(self.closed, self.dim, seed_rays, n, seed_masks)
-            else:
-                rays, lin, masks = _extreme_rays(self.closed, self.dim)
-            order = sorted(range(len(rays)), key=rays.__getitem__)
-            desc = (tuple(rays[k] for k in order), tuple(lin), tuple(masks[k] for k in order))
-            self._desc = desc
-            self._seed = None
+            desc = self._desc = _describe(*_extreme_rays(self.closed, self.dim))
         return desc
 
     def edges(self) -> tuple[Vector, ...]:
@@ -284,10 +267,7 @@ class Cone:
             )
         return rays
 
-    def has_cached_edges(self) -> bool:
-        return self._desc is not None and not self._desc[1]
-
-    def _member(self) -> Vector | None:
+    def member(self) -> Vector | None:
         """A member point, or None when the member set is empty.
 
         First the sum of the extreme rays, a relative-interior point of the
@@ -317,22 +297,12 @@ class Cone:
         w = _ray_sum(cut, self.dim)
         return w if all(_dot(b, w) > 0 for b in self.strict) else None
 
-    def interior_witness(self) -> Vector:
-        """A member point when one exists; otherwise the sum of the extreme
-        rays, a relative-interior point of the closed cone."""
-        w = self._member()
-        return _ray_sum(self._closed_description()[0], self.dim) if w is None else w
-
     def is_member_empty(self) -> bool:
         """True iff no point satisfies all closed and all strict constraints.
 
-        Exact for every cone; see ``_member``.
+        Exact for every cone; see ``member``.
         """
-        return self._member() is None
-
-    def is_zero_cone(self) -> bool:
-        """True iff the closed cone is the single point 0."""
-        return len(self.edges()) == 0
+        return self.member() is None
 
     def is_subset_of(self, equalities: Iterable[Sequence]) -> bool:
         """True iff every extreme ray lies on every hyperplane ``e . x = 0``.
@@ -348,10 +318,13 @@ class Cone:
         return all(_dot(e, r) == 0 for e in rows for r in rays)
 
     def intersect(self, *others: "Cone") -> "Cone":
-        """Intersection; the result reuses this cone's cached rays as a DD seed.
+        """Intersection; seeded from this cone's rays when it has them.
 
         This cone's closed rows come first in the result, in order, so the
-        cached tight-row masks of its rays carry over bit for bit.
+        cached tight-row masks of its rays carry over bit for bit.  When this
+        cone has cached pointed rays, the result's DD runs now, resuming from
+        them and inserting only the new rows; otherwise the result computes
+        its rays from scratch on first use.
         """
         for o in others:
             if o.dim != self.dim:
@@ -361,7 +334,10 @@ class Cone:
         result = Cone._from_canonical(self.dim, closed, strict)
         desc = self._desc
         if desc is not None and not desc[1]:
-            result._seed = (desc[0], desc[2], len(self.closed))
+            rays, _, masks = desc
+            result._desc = _describe(
+                *_extreme_rays(closed, self.dim, rays, len(self.closed), masks)
+            )
         return result
 
     def member_contains(self, point: Sequence) -> bool:
@@ -383,8 +359,8 @@ def product3(c1: Cone, c2: Cone, c3: Cone) -> Cone:
 
     Rows are zero-padded into their coordinate block, which keeps them
     canonical; only zero strict rows of different factors can coincide.
-    When all factors have cached extreme rays, the product's rays (the
-    block-embedded union, valid for pointed factors) are installed directly.
+    The result carries rows only: its rays come from its own DD on first
+    use, like any other cone's.
     """
     factors = (c1, c2, c3)
     dim = sum(c.dim for c in factors)
@@ -399,11 +375,7 @@ def product3(c1: Cone, c2: Cone, c3: Cone) -> Cone:
     strict = tuple(
         dict.fromkeys(embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.strict)
     )
-    result = Cone._from_canonical(dim, closed, strict)
-    if all(c.has_cached_edges() for c in factors):
-        rays = [embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.edges()]
-        result._desc = (tuple(sorted(rays)), (), None)
-    return result
+    return Cone._from_canonical(dim, closed, strict)
 
 
 def cones_closed_equal(c1: Cone, c2: Cone) -> bool:
@@ -446,14 +418,15 @@ def cone_to_json_dict(cone: Cone, include_rays: bool = True) -> dict:
 
 
 def cone_from_json_dict(data: dict) -> Cone:
+    """A cone from its ``A`` and ``B`` rows.
+
+    A stored ``rays`` list is output only and is ignored: the rays are
+    recomputed from ``A`` when they are first needed.
+    """
     dim = int(data["dim"])
     closed = [[int(x) for x in row] for row in data["A"]]
     strict = [[int(x) for x in row] for row in data["B"]]
-    cone = Cone(dim, closed, strict)
-    if "rays" in data and data["rays"] is not None:
-        rays = tuple(sorted(tuple(int(x) for x in r) for r in data["rays"]))
-        cone._desc = (rays, (), None)
-    return cone
+    return Cone(dim, closed, strict)
 
 
 def cone_to_json(cone: Cone, include_rays: bool = True) -> str:

@@ -331,6 +331,17 @@ def refine_pair(
     return children
 
 
+_EMPTY, _ABSORBED, _LIVE = range(3)
+
+
+def _classify(cone: Cone, stop_rows: Sequence[Vector]) -> int:
+    """``_EMPTY`` when the member set is empty, ``_ABSORBED`` when the cone
+    lies in the stop set, otherwise ``_LIVE``."""
+    if cone.is_member_empty():
+        return _EMPTY
+    return _ABSORBED if cone.is_subset_of(stop_rows) else _LIVE
+
+
 def check_y_projection_argument(
     pairs: Iterable[RefinementPair], stop_rows: Sequence[Vector]
 ) -> bool:
@@ -341,12 +352,13 @@ def check_y_projection_argument(
     and all genuine solutions already lie in the stop set.  Each distinct
     cone object is classified once, however many pairs share it.
     """
-    dead: dict[Cone, bool] = {}
+    verdicts: dict[Cone, int] = {}
     for pair in pairs:
         cone = pair.cone
-        if cone not in dead:
-            dead[cone] = cone.is_member_empty() or cone.is_subset_of(stop_rows)
-        if not dead[cone] and not any(pair.param.y_sets):
+        verdict = verdicts.get(cone)
+        if verdict is None:
+            verdict = verdicts[cone] = _classify(cone, stop_rows)
+        if verdict == _LIVE and not any(pair.param.y_sets):
             return False
     return True
 
@@ -401,9 +413,6 @@ def run_algorithm(
     return result
 
 
-_EMPTY, _ABSORBED, _LIVE = range(3)
-
-
 def _record(
     index: int,
     generation: Sequence[RefinementPair],
@@ -427,13 +436,7 @@ def _record(
     for p in generation:
         verdict = verdicts.get(p.cone)
         if verdict is None:
-            if p.cone.is_member_empty():
-                verdict = _EMPTY
-            elif p.cone.is_subset_of(stop_rows):
-                verdict = _ABSORBED
-            else:
-                verdict = _LIVE
-            verdicts[p.cone] = verdict
+            verdict = verdicts[p.cone] = _classify(p.cone, stop_rows)
         if verdict == _LIVE:
             live.append(p)
         elif verdict == _ABSORBED:

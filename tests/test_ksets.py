@@ -41,7 +41,7 @@ def test_chain_examples():
 def test_grouped_examples():
     golden = Cone(3, [(-1, 1, 0), (1, 0, -1), (0, 0, 2), (1, -1, 0), (-1, 1, 0)])
     assert cones_closed_equal(kset([[(1, 0), (0, 1)], [], [(-1, 1)]]), golden)
-    assert kset([[(1, 0), (0, 1), (-1, 1), (1, 1)]]).is_zero_cone()
+    assert kset([[(1, 0), (0, 1), (-1, 1), (1, 1)]]).edges() == ()
     with pytest.raises(ValueError):
         kset([[(1, 0)], [(1, 0)]])
 

@@ -216,12 +216,12 @@ def test_seconds_cover_classification(monkeypatch):
 def _count_dd_by_dim(monkeypatch):
     """Cold memos, then a counter of ``_extreme_rays`` calls per dimension.
 
-    The reduction domain's rays are computed first, so the initial product
-    gets its rays without a DD, which fixes the counts whatever ran before.
+    Every cone's rays come from its own DD, so the counts do not depend on
+    what ran before; the initial product gets one nine-dimensional DD from
+    its 9 rows.
     """
     ksets.clear_cache()
     minima.clear_caches()
-    ksets.V_CONE.edges()
     dd = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
 
@@ -233,12 +233,25 @@ def _count_dd_by_dim(monkeypatch):
     return dd
 
 
+def test_descriptions_do_not_depend_on_process_history():
+    # The reduction domain's rays, cached by whatever ran earlier in the
+    # process, must not reach the run: every cone's rays and tight-row masks
+    # come from its own DD over its rows.
+    from test_geometry import assert_exact_description
+
+    ksets.V_CONE.edges()
+    result = run_algorithm(1, 2, "diagonal", 14)
+    cones = {id(p.cone): p.cone for gen in result.generations for p in gen}
+    for cone in cones.values():
+        assert_exact_description(cone)
+
+
 def test_work_counters_on_reference_run(monkeypatch):
     # Exact work on the (1, 2) diagonal run from cold memos: one chain-cone
     # build per distinct sequence of non-empty sets, one nine-dimensional DD
-    # per distinct construction (parent, interned chain cones, shape and
-    # link vectors), and one emptiness test per distinct member set: 21 for
-    # the 676 pairs produced.
+    # for the initial cone and one per distinct construction (parent,
+    # interned chain cones, shape and link vectors), and one emptiness test
+    # per distinct member set: 21 for the 676 pairs produced.
     builds = [0]
     empties = [0]
     kset_chain = ksets.kset_chain
@@ -257,7 +270,7 @@ def test_work_counters_on_reference_run(monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
-    assert dd == {3: 225, 9: 318}
+    assert dd == {3: 225, 9: 319}
     assert empties[0] == 21
     assert sum(result.totals()) == 676
 
@@ -265,7 +278,8 @@ def test_work_counters_on_reference_run(monkeypatch):
 def test_chain_geometry_collapses_constructions(monkeypatch):
     # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
     # chain cones, so its 8 922 children come from 17 distinct
-    # constructions, each one intersection and one nine-dimensional DD.
+    # constructions, each one intersection and one nine-dimensional DD; the
+    # initial cone makes the eighteenth nine-dimensional DD.
     constructions = [0]
     intersect = Cone.intersect
 
@@ -278,7 +292,7 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
     assert constructions[0] == 17
-    assert dd == {3: 326, 9: 17}
+    assert dd == {3: 326, 9: 18}
 
 
 def test_dump_does_not_depend_on_earlier_runs():
@@ -363,9 +377,10 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # chain cone can be interned by geometry.  Every distinct construction
     # (parent, interned chain cones, shape and link vectors) needs its rays
     # before it can be interned, so each of the 762 gets one nine-dimensional
-    # DD; each of the 318 distinct member sets gets one emptiness test, and
-    # no cone needs the extra DD of the exact emptiness path, because its
-    # strict rows are non-negative on its rays.
+    # DD, and the initial cone one more.  Each of the 318 distinct member
+    # sets gets one emptiness test, and no cone needs the extra DD of the
+    # exact emptiness path, because its strict rows are non-negative on its
+    # rays.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -378,7 +393,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     assert sum(result.totals()) == 10558
     assert empties[0] == 318
-    assert dd == {3: 336, 9: 762}
+    assert dd == {3: 336, 9: 763}
 
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
