@@ -91,6 +91,8 @@ def _dump_run(result: RunResult, out_dir: Path) -> None:
 
 
 def _cmd_refine(args) -> int:
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
     if args.emit == "json":
         print(
@@ -121,8 +123,15 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _cmd_classify(args) -> int:
-    alphas = tuple(Fraction(t.strip()) for t in args.alphas.split(","))
+    alphas = tuple(_parse_fraction(t) for t in args.alphas.split(","))
     if len(alphas) != 3:
         raise ValueError("expected three comma-separated rationals")
     forms = tuple(parse_int_form(t) for t in (args.q1, args.q2, args.q3))
@@ -285,15 +294,16 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     0 is success; 1 is a negative answer from ``verify``, ``classify``,
-    ``decompose``, ``fixtures`` or ``ycheck``; 2 is bad input, reported as a
-    one-line ``error:`` message on standard error.
+    ``decompose``, ``fixtures`` or ``ycheck``; 2 is bad input or an output
+    path that cannot be written, reported as a one-line ``error:`` message
+    on standard error.
     """
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "max_coeff", 0) < 0:
             raise ValueError(f"--max-coeff must be non-negative, got {args.max_coeff}")
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -406,15 +406,13 @@ def format_cone(cone: Cone) -> str:
     return "\n".join(parts)
 
 
-def cone_to_json_dict(cone: Cone, include_rays: bool = True) -> dict:
-    out = {
+def cone_to_json_dict(cone: Cone) -> dict:
+    return {
         "dim": cone.dim,
         "A": [[str(x) for x in row] for row in cone.closed],
         "B": [[str(x) for x in row] for row in cone.strict],
+        "rays": [[str(x) for x in r] for r in cone.edges()],
     }
-    if include_rays:
-        out["rays"] = [[str(x) for x in r] for r in cone.edges()]
-    return out
 
 
 def cone_from_json_dict(data: dict) -> Cone:
@@ -429,8 +427,8 @@ def cone_from_json_dict(data: dict) -> Cone:
     return Cone(dim, closed, strict)
 
 
-def cone_to_json(cone: Cone, include_rays: bool = True) -> str:
-    return json.dumps(cone_to_json_dict(cone, include_rays))
+def cone_to_json(cone: Cone) -> str:
+    return json.dumps(cone_to_json_dict(cone))
 
 
 def cone_from_json(text: str) -> Cone:

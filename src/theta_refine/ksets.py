@@ -6,6 +6,9 @@ minimal vector w outside the chain.  Grouping the chain into sets adds the
 equalities that each set takes a single value.  These cones carry closed rows
 only; the open condition q11 > 0 is re-imposed where the refinement loop
 judges emptiness.
+
+``kset`` builds a cone.  ``chain`` keeps the process's one ``Chain`` per
+sequence of non-empty sets, with its cone and next choices, for every run.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .geometry import Cone
-from .minima import min_complement
+from .minima import min_complement, min_n
 from .quadform import coeff_row, is_strongly_primitive
 
 Pair = tuple[int, int]
+Key = tuple[tuple[Pair, ...], ...]
 
 V_CLOSED_ROWS: tuple[tuple[int, int, int], ...] = ((-1, 1, 0), (1, 0, -1), (0, 0, 1))
 V_STRICT_ROWS: tuple[tuple[int, int, int], ...] = ((1, 0, 0),)
@@ -53,7 +57,7 @@ def kset_chain(vectors: Sequence[Pair]) -> Cone:
     return Cone(3, rows)
 
 
-def _normalize_sets(sets: Iterable[Iterable[Pair]]) -> tuple[tuple[Pair, ...], ...]:
+def _normalize_sets(sets: Iterable[Iterable[Pair]]) -> Key:
     """The non-empty sets as tuples of tuples, checked to be disjoint."""
     normalized = tuple(t for t in (tuple(tuple(v) for v in s) for s in sets) if t)
     flat = [v for s in normalized for v in s]
@@ -62,31 +66,14 @@ def _normalize_sets(sets: Iterable[Iterable[Pair]]) -> tuple[tuple[Pair, ...], .
     return normalized
 
 
-# Keyed by the non-empty sets.
-_kset_cache: dict[tuple[tuple[Pair, ...], ...], Cone] = {}
-
-
 def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
     """Cone for an ordered sequence of disjoint vector sets.
 
     The chain on the flattened vectors is intersected with the within-set
     equalities Q(first) = Q(other), each as a pair of opposite closed rows.
-    Empty sets add to neither, so the memo key is the tuple of the non-empty
-    sets: ``kset([[v], [], [w]])`` and ``kset([[v], [w]])`` return the same
-    cached cone, and list input hits the entry of the equal tuple input.  A
-    hit costs only building the key.  The checks (disjointness here, strong
-    primitivity in ``kset_chain``) run on every miss, before anything is
-    stored, so an invalid sequence is never cached and raises every time.
+    Empty sets add to neither.  Builds a new cone on every call.
     """
-    key = tuple(s for s in sets if s)
-    try:
-        return _kset_cache[key]
-    except (KeyError, TypeError):  # TypeError: list parts are unhashable
-        pass
-    key = _normalize_sets(key)
-    cached = _kset_cache.get(key)
-    if cached is not None:
-        return cached
+    key = _normalize_sets(sets)
     cone = kset_chain([v for s in key for v in s])
     eq_rows = []
     for s in key:
@@ -96,7 +83,52 @@ def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
             eq_rows.append(tuple(-x for x in row))
     if eq_rows:
         cone = cone.intersect(Cone(3, eq_rows))
-    return _kset_cache.setdefault(key, cone)
+    return cone
+
+
+class Chain:
+    """A sequence of non-empty sets (``key``) with its ``kset`` cone.
+
+    ``rep`` is the process's first chain whose cone has the same extreme
+    rays; chain cones are pointed with no strict rows, so chains with one
+    ``rep`` have one member set.
+    """
+
+    __slots__ = ("key", "cone", "rep", "_choices")
+
+    def __init__(self, key: Key, cone: Cone) -> None:
+        self.key = key
+        self.cone = cone
+        self.rep = _reps.setdefault(cone.edges(), self)
+        self._choices: dict[int, tuple[tuple[tuple[Pair, ...], Chain], ...]] = {}
+
+    def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
+        """Each set of ``min_n(excluded, n)`` with the chain it leads to; an
+        empty set changes nothing and leads back to ``self``."""
+        found = self._choices.get(n)
+        if found is None:
+            excluded = frozenset(v for s in self.key for v in s)
+            found = self._choices[n] = tuple(
+                (s, chain(self.key + (s,)) if s else self) for s in min_n(excluded, n)
+            )
+        return found
+
+
+# The process's one memo of chains, and the first chain per cone geometry.
+_chains: dict[Key, Chain] = {}
+_reps: dict[tuple[tuple[int, ...], ...], Chain] = {}
+
+
+def chain(sets: Iterable[Iterable[Pair]]) -> Chain:
+    """The process's ``Chain`` for an ordered sequence of disjoint sets.
+
+    The key is the non-empty sets as tuples, so ``chain([[v], [], [w]])`` is
+    ``chain(((v,), (w,)))``.  It is checked on every call (strong
+    primitivity on a miss), so an invalid sequence is never stored and
+    raises every time; ``setdefault`` gives concurrent misses one chain.
+    """
+    key = _normalize_sets(sets)
+    return _chains.get(key) or _chains.setdefault(key, Chain(key, kset(key)))
 
 
 def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:
@@ -113,4 +145,5 @@ def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:
 
 
 def clear_cache() -> None:
-    _kset_cache.clear()
+    _chains.clear()
+    _reps.clear()

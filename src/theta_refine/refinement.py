@@ -17,12 +17,11 @@ together with the stop-set-contained ones.
 Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
 sorted extreme rays of the (pointed) closed cone plus the strict rows.  Pairs
 whose cones have the same member set share one ``Cone`` object and one
-verdict, however many pairs hold it and whatever rows built it.  The chain
-cones are interned the same way, one per run and per non-empty set sequence,
-in the ``AxisState`` that also holds the sequence's next choices.  A repeated
-construction (same parent cone, interned chain cones, shape and link
-vectors) is looked up instead of rebuilt, so chain sequences with equal
-chain geometry share one child.
+verdict, however many pairs hold it and whatever rows built it.  Chain
+cones and next choices come from the process-wide ``ksets.Chain`` of each
+sequence of non-empty sets.  A repeated construction (same parent cone,
+chain geometries, shape and link vectors) is looked up instead of rebuilt,
+so chain sequences with equal chain geometry share one child.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .geometry import Cone, Vector, product3
-from .ksets import V_CONE, kset
-from .minima import min_n
+from .ksets import V_CONE, Chain, chain
 from .quadform import coeff_row
 
 Pair = tuple[int, int]
@@ -84,14 +82,14 @@ class CoveringParameter:
 class RefinementPair:
     """A cone and its covering parameter.
 
-    ``states`` holds the run's per-axis chain states that ``refine_pair``
-    reads the next choices from; it takes no part in equality, and a pair
-    built without it has its states looked up from ``param``.
+    ``states`` holds the per-axis ``Chain``s that ``refine_pair`` reads the
+    next choices from; it takes no part in equality, and a pair built
+    without it has its chains looked up from ``param``.
     """
 
     cone: Cone
     param: CoveringParameter
-    states: tuple[AxisState, AxisState, AxisState] | None = field(
+    states: tuple[Chain, Chain, Chain] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -197,101 +195,63 @@ def aux_cones(
     factor-2 part links factors 1 and 3; a shape with no factor-1 part links
     factors 2 and 3.  A link is omitted when either side is empty.
     """
-    k1 = kset(param.x_sets + (xs,))
-    k2 = kset(param.y_sets + (ys,))
-    k3 = kset(param.z_sets + (zs,))
+    k1 = chain(param.x_sets + (xs,)).cone
+    k2 = chain(param.y_sets + (ys,)).cone
+    k3 = chain(param.z_sets + (zs,)).cone
     return product3(k1, k2, k3), _link_cone(shape, xs, ys, zs)
 
 
-class AxisState:
-    """One factor's chain state within a run.
-
-    ``key`` is the sequence of non-empty sets chosen so far (the ``kset``
-    key) and ``cone`` its chain cone, interned in the run's table.
-    ``choices`` maps ``n`` to the admissible next ``n``-sets, each with the
-    state it leads to; ``RunTable.choices`` fills it on first use.  An empty
-    chosen set leads back to the same state, since it changes neither the
-    excluded vectors nor the chain cone.
-    """
-
-    __slots__ = ("key", "cone", "choices")
-
-    def __init__(self, key: tuple[tuple[Pair, ...], ...], cone: Cone) -> None:
-        self.key = key
-        self.cone = cone
-        self.choices: dict[int, list[tuple[tuple[Pair, ...], AxisState]]] = {}
-
-
 class RunTable:
-    """The cones and chain states of one refinement run, hash-consed by
-    member set, with their verdicts.
+    """The cones of one refinement run, hash-consed by member set, with
+    their verdicts.
 
     ``intern`` maps every cone to the first cone of the run with the same
     key ``(dim, edges(), frozenset(strict))``.  Every refinement cone and
     every chain cone is pointed, so its sorted primitive extreme rays fix
     its closed cone, and with the strict rows they fix its member set: pairs
     whose cones have the same member set share one ``Cone`` object and one
-    verdict, however differently their rows were built.  ``state`` holds one
-    ``AxisState`` per non-empty set sequence, whose chain cone is interned
-    the same way, so chain sequences with equal chain geometry share one
-    cone.  ``child`` memoises the child built from a parent cone, three
-    interned chain cones, the shape and the first elements of the linked
-    sets: a child's member set depends only on those, so a repeated
-    construction skips the product, the link cone, the intersection and
-    its double description.  ``verdicts`` holds ``_record``'s
-    classification of each interned cone.  A table serves one sequential
-    run: which construction is seen first fixes the rows a shared cone is
-    dumped with.
+    verdict, however differently their rows were built.  ``child`` memoises
+    the child built from a parent cone, three chains, the shape and the
+    first elements of the linked sets.  It keys each chain on its ``rep``,
+    since a child's member set depends only on the member sets of the parent
+    and the chain cones and on the link rows, so a repeated construction
+    skips the product, the link cone, the intersection and its double
+    description.  ``verdicts`` holds ``_record``'s classification of each
+    interned cone.  A table serves one sequential run: which construction
+    and which chain cone of each geometry the run sees first fix the rows a
+    shared cone is dumped with, whatever ran before in the process.
     """
 
-    __slots__ = ("_cones", "_children", "_states", "verdicts")
+    __slots__ = ("_cones", "_children", "verdicts")
 
     def __init__(self) -> None:
         self._cones: dict[tuple, Cone] = {}
         self._children: dict[tuple, Cone] = {}
-        self._states: dict[tuple[tuple[Pair, ...], ...], AxisState] = {}
         self.verdicts: dict[Cone, int] = {}
 
     def intern(self, cone: Cone) -> Cone:
         """The run's cone with this member set; computes ``cone``'s rays."""
         return self._cones.setdefault((cone.dim, cone.edges(), frozenset(cone.strict)), cone)
 
-    def state(self, key: tuple[tuple[Pair, ...], ...]) -> AxisState:
-        """The run's state for a sequence of non-empty sets."""
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = AxisState(key, self.intern(kset(key)))
-        return state
-
-    def choices(self, state: AxisState, n: int) -> list[tuple[tuple[Pair, ...], AxisState]]:
-        """The admissible next ``n``-sets after ``state``, canonically sorted,
-        each with the state it leads to."""
-        found = state.choices.get(n)
-        if found is None:
-            key = state.key
-            excluded = frozenset(v for s in key for v in s)
-            found = state.choices[n] = [
-                (s, self.state(key + (s,)) if s else state) for s in min_n(excluded, n)
-            ]
-        return found
-
     def child(
         self,
         parent: Cone,
-        k1: Cone,
-        k2: Cone,
-        k3: Cone,
+        c1: Chain,
+        c2: Chain,
+        c3: Chain,
         shape: Shape,
         x1: tuple[Pair, ...],
         y1: tuple[Pair, ...],
         z1: tuple[Pair, ...],
     ) -> Cone:
-        """``parent ∩ (k1 x k2 x k3) ∩ link``, interned; ``x1``, ``y1`` and
-        ``z1`` hold the first element of each chosen set (empty for an empty
+        """``parent ∩ (c1.cone x c2.cone x c3.cone) ∩ link``, interned and
+        built from the run's interned chain cones; ``x1``, ``y1`` and ``z1``
+        hold the first element of each chosen set (empty for an empty
         set)."""
-        memo_key = (parent, k1, k2, k3, shape, x1, y1, z1)
+        memo_key = (parent, c1.rep, c2.rep, c3.rep, shape, x1, y1, z1)
         cone = self._children.get(memo_key)
         if cone is None:
+            k1, k2, k3 = (self.intern(c.cone) for c in (c1, c2, c3))
             cone = parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
             cone = self._children[memo_key] = self.intern(cone)
         return cone
@@ -305,26 +265,26 @@ def refine_pair(
     Shapes are taken in linset order; within a shape the choice collections
     are each canonically sorted, and the nested product enumerates them
     lexicographically.  Children with empty member sets are kept.  Each
-    axis's choices and chain cones come from its ``AxisState`` in ``table``
-    (a fresh table when none is given), and each extended set sequence is
-    built once per shape and choice and shared by the children that take
-    it.  Children with equal member sets share one ``Cone``.
+    axis's choices and chain cones come from its ``Chain``, and each
+    extended set sequence is built once per shape and choice and shared by
+    the children that take it.  Children with equal member sets share one
+    ``Cone`` of ``table`` (a fresh table when none is given).
     """
     if table is None:
         table = RunTable()
     param = pair.param
     seqs = (param.x_sets, param.y_sets, param.z_sets)
-    states = pair.states or tuple(table.state(tuple(s for s in seq if s)) for seq in seqs)
+    states = pair.states or tuple(chain(seq) for seq in seqs)
     children = []
     for shape in ls.shapes:
         xl, yl, zl = (
-            [(seq + (s,), s[:1], nxt) for s, nxt in table.choices(state, n)]
-            for seq, state, n in zip(seqs, states, shape)
+            [(seq + (s,), s[:1], nxt) for s, nxt in c.choices(n)]
+            for seq, c, n in zip(seqs, states, shape)
         )
         for xe, x1, xn in xl:
             for ye, y1, yn in yl:
                 for ze, z1, zn in zl:
-                    cone = table.child(pair.cone, xn.cone, yn.cone, zn.cone, shape, x1, y1, z1)
+                    cone = table.child(pair.cone, xn, yn, zn, shape, x1, y1, z1)
                     children.append(
                         RefinementPair(cone, CoveringParameter(xe, ye, ze), (xn, yn, zn))
                     )

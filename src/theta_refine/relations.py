@@ -17,15 +17,6 @@ from typing import Sequence
 
 from .quadform import IntBQF, reduce_gl2, theta_coeffs
 
-LABELS = (
-    "degenerate",
-    "trivial-2-term",
-    "trivial-3-term",
-    "non-trivial",
-    "no-relation-detected",
-)
-
-
 class ObstructionError(ValueError):
     """Coefficients do not sum to zero, so the constant terms already fail."""
 

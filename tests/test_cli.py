@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from theta_refine import cli
 from theta_refine.cli import main
 from theta_refine.geometry import Cone, cone_from_json_dict, cones_closed_equal
 
@@ -47,10 +48,25 @@ def test_bad_input_exits_2_with_one_line(capsys):
         ("refine", "--a", "1", "--b", "1", "--max-iter", "-1"),
         ("ycheck", "--max-iter", "-1"),
         ("decompose", "--a", "1", "--b", "2", "--triple", "1,2"),
+        ("classify", "--alphas", "1/0,1,-2", "--q1", "1,0,1", "--q2", "1,0,1",
+         "--q3", "1,0,1"),
     ):
         code, out, err = run_cli_error(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, argv
+
+
+def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # The --out directory is made before the run, so a path under a regular
+    # file fails at once with a one-line error instead of after the run.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "run_algorithm", None)
+    code, out, err = run_cli_error(
+        capsys, "refine", "--a", "1", "--b", "1", "--out", str(blocker / "run")
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_refine_json_and_determinism(capsys):

@@ -12,6 +12,7 @@ from theta_refine.geometry import Cone, cones_closed_equal
 from theta_refine.ksets import (
     V_CLOSURE_CONE,
     V_CONE,
+    chain,
     kset,
     kset_chain,
     kset_zero_test,
@@ -48,7 +49,7 @@ def test_grouped_examples():
 
 def test_kset_memo_key_is_the_non_empty_sets():
     v, w = (1, 0), (0, 1)
-    cone = kset([[v], [w]])
+    found = chain([[v], [w]])
     for variant in (
         [[v], [], [w]],
         [[], [v], [w], []],
@@ -58,10 +59,10 @@ def test_kset_memo_key_is_the_non_empty_sets():
         [[[1, 0]], [[0, 1]]],
         iter([[v], [], [w]]),
     ):
-        assert kset(variant) is cone
-    grouped = kset(((v, w), (), ((-1, 1),)))
-    assert kset([[v, w], [(-1, 1)]]) is grouped
-    assert kset([[list(v), list(w)], [], [[-1, 1]]]) is grouped
+        assert chain(variant) is found
+    grouped = chain(((v, w), (), ((-1, 1),)))
+    assert chain([[v, w], [(-1, 1)]]) is grouped
+    assert chain([[list(v), list(w)], [], [[-1, 1]]]) is grouped
 
 
 @pytest.mark.parametrize(
@@ -78,14 +79,17 @@ def test_kset_memo_key_is_the_non_empty_sets():
 def test_invalid_kset_key_raises_every_time(bad):
     kset([[(1, 0)]])
     kset([[(1, 0)], [(0, 1)]])
+    chain([[(1, 0)], [(0, 1)]])
     for _ in range(2):
         with pytest.raises(ValueError):
             kset(bad)
+        with pytest.raises(ValueError):
+            chain(bad)
 
 
 def test_concurrent_misses_return_one_cached_cone():
     # The memo has no lock: concurrent misses on one key may each build the
-    # cone, and dict.setdefault makes every caller return the stored one.
+    # chain, and dict.setdefault makes every caller return the stored one.
     keys = [
         [[(1, 0)], [], [(x, y)]]
         for x in range(-3, 4)
@@ -98,7 +102,7 @@ def test_concurrent_misses_return_one_cached_cone():
 
     def work(out):
         barrier.wait(timeout=30)
-        out.extend(kset(key) for key in keys)
+        out.extend(chain(key) for key in keys)
 
     ksets.clear_cache()
     interval = sys.getswitchinterval()
@@ -113,7 +117,7 @@ def test_concurrent_misses_return_one_cached_cone():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for i, key in enumerate(keys):
-        cached = kset(key)
+        cached = chain(key)
         assert all(out[i] is cached for out in results)
 
 
@@ -131,12 +135,12 @@ def test_zero_certificates():
 def test_grouped_equals_chain_plus_equalities():
     sets = [[(1, 0), (0, 1)], [(-1, 1), (1, 1)]]
     grouped = kset(sets)
-    chain = kset_chain([(1, 0), (0, 1), (-1, 1), (1, 1)])
+    ungrouped = kset_chain([(1, 0), (0, 1), (-1, 1), (1, 1)])
     eqs = Cone(
         3,
         [(-1, 1, 0), (1, -1, 0), (0, 0, 2), (0, 0, -2)],
     )
-    assert cones_closed_equal(grouped, chain.intersect(eqs))
+    assert cones_closed_equal(grouped, ungrouped.intersect(eqs))
 
 
 def test_order_within_set_is_irrelevant():

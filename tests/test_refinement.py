@@ -249,8 +249,8 @@ def test_descriptions_do_not_depend_on_process_history():
 def test_work_counters_on_reference_run(monkeypatch):
     # Exact work on the (1, 2) diagonal run from cold memos: one chain-cone
     # build per distinct sequence of non-empty sets, one nine-dimensional DD
-    # for the initial cone and one per distinct construction (parent,
-    # interned chain cones, shape and link vectors), and one emptiness test
+    # for the initial cone and one per distinct construction (parent, chain
+    # geometries, shape and link vectors), and one emptiness test
     # per distinct member set: 21 for the 676 pairs produced.
     builds = [0]
     empties = [0]
@@ -279,7 +279,9 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
     # chain cones, so its 8 922 children come from 17 distinct
     # constructions, each one intersection and one nine-dimensional DD; the
-    # initial cone makes the eighteenth nine-dimensional DD.
+    # initial cone makes the eighteenth nine-dimensional DD.  The chains and
+    # their reps are shared by the whole process: after other runs have made
+    # chains of the same geometries, the run still makes 17 constructions.
     constructions = [0]
     intersect = Cone.intersect
 
@@ -294,11 +296,22 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     assert constructions[0] == 17
     assert dd == {3: 326, 9: 18}
 
+    ksets.clear_cache()
+    minima.clear_caches()
+    run_algorithm(1, 2, "diagonal", 14)
+    run_algorithm(2, 1, "diagonal", 13)
+    constructions[0] = 0
+    dd[9] = 0
+    result = run_algorithm(19, 1, "diagonal", 13)
+    assert result.totals() == [1, 2010, 2851, 4061, 0]
+    assert constructions[0] == 17
+    assert dd[9] == 18
+
 
 def test_dump_does_not_depend_on_earlier_runs():
-    # The kset memo is global and chain cones are interned per run, so a run
-    # from cold memos and the same run after others must give every pair the
-    # same rows, rays and covering parameter.
+    # Chains and their reps are global and cones are interned per run, so a
+    # run from cold memos and the same run after others must give every pair
+    # the same rows, rays and covering parameter.
     def snapshot():
         result = run_algorithm(1, 2, "diagonal", 14)
         return [
@@ -348,8 +361,8 @@ def test_shared_cones_equal_rebuilt_intersections(run_10):
 
 
 def test_pair_without_states_refines_the_same(run_12):
-    # A pair built from a cone and a parameter alone has its chain states
-    # looked up from the parameter, and gets the same children.
+    # A pair built from a cone and a parameter alone has its chains looked
+    # up from the parameter, and gets the same children.
     ls = linset(1, 2)
     for pair in run_12.generations[4]:
         bare = RefinementPair(pair.cone, pair.param)
@@ -374,8 +387,8 @@ def test_one_cone_object_per_member_set(run_10):
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  Each of
     # the 336 distinct chain sequences gets one three-dimensional DD, so its
-    # chain cone can be interned by geometry.  Every distinct construction
-    # (parent, interned chain cones, shape and link vectors) needs its rays
+    # chain can find its rep by geometry.  Every distinct construction
+    # (parent, chain geometries, shape and link vectors) needs its rays
     # before it can be interned, so each of the 762 gets one nine-dimensional
     # DD, and the initial cone one more.  Each of the 318 distinct member
     # sets gets one emptiness test, and no cone needs the extra DD of the
