@@ -91,15 +91,20 @@ class Chain:
 
     ``rep`` is the process's first chain whose cone has the same extreme
     rays; chain cones are pointed with no strict rows, so chains with one
-    ``rep`` have one member set.
+    ``rep`` have one member set.  ``empty`` is true iff no extreme ray has
+    ``q11 > 0``: the cone lies in the pointed closed reduction domain, so it
+    is the conic hull of its rays, and ``empty`` is exactly
+    ``kset_zero_test(key)`` -- no reduced form has this structure.
     """
 
-    __slots__ = ("key", "cone", "rep", "_choices")
+    __slots__ = ("key", "cone", "rep", "empty", "_choices")
 
     def __init__(self, key: Key, cone: Cone) -> None:
         self.key = key
         self.cone = cone
-        self.rep = _reps.setdefault(cone.edges(), self)
+        rays = cone.edges()
+        self.rep = _reps.setdefault(rays, self)
+        self.empty = all(r[0] == 0 for r in rays)
         self._choices: dict[int, tuple[tuple[tuple[Pair, ...], Chain], ...]] = {}
 
     def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:

@@ -21,7 +21,11 @@ verdict, however many pairs hold it and whatever rows built it.  Chain
 cones and next choices come from the process-wide ``ksets.Chain`` of each
 sequence of non-empty sets.  A repeated construction (same parent cone,
 chain geometries, shape and link vectors) is looked up instead of rebuilt,
-so chain sequences with equal chain geometry share one child.
+so chain sequences with equal chain geometry share one child.  A chain with
+no reduced form of its structure (``Chain.empty``, the degenerate-cone
+certificate) gives every child built from it an empty member set; such a
+child is the run's one empty cone, with no product, intersection or double
+description of its own.
 """
 
 from __future__ import annotations
@@ -201,32 +205,42 @@ def aux_cones(
     return product3(k1, k2, k3), _link_cone(shape, xs, ys, zs)
 
 
+_UNIT_ROWS = tuple(tuple(int(k == j) for k in range(9)) for j in range(9))
+# The strict row q11 > 0 of each block, as ``product3`` embeds ``V_CONE``'s.
+_Q11_ROWS = _UNIT_ROWS[::3]
+
+
 class RunTable:
     """The cones of one refinement run, hash-consed by member set, with
     their verdicts.
 
     ``intern`` maps every cone to the first cone of the run with the same
-    key ``(dim, edges(), frozenset(strict))``.  Every refinement cone and
-    every chain cone is pointed, so its sorted primitive extreme rays fix
-    its closed cone, and with the strict rows they fix its member set: pairs
-    whose cones have the same member set share one ``Cone`` object and one
-    verdict, however differently their rows were built.  ``child`` memoises
-    the child built from a parent cone, three chains, the shape and the
-    first elements of the linked sets.  It keys each chain on its ``rep``,
-    since a child's member set depends only on the member sets of the parent
-    and the chain cones and on the link rows, so a repeated construction
-    skips the product, the link cone, the intersection and its double
-    description.  ``verdicts`` holds ``_record``'s classification of each
-    interned cone.  A table serves one sequential run: which construction
-    and which chain cone of each geometry the run sees first fix the rows a
-    shared cone is dumped with, whatever ran before in the process.
+    key ``(dim, edges(), frozenset(strict))``.  Every refinement cone is
+    pointed, so its sorted primitive extreme rays fix its closed cone, and
+    with the strict rows they fix its member set: pairs whose cones have the
+    same member set share one ``Cone`` object and one verdict, however
+    differently their rows were built.  ``child`` memoises the child built
+    from a parent cone, three chains, the shape and the first elements of
+    the linked sets.  It keys each chain on its ``rep``, since a child's
+    member set depends only on the member sets of the parent and the chain
+    cones and on the link rows, so a repeated construction skips the
+    product, the link cone, the intersection and its double description.
+    A child of an empty chain (``Chain.empty``) has no member either, and
+    is the run's one empty cone: the zero cone with the three ``q11 > 0``
+    rows, built at the run's first such child.  ``verdicts`` holds
+    ``_record``'s classification of each interned cone.  A table serves one
+    sequential run: which construction and which chain cone of each
+    geometry the run sees first fix the rows a shared cone is dumped with,
+    whatever ran before in the process.
     """
 
-    __slots__ = ("_cones", "_children", "verdicts")
+    __slots__ = ("_cones", "_chain_cones", "_children", "_empty", "verdicts")
 
     def __init__(self) -> None:
         self._cones: dict[tuple, Cone] = {}
+        self._chain_cones: dict[Chain, Cone] = {}
         self._children: dict[tuple, Cone] = {}
+        self._empty: Cone | None = None
         self.verdicts: dict[Cone, int] = {}
 
     def intern(self, cone: Cone) -> Cone:
@@ -244,16 +258,30 @@ class RunTable:
         y1: tuple[Pair, ...],
         z1: tuple[Pair, ...],
     ) -> Cone:
-        """``parent ∩ (c1.cone x c2.cone x c3.cone) ∩ link``, interned and
-        built from the run's interned chain cones; ``x1``, ``y1`` and ``z1``
-        hold the first element of each chosen set (empty for an empty
-        set)."""
+        """``parent ∩ (c1.cone x c2.cone x c3.cone) ∩ link``, interned;
+        ``x1``, ``y1`` and ``z1`` hold the first element of each chosen set
+        (empty for an empty set).
+
+        When some chain ``c_i`` is empty and the parent carries block
+        ``i``'s ``q11 > 0`` row, the child has no member and is the run's
+        empty cone.  Otherwise it is built from the run's first chain cone
+        of each chain's geometry.
+        """
         memo_key = (parent, c1.rep, c2.rep, c3.rep, shape, x1, y1, z1)
         cone = self._children.get(memo_key)
         if cone is None:
-            k1, k2, k3 = (self.intern(c.cone) for c in (c1, c2, c3))
-            cone = parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
-            cone = self._children[memo_key] = self.intern(cone)
+            chains = (c1, c2, c3)
+            if any(c.empty and row in parent.strict for c, row in zip(chains, _Q11_ROWS)):
+                cone = self._empty
+                if cone is None:
+                    zero = Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS)
+                    cone = self._empty = self.intern(zero)
+            else:
+                k1, k2, k3 = (self._chain_cones.setdefault(c.rep, c.cone) for c in chains)
+                cone = self.intern(
+                    parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
+                )
+            self._children[memo_key] = cone
         return cone
 
 

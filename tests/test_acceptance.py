@@ -86,13 +86,17 @@ def test_criterion_3_nontrivial_ray(run_12):
     _report(3, ok, f"iteration-4 rays {[p.cone.edges() for p in live]}")
 
 
+# Set sequences whose kset cones are the degenerate-cone certificates.
+CERTIFICATE_SPECS = [
+    (((1, 0), (0, 1), (-1, 1), (1, 1)),),
+    (((1, 0),), ((0, 1), (-1, 1), (1, 1), (-2, 1))),
+    (((1, 0),), ((0, 1),), ((-1, 1), (1, 1), (-2, 1), (2, 1))),
+    (((1, 0),), ((0, 1),), ((-1, 1), (1, 1), (-2, 1), (-1, 2))),
+]
+
+
 def test_criterion_4_zero_cone_certificates():
-    specs = [
-        (((1, 0), (0, 1), (-1, 1), (1, 1)),),
-        (((1, 0),), ((0, 1), (-1, 1), (1, 1), (-2, 1))),
-        (((1, 0),), ((0, 1),), ((-1, 1), (1, 1), (-2, 1), (2, 1))),
-        (((1, 0),), ((0, 1),), ((-1, 1), (1, 1), (-2, 1), (-1, 2))),
-    ]
+    specs = CERTIFICATE_SPECS
     certificates = all(kset_zero_test(s) for s in specs)
     inputs_match = (
         {frozenset(s) for s in min_n((), 4)} == {frozenset(specs[0][0])}

@@ -190,7 +190,8 @@ def test_seconds_cover_classification(monkeypatch):
     # A fake clock that advances one tick per emptiness test.  Each distinct
     # member set is classified once, when the first pair holding its cone is
     # recorded, so record i counts one tick per cone first seen in
-    # generation i.
+    # generation i.  Every child of an empty chain holds the run's one empty
+    # cone, first seen in generation 1.
     ticks = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -209,7 +210,7 @@ def test_seconds_cover_classification(monkeypatch):
         new = {id(p.cone) for p in gen} - seen
         seen |= new
         first_seen.append(len(new))
-    assert first_seen == [1, 3, 3, 3, 0]
+    assert first_seen == [1, 2, 1, 1, 0]
     assert [rec.seconds for rec in result.log] == first_seen
 
 
@@ -249,9 +250,10 @@ def test_descriptions_do_not_depend_on_process_history():
 def test_work_counters_on_reference_run(monkeypatch):
     # Exact work on the (1, 2) diagonal run from cold memos: one chain-cone
     # build per distinct sequence of non-empty sets, one nine-dimensional DD
-    # for the initial cone and one per distinct construction (parent, chain
-    # geometries, shape and link vectors), and one emptiness test
-    # per distinct member set: 21 for the 676 pairs produced.
+    # for the initial cone, one for the run's empty cone and one per
+    # distinct construction (parent, chain geometries, shape and link
+    # vectors) from chains that are not empty, and one emptiness test per
+    # distinct member set: 18 for the 676 pairs produced.
     builds = [0]
     empties = [0]
     kset_chain = ksets.kset_chain
@@ -270,18 +272,20 @@ def test_work_counters_on_reference_run(monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
-    assert dd == {3: 225, 9: 319}
-    assert empties[0] == 21
+    assert dd == {3: 225, 9: 94}
+    assert empties[0] == 18
     assert sum(result.totals()) == 676
 
 
 def test_chain_geometry_collapses_constructions(monkeypatch):
     # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
     # chain cones, so its 8 922 children come from 17 distinct
-    # constructions, each one intersection and one nine-dimensional DD; the
-    # initial cone makes the eighteenth nine-dimensional DD.  The chains and
-    # their reps are shared by the whole process: after other runs have made
-    # chains of the same geometries, the run still makes 17 constructions.
+    # constructions.  14 of them have an empty chain and give the run's
+    # empty cone; the other 3 are each one intersection and one
+    # nine-dimensional DD.  The initial cone and the empty cone make the
+    # other two nine-dimensional DDs.  The chains and their reps are shared
+    # by the whole process: after other runs have made chains of the same
+    # geometries, the run still makes 3 constructions.
     constructions = [0]
     intersect = Cone.intersect
 
@@ -293,8 +297,8 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     monkeypatch.setattr(Cone, "intersect", counting_intersect)
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
-    assert constructions[0] == 17
-    assert dd == {3: 326, 9: 18}
+    assert constructions[0] == 3
+    assert dd == {3: 326, 9: 5}
 
     ksets.clear_cache()
     minima.clear_caches()
@@ -304,8 +308,8 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     dd[9] = 0
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
-    assert constructions[0] == 17
-    assert dd[9] == 18
+    assert constructions[0] == 3
+    assert dd[9] == 5
 
 
 def test_dump_does_not_depend_on_earlier_runs():
@@ -345,19 +349,75 @@ def _parents(result):
             yield parent, child
 
 
-def test_shared_cones_equal_rebuilt_intersections(run_10):
-    # Without the run table, each child is its parent's cone intersected with
-    # its own aux cones; the shared cone must have that member set.  Its rows
-    # may differ: it keeps the rows of the first construction with its
-    # member set.
-    checked = 0
-    for parent, child in _parents(run_10):
-        xs, ys, zs = (s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
-        shape = (len(xs), len(ys), len(zs))
-        rebuilt = parent.cone.intersect(*aux_cones(parent.param, xs, ys, zs, shape))
-        assert geometry.cones_equivalent(child.cone, rebuilt)
-        checked += 1
-    assert checked == sum(run_10.totals()) - 1 == 10557
+def _rebuilt(parent, child):
+    """The child's cone without the run table: its parent's cone intersected
+    with the child's own aux cones."""
+    xs, ys, zs = (s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
+    shape = (len(xs), len(ys), len(zs))
+    return parent.cone.intersect(*aux_cones(parent.param, xs, ys, zs, shape))
+
+
+def test_shared_cones_equal_rebuilt_intersections(run_10, run_12):
+    # The shared cone must have the rebuilt cone's member set.  Its rows may
+    # differ: it keeps the rows of the first construction with its member
+    # set.  The run's one empty cone is the only run cone whose closed cone
+    # is {0}; a child of an empty chain holds it whatever its own closed
+    # cone, so for it only the empty member set is compared.
+    for run, pairs in ((run_10, 10557), (run_12, 675)):
+        checked = 0
+        empty = set()
+        for parent, child in _parents(run):
+            rebuilt = _rebuilt(parent, child)
+            if child.cone.edges():
+                assert geometry.cones_equivalent(child.cone, rebuilt)
+            else:
+                assert rebuilt.is_member_empty()
+                empty.add(id(child.cone))
+            checked += 1
+        assert checked == sum(run.totals()) - 1 == pairs
+        assert len(empty) == 1
+
+
+def test_no_empty_cone_without_the_q11_row():
+    # A bare pair whose cone has the initial closed rows but no strict rows
+    # has members in every child, empty chain or not, so every child must be
+    # the full construction.  Chains with one rep have one cone, so one
+    # rebuild per distinct construction covers every child.
+    ls = linset(19, 1)
+    depth1 = run_algorithm(19, 1, "diagonal", 1).generations[1]
+    (live,) = [p for p in depth1 if not p.cone.is_member_empty()]
+    bare = RefinementPair(Cone(9, initial_pair().cone.closed), live.param)
+    children = refine_pair(bare, ls)
+    assert len(children) == 2851
+    assert sum(any(c.empty for c in child.states) for child in children) == 2850
+    rebuilt = {}
+    for child in children:
+        last = tuple(s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
+        key = (tuple(c.rep for c in child.states), tuple(s[:1] for s in last), tuple(map(len, last)))
+        if key not in rebuilt:
+            rebuilt[key] = _rebuilt(bare, child)
+        assert geometry.cones_equivalent(child.cone, rebuilt[key])
+        assert not child.cone.is_member_empty()
+
+
+def test_chain_empty_flag_matches_zero_test(run_10, run_12):
+    # Chain.empty, read off the chain cone's rays, against the independent
+    # certificate check on every chain of three runs, on the certificates of
+    # criterion 4 and on every other chain in the process.  Chains are
+    # shared by the whole process, so a chain made by an earlier run must
+    # carry the same flag.
+    from test_acceptance import CERTIFICATE_SPECS
+
+    run_19 = run_algorithm(19, 1, "diagonal", 13)
+    chains = {
+        c for run in (run_10, run_12, run_19) for gen in run.generations[1:] for p in gen
+        for c in p.states
+    }
+    certificates = [ksets.chain(spec) for spec in CERTIFICATE_SPECS]
+    assert all(c.empty for c in certificates)
+    for c in chains.union(certificates, ksets._chains.values()):
+        assert c.empty == ksets.kset_zero_test(c.key), c.key
+    assert 0 < sum(c.empty for c in chains) < len(chains)
 
 
 def test_pair_without_states_refines_the_same(run_12):
@@ -378,22 +438,23 @@ def test_one_cone_object_per_member_set(run_10):
     pairs = [p for gen in run_10.generations for p in gen]
     objects = {id(p.cone) for p in pairs}
     member_sets = {(p.cone.dim, p.cone.edges(), frozenset(p.cone.strict)) for p in pairs}
-    assert len(objects) == len(member_sets) == 318
+    assert len(objects) == len(member_sets) == 316
     assert len(pairs) == 10558
     last = run_10.generations[-1]
-    assert len({id(p.cone) for p in last}) == 182
+    assert len({id(p.cone) for p in last}) == 180
 
 
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  Each of
     # the 336 distinct chain sequences gets one three-dimensional DD, so its
-    # chain can find its rep by geometry.  Every distinct construction
-    # (parent, chain geometries, shape and link vectors) needs its rays
-    # before it can be interned, so each of the 762 gets one nine-dimensional
-    # DD, and the initial cone one more.  Each of the 318 distinct member
-    # sets gets one emptiness test, and no cone needs the extra DD of the
-    # exact emptiness path, because its strict rows are non-negative on its
-    # rays.
+    # chain can find its rep by geometry and know whether it is empty.
+    # Every distinct construction (parent, chain geometries, shape and link
+    # vectors) without an empty chain needs its rays before it can be
+    # interned, so each of the 590 gets one nine-dimensional DD; the initial
+    # cone and the run's empty cone get one more each.  Each of the 316
+    # distinct member sets gets one emptiness test, and no cone needs the
+    # extra DD of the exact emptiness path, because its strict rows are
+    # non-negative on its rays.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -405,12 +466,12 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     assert sum(result.totals()) == 10558
-    assert empties[0] == 318
-    assert dd == {3: 336, 9: 763}
+    assert empties[0] == 316
+    assert dd == {3: 336, 9: 592}
 
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
-    # The last generation of the (1, 0) run holds 5 890 pairs on 182 distinct
+    # The last generation of the (1, 0) run holds 5 890 pairs on 180 distinct
     # cones; each cone is tested for emptiness once.
     empties = [0]
     is_member_empty = Cone.is_member_empty
@@ -422,4 +483,4 @@ def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     assert check_y_projection_argument(run_10.final_pairs, stop_set("q1_eq_q3"))
     assert len(run_10.final_pairs) == 5890
-    assert empties[0] == 182
+    assert empties[0] == 180
