@@ -22,7 +22,6 @@ from .refinement import (
     check_y_projection_argument,
     format_table,
     run_algorithm,
-    stop_set,
 )
 from .relations import classify, key_lemma_decompose, verify_relation
 from . import fixtures
@@ -81,7 +80,7 @@ def _param_json(param) -> dict:
 def _dump_run(result: RunResult, out_dir: Path) -> None:
     for i, gen in enumerate(result.generations):
         gen_dir = out_dir / f"gen_{i}"
-        gen_dir.mkdir(parents=True, exist_ok=True)
+        gen_dir.mkdir()
         for j, pair in enumerate(gen):
             payload = {
                 "cone": cone_to_json_dict(pair.cone),
@@ -91,8 +90,12 @@ def _dump_run(result: RunResult, out_dir: Path) -> None:
 
 
 def _cmd_refine(args) -> int:
+    # A non-empty --out would mix an earlier dump's files with this one's.
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        if any(out.iterdir()):
+            raise ValueError(f"--out directory {out} is not empty")
     result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
     if args.emit == "json":
         print(
@@ -213,7 +216,7 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_ycheck(args) -> int:
     result = run_algorithm(1, 0, "q1_eq_q3", args.max_iter)
-    ok = check_y_projection_argument(result.final_pairs, stop_set("q1_eq_q3"))
+    ok = check_y_projection_argument(result.live[-1])
     print(f"y-projection check: {'holds' if ok else 'fails'}")
     return 0 if ok else 1
 
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--stop-set", choices=sorted(STOP_CHOICES), default="diagonal")
     p.add_argument("--max-iter", type=int, default=13)
-    p.add_argument("--out", help="directory for per-pair JSON dumps")
+    p.add_argument("--out", help="new or empty directory for per-pair JSON dumps")
     p.add_argument("--emit", choices=("text", "json"), default="text")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_refine)
@@ -295,8 +298,8 @@ def main(argv=None) -> int:
 
     0 is success; 1 is a negative answer from ``verify``, ``classify``,
     ``decompose``, ``fixtures`` or ``ycheck``; 2 is bad input or an output
-    path that cannot be written, reported as a one-line ``error:`` message
-    on standard error.
+    path that cannot be written or is not empty, reported as a one-line
+    ``error:`` message on standard error.
     """
     args = build_parser().parse_args(argv)
     try:

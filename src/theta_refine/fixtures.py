@@ -437,7 +437,8 @@ def _check_example1() -> list[FixtureResult]:
 
 def _check_example2() -> list[FixtureResult]:
     out = []
-    start = RefinementPair(Cone(9, EX1_SHAPE032_RESULT_A, STRICT9), EX2_PARAM)
+    cone = Cone(9, EX1_SHAPE032_RESULT_A, STRICT9)
+    start = RefinementPair(cone, EX2_PARAM, EX2_PARAM.chains())
     xs = ((1, 0), (0, 1), (-1, 1))
     zs = ((-1, 1),)
     kc, qc = aux_cones(EX2_PARAM, xs, (), zs, (3, 0, 1))

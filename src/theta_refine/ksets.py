@@ -109,7 +109,8 @@ class Chain:
 
     def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
         """Each set of ``min_n(excluded, n)`` with the chain it leads to; an
-        empty set changes nothing and leads back to ``self``."""
+        empty set changes nothing and leads back to ``self``.  Memoised per
+        ``n``: the process's only memo of next choices."""
         found = self._choices.get(n)
         if found is None:
             excluded = frozenset(v for s in self.key for v in s)

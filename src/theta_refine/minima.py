@@ -51,11 +51,10 @@ def _check_exclusion(exc: frozenset[Pair]) -> None:
             raise ValueError(f"exclusion {v} is not strongly primitive")
 
 
-# Both memos are looked up before the exclusion is checked; the check runs on
+# The memo is looked up before the exclusion is checked; the check runs on
 # every miss, before anything is stored, so an invalid exclusion is never
 # cached.
 _min_complement_cache: dict[frozenset[Pair], tuple[Pair, ...]] = {}
-_min_n_cache: dict[tuple[frozenset[Pair], int], tuple[tuple[Pair, ...], ...]] = {}
 
 
 def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
@@ -98,31 +97,25 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
 
     Each choice is reported in construction order (the order the vectors were
     selected); the collection is deduplicated as sets and sorted by the
-    canonical sorted tuple.
+    canonical sorted tuple.  Not memoised; ``ksets.Chain.choices`` is.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     exc = _exclusion_key(excluded)
-    key = (exc, n)
-    cached = _min_n_cache.get(key)
-    if cached is not None:
-        return cached
     _check_exclusion(exc)
-    if n == 0:
-        result: tuple[tuple[Pair, ...], ...] = ((),)
-    else:
+    result: tuple[tuple[Pair, ...], ...] = ((),)
+    for _ in range(n):
         chosen: dict[frozenset[Pair], tuple[Pair, ...]] = {}
-        for prefix in min_n(exc, n - 1):
+        for prefix in result:
             for v in min_complement(exc | set(prefix)):
                 candidate = prefix + (v,)
                 chosen.setdefault(frozenset(candidate), candidate)
         result = tuple(sorted(chosen.values(), key=lambda c: tuple(sorted(c))))
-    return _min_n_cache.setdefault(key, result)
+    return result
 
 
 def clear_caches() -> None:
     _min_complement_cache.clear()
-    _min_n_cache.clear()
 
 
 def _min_value_over_complement(q: BQF, excluded: frozenset[Pair]):

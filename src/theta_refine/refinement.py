@@ -3,11 +3,14 @@
 State is a set of pairs (T, P): a cone T in the 9-dimensional product of
 three copies of form space, and a covering parameter P recording, per factor,
 the sequence of vector sets already pinned down as successive minima.  Each
-generation is classified once: a pair is empty (no member), absorbed (its
-cone lies in the stop set) or live.  The next generation replaces each live
-pair by all of its refinements: for every shape in the linset and every
-admissible choice of next minimal-vector sets, intersect T with the
-corresponding product cone and value-equality rows and extend P.
+pair carries the process-wide ``ksets.Chain`` of each factor's sequence,
+which holds the chain cone and the next choices.  Each generation is
+classified once: a pair is empty (no member), absorbed (its cone lies in the
+stop set) or live, and the run keeps each generation's live pairs, which the
+y-projection check reads instead of classifying again.  The next generation
+replaces each live pair by all of its refinements: for every shape in the
+linset and every admissible choice of next minimal-vector sets, intersect T
+with the corresponding product cone and value-equality rows and extend P.
 
 Counting convention for the per-iteration table: generation i holds every
 pair produced by refining generation i-1's live pairs, including pairs whose
@@ -17,15 +20,14 @@ together with the stop-set-contained ones.
 Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
 sorted extreme rays of the (pointed) closed cone plus the strict rows.  Pairs
 whose cones have the same member set share one ``Cone`` object and one
-verdict, however many pairs hold it and whatever rows built it.  Chain
-cones and next choices come from the process-wide ``ksets.Chain`` of each
-sequence of non-empty sets.  A repeated construction (same parent cone,
-chain geometries, shape and link vectors) is looked up instead of rebuilt,
-so chain sequences with equal chain geometry share one child.  A chain with
-no reduced form of its structure (``Chain.empty``, the degenerate-cone
-certificate) gives every child built from it an empty member set; such a
-child is the run's one empty cone, with no product, intersection or double
-description of its own.
+verdict, however many pairs hold it and whatever rows built it.  A
+repeated construction (same parent cone, chain geometries, shape and link
+vectors) is looked up instead of rebuilt, so chain sequences with equal
+chain geometry share one child.  A chain with no reduced form of its
+structure (``Chain.empty``, the degenerate-cone certificate) gives every
+child built from it an empty member set; such a child is the run's one
+empty cone, with no product, intersection or double description of its
+own.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class Linset:
     a: int
     b: int
     shapes: tuple[Shape, ...]
-    minimal_variant: bool
 
 
 def linset(a: int, b: int) -> Linset:
@@ -65,9 +66,8 @@ def linset(a: int, b: int) -> Linset:
     l1: Shape = (1, 1, 1)
     l2: Shape = ((a + b) // g, 0, a // g)
     l3: Shape = (0, (a + b) // g, b // g)
-    minimal = a == 0 or b == 0
-    shapes = (l2, l3) if minimal else (l1, l2, l3)
-    return Linset(a, b, shapes, minimal)
+    shapes = (l2, l3) if a == 0 or b == 0 else (l1, l2, l3)
+    return Linset(a, b, shapes)
 
 
 @dataclass(frozen=True)
@@ -78,24 +78,23 @@ class CoveringParameter:
     y_sets: tuple[tuple[Pair, ...], ...] = ()
     z_sets: tuple[tuple[Pair, ...], ...] = ()
 
-    def depth(self) -> int:
-        return len(self.x_sets)
+    def chains(self) -> tuple[Chain, Chain, Chain]:
+        """The process's ``Chain`` of each factor's set sequence."""
+        return (chain(self.x_sets), chain(self.y_sets), chain(self.z_sets))
 
 
 @dataclass(frozen=True)
 class RefinementPair:
-    """A cone and its covering parameter.
+    """A cone, its covering parameter and the ``Chain`` of each factor.
 
-    ``states`` holds the per-axis ``Chain``s that ``refine_pair`` reads the
-    next choices from; it takes no part in equality, and a pair built
-    without it has its chains looked up from ``param``.
+    ``chains`` is ``param.chains()``, which ``refine_pair`` reads the next
+    choices from and never looks up again; a hand-built pair passes
+    ``param.chains()``.  It takes no part in equality.
     """
 
     cone: Cone
     param: CoveringParameter
-    states: tuple[Chain, Chain, Chain] | None = field(
-        default=None, compare=False, repr=False
-    )
+    chains: tuple[Chain, Chain, Chain] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -119,16 +118,16 @@ class IterationRecord:
 
 @dataclass
 class RunResult:
+    """``live[i]`` holds the pairs of ``generations[i]`` classified live, in
+    order: the pairs that generation ``i + 1`` refines."""
+
     a: int
     b: int
     stop_kind: str
     max_iter: int
     generations: list[list[RefinementPair]] = field(default_factory=list)
+    live: list[list[RefinementPair]] = field(default_factory=list)
     log: list[IterationRecord] = field(default_factory=list)
-
-    @property
-    def final_pairs(self) -> list[RefinementPair]:
-        return self.generations[-1]
 
     def totals(self) -> list[int]:
         return [rec.total for rec in self.log]
@@ -155,7 +154,8 @@ def stop_set(kind: str) -> tuple[Vector, ...]:
 
 def initial_pair() -> RefinementPair:
     """The whole product of three reduction domains, with no choices made."""
-    return RefinementPair(product3(V_CONE, V_CONE, V_CONE), CoveringParameter())
+    param = CoveringParameter()
+    return RefinementPair(product3(V_CONE, V_CONE, V_CONE), param, param.chains())
 
 
 def _cross_equality_rows(block_i: int, vi: Pair, block_j: int, vj: Pair) -> list[Vector]:
@@ -293,8 +293,8 @@ def refine_pair(
     Shapes are taken in linset order; within a shape the choice collections
     are each canonically sorted, and the nested product enumerates them
     lexicographically.  Children with empty member sets are kept.  Each
-    axis's choices and chain cones come from its ``Chain``, and each
-    extended set sequence is built once per shape and choice and shared by
+    axis's choices and chain cones come from ``pair.chains``, each child
+    carries the chains its choices lead to, and each extended set sequence is built once per shape and choice and shared by
     the children that take it.  Children with equal member sets share one
     ``Cone`` of ``table`` (a fresh table when none is given).
     """
@@ -302,12 +302,11 @@ def refine_pair(
         table = RunTable()
     param = pair.param
     seqs = (param.x_sets, param.y_sets, param.z_sets)
-    states = pair.states or tuple(chain(seq) for seq in seqs)
     children = []
     for shape in ls.shapes:
         xl, yl, zl = (
             [(seq + (s,), s[:1], nxt) for s, nxt in c.choices(n)]
-            for seq, c, n in zip(seqs, states, shape)
+            for seq, c, n in zip(seqs, pair.chains, shape)
         )
         for xe, x1, xn in xl:
             for ye, y1, yn in yl:
@@ -330,25 +329,16 @@ def _classify(cone: Cone, stop_rows: Sequence[Vector]) -> int:
     return _ABSORBED if cone.is_subset_of(stop_rows) else _LIVE
 
 
-def check_y_projection_argument(
-    pairs: Iterable[RefinementPair], stop_rows: Sequence[Vector]
-) -> bool:
-    """Every pair not absorbed by the stop set chose a non-empty factor-2 set.
+def check_y_projection_argument(pairs: Iterable[RefinementPair]) -> bool:
+    """Every live pair chose a non-empty factor-2 set.
 
-    This is the machine-checkable core of the argument that, for the relation
-    with zero second coefficient, the factor-2 choices carry no information
-    and all genuine solutions already lie in the stop set.  Each distinct
-    cone object is classified once, however many pairs share it.
+    ``pairs`` are the live pairs of a generation, as the run classified them
+    (``RunResult.live``).  This is the machine-checkable core of the
+    argument that, for the relation with zero second coefficient, the
+    factor-2 choices carry no information and all genuine solutions already
+    lie in the stop set.
     """
-    verdicts: dict[Cone, int] = {}
-    for pair in pairs:
-        cone = pair.cone
-        verdict = verdicts.get(cone)
-        if verdict is None:
-            verdict = verdicts[cone] = _classify(cone, stop_rows)
-        if verdict == _LIVE and not any(pair.param.y_sets):
-            return False
-    return True
+    return all(any(p.param.y_sets) for p in pairs)
 
 
 def run_algorithm(
@@ -370,24 +360,23 @@ def run_algorithm(
     run is sequential and deterministic, whatever ran before it in the
     process; ``threads`` is accepted for compatibility and must be 1.
     """
-    if (a, b) == (0, 0) or a < 0 or b < 0:
-        raise ValueError("need non-negative a, b with (a, b) != (0, 0)")
+    ls = linset(a, b)
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if threads != 1:
         raise ValueError(f"runs are single-threaded; threads must be 1, got {threads}")
     if gcd(a, b) != 1:
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
-    ls = linset(a, b)
     rows = stop_set(stop_kind)
     result = RunResult(a, b, stop_kind, max_iter)
     table = RunTable()
 
     start = time.perf_counter()
     first = initial_pair()
-    generation = [RefinementPair(table.intern(first.cone), first.param)]
+    generation = [RefinementPair(table.intern(first.cone), first.param, first.chains)]
     result.generations.append(generation)
     live, record = _record(0, generation, rows, start, table)
+    result.live.append(live)
     result.log.append(record)
 
     i = 0
@@ -397,6 +386,7 @@ def run_algorithm(
         result.generations.append(generation)
         i += 1
         live, record = _record(i, generation, rows, start, table)
+        result.live.append(live)
         result.log.append(record)
     return result
 

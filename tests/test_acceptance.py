@@ -143,8 +143,13 @@ def test_criterion_5_short_chain_diagram():
 
 
 def test_criterion_6_y_projection(run_10):
-    ok = check_y_projection_argument(run_10.final_pairs, stop_set("q1_eq_q3"))
-    _report(6, ok, f"final generation size {len(run_10.final_pairs)}")
+    ok = check_y_projection_argument(run_10.live[-1])
+    _report(
+        6,
+        ok,
+        f"final generation size {len(run_10.generations[-1])}, "
+        f"{len(run_10.live[-1])} live",
+    )
 
 
 def test_criterion_7_theta_identity():

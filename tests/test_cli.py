@@ -69,6 +69,22 @@ def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_nonempty_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # A second dump into the same directory would leave the first run's
+    # extra generations and pairs behind, so a non-empty --out is refused
+    # before the run, and the first dump is left as it was.
+    out = tmp_path / "run"
+    code, _ = run_cli(capsys, "refine", "--a", "1", "--b", "2", "--max-iter", "3", "--out", str(out))
+    assert code == 0
+    before = sorted(p.relative_to(out) for p in out.rglob("*"))
+    assert (out / "gen_3").is_dir()
+    monkeypatch.setattr(cli, "run_algorithm", None)
+    code, stdout, err = run_cli_error(capsys, "refine", "--a", "3", "--b", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "not empty" in err and len(err.splitlines()) == 1
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+
 def test_refine_json_and_determinism(capsys):
     code, out1 = run_cli(capsys, "refine", "--a", "3", "--b", "1", "--emit", "json")
     assert code == 0

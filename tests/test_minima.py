@@ -92,7 +92,7 @@ def test_min_memos_share_entries_across_input_types():
     exc = [(1, 0), (0, 1)]
     assert min_complement(frozenset(exc)) is min_complement(exc)
     assert min_complement([[1, 0], [0, 1]]) is min_complement(tuple(exc))
-    assert min_n(frozenset(exc), 3) is min_n(exc, 3)
+    assert min_n(frozenset(exc), 3) == min_n(exc, 3)
 
 
 def test_partial_order_axioms_box12():

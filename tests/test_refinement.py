@@ -6,6 +6,7 @@ import pytest
 
 from theta_refine import geometry, ksets, minima, refinement
 from theta_refine.geometry import Cone
+from theta_refine.fixtures import T0_A, T1_A, T2_A, T3_A
 from theta_refine.refinement import (
     CoveringParameter,
     RefinementPair,
@@ -26,7 +27,7 @@ def test_linset_values():
     assert linset(1, 2).shapes == ((1, 1, 1), (3, 0, 1), (0, 3, 2))
     assert linset(1, 1).shapes == ((1, 1, 1), (2, 0, 1), (0, 2, 1))
     ten = linset(1, 0)
-    assert ten.shapes == ((1, 0, 1), (0, 1, 0)) and ten.minimal_variant
+    assert ten.shapes == ((1, 0, 1), (0, 1, 0))
     assert linset(0, 1).shapes == ((1, 0, 0), (0, 1, 1))
     assert linset(2, 4).shapes == ((1, 1, 1), (3, 0, 1), (0, 3, 2))
     with pytest.raises(ValueError):
@@ -66,7 +67,7 @@ def test_first_generation_children():
     for a, b in ((1, 2), (1, 1)):
         children = refine_pair(initial_pair(), linset(a, b))
         assert len(children) == 3
-        assert all(c.param.depth() == 1 for c in children)
+        assert all(len(c.param.x_sets) == 1 for c in children)
 
 
 def test_nesting_through_iteration_six(run_12):
@@ -137,25 +138,30 @@ SWEEP_PAIRS = [
 @pytest.mark.parametrize("a, b", SWEEP_PAIRS)
 def test_no_further_relations_sweep(a, b):
     # The a + b >= 4 claim beyond its worked example (3, 1): every coprime
-    # run ends after 4 refinements, and swapping a and b keeps the table.
+    # run ends after 4 refinements along the short chain T0 -> T1 -> T2 -> T3
+    # (one live pair per generation, the last absorbed by the diagonal), and
+    # swapping a and b keeps the table.
+    expected = [Cone(9, rows) for rows in (T0_A, T1_A, T2_A, T3_A)]
     forward = run_algorithm(a, b, "diagonal", 13)
     backward = run_algorithm(b, a, "diagonal", 13)
     for res in (forward, backward):
         assert len(res.log) == 5 and res.totals()[-1] == 0
+        assert res.non_empty_counts() == [1, 1, 1, 0, 0]
+        assert [rec.stop_absorbed for rec in res.log] == [0, 0, 0, 1, 0]
+        for gen, want in zip(res.generations, expected):
+            (pair,) = [p for p in gen if not p.cone.is_member_empty()]
+            assert geometry.cones_closed_equal(pair.cone, want)
     assert forward.totals() == backward.totals()
 
 
 def test_y_projection_negative_control():
-    rows = stop_set("q1_eq_q3")
     cone = initial_pair().cone
-    synthetic = RefinementPair(
-        cone, CoveringParameter((((1, 0),),), ((),), (((1, 0),),))
-    )
-    assert not check_y_projection_argument([synthetic], rows)
-    with_y = RefinementPair(
-        cone, CoveringParameter(((),), (((1, 0),),), ((),))
-    )
-    assert check_y_projection_argument([with_y], rows)
+    no_y = CoveringParameter((((1, 0),),), ((),), (((1, 0),),))
+    synthetic = RefinementPair(cone, no_y, no_y.chains())
+    assert not check_y_projection_argument([synthetic])
+    y = CoveringParameter(((),), (((1, 0),),), ((),))
+    with_y = RefinementPair(cone, y, y.chains())
+    assert check_y_projection_argument([with_y])
 
 
 def test_table_formatting(run_11):
@@ -172,10 +178,12 @@ def test_iteration_log_consistency(run_11):
         rec = run_11.log[i]
         assert rec.total == len(run_11.generations[i])
         assert rec.non_empty + rec.stop_absorbed <= rec.total
+        assert len(run_11.live[i]) == rec.non_empty
+        assert all(any(p is q for q in run_11.generations[i]) for p in run_11.live[i])
         children = run_11.generations[i + 1]
         parents = {
             (p.param.x_sets, p.param.y_sets, p.param.z_sets)
-            for p in run_11.generations[i]
+            for p in run_11.live[i]
         }
         for child in children:
             key = (
@@ -386,14 +394,14 @@ def test_no_empty_cone_without_the_q11_row():
     ls = linset(19, 1)
     depth1 = run_algorithm(19, 1, "diagonal", 1).generations[1]
     (live,) = [p for p in depth1 if not p.cone.is_member_empty()]
-    bare = RefinementPair(Cone(9, initial_pair().cone.closed), live.param)
+    bare = RefinementPair(Cone(9, initial_pair().cone.closed), live.param, live.chains)
     children = refine_pair(bare, ls)
     assert len(children) == 2851
-    assert sum(any(c.empty for c in child.states) for child in children) == 2850
+    assert sum(any(c.empty for c in child.chains) for child in children) == 2850
     rebuilt = {}
     for child in children:
         last = tuple(s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
-        key = (tuple(c.rep for c in child.states), tuple(s[:1] for s in last), tuple(map(len, last)))
+        key = (tuple(c.rep for c in child.chains), tuple(s[:1] for s in last), tuple(map(len, last)))
         if key not in rebuilt:
             rebuilt[key] = _rebuilt(bare, child)
         assert geometry.cones_equivalent(child.cone, rebuilt[key])
@@ -411,27 +419,13 @@ def test_chain_empty_flag_matches_zero_test(run_10, run_12):
     run_19 = run_algorithm(19, 1, "diagonal", 13)
     chains = {
         c for run in (run_10, run_12, run_19) for gen in run.generations[1:] for p in gen
-        for c in p.states
+        for c in p.chains
     }
     certificates = [ksets.chain(spec) for spec in CERTIFICATE_SPECS]
     assert all(c.empty for c in certificates)
     for c in chains.union(certificates, ksets._chains.values()):
         assert c.empty == ksets.kset_zero_test(c.key), c.key
     assert 0 < sum(c.empty for c in chains) < len(chains)
-
-
-def test_pair_without_states_refines_the_same(run_12):
-    # A pair built from a cone and a parameter alone has its chains looked
-    # up from the parameter, and gets the same children.
-    ls = linset(1, 2)
-    for pair in run_12.generations[4]:
-        bare = RefinementPair(pair.cone, pair.param)
-        assert bare == pair and bare.states is None and pair.states is not None
-        with_states, without = refine_pair(pair, ls), refine_pair(bare, ls)
-        assert [c.param for c in with_states] == [c.param for c in without]
-        assert all(
-            geometry.cones_equivalent(c.cone, d.cone) for c, d in zip(with_states, without)
-        )
 
 
 def test_one_cone_object_per_member_set(run_10):
@@ -471,8 +465,9 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
 
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
-    # The last generation of the (1, 0) run holds 5 890 pairs on 180 distinct
-    # cones; each cone is tested for emptiness once.
+    # The last generation of the (1, 0) run holds 5 890 pairs, 3 185 of them
+    # live.  The run classified each of its cones once; the check reads the
+    # run's live pairs and tests no cone again.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -481,6 +476,7 @@ def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
         return is_member_empty(self)
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    assert check_y_projection_argument(run_10.final_pairs, stop_set("q1_eq_q3"))
-    assert len(run_10.final_pairs) == 5890
-    assert empties[0] == 180
+    assert check_y_projection_argument(run_10.live[-1])
+    assert len(run_10.generations[-1]) == 5890
+    assert len(run_10.live[-1]) == 3185
+    assert empties[0] == 0
