@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,18 +30,19 @@ from . import fixtures
 STOP_CHOICES = {"diagonal": "diagonal", "q1q3": "q1_eq_q3"}
 
 
+_PAIR = re.compile(r"\s*(\()?\s*([-+]?\d+)\s*,\s*([-+]?\d+)\s*(\))?\s*")
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
-    t = text.strip()
-    if t.startswith("(") and t.endswith(")"):
-        t = t[1:-1]
-    x, y = (int(p.strip()) for p in t.split(","))
-    return (x, y)
+    """``x,y`` or ``(x,y)``; anything else, unbalanced parentheses included, is an error."""
+    m = _PAIR.fullmatch(text)
+    if m is None or (m[1] is None) != (m[4] is None):
+        raise ValueError(f"expected a pair x,y or (x,y), got {text.strip()!r}")
+    return (int(m[2]), int(m[3]))
 
 
 def _parse_pair_list(text: str) -> tuple[tuple[int, int], ...]:
-    text = text.strip()
-    if not text:
-        return ()
+    """Parse ``(1,0);(0,1)`` into a tuple of pairs."""
     return tuple(_parse_pair(part) for part in text.split(";") if part.strip())
 
 
@@ -48,16 +50,11 @@ def _parse_set_list(text: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Parse ``{(1,0),(0,1)};{};{(-1,1)}`` into a tuple of vector tuples."""
     sets = []
     for part in text.split(";"):
-        part = part.strip()
-        if part.startswith("{") and part.endswith("}"):
-            part = part[1:-1]
-        part = part.strip()
-        if not part:
-            sets.append(())
-            continue
-        chunks = part.replace("(", " (").split(")")
-        vecs = tuple(_parse_pair(c + ")") for c in (x.strip(" ,") for x in chunks) if c)
-        sets.append(vecs)
+        body = part.strip()
+        if body.startswith("{") and body.endswith("}"):
+            body = body[1:-1].strip()
+        pairs = re.split(r"(?<=\))\s*,", body) if body else ()
+        sets.append(tuple(_parse_pair(p) for p in pairs))
     return tuple(sets)
 
 

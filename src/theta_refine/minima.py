@@ -2,15 +2,20 @@
 
 ``u preceq v`` holds when every reduced form takes a value at ``u`` no larger
 than at ``v``; it is decided by comparing the three edge forms y^2, x^2 + y^2
-and x^2 + xy + y^2.  ``min_complement`` computes the minimal elements of the
-strongly primitive vectors outside a finite exclusion set by shrinking the
-problem to a finite witness box, and ``min_n`` enumerates every way of picking
-the next n minimal vectors in sequence.
+and x^2 + xy + y^2.  ``min_of_finite`` sorts vectors by their edge values, so
+a dominator always comes before what it dominates, and checks each vector
+only against the dominators kept so far.  ``min_complement`` computes the
+minimal elements of the strongly primitive vectors outside a finite
+exclusion set: a witness (a, 1) outside the exclusion dominates all but
+finitely many of them, and the rest are enumerated row by row.  ``min_n``
+enumerates every way of picking the next n minimal vectors in sequence.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import groupby
+from math import gcd, isqrt
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .quadform import BQF, in_v, is_strongly_primitive
@@ -30,13 +35,27 @@ def preceq(u: Sequence[int], v: Sequence[int]) -> bool:
 
 
 def min_of_finite(vectors: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
-    """Members not strictly dominated by another member, sorted."""
-    vs = [tuple(v) for v in vectors]
+    """Members not dominated by a different member, sorted.
+
+    Equal edge values mean equal vectors or an antipodal pair v, -v; the two
+    members of such a pair dominate each other, so both are dropped, but they
+    still dominate later vectors.  Sorted by edge values, a strict dominator comes
+    first, and domination is transitive, so each vector is checked only
+    against the vectors kept so far plus those antipodal pairs.  Sorting
+    makes the first edge value non-decreasing, so only the other two are
+    compared.
+    """
+    ranked = sorted((edge_values(v), v) for v in {tuple(v) for v in vectors})
     out = []
-    for v in vs:
-        if not any(u != v and preceq(u, v) for u in vs):
-            out.append(v)
-    return tuple(sorted(set(out)))
+    dominators: list[tuple[int, int, int]] = []
+    for e, group in groupby(ranked, key=itemgetter(0)):
+        if any(d[1] <= e[1] and d[2] <= e[2] for d in dominators):
+            continue
+        dominators.append(e)
+        members = [v for _, v in group]
+        if len(members) == 1:
+            out.extend(members)
+    return tuple(sorted(out))
 
 
 def _exclusion_key(excluded: Iterable[Sequence[int]]) -> frozenset[Pair]:
@@ -61,9 +80,14 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
     """Minimal strongly primitive vectors outside the finite exclusion set.
 
     Picks the first witness (a, 1) not excluded, scanning a = 0, -1, 1, -2,
-    2, ...; everything not dominated-from-below by the witness lies in the box
-    ||v||_inf <= ceil(sqrt(2 (a^2 + max(a, 0) + 1))), so the minimal set of
-    the complement equals the minimal set of a finite subset of that box.
+    2, ...  A vector other than the witness that the witness dominates is
+    never minimal, so the candidates are the witness and the vectors (x, y)
+    that escape its domination: the row y = 0, where (1, 0) is the only
+    strongly primitive vector, and the vectors with x^2 + y^2 < a^2 + 1 or
+    (2x + y)^2 + 3y^2 < 4(a^2 + a + 1).  Both regions are bounded, so the
+    minimal set of the complement is the minimal set of finitely many
+    candidates.  In each row y >= 1 they are at most two intervals of x,
+    whose ends come from ``isqrt``; the witness lies in neither.
     """
     exc = _exclusion_key(excluded)
     cached = _min_complement_cache.get(exc)
@@ -77,18 +101,25 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
         k += 1
         a = -((k + 1) // 2) if k % 2 else k // 2
     witness = (a, 1)
-    bound2 = 2 * (a * a + max(a, 0) + 1)
-    radius = isqrt(bound2)
-    if radius * radius < bound2:
-        radius += 1
     candidates = [witness]
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
+    if (1, 0) not in exc:
+        candidates.append((1, 0))
+    norm = a * a + 1
+    hex4 = 4 * (a * a + a + 1)
+    y = 1
+    while y * y < norm or 3 * y * y < hex4:
+        xs: set[int] = set()
+        if y * y < norm:
+            r = isqrt(norm - 1 - y * y)
+            xs.update(range(-r, r + 1))
+        if 3 * y * y < hex4:
+            s = isqrt(hex4 - 1 - 3 * y * y)
+            xs.update(range((-s - y + 1) // 2, (s - y) // 2 + 1))
+        for x in xs:
             v = (x, y)
-            if v == witness or not is_strongly_primitive(v) or v in exc:
-                continue
-            if not preceq(witness, v):
+            if v not in exc and gcd(x, y) == 1:
                 candidates.append(v)
+        y += 1
     return _min_complement_cache.setdefault(exc, min_of_finite(candidates))
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -58,6 +59,87 @@ def test_min_complement_against_big_box():
         inner = tuple(v for v in oracle if max(abs(v[0]), abs(v[1])) <= 12)
         assert computed == inner
         assert all(max(abs(v[0]), abs(v[1])) <= 12 for v in computed)
+
+
+def _all_pairs_min(vectors):
+    # Oracle: the definition itself, every member against every other.
+    vs = [tuple(v) for v in vectors]
+    return tuple(sorted({v for v in vs if not any(u != v and preceq(u, v) for u in vs)}))
+
+
+def test_min_of_finite_matches_all_pairs_definition():
+    # Antipodal pairs dominate each other, so both drop out but still
+    # dominate later vectors; duplicates, (0, 0) and non-primitive vectors
+    # are ordinary members.
+    assert min_of_finite([(1, 2), (-1, -2), (3, 5)]) == ()
+    assert min_of_finite([(1, 2), (-1, -2), (1, 2), (0, 3)]) == ()
+    assert min_of_finite([(2, 4), (2, 4), (0, 0)]) == ((0, 0),)
+    rng = random.Random(23)
+    for _ in range(3000):
+        vs = [(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(rng.randint(0, 25))]
+        for _ in range(rng.randint(0, 3)):
+            if vs:
+                x, y = rng.choice(vs)
+                vs += [(-x, -y), (x, y)]
+        if rng.random() < 0.2:
+            vs.append((0, 0))
+        rng.shuffle(vs)
+        assert min_of_finite(vs) == _all_pairs_min(vs), vs
+
+
+def _box_scan_min_complement(excluded):
+    # Oracle: the witness and the witness-box scan.  Every vector not
+    # dominated by the witness (a, 1) lies in the box ||v||_inf <=
+    # ceil(sqrt(2 (a^2 + max(a, 0) + 1))); scan all of it and call preceq on
+    # every point.
+    a, k = 0, 0
+    while (a, 1) in excluded:
+        k += 1
+        a = -((k + 1) // 2) if k % 2 else k // 2
+    witness = (a, 1)
+    bound2 = 2 * (a * a + max(a, 0) + 1)
+    radius = isqrt(bound2)
+    radius += radius * radius < bound2
+    candidates = [witness] + [
+        v
+        for x in range(-radius, radius + 1)
+        for y in range(-radius, radius + 1)
+        if (v := (x, y)) != witness
+        and is_strongly_primitive(v)
+        and v not in excluded
+        and not preceq(witness, v)
+    ]
+    return witness, _all_pairs_min(candidates)
+
+
+def test_min_complement_far_witness_against_box_scan():
+    # Excluding every (x, 1) with |x| <= n pushes the witness to a = -n - 1,
+    # or to a = n + 1 once (-n - 1, 1) is excluded too, so the exact region
+    # is checked far from a = 0 on both sides.  Minimal vectors reach the
+    # region's boundary when the exclusion is a ball Q(v) <= t of a reduced
+    # form near x^2 + xy + y^2 (as in the diagonal runs) that stops just
+    # short of the witness, so each such ball is excluded too, for every
+    # level t in the top 3% below Q(witness).
+    rng = random.Random(29)
+    box = [(x, y) for x in range(-30, 31) for y in range(1, 31) if gcd(x, y) == 1]
+    cases = far = 0
+    for n in range(13):
+        row = {(1, 0), (0, 1)} | {(x, 1) for x in range(-n, n + 1)}
+        for a in (-n - 1, n + 1):
+            if a > 0:
+                row.add((-n - 1, 1))
+            for _ in range(3):
+                w = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(4, 10))
+                q = {v: sum(c * e for c, e in zip(w, edge_values(v))) for v in box}
+                top = q[(a, 1)]
+                for t in sorted({qv for qv in q.values() if 0.97 * top <= qv < top}):
+                    excluded = frozenset(row | {v for v in box if q[v] <= t})
+                    witness, oracle = _box_scan_min_complement(excluded)
+                    assert witness == (a, 1)
+                    assert min_complement(excluded) == oracle, excluded
+                    cases += 1
+                    far += abs(a) >= 10
+    assert cases >= 60 and far >= 20
 
 
 def test_min_n_examples():

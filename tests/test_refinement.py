@@ -464,6 +464,20 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     assert dd == {3: 336, 9: 592}
 
 
+def test_min_complement_builds_from_cold_memos():
+    # Exact chain-layer work: one minimal-complement build per distinct
+    # exclusion set the chains ask about, from cold memos.
+    ksets.clear_cache()
+    minima.clear_caches()
+    run_algorithm(1, 1, "diagonal", 13)
+    run_algorithm(1, 2, "diagonal", 14)
+    assert len(minima._min_complement_cache) == 195
+    ksets.clear_cache()
+    minima.clear_caches()
+    run_algorithm(1, 0, "q1_eq_q3", 13)
+    assert len(minima._min_complement_cache) == 47
+
+
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
     # The last generation of the (1, 0) run holds 5 890 pairs, 3 185 of them
     # live.  The run classified each of its cones once; the check reads the
