@@ -75,7 +75,8 @@ def _param_json(param) -> dict:
 
 
 def _dump_run(result: RunResult, out_dir: Path) -> None:
-    for i, gen in enumerate(result.generations):
+    """One file per pair, replayed and written one generation at a time."""
+    for i, (gen, _) in enumerate(result.replay()):
         gen_dir = out_dir / f"gen_{i}"
         gen_dir.mkdir()
         for j, pair in enumerate(gen):
@@ -103,6 +104,8 @@ def _cmd_refine(args) -> int:
                     "stop_set": result.stop_kind,
                     "totals": result.totals(),
                     "non_empty": result.non_empty_counts(),
+                    "live_classes": [rec.live_classes for rec in result.log],
+                    "counted": [rec.counted for rec in result.log],
                 }
             )
         )
@@ -213,7 +216,7 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_ycheck(args) -> int:
     result = run_algorithm(1, 0, "q1_eq_q3", args.max_iter)
-    ok = check_y_projection_argument(result.live[-1])
+    ok = check_y_projection_argument(result.live_classes[-1])
     print(f"y-projection check: {'holds' if ok else 'fails'}")
     return 0 if ok else 1
 

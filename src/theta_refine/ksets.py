@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .geometry import Cone
-from .minima import min_complement, min_n
+from .minima import _min_complement, _min_n
 from .quadform import coeff_row, is_strongly_primitive
 
 Pair = tuple[int, int]
@@ -39,7 +39,9 @@ def kset_chain(vectors: Sequence[Pair]) -> Cone:
     """Forms in the closed reduction domain with the given successive minima.
 
     Rows: the domain closure, Q(x_{i+1}) >= Q(x_i) for consecutive vectors,
-    and Q(w) >= Q(x_k) for every minimal vector w of the complement.
+    and Q(w) >= Q(x_k) for every minimal vector w of the complement.  The
+    vectors are checked here, so the complement skips ``min_complement``'s
+    check.
     """
     vecs = [tuple(v) for v in vectors]
     if len(vecs) != len(set(vecs)):
@@ -52,7 +54,7 @@ def kset_chain(vectors: Sequence[Pair]) -> Cone:
         rows.append(_row_diff(nxt, prev))
     if vecs:
         last = vecs[-1]
-        for w in min_complement(vecs):
+        for w in _min_complement(frozenset(vecs)):
             rows.append(_row_diff(w, last))
     return Cone(3, rows)
 
@@ -110,12 +112,13 @@ class Chain:
     def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
         """Each set of ``min_n(excluded, n)`` with the chain it leads to; an
         empty set changes nothing and leads back to ``self``.  Memoised per
-        ``n``: the process's only memo of next choices."""
+        ``n``: the process's only memo of next choices.  The key was checked
+        when the chain was made, so ``min_n``'s check is skipped."""
         found = self._choices.get(n)
         if found is None:
             excluded = frozenset(v for s in self.key for v in s)
             found = self._choices[n] = tuple(
-                (s, chain(self.key + (s,)) if s else self) for s in min_n(excluded, n)
+                (s, chain(self.key + (s,)) if s else self) for s in _min_n(excluded, n)
             )
         return found
 

@@ -70,14 +70,18 @@ def _check_exclusion(exc: frozenset[Pair]) -> None:
             raise ValueError(f"exclusion {v} is not strongly primitive")
 
 
-# The memo is looked up before the exclusion is checked; the check runs on
-# every miss, before anything is stored, so an invalid exclusion is never
-# cached.
+# The public entry points check an exclusion before it reaches the memo, so
+# an invalid exclusion is never cached.  The chain layer calls the unchecked
+# ``_min_complement`` and ``_min_n`` with exclusions that ``ksets`` has
+# already checked.
 _min_complement_cache: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
 
 def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
     """Minimal strongly primitive vectors outside the finite exclusion set.
+
+    The exclusion must be strongly primitive; it is checked before the memo
+    stores anything.
 
     Picks the first witness (a, 1) not excluded, scanning a = 0, -1, 1, -2,
     2, ...  A vector other than the witness that the witness dominates is
@@ -90,11 +94,16 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
     whose ends come from ``isqrt``; the witness lies in neither.
     """
     exc = _exclusion_key(excluded)
+    if exc not in _min_complement_cache:
+        _check_exclusion(exc)
+    return _min_complement(exc)
+
+
+def _min_complement(exc: frozenset[Pair]) -> tuple[Pair, ...]:
+    """``min_complement`` for a strongly primitive exclusion, unchecked and memoised."""
     cached = _min_complement_cache.get(exc)
     if cached is not None:
         return cached
-    _check_exclusion(exc)
-
     a = 0
     k = 0
     while (a, 1) in exc:
@@ -134,11 +143,16 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
         raise ValueError("n must be non-negative")
     exc = _exclusion_key(excluded)
     _check_exclusion(exc)
+    return _min_n(exc, n)
+
+
+def _min_n(exc: frozenset[Pair], n: int) -> tuple[tuple[Pair, ...], ...]:
+    """``min_n`` for a strongly primitive exclusion, unchecked."""
     result: tuple[tuple[Pair, ...], ...] = ((),)
     for _ in range(n):
         chosen: dict[frozenset[Pair], tuple[Pair, ...]] = {}
         for prefix in result:
-            for v in min_complement(exc | set(prefix)):
+            for v in _min_complement(exc | set(prefix)):
                 candidate = prefix + (v,)
                 chosen.setdefault(frozenset(candidate), candidate)
         result = tuple(sorted(chosen.values(), key=lambda c: tuple(sorted(c))))

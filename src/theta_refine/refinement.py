@@ -4,30 +4,41 @@ State is a set of pairs (T, P): a cone T in the 9-dimensional product of
 three copies of form space, and a covering parameter P recording, per factor,
 the sequence of vector sets already pinned down as successive minima.  Each
 pair carries the process-wide ``ksets.Chain`` of each factor's sequence,
-which holds the chain cone and the next choices.  Each generation is
-classified once: a pair is empty (no member), absorbed (its cone lies in the
-stop set) or live, and the run keeps each generation's live pairs, which the
-y-projection check reads instead of classifying again.  The next generation
-replaces each live pair by all of its refinements: for every shape in the
-linset and every admissible choice of next minimal-vector sets, intersect T
-with the corresponding product cone and value-equality rows and extend P.
+which holds the chain cone and the next choices.  A pair is empty (no
+member), absorbed (its cone lies in the stop set) or live.  The next
+generation replaces each live pair by all of its refinements: for every
+shape in the linset and every admissible choice of next minimal-vector sets,
+intersect T with the corresponding product cone and value-equality rows and
+extend P.
 
 Counting convention for the per-iteration table: generation i holds every
 pair produced by refining generation i-1's live pairs, including pairs whose
 member set is empty; those are only dropped when generation i is refined,
 together with the stop-set-contained ones.
 
+The run refines classes, not pairs.  A class is a cone and three chains
+(``RefinementClass``): the pairs in one class have identical subtrees, so a
+generation is a dict from class to multiplicity, each class is classified
+and refined once, and every count of the table is a sum of multiplicities.
+The run keeps each generation's live classes, which the y-projection check
+reads instead of classifying again.  The pairs themselves are replayed on
+demand (``RunResult.replay``, ``generations`` and ``live``) through the
+same child enumeration, against the run's own table.
+
 Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
-sorted extreme rays of the (pointed) closed cone plus the strict rows.  Pairs
-whose cones have the same member set share one ``Cone`` object and one
-verdict, however many pairs hold it and whatever rows built it.  A
-repeated construction (same parent cone, chain geometries, shape and link
-vectors) is looked up instead of rebuilt, so chain sequences with equal
-chain geometry share one child.  A chain with no reduced form of its
-structure (``Chain.empty``, the degenerate-cone certificate) gives every
-child built from it an empty member set; such a child is the run's one
-empty cone, with no product, intersection or double description of its
-own.
+sorted extreme rays of the (pointed) closed cone plus the strict rows.
+Classes whose cones have the same member set share one ``Cone`` object and
+one verdict, whatever rows built it.  A repeated construction (same parent
+cone, chain geometries, shape and link vectors) is looked up instead of
+rebuilt, so chain sequences with equal chain geometry share one child.  A
+chain with no reduced form of its structure (``Chain.empty``, the
+degenerate-cone certificate) gives every child built from it an empty
+member set when the parent carries that block's ``q11 > 0`` row.  The run
+counts those children without building them: with ``X``, ``Y`` and ``Z``
+the choices per factor and ``X'``, ``Y'`` and ``Z'`` those that lead to no
+such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay
+they hold the run's one empty cone, which has no product, intersection or
+double description of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +47,8 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import Cone, Vector, product3
 from .ksets import V_CONE, Chain, chain
@@ -97,6 +109,21 @@ class RefinementPair:
     chains: tuple[Chain, Chain, Chain] = field(compare=False, repr=False)
 
 
+class RefinementClass(tuple):
+    """A cone and the ``Chain`` of each factor: ``(cone, chains)``.
+
+    Pairs with the same interned cone and the same chains have identical
+    subtrees: the run refines one class for all of them and carries their
+    number as the class's multiplicity.  A plain tuple subclass: it hashes
+    and compares as the tuple, and is built by ``tuple.__new__``, about
+    twice as fast as a ``NamedTuple``, once per built child.
+    """
+
+    __slots__ = ()
+    cone: Cone = property(itemgetter(0))  # type: ignore[assignment]
+    chains: tuple[Chain, Chain, Chain] = property(itemgetter(1))  # type: ignore[assignment]
+
+
 @dataclass
 class IterationRecord:
     """Exact per-generation counts; wall time is informational only.
@@ -107,33 +134,77 @@ class IterationRecord:
     the iteration tables report.  ``stop_absorbed`` counts pairs with a
     non-empty member set that are contained in the stop set; the remaining
     ``total - non_empty - stop_absorbed`` pairs have empty member sets.
+    ``live_classes`` counts the classes of the ``non_empty`` pairs, and
+    ``counted`` the pairs among ``total`` that are children of an empty
+    chain, counted without being built.
     """
 
     index: int
     total: int
     non_empty: int
     stop_absorbed: int
+    live_classes: int
+    counted: int
     seconds: float
 
 
 @dataclass
 class RunResult:
-    """``live[i]`` holds the pairs of ``generations[i]`` classified live, in
-    order: the pairs that generation ``i + 1`` refines."""
+    """The run's table, its log, and each generation's live classes.
+
+    ``live_classes[i]`` maps each live class of generation ``i`` to its
+    multiplicity: the classes that generation ``i + 1`` refines.  The pairs
+    themselves are replayed from ``first``, the generation-0 pair, on
+    demand: ``replay`` yields them one generation at a time, and
+    ``generations`` and ``live`` keep them (``live[i]`` holds the pairs of
+    ``generations[i]`` classified live, in order).
+    """
 
     a: int
     b: int
     stop_kind: str
     max_iter: int
-    generations: list[list[RefinementPair]] = field(default_factory=list)
-    live: list[list[RefinementPair]] = field(default_factory=list)
-    log: list[IterationRecord] = field(default_factory=list)
+    log: list[IterationRecord]
+    live_classes: list[dict[RefinementClass, int]]
+    table: RunTable = field(repr=False)
+    first: RefinementPair = field(repr=False)
+    _pairs: tuple[list, list] | None = field(default=None, init=False, repr=False)
 
     def totals(self) -> list[int]:
         return [rec.total for rec in self.log]
 
     def non_empty_counts(self) -> list[int]:
         return [rec.non_empty for rec in self.log]
+
+    def replay(self) -> Iterator[tuple[list[RefinementPair], list[RefinementPair]]]:
+        """Each generation's pairs and live pairs, as a loop over pairs
+        makes them.  Every construction is a hit in the run's table and
+        every verdict is known, so the replay computes no double description
+        and tests no cone.  Nothing is kept."""
+        ls = linset(self.a, self.b)
+        table = self.table
+        verdicts = table.verdicts
+        generation = [self.first]
+        for i in range(len(self.log)):
+            if i:
+                generation = [c for p in live for c in _refine(p, ls, table)]
+            live = [p for p in generation if verdicts[p.cone] == _LIVE]
+            yield generation, live
+
+    def _replayed(self) -> tuple[list, list]:
+        if self._pairs is None:
+            self._pairs = tuple(map(list, zip(*self.replay())))
+        return self._pairs
+
+    @property
+    def generations(self) -> list[list[RefinementPair]]:
+        """Every generation's pairs, replayed at the first access."""
+        return self._replayed()[0]
+
+    @property
+    def live(self) -> list[list[RefinementPair]]:
+        """Every generation's live pairs, the same objects as in ``generations``."""
+        return self._replayed()[1]
 
 
 def stop_set(kind: str) -> tuple[Vector, ...]:
@@ -225,10 +296,10 @@ class RunTable:
     member set depends only on the member sets of the parent and the chain
     cones and on the link rows, so a repeated construction skips the
     product, the link cone, the intersection and its double description.
-    A child of an empty chain (``Chain.empty``) has no member either, and
-    is the run's one empty cone: the zero cone with the three ``q11 > 0``
-    rows, built at the run's first such child.  ``verdicts`` holds
-    ``_record``'s classification of each interned cone.  A table serves one
+    ``empty`` is the run's one empty cone, which the children of an empty
+    chain hold: the zero cone with the three ``q11 > 0`` rows, built at the
+    run's first such child.  ``verdicts`` holds ``_record``'s
+    classification of each interned cone.  A table serves one
     sequential run: which construction and which chain cone of each
     geometry the run sees first fix the rows a shared cone is dumped with,
     whatever ran before in the process.
@@ -260,29 +331,67 @@ class RunTable:
     ) -> Cone:
         """``parent ∩ (c1.cone x c2.cone x c3.cone) ∩ link``, interned;
         ``x1``, ``y1`` and ``z1`` hold the first element of each chosen set
-        (empty for an empty set).
-
-        When some chain ``c_i`` is empty and the parent carries block
-        ``i``'s ``q11 > 0`` row, the child has no member and is the run's
-        empty cone.  Otherwise it is built from the run's first chain cone
-        of each chain's geometry.
+        (empty for an empty set).  It is built from the run's first chain
+        cone of each chain's geometry.
         """
         memo_key = (parent, c1.rep, c2.rep, c3.rep, shape, x1, y1, z1)
         cone = self._children.get(memo_key)
         if cone is None:
-            chains = (c1, c2, c3)
-            if any(c.empty and row in parent.strict for c, row in zip(chains, _Q11_ROWS)):
-                cone = self._empty
-                if cone is None:
-                    zero = Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS)
-                    cone = self._empty = self.intern(zero)
-            else:
-                k1, k2, k3 = (self._chain_cones.setdefault(c.rep, c.cone) for c in chains)
-                cone = self.intern(
-                    parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
-                )
-            self._children[memo_key] = cone
+            k1, k2, k3 = (self._chain_cones.setdefault(c.rep, c.cone) for c in (c1, c2, c3))
+            cone = self._children[memo_key] = self.intern(
+                parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
+            )
         return cone
+
+    def empty(self) -> Cone:
+        """The run's empty cone, held by every child of an empty chain: the
+        zero cone with the three ``q11 > 0`` rows, made at the first call."""
+        if self._empty is None:
+            self._empty = self.intern(Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS))
+        return self._empty
+
+
+def _children(
+    table: RunTable,
+    cone: Cone,
+    shape: Shape,
+    choices: Sequence[Sequence[tuple[tuple[Pair, ...], Chain]]],
+) -> Iterator[tuple[Cone | None, Sequence, Sequence, Sequence]]:
+    """The children of ``cone`` under one shape, in canonical order, in blocks.
+
+    ``choices`` holds each factor's next choices (``Chain.choices``).  A
+    block ``(child, xs, ys, zs)`` stands for the children that take one
+    choice from each of ``xs``, ``ys`` and ``zs``, in lexicographic order.
+    A built child is a block of one, and ``child`` is its cone from
+    ``table.child``.  A child whose chain on some factor is empty while
+    ``cone`` carries that block's ``q11 > 0`` row has no member: once the
+    choices so far make that so, the children that follow them form one
+    block with ``child`` None, and none of them is built.  The run's empty
+    cone is made at the first such block, where a loop over every child
+    meets the first child of an empty chain.
+    """
+    kx, ky, kz = (row in cone.strict for row in _Q11_ROWS)
+    xl, yl, zl = choices
+    for x in xl:
+        xset, xn = x
+        if kx and xn.empty:
+            table.empty()
+            yield None, (x,), yl, zl
+            continue
+        for y in yl:
+            yset, yn = y
+            if ky and yn.empty:
+                table.empty()
+                yield None, (x,), (y,), zl
+                continue
+            for z in zl:
+                zset, zn = z
+                if kz and zn.empty:
+                    table.empty()
+                    yield None, (x,), (y,), (z,)
+                    continue
+                child = table.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
+                yield child, (x,), (y,), (z,)
 
 
 def refine_pair(
@@ -294,28 +403,54 @@ def refine_pair(
     are each canonically sorted, and the nested product enumerates them
     lexicographically.  Children with empty member sets are kept.  Each
     axis's choices and chain cones come from ``pair.chains``, each child
-    carries the chains its choices lead to, and each extended set sequence is built once per shape and choice and shared by
-    the children that take it.  Children with equal member sets share one
-    ``Cone`` of ``table`` (a fresh table when none is given).
+    carries the chains its choices lead to, and each extended set sequence
+    is built once per shape and choice and shared by the children that take
+    it.  Children with equal member sets share one ``Cone`` of ``table`` (a
+    fresh table when none is given).
     """
-    if table is None:
-        table = RunTable()
-    param = pair.param
-    seqs = (param.x_sets, param.y_sets, param.z_sets)
+    return _refine(pair, ls, RunTable() if table is None else table)
+
+
+def _refine(pair: RefinementPair, ls: Linset, table: RunTable) -> list[RefinementPair]:
+    """``refine_pair`` with a given table; ``RunResult.replay`` calls it
+    directly, so a run and its replay make no ``refine_pair`` call."""
+    seqs = (pair.param.x_sets, pair.param.y_sets, pair.param.z_sets)
     children = []
     for shape in ls.shapes:
-        xl, yl, zl = (
-            [(seq + (s,), s[:1], nxt) for s, nxt in c.choices(n)]
-            for seq, c, n in zip(seqs, pair.chains, shape)
-        )
-        for xe, x1, xn in xl:
-            for ye, y1, yn in yl:
-                for ze, z1, zn in zl:
-                    cone = table.child(pair.cone, xn, yn, zn, shape, x1, y1, z1)
-                    children.append(
-                        RefinementPair(cone, CoveringParameter(xe, ye, ze), (xn, yn, zn))
-                    )
+        choices = [c.choices(n) for c, n in zip(pair.chains, shape)]
+        xe, ye, ze = ({s: seq + (s,) for s, _ in cs} for seq, cs in zip(seqs, choices))
+        for child, xs, ys, zs in _children(table, pair.cone, shape, choices):
+            cone = table.empty() if child is None else child
+            for xset, xn in xs:
+                for yset, yn in ys:
+                    for zset, zn in zs:
+                        param = CoveringParameter(xe[xset], ye[yset], ze[zset])
+                        children.append(RefinementPair(cone, param, (xn, yn, zn)))
     return children
+
+
+def _refine_classes(
+    live: dict[RefinementClass, int], ls: Linset, table: RunTable
+) -> tuple[dict[RefinementClass, int], int]:
+    """The next generation's classes with their multiplicities, in order of
+    first appearance, and the number of children of empty chains.
+
+    Each live class is refined once, and its multiplicity is added to each
+    child class.  A block of children of an empty chain adds its size times
+    the multiplicity to the count and builds nothing.
+    """
+    classes: dict[RefinementClass, int] = {}
+    counted = 0
+    for (cone, chains), mult in live.items():
+        for shape in ls.shapes:
+            choices = [c.choices(n) for c, n in zip(chains, shape)]
+            for child, xs, ys, zs in _children(table, cone, shape, choices):
+                if child is None:
+                    counted += mult * len(xs) * len(ys) * len(zs)
+                else:
+                    cls = RefinementClass((child, (xs[0][1], ys[0][1], zs[0][1])))
+                    classes[cls] = classes.get(cls, 0) + mult
+    return classes, counted
 
 
 _EMPTY, _ABSORBED, _LIVE = range(3)
@@ -329,16 +464,21 @@ def _classify(cone: Cone, stop_rows: Sequence[Vector]) -> int:
     return _ABSORBED if cone.is_subset_of(stop_rows) else _LIVE
 
 
-def check_y_projection_argument(pairs: Iterable[RefinementPair]) -> bool:
+def check_y_projection_argument(
+    items: Iterable[RefinementPair] | Iterable[RefinementClass],
+) -> bool:
     """Every live pair chose a non-empty factor-2 set.
 
-    ``pairs`` are the live pairs of a generation, as the run classified them
-    (``RunResult.live``).  This is the machine-checkable core of the
+    ``items`` are the live pairs or the live classes of a generation, as
+    the run classified them (``RunResult.live`` or
+    ``RunResult.live_classes``).  A pair chose a non-empty factor-2 set
+    exactly when its factor-2 chain has a non-empty key, and the pairs of a
+    class share their chains.  This is the machine-checkable core of the
     argument that, for the relation with zero second coefficient, the
     factor-2 choices carry no information and all genuine solutions already
     lie in the stop set.
     """
-    return all(any(p.param.y_sets) for p in pairs)
+    return all(p.chains[1].key for p in items)
 
 
 def run_algorithm(
@@ -348,17 +488,18 @@ def run_algorithm(
     max_iter: int = 13,
     threads: int = 1,
 ) -> RunResult:
-    """The refinement loop: classify a generation, refine its live pairs, repeat.
+    """The refinement loop: classify a generation, refine its live classes, repeat.
 
-    Pairs whose member set is empty are subsets of every stop set and are
-    dropped together with the absorbed ones.  The run has its own
-    ``RunTable``: every cone, the initial one included, is interned by its
-    member set (extreme rays and strict rows), so pairs with equal member
-    sets share one ``Cone``, and each distinct member set is classified
-    once, when its first pair is recorded.  Runs for at most ``max_iter``
-    refinements or until a generation is produced with no pairs at all.  The
-    run is sequential and deterministic, whatever ran before it in the
-    process; ``threads`` is accepted for compatibility and must be 1.
+    A generation is a dict from class to multiplicity.  Pairs whose member
+    set is empty are subsets of every stop set and are dropped together
+    with the absorbed ones.  The run has its own ``RunTable``: every cone,
+    the initial one included, is interned by its member set (extreme rays
+    and strict rows), so classes with equal member sets share one
+    ``Cone``, and each distinct member set is classified once, when its
+    first class is recorded.  Runs for at most ``max_iter`` refinements or
+    until a generation is produced with no pairs at all.  The run is
+    sequential and deterministic, whatever ran before it in the process;
+    ``threads`` is accepted for compatibility and must be 1.
     """
     ls = linset(a, b)
     if max_iter < 0:
@@ -368,71 +509,78 @@ def run_algorithm(
     if gcd(a, b) != 1:
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
     rows = stop_set(stop_kind)
-    result = RunResult(a, b, stop_kind, max_iter)
     table = RunTable()
+    log: list[IterationRecord] = []
+    live_classes: list[dict[RefinementClass, int]] = []
 
     start = time.perf_counter()
-    first = initial_pair()
-    generation = [RefinementPair(table.intern(first.cone), first.param, first.chains)]
-    result.generations.append(generation)
-    live, record = _record(0, generation, rows, start, table)
-    result.live.append(live)
-    result.log.append(record)
-
-    i = 0
-    while record.total > 0 and i < max_iter:
+    initial = initial_pair()
+    first = RefinementPair(table.intern(initial.cone), initial.param, initial.chains)
+    classes, counted = {RefinementClass((first.cone, first.chains)): 1}, 0
+    while True:
+        live, record = _record(len(log), classes, counted, rows, start, table)
+        live_classes.append(live)
+        log.append(record)
+        if record.total == 0 or record.index == max_iter:
+            return RunResult(a, b, stop_kind, max_iter, log, live_classes, table, first)
         start = time.perf_counter()
-        generation = [child for p in live for child in refine_pair(p, ls, table)]
-        result.generations.append(generation)
-        i += 1
-        live, record = _record(i, generation, rows, start, table)
-        result.live.append(live)
-        result.log.append(record)
-    return result
+        classes, counted = _refine_classes(live, ls, table)
 
 
 def _record(
     index: int,
-    generation: Sequence[RefinementPair],
+    classes: dict[RefinementClass, int],
+    counted: int,
     stop_rows: tuple[Vector, ...],
     start: float,
     table: RunTable,
-) -> tuple[list[RefinementPair], IterationRecord]:
+) -> tuple[dict[RefinementClass, int], IterationRecord]:
     """Classify a generation, one verdict per distinct member set; return
-    its live pairs and record.
+    its live classes and record.
 
-    A pair is empty, absorbed by the stop set, or live; only the live pairs
-    are refined next.  Each interned cone, one per member set, is classified
-    the first time a pair holding it is recorded, and every later pair that
-    shares it reuses the verdict from ``table``.  The seconds run from
-    ``start`` to the end of the classification; the cones' rays were already
-    computed when they were interned.
+    A class is empty, absorbed by the stop set, or live; only the live
+    classes are refined next, and each counts its multiplicity.  The
+    ``counted`` children of empty chains hold the run's empty cone.  Each
+    interned cone, one per member set, is classified the first time a class
+    holding it is recorded, and every later class that shares it reuses the
+    verdict from ``table``.  The seconds run from ``start`` to the end of
+    the classification; the cones' rays were already computed when they
+    were interned.
     """
     verdicts = table.verdicts
-    live = []
-    stopped = 0
-    for p in generation:
-        verdict = verdicts.get(p.cone)
+    if counted:
+        empty = table.empty()
+        if empty not in verdicts:
+            verdicts[empty] = _classify(empty, stop_rows)
+    live = {}
+    total, non_empty, stopped = counted, 0, 0
+    for cls, mult in classes.items():
+        total += mult
+        verdict = verdicts.get(cls.cone)
         if verdict is None:
-            verdict = verdicts[p.cone] = _classify(p.cone, stop_rows)
+            verdict = verdicts[cls.cone] = _classify(cls.cone, stop_rows)
         if verdict == _LIVE:
-            live.append(p)
+            live[cls] = mult
+            non_empty += mult
         elif verdict == _ABSORBED:
-            stopped += 1
-    record = IterationRecord(
-        index, len(generation), len(live), stopped, time.perf_counter() - start
-    )
+            stopped += mult
+    seconds = time.perf_counter() - start
+    record = IterationRecord(index, total, non_empty, stopped, len(live), counted, seconds)
     return live, record
 
 
 def format_table(result: RunResult, verbose: bool = False) -> str:
-    """Aligned per-iteration table: totals and non-empty counts."""
+    """Aligned per-iteration table: totals and non-empty counts; ``verbose``
+    adds the stop-absorbed pairs, live classes, counted children of empty
+    chains and seconds."""
     indices = [str(rec.index) for rec in result.log]
     totals = [str(rec.total) for rec in result.log]
     nonempty = [str(rec.non_empty) for rec in result.log]
     rows = [("iteration", indices), ("pairs", totals), ("non-empty", nonempty)]
     if verbose:
         rows.append(("stop-absorbed", [str(rec.stop_absorbed) for rec in result.log]))
+        rows.append(("live classes", [str(rec.live_classes) for rec in result.log]))
+        rows.append(("counted", [str(rec.counted) for rec in result.log]))
         rows.append(("seconds", [f"{rec.seconds:.2f}" for rec in result.log]))
     label_w = max(len(r[0]) for r in rows)
     col_w = [

@@ -101,6 +101,34 @@ def test_refine_json_and_determinism(capsys):
     assert text1 == text2
 
 
+def test_refine_class_counters(capsys):
+    # refine -v and --emit json report each generation's live classes and
+    # the children of empty chains counted without being built.
+    code, out = run_cli(capsys, "refine", "--a", "3", "--b", "1", "-v")
+    assert code == 0
+    rows = {line.rsplit(None, 5)[0]: line.split()[-5:] for line in out.splitlines()}
+    assert rows["live classes"] == ["1", "1", "1", "0", "0"]
+    assert rows["counted"] == ["0", "2", "2", "4", "0"]
+    code, out = run_cli(
+        capsys, "refine", "--a", "1", "--b", "0", "--stop-set", "q1q3", "--max-iter", "8",
+        "--emit", "json",
+    )
+    payload = json.loads(out)
+    assert payload["non_empty"] == [1, 2, 4, 7, 11, 16, 23, 38, 86]
+    assert payload["live_classes"] == [1, 2, 3, 3, 3, 3, 4, 6, 11]
+    assert payload["counted"] == [0] * 9
+
+
+def test_dump_streams_the_replay(tmp_path):
+    # --out replays the pairs one generation at a time and keeps none of
+    # them on the result.
+    result = cli.run_algorithm(3, 1, "diagonal", 13)
+    cli._dump_run(result, tmp_path)
+    assert result._pairs is None
+    counts = [len(list((tmp_path / f"gen_{i}").iterdir())) for i in range(5)]
+    assert counts == result.totals()
+
+
 def test_threads_flag_is_gone(capsys):
     # runs are single-threaded; argparse rejects the old flag with exit 2
     for argv in (("refine", "--a", "1", "--b", "1", "--threads", "2"), ("ycheck", "--threads", "2")):

@@ -494,3 +494,143 @@ def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
     assert len(run_10.generations[-1]) == 5890
     assert len(run_10.live[-1]) == 3185
     assert empties[0] == 0
+
+
+def test_class_counters_at_depth_16():
+    # The (1, 0) q1_eq_q3 run to 16 from cold memos: the pair counts of the
+    # pair loop, and the live classes (cone, chains) they fall into.
+    ksets.clear_cache()
+    minima.clear_caches()
+    result = run_algorithm(1, 0, "q1_eq_q3", 16)
+    assert result.totals() == [
+        1, 2, 4, 8, 14, 22, 33, 53, 107, 228, 500, 1105, 2591, 5890, 12075, 23932, 41901
+    ]
+    assert result.non_empty_counts() == [
+        1, 2, 4, 7, 11, 16, 23, 38, 86, 171, 379, 735, 1679, 3185, 6040, 10240, 18068
+    ]
+    assert [rec.stop_absorbed for rec in result.log] == [
+        0, 0, 0, 1, 3, 6, 10, 15, 21, 56, 108, 270, 495, 1254, 2418, 4823, 8190
+    ]
+    assert [rec.live_classes for rec in result.log] == [
+        1, 2, 3, 3, 3, 3, 4, 6, 11, 18, 34, 59, 103, 162, 256, 378, 568
+    ]
+    for rec, live in zip(result.log, result.live_classes):
+        assert len(live) == rec.live_classes
+        assert sum(live.values()) == rec.non_empty
+
+
+@pytest.mark.parametrize(
+    "a, b, stop_kind, max_iter",
+    [
+        (1, 0, "q1_eq_q3", 13),
+        (1, 2, "diagonal", 14),
+        (19, 1, "diagonal", 13),
+        (3, 1, "diagonal", 13),
+    ],
+)
+def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
+    # Every generation's classes, refined once each with a multiplicity, and
+    # its children of empty chains, counted without being built, against
+    # the pairs the replay builds one by one: grouped by (cone, chains) in
+    # order of first appearance, the pairs that are not children of an
+    # empty chain must be the classes with their multiplicities, and the
+    # others must number ``counted`` and hold the run's empty cone.  The
+    # replay computes no double description and tests no cone.
+    result = run_algorithm(a, b, stop_kind, max_iter)
+    dd, empties = [0], [0]
+    extreme_rays, is_member_empty = geometry._extreme_rays, Cone.is_member_empty
+
+    def counting_dd(*args):
+        dd[0] += 1
+        return extreme_rays(*args)
+
+    def counting_empty(self):
+        empties[0] += 1
+        return is_member_empty(self)
+
+    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
+    generations, live = result.generations, result.live
+    assert dd[0] == empties[0] == 0
+    monkeypatch.undo()
+
+    ls = linset(a, b)
+    table = result.table
+    assert len(generations) == len(result.log) == len(result.live_classes)
+    (first,) = generations[0]
+    classes, counted = {refinement.RefinementClass((first.cone, first.chains)): 1}, 0
+    for i, rec in enumerate(result.log):
+        if i:
+            classes, counted = refinement._refine_classes(result.live_classes[i - 1], ls, table)
+        built, killed = {}, 0
+        for p in generations[i]:
+            if any(c.empty for c in p.chains):
+                assert p.cone is table.empty()
+                killed += 1
+            else:
+                key = (p.cone, p.chains)
+                built[key] = built.get(key, 0) + 1
+        assert killed == counted == rec.counted
+        assert list(built.items()) == [(tuple(cls), mult) for cls, mult in classes.items()]
+        assert rec.total == len(generations[i]) == counted + sum(classes.values())
+        live_built = {}
+        for p in live[i]:
+            live_built[p.cone, p.chains] = live_built.get((p.cone, p.chains), 0) + 1
+        assert list(live_built.items()) == [
+            (tuple(cls), mult) for cls, mult in result.live_classes[i].items()
+        ]
+    assert sum(rec.counted for rec in result.log) > 0
+
+
+# The 75 coprime pairs a < b with 21 <= a + b <= 30; each runs in both orders.
+SWEEP_PAIRS_30 = [
+    (a, s - a) for s in range(21, 31) for a in range(1, s) if a < s - a and gcd(a, s) == 1
+]
+
+
+@pytest.mark.parametrize("a, b", SWEEP_PAIRS_30)
+def test_no_further_relations_sweep_to_30(a, b):
+    # The a + b >= 4 claim to a + b = 30, read from the log and the live
+    # classes alone, without expanding pairs.  The one non-empty cone of
+    # generation 3 is absorbed, so it is not live: its classes are those
+    # generation 2's one live class refines to.
+    expected = [Cone(9, rows) for rows in (T0_A, T1_A, T2_A, T3_A)]
+    forward = run_algorithm(a, b, "diagonal", 13)
+    backward = run_algorithm(b, a, "diagonal", 13)
+    for res in (forward, backward):
+        assert res.non_empty_counts() == [1, 1, 1, 0, 0]
+        assert [rec.stop_absorbed for rec in res.log] == [0, 0, 0, 1, 0]
+        gen3, _ = refinement._refine_classes(res.live_classes[2], linset(res.a, res.b), res.table)
+        absorbed = {
+            cls: mult for cls, mult in gen3.items()
+            if res.table.verdicts[cls.cone] == refinement._ABSORBED
+        }
+        for classes, want in zip(res.live_classes[:3] + [absorbed], expected):
+            ((cls, mult),) = classes.items()
+            assert mult == 1
+            assert geometry.cones_closed_equal(cls.cone, want)
+    assert forward.totals() == backward.totals()
+    if (a, b) == (1, 29):
+        assert forward.totals() == [1, 88645, 135199, 204722, 0]
+
+
+def test_chain_layer_skips_the_exclusion_check(monkeypatch):
+    # The chain layer's exclusions are chain keys, checked when the chain
+    # was made, so a run from cold memos checks no exclusion again; the
+    # public entry points still check theirs.
+    checks = [0]
+    check = minima._check_exclusion
+
+    def counting_check(exc):
+        checks[0] += 1
+        return check(exc)
+
+    ksets.clear_cache()
+    minima.clear_caches()
+    monkeypatch.setattr(minima, "_check_exclusion", counting_check)
+    run_algorithm(1, 1, "diagonal", 13)
+    assert checks[0] == 0
+    for call in (minima.min_complement, lambda exc: minima.min_n(exc, 2)):
+        with pytest.raises(ValueError, match="not strongly primitive"):
+            call([(1, 0), (2, 2)])
+    assert checks[0] == 2
