@@ -279,22 +279,16 @@ class Cone:
         ``b . l = 0``, so ``C'`` has a point with ``b . x > 0`` iff some ray
         does, and the ray sum is then a member (Motzkin's transposition
         theorem; Schrijver, *Theory of Linear and Integer Programming*, 1986,
-        ch. 7).  ``C'`` comes from a DD seeded with the cached rays, or from
-        scratch when the closed cone contains a line.
+        ch. 7).  ``C'`` comes from its own DD, run from scratch.
         """
-        rays, lin, masks = self._closed_description()
+        rays, lin, _ = self._closed_description()
         w = _ray_sum(rays, self.dim)
         missed = next((b for b in self.strict if _dot(b, w) <= 0), None)
         if missed is None:
             return w
         if all(_dot(missed, r) >= 0 for r in rays) and not any(_dot(missed, l) for l in lin):
             return None
-        rows = self.closed + self.strict
-        if lin:
-            cut = _extreme_rays(rows, self.dim)[0]
-        else:
-            cut = _extreme_rays(rows, self.dim, rays, len(self.closed), masks)[0]
-        w = _ray_sum(cut, self.dim)
+        w = _ray_sum(_extreme_rays(self.closed + self.strict, self.dim)[0], self.dim)
         return w if all(_dot(b, w) > 0 for b in self.strict) else None
 
     def is_member_empty(self) -> bool:
@@ -305,17 +299,20 @@ class Cone:
         return self.member() is None
 
     def is_subset_of(self, equalities: Iterable[Sequence]) -> bool:
-        """True iff every extreme ray lies on every hyperplane ``e . x = 0``.
+        """True iff the closed cone lies on every hyperplane ``e . x = 0``.
 
-        Rows may be rational and need no normal form: scaling a row does not
-        change whether its dot product with a ray is zero.
+        The closed cone is generated by its extreme rays and, when it
+        contains a line, its lineality generators, so it lies on a
+        hyperplane iff every generator does; exact for every cone.  Rows may
+        be rational and need no normal form: scaling a row does not change
+        whether its dot product with a generator is zero.
         """
         rows = tuple(equalities)
         for row in rows:
             if len(row) != self.dim:
                 raise ConeDimensionError("equality row has wrong length")
-        rays = self.edges()
-        return all(_dot(e, r) == 0 for e in rows for r in rays)
+        rays, lin, _ = self._closed_description()
+        return all(_dot(e, g) == 0 for e in rows for g in chain(rays, lin))
 
     def intersect(self, *others: "Cone") -> "Cone":
         """Intersection; seeded from this cone's rays when it has them.
@@ -343,14 +340,13 @@ class Cone:
     def member_contains(self, point: Sequence) -> bool:
         """Exact membership test for a rational point."""
         p = [Fraction(x) for x in point]
-        if len(p) != self.dim:
-            raise ConeDimensionError("point has wrong length")
-        return all(_dot(a, p) >= 0 for a in self.closed) and all(
-            _dot(b, p) > 0 for b in self.strict
-        )
+        return self.closed_contains(p) and all(_dot(b, p) > 0 for b in self.strict)
 
     def closed_contains(self, point: Sequence) -> bool:
+        """Exact test that a rational point satisfies every closed row."""
         p = [Fraction(x) for x in point]
+        if len(p) != self.dim:
+            raise ConeDimensionError("point has wrong length")
         return all(_dot(a, p) >= 0 for a in self.closed)
 
 

@@ -58,30 +58,14 @@ def min_of_finite(vectors: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
     return tuple(sorted(out))
 
 
-def _exclusion_key(excluded: Iterable[Sequence[int]]) -> frozenset[Pair]:
-    if type(excluded) is frozenset:
-        return excluded
-    return frozenset(tuple(v) for v in excluded)
-
-
-def _check_exclusion(exc: frozenset[Pair]) -> None:
-    for v in exc:
-        if not is_strongly_primitive(v):
-            raise ValueError(f"exclusion {v} is not strongly primitive")
-
-
-# The public entry points check an exclusion before it reaches the memo, so
-# an invalid exclusion is never cached.  The chain layer calls the unchecked
-# ``_min_complement`` and ``_min_n`` with exclusions that ``ksets`` has
-# already checked.
 _min_complement_cache: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
 
 def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
     """Minimal strongly primitive vectors outside the finite exclusion set.
 
-    The exclusion must be strongly primitive; it is checked before the memo
-    stores anything.
+    The exclusion must be strongly primitive; it is checked on a memo miss,
+    before the memo stores anything, so an invalid one raises every time.
 
     Picks the first witness (a, 1) not excluded, scanning a = 0, -1, 1, -2,
     2, ...  A vector other than the witness that the witness dominates is
@@ -93,17 +77,13 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
     candidates.  In each row y >= 1 they are at most two intervals of x,
     whose ends come from ``isqrt``; the witness lies in neither.
     """
-    exc = _exclusion_key(excluded)
-    if exc not in _min_complement_cache:
-        _check_exclusion(exc)
-    return _min_complement(exc)
-
-
-def _min_complement(exc: frozenset[Pair]) -> tuple[Pair, ...]:
-    """``min_complement`` for a strongly primitive exclusion, unchecked and memoised."""
+    exc = excluded if type(excluded) is frozenset else frozenset(tuple(v) for v in excluded)
     cached = _min_complement_cache.get(exc)
     if cached is not None:
         return cached
+    for v in exc:
+        if not is_strongly_primitive(v):
+            raise ValueError(f"exclusion {v} is not strongly primitive")
     a = 0
     k = 0
     while (a, 1) in exc:
@@ -137,22 +117,19 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
 
     Each choice is reported in construction order (the order the vectors were
     selected); the collection is deduplicated as sets and sorted by the
-    canonical sorted tuple.  Not memoised; ``ksets.Chain.choices`` is.
+    canonical sorted tuple.  The exclusion is checked by ``min_complement``,
+    which is called at least once, so an invalid exclusion raises also for
+    ``n == 0``.  Not memoised; ``ksets.Chain.choices`` is.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    exc = _exclusion_key(excluded)
-    _check_exclusion(exc)
-    return _min_n(exc, n)
-
-
-def _min_n(exc: frozenset[Pair], n: int) -> tuple[tuple[Pair, ...], ...]:
-    """``min_n`` for a strongly primitive exclusion, unchecked."""
+    exc = frozenset(tuple(v) for v in excluded)
+    minimal = min_complement(exc)
     result: tuple[tuple[Pair, ...], ...] = ((),)
     for _ in range(n):
         chosen: dict[frozenset[Pair], tuple[Pair, ...]] = {}
         for prefix in result:
-            for v in _min_complement(exc | set(prefix)):
+            for v in min_complement(exc | set(prefix)) if prefix else minimal:
                 candidate = prefix + (v,)
                 chosen.setdefault(frozenset(candidate), candidate)
         result = tuple(sorted(chosen.values(), key=lambda c: tuple(sorted(c))))

@@ -157,6 +157,26 @@ def test_subset_of_subspace():
     assert line.is_subset_of([(1, -1, 0)])
 
 
+def test_subset_of_subspace_for_non_pointed_cones():
+    # Exact through the rays and the lineality generators of the closed cone.
+    assert Cone(2, [(1, 0), (-1, 0)]).is_subset_of([(1, 0)])
+    assert not Cone(2, []).is_subset_of([(1, 0)])
+    # the half-plane z = 0, x >= 0: ray (1, 0, 0), lineality (0, 1, 0)
+    half = Cone(3, [(0, 0, 1), (0, 0, -1), (1, 0, 0)])
+    assert half.is_subset_of([(0, 0, 1)])
+    assert not half.is_subset_of([(1, 0, 0)])
+    assert not half.is_subset_of([(0, 1, 0)])
+
+
+@pytest.mark.parametrize("point", [(5,), (1, 2, 3)])
+def test_containment_rejects_wrong_length_points(point):
+    cone = Cone(2, [(1, 0)])
+    with pytest.raises(ConeDimensionError):
+        cone.closed_contains(point)
+    with pytest.raises(ConeDimensionError):
+        cone.member_contains(point)
+
+
 def test_product3_blocks():
     v = Cone(3, V_ROWS, V_STRICT)
     v.edges()

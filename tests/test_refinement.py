@@ -558,7 +558,7 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     table = result.table
     assert len(generations) == len(result.log) == len(result.live_classes)
     (first,) = generations[0]
-    classes, counted = {refinement.RefinementClass((first.cone, first.chains)): 1}, 0
+    classes, counted = {refinement.RefinementClass(first.cone, first.chains): 1}, 0
     for i, rec in enumerate(result.log):
         if i:
             classes, counted = refinement._refine_classes(result.live_classes[i - 1], ls, table)
@@ -614,23 +614,22 @@ def test_no_further_relations_sweep_to_30(a, b):
         assert forward.totals() == [1, 88645, 135199, 204722, 0]
 
 
-def test_chain_layer_skips_the_exclusion_check(monkeypatch):
-    # The chain layer's exclusions are chain keys, checked when the chain
-    # was made, so a run from cold memos checks no exclusion again; the
-    # public entry points still check theirs.
-    checks = [0]
-    check = minima._check_exclusion
+def test_chain_layer_calls_the_public_minima(monkeypatch):
+    # The chain layer reaches ``minima`` only through ``min_complement``, so
+    # wrappers on the public name see every call a run makes: from cold
+    # memos, the calls that miss the memo are exactly the memo's entries.
+    calls, misses = [0], [0]
+    min_complement = minima.min_complement
 
-    def counting_check(exc):
-        checks[0] += 1
-        return check(exc)
+    def counting(excluded=()):
+        calls[0] += 1
+        misses[0] += frozenset(excluded) not in minima._min_complement_cache
+        return min_complement(excluded)
 
     ksets.clear_cache()
     minima.clear_caches()
-    monkeypatch.setattr(minima, "_check_exclusion", counting_check)
-    run_algorithm(1, 1, "diagonal", 13)
-    assert checks[0] == 0
-    for call in (minima.min_complement, lambda exc: minima.min_n(exc, 2)):
-        with pytest.raises(ValueError, match="not strongly primitive"):
-            call([(1, 0), (2, 2)])
-    assert checks[0] == 2
+    monkeypatch.setattr(minima, "min_complement", counting)
+    monkeypatch.setattr(ksets, "min_complement", counting)
+    run_algorithm(1, 0, "q1_eq_q3", 13)
+    assert calls[0] > misses[0] > 0
+    assert misses[0] == len(minima._min_complement_cache) == 47
