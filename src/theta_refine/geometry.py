@@ -374,9 +374,24 @@ def product3(c1: Cone, c2: Cone, c3: Cone) -> Cone:
     return Cone._from_canonical(dim, closed, strict)
 
 
+def _closed_within(inner: Description, outer: Cone) -> bool:
+    """The closed cone described by ``inner`` lies in ``outer``'s: every ray,
+    and every lineality generator in both signs, satisfies its closed rows."""
+    rays, lin, _ = inner
+    return all(_dot(a, r) >= 0 for a in outer.closed for r in rays) and not any(
+        _dot(a, l) for a in outer.closed for l in lin
+    )
+
+
 def cones_closed_equal(c1: Cone, c2: Cone) -> bool:
-    """Member-set equality of the closed cones, via canonical extreme rays."""
-    return c1.dim == c2.dim and c1.edges() == c2.edges()
+    """Set equality of the closed cones, exact for every cone: canonical
+    extreme rays when both are pointed, mutual containment otherwise."""
+    if c1.dim != c2.dim:
+        return False
+    d1, d2 = c1._closed_description(), c2._closed_description()
+    if not d1[1] and not d2[1]:
+        return d1[0] == d2[0]
+    return _closed_within(d1, c2) and _closed_within(d2, c1)
 
 
 def cones_equivalent(c1: Cone, c2: Cone) -> bool:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .geometry import Cone
 from .minima import min_complement, min_n
-from .quadform import coeff_row, is_strongly_primitive
+from .quadform import coeff_row
 
 Pair = tuple[int, int]
 Key = tuple[tuple[Pair, ...], ...]
@@ -39,14 +39,12 @@ def kset_chain(vectors: Sequence[Pair]) -> Cone:
     """Forms in the closed reduction domain with the given successive minima.
 
     Rows: the domain closure, Q(x_{i+1}) >= Q(x_i) for consecutive vectors,
-    and Q(w) >= Q(x_k) for every minimal vector w of the complement.
+    and Q(w) >= Q(x_k) for every minimal vector w of the complement.  The
+    vectors must be strongly primitive; ``min_complement`` checks them.
     """
     vecs = [tuple(v) for v in vectors]
     if len(vecs) != len(set(vecs)):
         raise ValueError("chain vectors must be distinct")
-    for v in vecs:
-        if not is_strongly_primitive(v):
-            raise ValueError(f"{v} is not strongly primitive")
     rows = list(V_CLOSED_ROWS)
     for prev, nxt in zip(vecs, vecs[1:]):
         rows.append(_row_diff(nxt, prev))
@@ -89,22 +87,19 @@ def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
 class Chain:
     """A sequence of non-empty sets (``key``) with its ``kset`` cone.
 
-    ``rep`` is the process's first chain whose cone has the same extreme
-    rays; chain cones are pointed with no strict rows, so chains with one
-    ``rep`` have one member set.  ``empty`` is true iff no extreme ray has
-    ``q11 > 0``: the cone lies in the pointed closed reduction domain, so it
-    is the conic hull of its rays, and ``empty`` is exactly
-    ``kset_zero_test(key)`` -- no reduced form has this structure.
+    A plain value of its key: the cone, ``empty`` and the next choices all
+    follow from it.  ``empty`` is true iff no extreme ray has ``q11 > 0``:
+    the cone lies in the pointed closed reduction domain, so it is the
+    conic hull of its rays, and ``empty`` is exactly ``kset_zero_test(key)``
+    -- no reduced form has this structure.
     """
 
-    __slots__ = ("key", "cone", "rep", "empty", "_choices")
+    __slots__ = ("key", "cone", "empty", "_choices")
 
     def __init__(self, key: Key, cone: Cone) -> None:
         self.key = key
         self.cone = cone
-        rays = cone.edges()
-        self.rep = _reps.setdefault(rays, self)
-        self.empty = all(r[0] == 0 for r in rays)
+        self.empty = all(r[0] == 0 for r in cone.edges())
         self._choices: dict[int, tuple[tuple[tuple[Pair, ...], Chain], ...]] = {}
 
     def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
@@ -120,9 +115,8 @@ class Chain:
         return found
 
 
-# The process's one memo of chains, and the first chain per cone geometry.
+# The process's one memo of chains.
 _chains: dict[Key, Chain] = {}
-_reps: dict[tuple[tuple[int, ...], ...], Chain] = {}
 
 
 def chain(sets: Iterable[Iterable[Pair]]) -> Chain:
@@ -152,4 +146,3 @@ def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:
 
 def clear_cache() -> None:
     _chains.clear()
-    _reps.clear()

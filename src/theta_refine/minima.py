@@ -83,7 +83,7 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
         return cached
     for v in exc:
         if not is_strongly_primitive(v):
-            raise ValueError(f"exclusion {v} is not strongly primitive")
+            raise ValueError(f"vector {v} is not strongly primitive")
     a = 0
     k = 0
     while (a, 1) in exc:

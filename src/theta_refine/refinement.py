@@ -28,17 +28,18 @@ same child enumeration, against the run's own table.
 Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
 sorted extreme rays of the (pointed) closed cone plus the strict rows.
 Classes whose cones have the same member set share one ``Cone`` object and
-one verdict, whatever rows built it.  A repeated construction (same parent
-cone, chain geometries, shape and link vectors) is looked up instead of
-rebuilt, so chain sequences with equal chain geometry share one child.  A
-chain with no reduced form of its structure (``Chain.empty``, the
-degenerate-cone certificate) gives every child built from it an empty
-member set when the parent carries that block's ``q11 > 0`` row.  The run
-counts those children without building them: with ``X``, ``Y`` and ``Z``
-the choices per factor and ``X'``, ``Y'`` and ``Z'`` those that lead to no
-such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay
-they hold the run's one empty cone, which has no product, intersection or
-double description of its own.
+one verdict, whatever rows built it.  Chain cones are interned in the same
+table, and a construction is keyed on its parent cone, the three interned
+chain cones, the shape and the link vectors, so chain sequences with equal
+chain geometry share one child, looked up instead of rebuilt.  A chain
+with no reduced form of its structure (``Chain.empty``, the degenerate-cone
+certificate) gives every child built from it an empty member set when the
+parent carries that block's ``q11 > 0`` row.  The run counts those children
+without building them: with ``X``, ``Y`` and ``Z`` the choices per factor
+and ``X'``, ``Y'`` and ``Z'`` those that lead to no such chain, a shape has
+``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay they hold the run's one
+empty cone, which has no product, intersection or double description of
+its own.
 """
 
 from __future__ import annotations
@@ -59,17 +60,9 @@ Shape = tuple[int, int, int]
 STOP_SET_KINDS = ("diagonal", "q1_eq_q3")
 
 
-@dataclass(frozen=True)
-class Linset:
-    """Generators of the non-negative solutions of a x + b y = (a+b) z."""
-
-    a: int
-    b: int
-    shapes: tuple[Shape, ...]
-
-
-def linset(a: int, b: int) -> Linset:
-    """Shapes (1,1,1), (a+b,0,a)/g, (0,a+b,b)/g; the first is dropped when
+def linset(a: int, b: int) -> tuple[Shape, ...]:
+    """Generators of the non-negative solutions of a x + b y = (a+b) z:
+    shapes (1,1,1), (a+b,0,a)/g, (0,a+b,b)/g; the first is dropped when
     a*b = 0, where it is the sum of the other two."""
     if a < 0 or b < 0 or (a, b) == (0, 0):
         raise ValueError("need non-negative a, b with (a, b) != (0, 0)")
@@ -77,8 +70,7 @@ def linset(a: int, b: int) -> Linset:
     l1: Shape = (1, 1, 1)
     l2: Shape = ((a + b) // g, 0, a // g)
     l3: Shape = (0, (a + b) // g, b // g)
-    shapes = (l2, l3) if a == 0 or b == 0 else (l1, l2, l3)
-    return Linset(a, b, shapes)
+    return (l2, l3) if a == 0 or b == 0 else (l1, l2, l3)
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,6 @@ class RunResult:
     a: int
     b: int
     stop_kind: str
-    max_iter: int
     log: list[IterationRecord]
     live_classes: list[dict[RefinementClass, int]]
     table: RunTable = field(repr=False)
@@ -177,13 +168,13 @@ class RunResult:
         makes them.  Every construction is a hit in the run's table and
         every verdict is known, so the replay computes no double description
         and tests no cone.  Nothing is kept."""
-        ls = linset(self.a, self.b)
+        shapes = linset(self.a, self.b)
         table = self.table
         verdicts = table.verdicts
         generation = [self.first]
         for i in range(len(self.log)):
             if i:
-                generation = [c for p in live for c in refine_pair(p, ls, table)]
+                generation = [c for p in live for c in refine_pair(p, shapes, table)]
             live = [p for p in generation if verdicts[p.cone] == _LIVE]
             yield generation, live
 
@@ -281,27 +272,25 @@ class RunTable:
     """The cones of one refinement run, hash-consed by member set, with
     their verdicts.
 
-    ``intern`` maps every cone to the first cone of the run with the same
-    key ``(dim, edges(), frozenset(strict))``.  Every refinement cone is
-    pointed, so its sorted primitive extreme rays fix its closed cone, and
-    with the strict rows they fix its member set: pairs whose cones have the
-    same member set share one ``Cone`` object and one verdict, however
-    differently their rows were built.  ``child`` memoises the child built
-    from a parent cone, three chains, the shape and the first elements of
-    the linked sets.  It keys each chain on its ``rep``, since a child's
-    member set depends only on the member sets of the parent and the chain
-    cones and on the link rows, so a repeated construction skips the
-    product, the link cone, the intersection and its double description.
-    A construction uses the run's first chain cone of each geometry, not
-    each chain's own cone; that is not needed for a dump to be independent
-    of what ran before, but it makes the DDs insert fewer rows: 3 722
-    against 3 939 on ``(1,0)`` q1_eq_q3/13, 3 766 against 4 758 on
-    ``(1,2)``/14.  ``empty`` is the run's one empty cone, which the children
-    of an empty chain hold: the zero cone with the three ``q11 > 0`` rows,
-    built at the run's first such child.  ``verdicts`` holds ``_record``'s
-    classification of each interned cone.  A table serves one sequential
-    run: the constructions and chain cones that run meets first fix the
-    rows a shared cone is dumped with.
+    ``intern`` maps every cone to the run's first cone with the same key
+    ``(dim, edges(), frozenset(strict))``; it is the only code that decides
+    whether two cones are one.  Refinement and chain cones are pointed, so
+    the sorted primitive extreme rays and the strict rows fix the member
+    set: cones with one member set share one ``Cone`` and one verdict,
+    however their rows were built.  ``child`` maps each chain to its
+    interned chain cone (the run's first chain cone of that geometry) and
+    memoises the child of a parent cone, three interned chain cones, a
+    shape and the first elements of the linked sets, which fix the child's
+    member set.  Chains of equal geometry so share one child, and a
+    repeated construction skips the product, link cone, intersection and
+    double description.  Building from the interned chain cone, not each
+    chain's own, makes the DDs insert fewer rows: 3 722 against 3 939 on
+    ``(1,0)`` q1_eq_q3/13, 3 766 against 4 758 on ``(1,2)``/14.  ``empty``
+    is the run's one empty cone, held by the children of an empty chain:
+    the zero cone with the three ``q11 > 0`` rows.  ``verdicts`` holds
+    ``_record``'s classification of each interned cone.  A table serves one
+    sequential run: the constructions and chain cones it meets first fix
+    the rows a shared cone is dumped with, whatever ran before it.
     """
 
     __slots__ = ("_cones", "_chain_cones", "_children", "_empty", "verdicts")
@@ -328,15 +317,16 @@ class RunTable:
         y1: tuple[Pair, ...],
         z1: tuple[Pair, ...],
     ) -> Cone:
-        """``parent ∩ (c1.cone x c2.cone x c3.cone) ∩ link``, interned;
-        ``x1``, ``y1`` and ``z1`` hold the first element of each chosen set
-        (empty for an empty set).  It is built from the run's first chain
-        cone of each chain's geometry.
+        """``parent ∩ (k1 x k2 x k3) ∩ link``, interned, where ``k1``,
+        ``k2`` and ``k3`` are the run's interned chain cones of ``c1``,
+        ``c2`` and ``c3``; ``x1``, ``y1`` and ``z1`` hold the first element
+        of each chosen set (empty for an empty set).
         """
-        memo_key = (parent, c1.rep, c2.rep, c3.rep, shape, x1, y1, z1)
+        ks = self._chain_cones
+        k1, k2, k3 = (ks.get(c) or ks.setdefault(c, self.intern(c.cone)) for c in (c1, c2, c3))
+        memo_key = (parent, k1, k2, k3, shape, x1, y1, z1)
         cone = self._children.get(memo_key)
         if cone is None:
-            k1, k2, k3 = (self._chain_cones.setdefault(c.rep, c.cone) for c in (c1, c2, c3))
             cone = self._children[memo_key] = self.intern(
                 parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
             )
@@ -394,7 +384,7 @@ def _children(
 
 
 def refine_pair(
-    pair: RefinementPair, ls: Linset, table: RunTable | None = None
+    pair: RefinementPair, shapes: Sequence[Shape], table: RunTable | None = None
 ) -> list[RefinementPair]:
     """All children of one pair, in canonical order.
 
@@ -411,7 +401,7 @@ def refine_pair(
         table = RunTable()
     seqs = (pair.param.x_sets, pair.param.y_sets, pair.param.z_sets)
     children = []
-    for shape in ls.shapes:
+    for shape in shapes:
         choices = [c.choices(n) for c, n in zip(pair.chains, shape)]
         xe, ye, ze = ({s: seq + (s,) for s, _ in cs} for seq, cs in zip(seqs, choices))
         for child, xs, ys, zs in _children(table, pair.cone, shape, choices):
@@ -425,7 +415,7 @@ def refine_pair(
 
 
 def _refine_classes(
-    live: dict[RefinementClass, int], ls: Linset, table: RunTable
+    live: dict[RefinementClass, int], shapes: Sequence[Shape], table: RunTable
 ) -> tuple[dict[RefinementClass, int], int]:
     """The next generation's classes with their multiplicities, in order of
     first appearance, and the number of children of empty chains.
@@ -437,7 +427,7 @@ def _refine_classes(
     classes: dict[RefinementClass, int] = {}
     counted = 0
     for (cone, chains), mult in live.items():
-        for shape in ls.shapes:
+        for shape in shapes:
             choices = [c.choices(n) for c, n in zip(chains, shape)]
             for child, xs, ys, zs in _children(table, cone, shape, choices):
                 if child is None:
@@ -496,7 +486,7 @@ def run_algorithm(
     sequential and deterministic, whatever ran before it in the process;
     ``threads`` is accepted for compatibility and must be 1.
     """
-    ls = linset(a, b)
+    shapes = linset(a, b)
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if threads != 1:
@@ -517,9 +507,9 @@ def run_algorithm(
         live_classes.append(live)
         log.append(record)
         if record.total == 0 or record.index == max_iter:
-            return RunResult(a, b, stop_kind, max_iter, log, live_classes, table, first)
+            return RunResult(a, b, stop_kind, log, live_classes, table, first)
         start = time.perf_counter()
-        classes, counted = _refine_classes(live, ls, table)
+        classes, counted = _refine_classes(live, shapes, table)
 
 
 def _record(

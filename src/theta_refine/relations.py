@@ -21,10 +21,6 @@ class ObstructionError(ValueError):
     """Coefficients do not sum to zero, so the constant terms already fail."""
 
 
-class NoValidPermutationError(ValueError):
-    """No index ordering yields non-negative left coefficients."""
-
-
 @dataclass(frozen=True)
 class NormalizedRelation:
     """a/(a+b) theta_{sigma(1)} + b/(a+b) theta_{sigma(2)} = theta_{sigma(3)}."""
@@ -60,18 +56,16 @@ def normalize(alpha1, alpha2, alpha3) -> NormalizedRelation | DegenerateRelation
     if all(x == 0 for x in alphas):
         return DegenerateRelation()
     if sum(alphas) != 0:
-        raise ObstructionError(f"coefficients {tuple(alphas)} do not sum to zero")
+        raise ObstructionError(f"coefficients {', '.join(map(str, alphas))} do not sum to zero")
     zeros = [i for i, x in enumerate(alphas) if x == 0]
     if len(zeros) == 1:
         i, j = (k for k in range(3) if k != zeros[0])
         return TwoTermRelation(i + 1, j + 1, zeros[0] + 1)
-    negatives = [i for i, x in enumerate(alphas) if x < 0]
-    if len(negatives) == 2:
+    # Three non-zero values summing to zero have one or two negatives, so
+    # after the sign flip exactly one is negative.
+    if sum(x < 0 for x in alphas) == 2:
         alphas = [-x for x in alphas]
-        negatives = [i for i, x in enumerate(alphas) if x < 0]
-    if len(negatives) != 1:
-        raise NoValidPermutationError(f"no permutation normalizes {tuple(alphas)}")
-    k = negatives[0]
+    k = next(i for i, x in enumerate(alphas) if x < 0)
     i, j = (idx for idx in range(3) if idx != k)
     beta1 = alphas[i] / -alphas[k]
     a, c = beta1.numerator, beta1.denominator

@@ -52,10 +52,13 @@ def test_bad_input_exits_2_with_one_line(capsys):
          "--q3", "1,0,1"),
         ("kset", "--sets", "(1,0"),
         ("min", "--exclude", "1,2,3"),
+        ("classify", "--alphas", "1,2,3", "--q1", "1,0,1", "--q2", "1,0,1",
+         "--q3", "1,0,1"),
     ):
         code, out, err = run_cli_error(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, argv
+        assert "Fraction" not in err, argv
         if argv[0] in ("kset", "min"):
             assert "x,y" in err, argv
 

@@ -17,6 +17,7 @@ from theta_refine.geometry import (
     cone_from_json_dict,
     cone_to_json,
     cones_closed_equal,
+    cones_equivalent,
     product3,
     scale_primitive,
 )
@@ -166,6 +167,23 @@ def test_subset_of_subspace_for_non_pointed_cones():
     assert half.is_subset_of([(0, 0, 1)])
     assert not half.is_subset_of([(1, 0, 0)])
     assert not half.is_subset_of([(0, 1, 0)])
+
+
+def test_closed_equality_for_non_pointed_cones():
+    # Mutual containment when either cone has a line; sorted rays otherwise.
+    plane = Cone(2)
+    half = Cone(2, [(1, 0)])
+    line = Cone(2, [(1, 0), (-1, 0)])
+    assert cones_closed_equal(plane, Cone(2))
+    assert cones_equivalent(half, Cone(2, [(1, 0)]))
+    assert cones_equivalent(half, Cone(2, [(3, 0), (Fraction(1, 2), 0)]))
+    assert not cones_closed_equal(line, half) and not cones_closed_equal(half, line)
+    assert not cones_closed_equal(half, plane)
+    assert not cones_equivalent(half, Cone(2, [(1, 0)], [(0, 1)]))
+    quadrant = Cone(2, [(1, 0), (0, 1)])
+    assert cones_closed_equal(quadrant, Cone(2, [(1, 0), (0, 1), (1, 1)]))
+    assert not cones_closed_equal(quadrant, Cone(2, [(1, 0), (1, 1)]))
+    assert not cones_closed_equal(quadrant, half)
 
 
 @pytest.mark.parametrize("point", [(5,), (1, 2, 3)])

@@ -24,12 +24,11 @@ TARGET_POINT = (1, 1, 1, 4, 4, 4, 1, 3, 0)
 
 
 def test_linset_values():
-    assert linset(1, 2).shapes == ((1, 1, 1), (3, 0, 1), (0, 3, 2))
-    assert linset(1, 1).shapes == ((1, 1, 1), (2, 0, 1), (0, 2, 1))
-    ten = linset(1, 0)
-    assert ten.shapes == ((1, 0, 1), (0, 1, 0))
-    assert linset(0, 1).shapes == ((1, 0, 0), (0, 1, 1))
-    assert linset(2, 4).shapes == ((1, 1, 1), (3, 0, 1), (0, 3, 2))
+    assert linset(1, 2) == ((1, 1, 1), (3, 0, 1), (0, 3, 2))
+    assert linset(1, 1) == ((1, 1, 1), (2, 0, 1), (0, 2, 1))
+    assert linset(1, 0) == ((1, 0, 1), (0, 1, 0))
+    assert linset(0, 1) == ((1, 0, 0), (0, 1, 1))
+    assert linset(2, 4) == ((1, 1, 1), (3, 0, 1), (0, 3, 2))
     with pytest.raises(ValueError):
         linset(0, 0)
 
@@ -96,7 +95,7 @@ def test_target_point_covered_every_iteration(run_12):
 
 
 def test_admissibility_by_construction(run_12):
-    ls = linset(1, 2)
+    shapes = linset(1, 2)
     for gen in run_12.generations[1:5]:
         for pair in gen:
             sizes = tuple(
@@ -105,7 +104,7 @@ def test_admissibility_by_construction(run_12):
                     pair.param.x_sets, pair.param.y_sets, pair.param.z_sets
                 )
             )
-            assert all(s in ls.shapes for s in sizes)
+            assert all(s in shapes for s in sizes)
 
 
 def test_every_surviving_cone_ends_in_diagonal(run_11):
@@ -291,9 +290,10 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     # constructions.  14 of them have an empty chain and give the run's
     # empty cone; the other 3 are each one intersection and one
     # nine-dimensional DD.  The initial cone and the empty cone make the
-    # other two nine-dimensional DDs.  The chains and their reps are shared
-    # by the whole process: after other runs have made chains of the same
-    # geometries, the run still makes 3 constructions.
+    # other two nine-dimensional DDs.  The chains are shared by the whole
+    # process, but each run interns its own chain cones: after other runs
+    # have made chains of the same geometries, the run still makes 3
+    # constructions.
     constructions = [0]
     intersect = Cone.intersect
 
@@ -321,9 +321,9 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
 
 
 def test_dump_does_not_depend_on_earlier_runs():
-    # Chains and their reps are global and cones are interned per run, so a
-    # run from cold memos and the same run after others must give every pair
-    # the same rows, rays and covering parameter.
+    # Chains are global, and cones and chain cones are interned per run, so
+    # a run from cold memos and the same run after others must give every
+    # pair the same rows, rays and covering parameter.
     def snapshot():
         result = run_algorithm(1, 2, "diagonal", 14)
         return [
@@ -389,19 +389,19 @@ def test_shared_cones_equal_rebuilt_intersections(run_10, run_12):
 def test_no_empty_cone_without_the_q11_row():
     # A bare pair whose cone has the initial closed rows but no strict rows
     # has members in every child, empty chain or not, so every child must be
-    # the full construction.  Chains with one rep have one cone, so one
-    # rebuild per distinct construction covers every child.
-    ls = linset(19, 1)
+    # the full construction.  Chains with one cone geometry have one member
+    # set, so one rebuild per distinct construction covers every child.
+    shapes = linset(19, 1)
     depth1 = run_algorithm(19, 1, "diagonal", 1).generations[1]
     (live,) = [p for p in depth1 if not p.cone.is_member_empty()]
     bare = RefinementPair(Cone(9, initial_pair().cone.closed), live.param, live.chains)
-    children = refine_pair(bare, ls)
+    children = refine_pair(bare, shapes)
     assert len(children) == 2851
     assert sum(any(c.empty for c in child.chains) for child in children) == 2850
     rebuilt = {}
     for child in children:
         last = tuple(s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
-        key = (tuple(c.rep for c in child.chains), tuple(s[:1] for s in last), tuple(map(len, last)))
+        key = (tuple(c.cone.edges() for c in child.chains), tuple(s[:1] for s in last), tuple(map(len, last)))
         if key not in rebuilt:
             rebuilt[key] = _rebuilt(bare, child)
         assert geometry.cones_equivalent(child.cone, rebuilt[key])
@@ -441,9 +441,9 @@ def test_one_cone_object_per_member_set(run_10):
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  Each of
     # the 336 distinct chain sequences gets one three-dimensional DD, so its
-    # chain can find its rep by geometry and know whether it is empty.
-    # Every distinct construction (parent, chain geometries, shape and link
-    # vectors) without an empty chain needs its rays before it can be
+    # chain knows whether it is empty and the run can intern its cone.
+    # Every distinct construction (parent, interned chain cones, shape and
+    # link vectors) without an empty chain needs its rays before it can be
     # interned, so each of the 590 gets one nine-dimensional DD; the initial
     # cone and the run's empty cone get one more each.  Each of the 316
     # distinct member sets gets one emptiness test, and no cone needs the
@@ -554,14 +554,14 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     assert dd[0] == empties[0] == 0
     monkeypatch.undo()
 
-    ls = linset(a, b)
+    shapes = linset(a, b)
     table = result.table
     assert len(generations) == len(result.log) == len(result.live_classes)
     (first,) = generations[0]
     classes, counted = {refinement.RefinementClass(first.cone, first.chains): 1}, 0
     for i, rec in enumerate(result.log):
         if i:
-            classes, counted = refinement._refine_classes(result.live_classes[i - 1], ls, table)
+            classes, counted = refinement._refine_classes(result.live_classes[i - 1], shapes, table)
         built, killed = {}, 0
         for p in generations[i]:
             if any(c.empty for c in p.chains):
