@@ -7,8 +7,10 @@ equalities that each set takes a single value.  These cones carry closed rows
 only; the open condition q11 > 0 is re-imposed where the refinement loop
 judges emptiness.
 
-``kset`` builds a cone.  ``chain`` keeps the process's one ``Chain`` per
-sequence of non-empty sets, with its cone and next choices, for every run.
+``kset`` builds a cone from scratch.  ``chain`` keeps the process's one
+``Chain`` per sequence of non-empty sets, for every run.  A chain builds its
+cone at the first use, from its prefix's cone and the rows its last set
+adds, and decides emptiness first from an integer certificate on its key.
 """
 
 from __future__ import annotations
@@ -84,23 +86,81 @@ def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
     return cone
 
 
+def _collapses(s: Sequence[Pair]) -> bool:
+    """The rows ``coeff_row(v) - coeff_row(s[0])`` of ``s`` have rank 3.
+
+    Then only Q = 0 takes one value on all of ``s``.  Exact in integers: a
+    pair ``u``, ``v`` with ``u x v != 0`` and a row ``w`` off their plane.
+    """
+    diffs = [_row_diff(v, s[0]) for v in s[1:]]
+    u = diffs[0]
+    for v in diffs:
+        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if any(n):
+            return any(n[0] * w[0] + n[1] * w[1] + n[2] * w[2] for w in diffs)
+    return False
+
+
+def _step_rows(key: Key) -> list[tuple[int, int, int]]:
+    """The rows the last set ``s`` of ``key`` adds to its prefix's cone: the
+    link ``Q(s_0) >= Q(x)`` for the prefix's last vector ``x``, the
+    equalities within ``s``, and ``Q(w) >= Q(s_last)`` for every minimal
+    vector ``w`` outside the key."""
+    s = key[-1]
+    rows = [_row_diff(s[0], key[-2][-1])] if len(key) > 1 else []
+    for other in s[1:]:
+        row = _row_diff(other, s[0])
+        rows += (row, tuple(-x for x in row))
+    excluded = frozenset(v for t in key for v in t)
+    rows += (_row_diff(w, s[-1]) for w in min_complement(excluded))
+    return rows
+
+
 class Chain:
     """A sequence of non-empty sets (``key``) with its ``kset`` cone.
 
     A plain value of its key: the cone, ``empty`` and the next choices all
-    follow from it.  ``empty`` is true iff no extreme ray has ``q11 > 0``:
-    the cone lies in the pointed closed reduction domain, so it is the
-    conic hull of its rays, and ``empty`` is exactly ``kset_zero_test(key)``
-    -- no reduced form has this structure.
+    follow from it, and each is computed at its first use.  ``kset(key)``
+    lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by
+    ``_step_rows(key)``: it has the member set of ``kset(key)``, and its DD
+    resumes from the prefix's rays.  The root, key ``()``, is ``kset(())``.
+
+    ``empty`` is ``kset_zero_test(key)``: no reduced form has this
+    structure.  When a set of at least four vectors ``_collapses``, the
+    cone is ``{0}`` and ``empty`` is true without building it.  Otherwise
+    ``empty`` is true iff no extreme ray has ``q11 > 0``: the cone lies in
+    the pointed closed reduction domain, so it is the conic hull of its
+    rays.
     """
 
-    __slots__ = ("key", "cone", "empty", "_choices")
+    __slots__ = ("key", "_cone", "_empty", "_choices")
 
-    def __init__(self, key: Key, cone: Cone) -> None:
+    def __init__(self, key: Key) -> None:
         self.key = key
-        self.cone = cone
-        self.empty = all(r[0] == 0 for r in cone.edges())
+        self._cone: Cone | None = None
+        self._empty: bool | None = None
         self._choices: dict[int, tuple[tuple[tuple[Pair, ...], Chain], ...]] = {}
+
+    @property
+    def cone(self) -> Cone:
+        """The chain cone, built at the first call from the prefix's cone."""
+        if self._cone is None:
+            if self.key:
+                base = chain(self.key[:-1]).cone
+                base.edges()  # rays first, so the DD resumes from them
+                self._cone = base.intersect(Cone(3, _step_rows(self.key)))
+            else:
+                self._cone = kset(())
+        return self._cone
+
+    @property
+    def empty(self) -> bool:
+        """``kset_zero_test(key)``: the key's certificate, else the rays."""
+        if self._empty is None:
+            self._empty = any(len(s) >= 4 and _collapses(s) for s in self.key) or all(
+                r[0] == 0 for r in self.cone.edges()
+            )
+        return self._empty
 
     def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
         """Each set of ``min_n(excluded, n)`` with the chain it leads to; an
@@ -124,11 +184,16 @@ def chain(sets: Iterable[Iterable[Pair]]) -> Chain:
 
     The key is the non-empty sets as tuples, so ``chain([[v], [], [w]])`` is
     ``chain(((v,), (w,)))``.  It is checked on every call (strong
-    primitivity on a miss), so an invalid sequence is never stored and
-    raises every time; ``setdefault`` gives concurrent misses one chain.
+    primitivity on a miss, by ``min_complement``, since a new chain builds
+    no cone), so an invalid sequence is never stored and raises every time;
+    ``setdefault`` gives concurrent misses one chain.
     """
     key = _normalize_sets(sets)
-    return _chains.get(key) or _chains.setdefault(key, Chain(key, kset(key)))
+    found = _chains.get(key)
+    if found is None:
+        min_complement(frozenset(v for s in key for v in s))
+        found = _chains.setdefault(key, Chain(key))
+    return found
 
 
 def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:

@@ -284,8 +284,8 @@ class RunTable:
     member set.  Chains of equal geometry so share one child, and a
     repeated construction skips the product, link cone, intersection and
     double description.  Building from the interned chain cone, not each
-    chain's own, makes the DDs insert fewer rows: 3 722 against 3 939 on
-    ``(1,0)`` q1_eq_q3/13, 3 766 against 4 758 on ``(1,2)``/14.  ``empty``
+    chain's own, makes the DDs insert fewer rows: 1 640 against 2 164 on
+    ``(1,0)`` q1_eq_q3/13, 1 596 against 2 857 on ``(1,2)``/14.  ``empty``
     is the run's one empty cone, held by the children of an empty chain:
     the zero cone with the three ``q11 > 0`` rows.  ``verdicts`` holds
     ``_record``'s classification of each interned cone.  A table serves one

@@ -6,9 +6,10 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from theta_refine import ksets
-from theta_refine.geometry import Cone, cones_closed_equal
+from theta_refine.geometry import Cone, cones_closed_equal, cones_equivalent
 from theta_refine.ksets import (
     V_CLOSURE_CONE,
     V_CONE,
@@ -18,7 +19,7 @@ from theta_refine.ksets import (
     kset_zero_test,
 )
 from theta_refine.minima import is_successive_minima_prefix
-from theta_refine.quadform import BQF, in_v, is_strongly_primitive
+from theta_refine.quadform import BQF, coeff_row, in_v, is_strongly_primitive
 
 
 def test_reduction_domain_constants():
@@ -201,3 +202,70 @@ def test_members_have_prescribed_minima_structure():
         assert is_successive_minima_prefix(q, [s for s in sets if s])
         checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [([[(0, 2)]], (((0, 2),),)), ([[(1, 0)], [(-1, 0)]], (((1, 0),), ((-1, 0),)))],
+)
+def test_invalid_chain_is_never_stored(bad, key):
+    # A chain builds no cone when it is made, so the key's strong
+    # primitivity is checked on the miss itself.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            chain(bad)
+        assert key not in ksets._chains
+
+
+def _rank(rows):
+    """Rank of integer rows by Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1 :]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def test_certificate_needs_rank_three():
+    # x^2 + y^2 takes the value 5 at all four vectors, so their rows have
+    # rank 2 and the certificate must not fire.  The form has these sets as
+    # its first three successive minima, so the chain is not empty.
+    fives = ((2, 1), (1, 2), (-1, 2), (-2, 1))
+    assert all(BQF(1, 1, 0).evaluate(v) == 5 for v in fives)
+    assert not ksets._collapses(fives)
+    key = [[(1, 0), (0, 1)], [(-1, 1), (1, 1)], fives]
+    assert is_successive_minima_prefix(BQF(1, 1, 0), key)
+    assert not chain(key).empty
+    assert not kset_zero_test(key)
+    assert ksets._collapses(((1, 0), (0, 1), (-1, 1), (1, 1)))
+
+
+_POOL = [(x, y) for x in range(-5, 6) for y in range(6) if is_strongly_primitive((x, y))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(_POOL), min_size=4, max_size=8, unique=True),
+    st.lists(st.sampled_from(_POOL), max_size=3, unique=True),
+)
+def test_certificate_and_seeded_cone_match_independent_builders(last, firsts):
+    # The certificate is the rank-3 test, and when it fires no reduced form
+    # has the structure.  The chain cone, built from its prefixes' cones,
+    # has the member set of the cone built from scratch.
+    key = [[v] for v in firsts if v not in last] + [last]
+    diffs = [tuple(a - b for a, b in zip(coeff_row(v), coeff_row(last[0]))) for v in last]
+    collapses = ksets._collapses(tuple(last))
+    assert collapses == (_rank(diffs) == 3)
+    c = chain(key)
+    assert c.empty == kset_zero_test(key)
+    if collapses:
+        assert c.empty and kset(key).edges() == ()
+    assert cones_equivalent(c.cone, kset(key))

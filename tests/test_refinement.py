@@ -255,42 +255,46 @@ def test_descriptions_do_not_depend_on_process_history():
 
 
 def test_work_counters_on_reference_run(monkeypatch):
-    # Exact work on the (1, 2) diagonal run from cold memos: one chain-cone
-    # build per distinct sequence of non-empty sets, one nine-dimensional DD
-    # for the initial cone, one for the run's empty cone and one per
-    # distinct construction (parent, chain geometries, shape and link
-    # vectors) from chains that are not empty, and one emptiness test per
-    # distinct member set: 18 for the 676 pairs produced.
+    # Exact work on the (1, 2) diagonal run from cold memos: one chain made
+    # per distinct sequence of non-empty sets, one three-dimensional DD per
+    # chain whose cone the run needs (one chain is never asked whether it is
+    # empty), one nine-dimensional DD for the initial cone, one for the
+    # run's empty cone and one per distinct construction (parent, chain
+    # geometries, shape and link vectors) from chains that are not empty,
+    # and one emptiness test per distinct member set: 18 for the 676 pairs
+    # produced.
     builds = [0]
     empties = [0]
-    kset_chain = ksets.kset_chain
+    chain_init = ksets.Chain.__init__
     is_member_empty = Cone.is_member_empty
 
-    def counting_chain(vectors):
+    def counting_chain(self, key):
         builds[0] += 1
-        return kset_chain(vectors)
+        chain_init(self, key)
 
     def counting_empty(self):
         empties[0] += 1
         return is_member_empty(self)
 
     dd = _count_dd_by_dim(monkeypatch)
-    monkeypatch.setattr(ksets, "kset_chain", counting_chain)
+    monkeypatch.setattr(ksets.Chain, "__init__", counting_chain)
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
-    assert dd == {3: 225, 9: 94}
+    assert dd == {3: 224, 9: 94}
     assert empties[0] == 18
     assert sum(result.totals()) == 676
 
 
 def test_chain_geometry_collapses_constructions(monkeypatch):
     # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
-    # chain cones, so its 8 922 children come from 17 distinct
+    # chain geometries, so its 8 922 children come from 17 distinct
     # constructions.  14 of them have an empty chain and give the run's
     # empty cone; the other 3 are each one intersection and one
     # nine-dimensional DD.  The initial cone and the empty cone make the
-    # other two nine-dimensional DDs.  The chains are shared by the whole
+    # other two nine-dimensional DDs.  Only 6 chains get a cone and its
+    # three-dimensional DD: the certificate on the key shows 174 chains
+    # empty without one, and 146 are never asked whether they are empty.  The chains are shared by the whole
     # process, but each run interns its own chain cones: after other runs
     # have made chains of the same geometries, the run still makes 3
     # constructions.
@@ -306,7 +310,7 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
     assert constructions[0] == 3
-    assert dd == {3: 326, 9: 5}
+    assert dd == {3: 6, 9: 5}
 
     ksets.clear_cache()
     minima.clear_caches()
@@ -318,6 +322,51 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     assert result.totals() == [1, 2010, 2851, 4061, 0]
     assert constructions[0] == 3
     assert dd[9] == 5
+
+
+@pytest.mark.parametrize(
+    "a, b, stop_kind, max_iter, rows",
+    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 991}), (1, 2, "diagonal", 14, {3: 745, 9: 851})],
+)
+def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeypatch):
+    # Rows inserted by every DD of a run from cold memos.  A chain cone's DD
+    # resumes from its prefix's rays and inserts only the rows its last set
+    # adds, and a child's DD resumes from its parent's rays.
+    ksets.clear_cache()
+    minima.clear_caches()
+    inserted = {3: 0, 9: 0}
+    extreme_rays = geometry._extreme_rays
+
+    def counting_dd(rows, dim, seed_rays=None, seed_count=0, *rest):
+        inserted[dim] += len(rows) - (seed_count if seed_rays is not None else 0)
+        return extreme_rays(rows, dim, seed_rays, seed_count, *rest)
+
+    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    run_algorithm(a, b, stop_kind, max_iter)
+    assert inserted == rows
+
+
+def test_chain_cones_match_independent_builders():
+    # Every chain of the reference runs and of the a + b <= 20 sweep in both
+    # orders, (19, 1) among them, from cold memos: the cone built from the prefix's cone has the
+    # member set of ``kset`` built from scratch, and a key whose certificate
+    # fires passes the independent zero test.
+    ksets.clear_cache()
+    minima.clear_caches()
+    for args in ((1, 0, "q1_eq_q3", 13), (1, 1, "diagonal", 13), (1, 2, "diagonal", 14)):
+        run_algorithm(*args)
+    for a, b in SWEEP_PAIRS:
+        run_algorithm(a, b, "diagonal", 13)
+        run_algorithm(b, a, "diagonal", 13)
+    chains = list(ksets._chains.values())
+    certified = [
+        c for c in chains if any(len(s) >= 4 and ksets._collapses(s) for s in c.key)
+    ]
+    assert (len(chains), len(certified)) == (1481, 885)
+    for c in chains:
+        assert geometry.cones_equivalent(c.cone, ksets.kset(c.key)), c.key
+    for c in certified:
+        assert ksets.kset_zero_test(c.key), c.key
 
 
 def test_dump_does_not_depend_on_earlier_runs():
