@@ -218,16 +218,15 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     One exact pass over the half-plane y > 0, plus y = 0 with x > 0, of the
     ellipse {Q <= m_max}, rather than m_max independent counts.
 
-    * Exact rows: with D = 4ac - b^2, 4a Q(x, y) = (2ax + by)^2 + D y^2, so
-      Q(x, y) <= m_max iff |2ax + by| <= isqrt(4a m_max - D y^2).  Each row's
-      x range comes from that bound, and every visited point is counted.
-    * Half-plane: Q(-v) = Q(v), so the ordinary variant adds 2 per point and
-      sets r(0) = 1 for the origin.  The half-plane is exactly the sign
-      condition of ``is_strongly_primitive`` (last non-zero coordinate
-      positive), so the strongly primitive variant counts each point with
-      gcd(x, y) = 1 once, and its r(0) is 0.
-    * Along a row, Q(x + 1, y) - Q(x, y) = a(2x + 1) + by grows by 2a per
-      step, so values are updated by two additions instead of evaluated.
+    * Rows: with D = 4ac - b^2 and t = 2ax + by, 4a Q = t^2 + D y^2, so a
+      row holds |t| <= isqrt(4a m_max - D y^2); Q steps by a(2x + 1) + by.
+    * Q(-v) = Q(v): a half-plane point weighs w = 2 (ordinary, r(0) = 1)
+      or w = 1 (strongly primitive).  If y > 0 and a | by, t -> -t maps the
+      row onto itself with Q kept: walk t >= 0 at 2w, less w at t = 0.
+    * Each half-plane point is g v, v strongly primitive, Q = g^2 Q(v), so
+      the w = 1 count is h(m) = sum over g^2 | m of sp(m / g^2).  Per prime
+      p, out[j p^2] -= out[j] for j from m_max // p^2 down to 1 inverts it:
+      going down, each read still holds the value before this pass.
     """
     if variant not in ("ordinary", "strongly_primitive"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -236,6 +235,7 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     sp = variant == "strongly_primitive"
+    w = 1 if sp else 2
     out = [0] * (m_max + 1)
     out[0] = 0 if sp else 1
     a, b, c = q.a, q.b, q.c
@@ -245,21 +245,31 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     for y in range(isqrt(bound // disc) + 1):
         s = isqrt(bound - disc * y * y)
         by = b * y
-        xlo = -((s + by) // two_a) if y else 1
         xhi = (s - by) // two_a
-        m = (a * xlo + by) * xlo + c * y * y
-        d = a * (2 * xlo + 1) + by
-        if sp:
-            for x in range(xlo, xhi + 1):
-                if gcd(x, y) == 1:
-                    out[m] += 1
-                m += d
-                d += two_a
+        if not y:
+            xlo, step = 1, w
+        elif by % a:
+            xlo, step = -((s + by) // two_a), w
         else:
-            for _ in range(xhi - xlo + 1):
-                out[m] += 2
-                m += d
-                d += two_a
+            xlo, step = -(by // two_a), 2 * w
+        m = (a * xlo + by) * xlo + c * y * y
+        if two_a * xlo + by == 0:
+            out[m] -= w
+        d = a * (2 * xlo + 1) + by
+        for _ in range(xhi - xlo + 1):
+            out[m] += step
+            m += d
+            d += two_a
+    if sp:
+        r = isqrt(m_max)
+        sieve = bytearray([1]) * (r + 1)
+        for p in range(2, r + 1):
+            if sieve[p]:
+                pp = p * p
+                sieve[pp::p] = bytes(len(range(pp, r + 1, p)))
+                for j in range(m_max // pp, 0, -1):
+                    if out[j]:
+                        out[j * pp] -= out[j]
     return out
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +41,34 @@ def brute_sp_count(q, m):
     if m == 0:
         return 0
     return sum(1 for v in brute_representations(q, m) if is_strongly_primitive(v))
+
+
+def per_point_theta(q, m_max, variant="ordinary"):
+    """Oracle: the plain half-plane walk.  It visits every point of every
+    row and tests gcd(x, y) = 1 on each point for the strongly primitive
+    variant: no mirror rows, no inversion."""
+    sp = variant == "strongly_primitive"
+    out = [0] * (m_max + 1)
+    out[0] = 0 if sp else 1
+    a, b, c = q.a, q.b, q.c
+    two_a = 2 * a
+    bound = 4 * a * m_max
+    disc = -q.discriminant()
+    for y in range(isqrt(bound // disc) + 1):
+        s = isqrt(bound - disc * y * y)
+        by = b * y
+        xlo = -((s + by) // two_a) if y else 1
+        xhi = (s - by) // two_a
+        m = (a * xlo + by) * xlo + c * y * y
+        d = a * (2 * xlo + 1) + by
+        for x in range(xlo, xhi + 1):
+            if not sp:
+                out[m] += 2
+            elif gcd(x, y) == 1:
+                out[m] += 1
+            m += d
+            d += two_a
+    return out
 
 
 def random_posdef(rng, size=6):
@@ -133,12 +161,18 @@ def test_counts_match_brute_force(seed, m):
 
 @st.composite
 def theta_cases(draw):
-    """A positive-definite form, reduced or not, with content up to 3, and a bound."""
-    k = draw(st.integers(1, 3))
-    a, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    """A positive-definite form, reduced or not, with content up to 4, and a
+    bound up to 400, so the inversion runs over the primes 2..19."""
+    k = draw(st.integers(1, 4))
+    a, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     b = draw(st.integers(-isqrt(4 * a * c - 1), isqrt(4 * a * c - 1)))
     q = IntBQF(k * a, k * b, k * c)
-    m_max = draw(st.sampled_from([0, 1, q.a - 1, q.a, q.a + 1]) | st.integers(0, 60))
+    m_max = draw(
+        st.sampled_from([0, 1, q.a - 1, q.a, q.a + 1])
+        | st.integers(0, 60)
+        | st.integers(0, 400)
+        | st.integers(0, 20).map(lambda n: n * n)
+    )
     return q, m_max
 
 
@@ -151,6 +185,39 @@ def test_theta_single_pass_matches_counts(case):
     sp_coeffs = theta_coeffs(q, m_max, "strongly_primitive")
     assert coeffs == [rep_number(q, m) for m in range(m_max + 1)]
     assert sp_coeffs == [sp_rep_number(q, m) for m in range(m_max + 1)]
+    assert coeffs == per_point_theta(q, m_max)
+    assert sp_coeffs == per_point_theta(q, m_max, "strongly_primitive")
+
+
+@pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
+def test_theta_matches_per_point_walk_on_hexagonal_forms(variant):
+    # every row of these forms is a mirror row (b is 0 or a)
+    for k in (1, 2, 3):
+        for q in (IntBQF(k, k, k), IntBQF(4 * k, 4 * k, 4 * k), IntBQF(k, 0, 3 * k)):
+            assert theta_coeffs(q, 20000, variant) == per_point_theta(q, 20000, variant), q
+
+
+@pytest.mark.parametrize(
+    "q, centres",
+    [
+        # rows y = 0 (mod 3) are mirror rows, each with its centre t = 0 on
+        # a lattice point: (-1, 3) has Q = 39
+        (IntBQF(6, 4, 5), [39]),
+        # rows y = 0 (mod 2) are mirror rows: at y = 2 the centre falls
+        # between (-1, 2) and (0, 2), both with Q = 12; at y = 4 it is on
+        # (-1, 4), with Q = 46
+        (IntBQF(2, 1, 3), [12, 46]),
+    ],
+)
+def test_theta_on_mirror_rows_with_and_without_a_centre_point(q, centres):
+    m_max = 400
+    coeffs = theta_coeffs(q, m_max)
+    sp = theta_coeffs(q, m_max, "strongly_primitive")
+    assert coeffs == per_point_theta(q, m_max)
+    assert sp == per_point_theta(q, m_max, "strongly_primitive")
+    assert coeffs == [rep_number(q, m) for m in range(m_max + 1)]
+    assert sp == [sp_rep_number(q, m) for m in range(m_max + 1)]
+    assert all(coeffs[m] > 0 for m in centres)
 
 
 def test_theta_divisor_sums_on_hexagonal_family():

@@ -458,8 +458,9 @@ def test_no_empty_cone_without_the_q11_row():
 
 
 def test_chain_empty_flag_matches_zero_test(run_10, run_12):
-    # Chain.empty, read off the chain cone's rays, against the independent
-    # certificate check on every chain of three runs, on the certificates of
+    # Chain.empty, read first from the certificate on the key and otherwise
+    # off the chain cone's rays, against the independent zero test
+    # (kset_zero_test) on every chain of three runs, on the certificates of
     # criterion 4 and on every other chain in the process.  Chains are
     # shared by the whole process, so a chain made by an earlier run must
     # carry the same flag.

@@ -5,8 +5,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from theta_refine.quadform import IntBQF, representations
+from theta_refine.quadform import IntBQF, apply_transform, representations
 from theta_refine.relations import (
     DegenerateRelation,
     NormalizedRelation,
@@ -137,25 +138,41 @@ def test_verify_variant_parameter():
         verify_relation(q1, q2, q3, 1, 2, 10, "bogus")
 
 
-def test_ordinary_and_sp_verification_agree():
-    rng = random.Random(37)
-    m_max = 300
-    for _ in range(30):
-        forms = []
-        while len(forms) < 3:
-            q = IntBQF(rng.randint(1, 5), rng.randint(-4, 4), rng.randint(1, 5))
-            if q.is_positive_definite():
-                forms.append(q)
-        a, b = rng.randint(0, 4), rng.randint(0, 4)
-        if a + b == 0:
-            a = 1
-        ok1, m1 = verify_relation(*forms, a, b, m_max)
-        ok2, m2 = verify_sp_relation(*forms, a, b, m_max)
-        assert ok1 == ok2
-        if not ok1:
-            # ordinary failure at m implies a strongly primitive failure at a
-            # divisor-related place; the earliest failures coincide
-            assert m2 is not None and m2 <= m1
+def _positive_definite_forms():
+    return st.builds(IntBQF, st.integers(1, 5), st.integers(-4, 4), st.integers(1, 5)).filter(
+        IntBQF.is_positive_definite
+    )
+
+
+UNIMODULAR = [((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((1, 0), (-3, 1)), ((1, 0), (0, -1))]
+
+
+@st.composite
+def verification_cases(draw):
+    """Three forms and weights: random triples, which mostly fail, and
+    triples on which the relation holds."""
+    kind = draw(st.sampled_from(["random", "hexagonal", "equal", "equivalent"]))
+    if kind == "hexagonal":
+        return (*nontrivial_family(draw(st.integers(1, 3))), 1, 2)
+    weights = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any))
+    if kind == "random":
+        return (*draw(st.tuples(*[_positive_definite_forms()] * 3)), *weights)
+    q = draw(_positive_definite_forms())
+    if kind == "equal":
+        return (q, q, q, *weights)
+    u1, u2 = draw(st.sampled_from(UNIMODULAR)), draw(st.sampled_from(UNIMODULAR))
+    return (q, apply_transform(q, u1), apply_transform(q, u2), *weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(verification_cases())
+def test_ordinary_and_sp_verification_agree(case):
+    # r(m) = 2 * sum over d^2 | m of sp(m / d^2) for m >= 1 is linear and
+    # triangular, so the two defects a r_1 + b r_2 - (a+b) r_3 first differ
+    # from 0 at the same m; at m = 0 both are 0.  Equal verdicts, and an
+    # equal first failing m.
+    q1, q2, q3, a, b = case
+    assert verify_relation(q1, q2, q3, a, b, 300) == verify_sp_relation(q1, q2, q3, a, b, 300)
 
 
 def test_hexagonal_bijections():
