@@ -13,19 +13,20 @@ existing cones, which are canonical already (zero-padding keeps a row
 primitive), so they build their result without normalising again.
 
 Extreme rays of the *closed* part come from one place only: an incremental
-double description pass that inserts one constraint at a time.  Each ray
-carries a bitmask of the closed rows tight at it, and the cone caches the
-masks with its rays.  ``intersect`` puts this cone's rows first in the
-result, so when this cone already has pointed rays the child's DD resumes
-from them and their masks at once and only inserts the new rows; any other
-cone runs its DD from scratch on first use.  Rays are never installed from
-outside the DD: ``product3`` returns rows only, and loading a cone from
-JSON ignores stored rays.  Strict rows are carried symbolically and never
+double description pass that inserts one constraint at a time.  Its state is
+a ``Description``: the rays, the lineality generators, and for each ray a
+bitmask of the closed rows tight at it.  The cone caches its description,
+and a DD can resume from any description an earlier DD returned, pointed
+or not; from scratch is the description of no rows.  ``intersect`` puts
+this cone's rows first in the result, so the result's DD resumes from this
+cone's description at once and only inserts the new rows.  Rays are never
+installed from outside the DD: ``product3`` returns rows only, and loading
+a cone from JSON ignores stored rays.  Strict rows are carried symbolically and never
 enter the cached rays; they are consulted only by membership and emptiness
 tests.  Emptiness is exact for every cone: when the ray sum misses a strict
 row, the test enumerates the rays of the closed cone cut by ``b . x >= 0``
-for the strict rows, a DD that runs only when the missed row is negative
-somewhere on the closed cone.
+for the strict rows, a DD that resumes from the closed description and runs
+only when the missed row is negative somewhere on the closed cone.
 """
 
 from __future__ import annotations
@@ -97,20 +98,21 @@ def _ray_sum(rays: Sequence[Vector], dim: int) -> Vector:
 def _extreme_rays(
     rows: Sequence[Vector],
     dim: int,
-    seed_rays: Sequence[Vector] | None = None,
+    seed: Description | None = None,
     seed_count: int = 0,
-    seed_masks: Sequence[int] | None = None,
-) -> tuple[list[Vector], list[Vector], list[int]]:
+) -> Description:
     """Double description on ``{x | r . x >= 0 for all r in rows}``.
 
-    Returns ``(rays, lineality, masks)`` where ``rays`` generate the cone
-    modulo the lineality space spanned by ``lineality``, and ``masks[k]`` has
-    bit ``i`` set iff ``rows[i]`` is tight at ``rays[k]``.  The cone is
-    pointed iff the lineality list is empty.  When ``seed_rays`` is given it
-    must be the extreme-ray list of the (pointed) cone cut out by
-    ``rows[:seed_count]``, and ``seed_masks`` their tight-row masks over
-    those rows, as an earlier call returned them; insertion then resumes
-    from row ``seed_count``.
+    Returns the ``Description`` ``(rays, lineality, masks)``: ``rays``,
+    sorted, generate the cone modulo the lineality space spanned by
+    ``lineality``, and ``masks[k]`` has bit ``i`` set iff ``rows[i]`` is
+    tight at ``rays[k]``.  The cone is pointed iff the lineality list is
+    empty.  ``seed``, when given, is the description an earlier call
+    returned for ``rows[:seed_count]``, pointed or not, and insertion
+    resumes from row ``seed_count``.  Without it the DD starts from the
+    description of no rows: no rays, and the unit vectors as lineality.
+    A lineality generator needs no mask: it is tight at every earlier row,
+    which is the mask a generator gets when a row pops it out as a ray.
 
     The masks drive the combinatorial adjacency test (Fukuda and Prodon,
     "Double description method revisited", 1996) that decides which
@@ -119,17 +121,12 @@ def _extreme_rays(
     its parents are, because both terms of the combination are non-negative
     on that row.
     """
-    rays: list[tuple[Vector, int]]
-    if seed_rays is not None:
-        lineality: list[Vector] = []
-        rays = list(zip(seed_rays, seed_masks))
-        start = seed_count
-    else:
-        lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-        rays = []
-        start = 0
+    if seed is None:
+        seed = ((), tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim)), ())
+    seed_rays, lineality, seed_masks = seed
+    rays: list[tuple[Vector, int]] = list(zip(seed_rays, seed_masks))
 
-    for j in range(start, len(rows)):
+    for j in range(seed_count, len(rows)):
         a = rows[j]
         bit = 1 << j
         pivot = None
@@ -199,13 +196,8 @@ def _extreme_rays(
                     kept.append((comb, t | bit))
         rays = kept
 
-    return [r for r, _ in rays], lineality, [m for _, m in rays]
-
-
-def _describe(rays: list[Vector], lineality: list[Vector], masks: list[int]) -> Description:
-    """A DD result as a ``Description``, its rays and masks sorted by ray."""
-    order = sorted(range(len(rays)), key=rays.__getitem__)
-    return tuple(rays[k] for k in order), tuple(lineality), tuple(masks[k] for k in order)
+    rays.sort()
+    return tuple(r for r, _ in rays), tuple(lineality), tuple(m for _, m in rays)
 
 
 class Cone:
@@ -252,7 +244,7 @@ class Cone:
     def _closed_description(self) -> Description:
         desc = self._desc
         if desc is None:
-            desc = self._desc = _describe(*_extreme_rays(self.closed, self.dim))
+            desc = self._desc = _extreme_rays(self.closed, self.dim)
         return desc
 
     def edges(self) -> tuple[Vector, ...]:
@@ -279,16 +271,19 @@ class Cone:
         ``b . l = 0``, so ``C'`` has a point with ``b . x > 0`` iff some ray
         does, and the ray sum is then a member (Motzkin's transposition
         theorem; Schrijver, *Theory of Linear and Integer Programming*, 1986,
-        ch. 7).  ``C'`` comes from its own DD, run from scratch.
+        ch. 7).  ``C'``'s DD resumes from the closed cone's description and
+        inserts only the strict rows.
         """
-        rays, lin, _ = self._closed_description()
+        desc = self._closed_description()
+        rays, lin, _ = desc
         w = _ray_sum(rays, self.dim)
         missed = next((b for b in self.strict if _dot(b, w) <= 0), None)
         if missed is None:
             return w
         if all(_dot(missed, r) >= 0 for r in rays) and not any(_dot(missed, l) for l in lin):
             return None
-        w = _ray_sum(_extreme_rays(self.closed + self.strict, self.dim)[0], self.dim)
+        cut = _extreme_rays(self.closed + self.strict, self.dim, desc, len(self.closed))
+        w = _ray_sum(cut[0], self.dim)
         return w if all(_dot(b, w) > 0 for b in self.strict) else None
 
     def is_member_empty(self) -> bool:
@@ -315,13 +310,12 @@ class Cone:
         return all(_dot(e, g) == 0 for e in rows for g in chain(rays, lin))
 
     def intersect(self, *others: "Cone") -> "Cone":
-        """Intersection; seeded from this cone's rays when it has them.
+        """Intersection, its DD resumed from this cone's description.
 
         This cone's closed rows come first in the result, in order, so the
-        cached tight-row masks of its rays carry over bit for bit.  When this
-        cone has cached pointed rays, the result's DD runs now, resuming from
-        them and inserting only the new rows; otherwise the result computes
-        its rays from scratch on first use.
+        tight-row masks of its description carry over bit for bit.  The
+        result's DD runs now, from this cone's description (computed first
+        if need be), and inserts only the new rows.
         """
         for o in others:
             if o.dim != self.dim:
@@ -329,12 +323,9 @@ class Cone:
         closed = tuple(dict.fromkeys(chain(self.closed, *(o.closed for o in others))))
         strict = tuple(dict.fromkeys(chain(self.strict, *(o.strict for o in others))))
         result = Cone._from_canonical(self.dim, closed, strict)
-        desc = self._desc
-        if desc is not None and not desc[1]:
-            rays, _, masks = desc
-            result._desc = _describe(
-                *_extreme_rays(closed, self.dim, rays, len(self.closed), masks)
-            )
+        result._desc = _extreme_rays(
+            closed, self.dim, self._closed_description(), len(self.closed)
+        )
         return result
 
     def member_contains(self, point: Sequence) -> bool:

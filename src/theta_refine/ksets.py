@@ -123,7 +123,8 @@ class Chain:
     follow from it, and each is computed at its first use.  ``kset(key)``
     lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by
     ``_step_rows(key)``: it has the member set of ``kset(key)``, and its DD
-    resumes from the prefix's rays.  The root, key ``()``, is ``kset(())``.
+    resumes from the prefix cone's description, as every intersection's
+    does.  The root, key ``()``, is ``kset(())``.
 
     ``empty`` is ``kset_zero_test(key)``: no reduced form has this
     structure.  When a set of at least four vectors ``_collapses``, the
@@ -146,9 +147,7 @@ class Chain:
         """The chain cone, built at the first call from the prefix's cone."""
         if self._cone is None:
             if self.key:
-                base = chain(self.key[:-1]).cone
-                base.edges()  # rays first, so the DD resumes from them
-                self._cone = base.intersect(Cone(3, _step_rows(self.key)))
+                self._cone = chain(self.key[:-1]).cone.intersect(Cone(3, _step_rows(self.key)))
             else:
                 self._cone = kset(())
         return self._cone

@@ -79,35 +79,23 @@ def key_lemma_decompose(a: int, b: int, triple: Sequence[int]) -> tuple[int, int
     + c3 (0,a+b,b)/g, or None when the triple does not solve the equation.
     Constructive: peel off the minimum coordinate, then divide out the
     remaining axis-aligned solution.
+
+    The division is always exact and the result always recombines to the
+    triple.  With g = gcd(a, b), the equation gives
+    (b/g)(y - x) = ((a+b)/g)(z - x) and (a/g)(x - y) = ((a+b)/g)(z - y).
+    Since (a+b)/g is coprime to both a/g and b/g, it divides y - x, and
+    z - x is (b/g) times the quotient (and symmetrically for x - y).  This
+    holds also when a or b is 0, where (a+b)/g is 1.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError("need non-negative a, b with (a, b) != (0, 0)")
     x0, y0, z0 = triple
     if min(x0, y0, z0) < 0 or a * x0 + b * y0 != (a + b) * z0:
         return None
-    g = gcd(a, b)
-    step = (a + b) // g
+    step = (a + b) // gcd(a, b)
     if x0 <= y0:
-        c1 = x0
-        rest = y0 - x0
-        if rest % step:
-            return None
-        c3 = rest // step
-        result = (c1, 0, c3)
-    else:
-        c1 = y0
-        rest = x0 - y0
-        if rest % step:
-            return None
-        c2 = rest // step
-        result = (c1, c2, 0)
-    c1, c2, c3 = result
-    recombined = (
-        c1 + c2 * step,
-        c1 + c3 * step,
-        c1 + c2 * (a // g) + c3 * (b // g),
-    )
-    return result if recombined == (x0, y0, z0) else None
+        return (x0, 0, (y0 - x0) // step)
+    return (y0, (x0 - y0) // step, 0)
 
 
 def verify_relation(

@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from theta_refine import geometry
 from theta_refine.geometry import (
     Cone,
     ConeDimensionError,
@@ -362,20 +363,17 @@ def _row_pair(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_row_pair(), st.booleans())
-def test_intersect_equals_public_construction(rows, warm):
+@given(_row_pair())
+def test_intersect_equals_public_construction(rows):
+    # The intersection's DD resumes from the left operand's description,
+    # pointed or not.
     dim, a, b, sa, sb = rows
     left, right = Cone(dim, a, sa), Cone(dim, b, sb)
     merged = Cone(dim, a + b, sa + sb)
-    if warm:
-        # cached rays and masks on the left operand seed the intersection
-        try:
-            left.edges()
-        except NonPointedConeError:
-            pass
     inter = left.intersect(right)
     assert inter.closed == merged.closed
     assert inter.strict == merged.strict
+    assert cones_closed_equal(inter, merged)
     try:
         expected = merged.edges()
     except NonPointedConeError:
@@ -383,6 +381,34 @@ def test_intersect_equals_public_construction(rows, warm):
             inter.edges()
         return
     assert inter.edges() == expected
+    assert_exact_description(inter)
+
+
+def test_intersect_resumes_from_lineality():
+    # A half-space is described by no ray and two lineality generators.
+    half = Cone(3, [(1, 0, 0)])
+    assert len(half._closed_description()[1]) == 2
+    inter = half.intersect(Cone(3, V_ROWS))
+    assert inter.edges() == Cone(3, ((1, 0, 0),) + V_ROWS).edges()
+    assert_exact_description(inter)
+
+
+def test_member_exact_path_inserts_only_strict_rows(monkeypatch):
+    # Rows inserted per DD: the closed description, then the cut by the
+    # strict rows resumed from it.  The second cone's closed description
+    # has a lineality generator.
+    inserted = []
+    extreme_rays = geometry._extreme_rays
+
+    def counting_dd(rows, dim, seed_rays=None, seed_count=0, *rest):
+        inserted.append(len(rows) - (seed_count if seed_rays is not None else 0))
+        return extreme_rays(rows, dim, seed_rays, seed_count, *rest)
+
+    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    for closed, rows in (([(1, 0), (0, 1)], [2, 2]), ([(1, 0)], [1, 2])):
+        inserted.clear()
+        assert Cone(2, closed, [(1, -1), (0, 1)]).member() == (2, 1)
+        assert inserted == rows
 
 
 @settings(max_examples=100, deadline=None)
