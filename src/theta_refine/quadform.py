@@ -15,8 +15,10 @@ box is bounded via the discriminant and square roots are taken with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
@@ -226,7 +228,8 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     * Each half-plane point is g v, v strongly primitive, Q = g^2 Q(v), so
       the w = 1 count is h(m) = sum over g^2 | m of sp(m / g^2).  Per prime
       p, out[j p^2] -= out[j] for j from m_max // p^2 down to 1 inverts it:
-      going down, each read still holds the value before this pass.
+      going down, each read still holds the value before this pass.  Only
+      j in the support of h are visited: an entry never leaves it.
     """
     if variant not in ("ordinary", "strongly_primitive"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -261,13 +264,18 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
             m += d
             d += two_a
     if sp:
+        # Between passes out[k] counts the half-plane points with Q = k whose
+        # content has no prime inverted yet, a subset of those h(k) counts,
+        # so an entry with h(k) = 0 stays 0.  Since p^2 >= 4, every pass
+        # reads only the non-zero j <= m_max // 4 of h, collected once.
+        support = list(compress(range(m_max // 4 + 1), out))
         r = isqrt(m_max)
         sieve = bytearray([1]) * (r + 1)
         for p in range(2, r + 1):
             if sieve[p]:
                 pp = p * p
                 sieve[pp::p] = bytes(len(range(pp, r + 1, p)))
-                for j in range(m_max // pp, 0, -1):
+                for j in reversed(support[: bisect_right(support, m_max // pp)]):
                     if out[j]:
                         out[j * pp] -= out[j]
     return out

@@ -40,6 +40,12 @@ and ``X'``, ``Y'`` and ``Z'`` those that lead to no such chain, a shape has
 ``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay they hold the run's one
 empty cone, which has no product, intersection or double description of
 its own.
+
+The initial cone and the empty cone are the same in every run, so they are
+process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
+at import by its own DD over its own rows.  A run pays no DD for either,
+and its table interns them like any other cone: the initial cone first,
+the empty cone when the run first meets an empty chain.
 """
 
 from __future__ import annotations
@@ -210,10 +216,23 @@ def stop_set(kind: str) -> tuple[Vector, ...]:
     return tuple(rows)
 
 
+_UNIT_ROWS = tuple(tuple(int(k == j) for k in range(9)) for j in range(9))
+# The strict row q11 > 0 of each block, as ``product3`` embeds ``V_CONE``'s.
+_Q11_ROWS = _UNIT_ROWS[::3]
+# Every run starts from the same cone and meets the same empty cone, so both
+# are process constants, described at import by their own DDs: a run then
+# pays no DD for them, whatever ran before it in the process.
+_INITIAL_CONE = product3(V_CONE, V_CONE, V_CONE)
+_INITIAL_CONE.edges()
+_EMPTY_CONE = Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS)
+_EMPTY_CONE.edges()
+
+
 def initial_pair() -> RefinementPair:
-    """The whole product of three reduction domains, with no choices made."""
+    """The whole product of three reduction domains, with no choices made;
+    its cone is the process constant ``_INITIAL_CONE``."""
     param = CoveringParameter()
-    return RefinementPair(product3(V_CONE, V_CONE, V_CONE), param, param.chains())
+    return RefinementPair(_INITIAL_CONE, param, param.chains())
 
 
 def _cross_equality_rows(block_i: int, vi: Pair, block_j: int, vj: Pair) -> list[Vector]:
@@ -263,11 +282,6 @@ def aux_cones(
     return product3(k1, k2, k3), _link_cone(shape, xs, ys, zs)
 
 
-_UNIT_ROWS = tuple(tuple(int(k == j) for k in range(9)) for j in range(9))
-# The strict row q11 > 0 of each block, as ``product3`` embeds ``V_CONE``'s.
-_Q11_ROWS = _UNIT_ROWS[::3]
-
-
 class RunTable:
     """The cones of one refinement run, hash-consed by member set, with
     their verdicts.
@@ -284,10 +298,12 @@ class RunTable:
     member set.  Chains of equal geometry so share one child, and a
     repeated construction skips the product, link cone, intersection and
     double description.  Building from the interned chain cone, not each
-    chain's own, makes the DDs insert fewer rows: 1 640 against 2 164 on
-    ``(1,0)`` q1_eq_q3/13, 1 596 against 2 857 on ``(1,2)``/14.  ``empty``
-    is the run's one empty cone, held by the children of an empty chain:
-    the zero cone with the three ``q11 > 0`` rows.  ``verdicts`` holds
+    chain's own, makes the DDs insert fewer rows: 1 621 against 2 145 on
+    ``(1,0)`` q1_eq_q3/13, 1 577 against 2 838 on ``(1,2)``/14.  ``empty``
+    is the run's one empty cone, held by the children of an empty chain: it
+    interns the process constant ``_EMPTY_CONE``, as ``run_algorithm``
+    interns ``_INITIAL_CONE`` first, and both were described at import, so
+    neither costs the run a DD.  ``verdicts`` holds
     ``_record``'s classification of each interned cone.  A table serves one
     sequential run: the constructions and chain cones it meets first fix
     the rows a shared cone is dumped with, whatever ran before it.
@@ -333,10 +349,11 @@ class RunTable:
         return cone
 
     def empty(self) -> Cone:
-        """The run's empty cone, held by every child of an empty chain: the
-        zero cone with the three ``q11 > 0`` rows, made at the first call."""
+        """The run's empty cone, held by every child of an empty chain:
+        ``_EMPTY_CONE``, the zero cone with the three ``q11 > 0`` rows,
+        interned at the first call."""
         if self._empty is None:
-            self._empty = self.intern(Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS))
+            self._empty = self.intern(_EMPTY_CONE)
         return self._empty
 
 
@@ -356,7 +373,7 @@ def _children(
     ``cone`` carries that block's ``q11 > 0`` row has no member: once the
     choices so far make that so, the children that follow them form one
     block with ``child`` None, and none of them is built.  The run's empty
-    cone is made at the first such block, where a loop over every child
+    cone is interned at the first such block, where a loop over every child
     meets the first child of an empty chain.
     """
     kx, ky, kz = (row in cone.strict for row in _Q11_ROWS)

@@ -197,6 +197,14 @@ def test_theta_matches_per_point_walk_on_hexagonal_forms(variant):
             assert theta_coeffs(q, 20000, variant) == per_point_theta(q, 20000, variant), q
 
 
+@pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
+@pytest.mark.parametrize("q", [IntBQF(13, 5, 17), IntBQF(7, 3, 11)])
+def test_theta_matches_per_point_walk_on_sparse_forms(q, variant):
+    # few mirror rows and a large discriminant: the half-plane count is
+    # sparse, and the inversion visits only its non-zero entries
+    assert theta_coeffs(q, 20000, variant) == per_point_theta(q, 20000, variant)
+
+
 @pytest.mark.parametrize(
     "q, centres",
     [

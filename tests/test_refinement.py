@@ -225,8 +225,8 @@ def _count_dd_by_dim(monkeypatch):
     """Cold memos, then a counter of ``_extreme_rays`` calls per dimension.
 
     Every cone's rays come from its own DD, so the counts do not depend on
-    what ran before; the initial product gets one nine-dimensional DD from
-    its 9 rows.
+    what ran before.  The initial cone and the empty cone are process
+    constants described at import, so a run counts no DD for either.
     """
     ksets.clear_cache()
     minima.clear_caches()
@@ -254,15 +254,47 @@ def test_descriptions_do_not_depend_on_process_history():
         assert_exact_description(cone)
 
 
+def test_constant_cones_cost_a_run_no_dd(monkeypatch):
+    # The initial cone and the empty cone are process constants, described
+    # at import by their own DDs.  Every run shares them, so no nine-
+    # dimensional DD of a run starts from scratch, and a run from cold chain
+    # memos counts the same DDs whether or not the same run came before it.
+    from test_geometry import assert_exact_description
+
+    counts = []
+    unseeded = []
+    extreme_rays = geometry._extreme_rays
+
+    def counting_dd(rows, dim, seed=None, seed_count=0):
+        counts[-1][dim] += 1
+        if dim == 9 and seed is None:
+            unseeded.append(rows)
+        return extreme_rays(rows, dim, seed, seed_count)
+
+    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    for _ in range(2):
+        ksets.clear_cache()
+        minima.clear_caches()
+        counts.append({3: 0, 9: 0})
+        result = run_algorithm(1, 2, "diagonal", 14)
+        assert result.first.cone is refinement._INITIAL_CONE
+        assert result.table.empty() is refinement._EMPTY_CONE
+    assert unseeded == []
+    assert counts[0] == counts[1] == {3: 224, 9: 92}
+    assert initial_pair().cone is initial_pair().cone
+    assert_exact_description(refinement._INITIAL_CONE)
+    assert_exact_description(refinement._EMPTY_CONE)
+
+
 def test_work_counters_on_reference_run(monkeypatch):
     # Exact work on the (1, 2) diagonal run from cold memos: one chain made
     # per distinct sequence of non-empty sets, one three-dimensional DD per
     # chain whose cone the run needs (one chain is never asked whether it is
-    # empty), one nine-dimensional DD for the initial cone, one for the
-    # run's empty cone and one per distinct construction (parent, chain
-    # geometries, shape and link vectors) from chains that are not empty,
-    # and one emptiness test per distinct member set: 18 for the 676 pairs
-    # produced.
+    # empty), one nine-dimensional DD per distinct construction (parent,
+    # chain geometries, shape and link vectors) from chains that are not
+    # empty, none for the initial cone or the run's empty cone (both were
+    # described at import), and one emptiness test per distinct member set:
+    # 18 for the 676 pairs produced.
     builds = [0]
     empties = [0]
     chain_init = ksets.Chain.__init__
@@ -281,7 +313,7 @@ def test_work_counters_on_reference_run(monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
-    assert dd == {3: 224, 9: 94}
+    assert dd == {3: 224, 9: 92}
     assert empties[0] == 18
     assert sum(result.totals()) == 676
 
@@ -291,13 +323,13 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     # chain geometries, so its 8 922 children come from 17 distinct
     # constructions.  14 of them have an empty chain and give the run's
     # empty cone; the other 3 are each one intersection and one
-    # nine-dimensional DD.  The initial cone and the empty cone make the
-    # other two nine-dimensional DDs.  Only 6 chains get a cone and its
+    # nine-dimensional DD, the run's only ones: the initial cone and the
+    # empty cone were described at import.  Only 6 chains get a cone and its
     # three-dimensional DD: the certificate on the key shows 174 chains
-    # empty without one, and 146 are never asked whether they are empty.  The chains are shared by the whole
-    # process, but each run interns its own chain cones: after other runs
-    # have made chains of the same geometries, the run still makes 3
-    # constructions.
+    # empty without one, and 146 are never asked whether they are empty.
+    # The chains are shared by the whole process, but each run interns its
+    # own chain cones: after other runs have made chains of the same
+    # geometries, the run still makes 3 constructions.
     constructions = [0]
     intersect = Cone.intersect
 
@@ -310,7 +342,7 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
     assert constructions[0] == 3
-    assert dd == {3: 6, 9: 5}
+    assert dd == {3: 6, 9: 3}
 
     ksets.clear_cache()
     minima.clear_caches()
@@ -321,17 +353,18 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
     assert constructions[0] == 3
-    assert dd[9] == 5
+    assert dd[9] == 3
 
 
 @pytest.mark.parametrize(
     "a, b, stop_kind, max_iter, rows",
-    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 991}), (1, 2, "diagonal", 14, {3: 745, 9: 851})],
+    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 972}), (1, 2, "diagonal", 14, {3: 745, 9: 832})],
 )
 def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeypatch):
     # Rows inserted by every DD of a run from cold memos.  A chain cone's DD
     # resumes from its prefix's rays and inserts only the rows its last set
-    # adds, and a child's DD resumes from its parent's rays.
+    # adds, and a child's DD resumes from its parent's rays.  The initial
+    # cone's 9 rows and the empty cone's 10 were inserted at import.
     ksets.clear_cache()
     minima.clear_caches()
     inserted = {3: 0, 9: 0}
@@ -495,7 +528,8 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Every distinct construction (parent, interned chain cones, shape and
     # link vectors) without an empty chain needs its rays before it can be
     # interned, so each of the 590 gets one nine-dimensional DD; the initial
-    # cone and the run's empty cone get one more each.  Each of the 316
+    # cone and the run's empty cone get none, as they were described at
+    # import.  Each of the 316
     # distinct member sets gets one emptiness test, and no cone needs the
     # extra DD of the exact emptiness path, because its strict rows are
     # non-negative on its rays.
@@ -511,7 +545,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     assert sum(result.totals()) == 10558
     assert empties[0] == 316
-    assert dd == {3: 336, 9: 592}
+    assert dd == {3: 336, 9: 590}
 
 
 def test_min_complement_builds_from_cold_memos():
