@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
@@ -214,8 +214,19 @@ def sp_from_rep_moebius(q: IntBQF, m: int) -> int:
     return total // 2
 
 
-def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
+def theta_coeffs(
+    q: IntBQF,
+    m_max: int,
+    variant: str = "ordinary",
+    *,
+    weight: int = 1,
+    out: list[int] | None = None,
+) -> list[int]:
     """Coefficients r_Q(m) (or strongly primitive) for m = 0..m_max.
+
+    ``weight`` times the coefficients is added into ``out``, which is
+    returned; with ``out=None`` a new zero list is used.  Weighted sums of
+    several forms are built this way without a list per form.
 
     One exact pass over the half-plane y > 0, plus y = 0 with x > 0, of the
     ellipse {Q <= m_max}, rather than m_max independent counts.
@@ -223,13 +234,16 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     * Rows: with D = 4ac - b^2 and t = 2ax + by, 4a Q = t^2 + D y^2, so a
       row holds |t| <= isqrt(4a m_max - D y^2); Q steps by a(2x + 1) + by.
     * Q(-v) = Q(v): a half-plane point weighs w = 2 (ordinary, r(0) = 1)
-      or w = 1 (strongly primitive).  If y > 0 and a | by, t -> -t maps the
-      row onto itself with Q kept: walk t >= 0 at 2w, less w at t = 0.
+      or w = 1 (strongly primitive), times ``weight``.  If y > 0 and
+      a | by, t -> -t maps the row onto itself with Q kept: walk t >= 0 at
+      2w, less w at t = 0.
     * Each half-plane point is g v, v strongly primitive, Q = g^2 Q(v), so
       the w = 1 count is h(m) = sum over g^2 | m of sp(m / g^2).  Per prime
       p, out[j p^2] -= out[j] for j from m_max // p^2 down to 1 inverts it:
       going down, each read still holds the value before this pass.  Only
-      j in the support of h are visited: an entry never leaves it.
+      j in the support of h are visited: an entry never leaves it.  The
+      inversion needs the whole of h, so the strongly primitive variant
+      does not take ``out``.
     """
     if variant not in ("ordinary", "strongly_primitive"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -238,9 +252,13 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     sp = variant == "strongly_primitive"
-    w = 1 if sp else 2
-    out = [0] * (m_max + 1)
-    out[0] = 0 if sp else 1
+    if out is None:
+        out = [0] * (m_max + 1)
+    elif sp:
+        raise ValueError("the strongly primitive variant cannot add into a given list")
+    w = weight if sp else 2 * weight
+    if not sp:
+        out[0] += weight
     a, b, c = q.a, q.b, q.c
     two_a = 2 * a
     bound = 4 * a * m_max
@@ -258,11 +276,11 @@ def theta_coeffs(q: IntBQF, m_max: int, variant: str = "ordinary") -> list[int]:
         m = (a * xlo + by) * xlo + c * y * y
         if two_a * xlo + by == 0:
             out[m] -= w
-        d = a * (2 * xlo + 1) + by
-        for _ in range(xhi - xlo + 1):
-            out[m] += step
-            m += d
-            d += two_a
+        if xhi >= xlo:
+            # Q at successive x: m, then m + d, m + d + (d + 2a), ...
+            d = a * (2 * xlo + 1) + by
+            for m in accumulate(range(d, d + two_a * (xhi - xlo), two_a), initial=m):
+                out[m] += step
     if sp:
         # Between passes out[k] counts the half-plane points with Q = k whose
         # content has no prime inverted yet, a subset of those h(k) counts,

@@ -2,8 +2,8 @@
 
 A rational relation a1 theta_1 + a2 theta_2 + a3 theta_3 = 0 with
 coefficients summing to zero normalizes to a/(a+b) theta + b/(a+b) theta =
-theta with coprime non-negative a, b.  Verification compares representation
-numbers coefficient by coefficient up to a bound; classification matches the
+theta with coprime non-negative a, b.  Verification checks that the weighted
+sum of representation numbers vanishes up to a bound; classification matches the
 reduced forms against the known solution shapes and reports the bound along
 with the label, never a proof.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -109,22 +110,31 @@ def verify_relation(
 ) -> tuple[bool, int | None]:
     """Check a r_1(m) + b r_2(m) = (a+b) r_3(m) for 0 <= m <= m_max.
 
-    ``variant`` selects the coefficients as in ``theta_coeffs``.  The weights
-    follow the linset rule: a, b >= 0 and (a, b) != (0, 0); anything else
-    raises ``ValueError``, since a = b = 0 would make every relation hold.
-    Returns (True, None) or (False, first failing m).
+    The weights follow the linset rule: a, b >= 0 and (a, b) != (0, 0);
+    anything else raises ``ValueError``, since a = b = 0 would make every
+    relation hold.  Returns (True, None) or (False, first failing m).
+
+    One list, the defect a r_1 + b r_2 - (a+b) r_3, is built by adding each
+    form's coefficients into it with its weight; the answer is its first
+    non-zero entry.  Its m = 0 entry is a + b - (a+b) = 0.
+
+    ``variant`` is "ordinary" or "strongly_primitive", and both get the
+    same answer from the ordinary defect, with no inversion.  For m >= 1,
+    r(m) = 2 sum over g^2 | m of sp(m / g^2), so the ordinary defect is
+    2 H(m) with H(k) = sum over g^2 | k of S(k / g^2), S being the strongly
+    primitive defect.  H(k) is S(k) plus terms S(j) with j < k: the map is
+    unitriangular, so H and S first leave 0 at the same m, and at m = 0
+    both defects are 0.  The verdict and the first failing m are equal.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError(f"need weights a, b >= 0 with (a, b) != (0, 0), got ({a}, {b})")
-    t1 = theta_coeffs(q1, m_max, variant)
-    t2 = theta_coeffs(q2, m_max, variant)
-    t3 = theta_coeffs(q3, m_max, variant)
-    ab = a + b
-    # most coefficients are 0 on all three forms, and 0 = 0 needs no arithmetic
-    for m, r1, r2, r3 in zip(range(m_max + 1), t1, t2, t3):
-        if (r1 or r2 or r3) and a * r1 + b * r2 != ab * r3:
-            return False, m
-    return True, None
+    if variant not in ("ordinary", "strongly_primitive"):
+        raise ValueError(f"unknown variant {variant!r}")
+    defect = theta_coeffs(q1, m_max, weight=a)
+    theta_coeffs(q2, m_max, weight=b, out=defect)
+    theta_coeffs(q3, m_max, weight=-(a + b), out=defect)
+    failing = next(compress(range(m_max + 1), defect), None)
+    return failing is None, failing
 
 
 def verify_sp_relation(

@@ -189,6 +189,24 @@ def test_theta_single_pass_matches_counts(case):
     assert sp_coeffs == per_point_theta(q, m_max, "strongly_primitive")
 
 
+@settings(max_examples=100, deadline=None)
+@given(theta_cases(), st.integers(-5, 5), st.lists(st.integers(-9, 9), min_size=401, max_size=401))
+def test_theta_adds_weighted_coefficients_into_out(case, weight, start):
+    q, m_max = case
+    start = start[: m_max + 1]
+    lst = list(start)
+    assert theta_coeffs(q, m_max, weight=weight, out=lst) is lst
+    coeffs = theta_coeffs(q, m_max)
+    assert lst == [old + weight * r for old, r in zip(start, coeffs)]
+    assert theta_coeffs(q, m_max, weight=weight) == [weight * r for r in coeffs]
+
+
+def test_theta_strongly_primitive_takes_no_out():
+    # the inversion works on the whole half-plane count, not on a sum
+    with pytest.raises(ValueError):
+        theta_coeffs(IntBQF(1, 1, 1), 10, "strongly_primitive", out=[0] * 11)
+
+
 @pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
 def test_theta_matches_per_point_walk_on_hexagonal_forms(variant):
     # every row of these forms is a mirror row (b is 0 or a)

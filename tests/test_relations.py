@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theta_refine.quadform import IntBQF, apply_transform, representations
+from theta_refine.quadform import IntBQF, apply_transform, representations, theta_coeffs
 from theta_refine.relations import (
     DegenerateRelation,
     NormalizedRelation,
@@ -129,6 +129,17 @@ def test_verify_rejects_degenerate_weights():
     assert verify_relation(*forms, 1, 0, 10) == (False, 1)
 
 
+def test_verify_validates_every_form_and_the_bound():
+    forms = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
+    for variant in ("ordinary", "strongly_primitive"):
+        # a form with weight 0 adds nothing to the defect, but is still checked
+        with pytest.raises(ValueError):
+            verify_relation(IntBQF(1, 0, -1), *forms[1:], 0, 1, 10, variant)
+        with pytest.raises(ValueError):
+            verify_relation(*forms, 1, 1, -1, variant)
+        assert verify_relation(*forms, 1, 1, 0, variant) == (True, None)
+
+
 def test_verify_variant_parameter():
     q1, q2, q3 = nontrivial_family(1)
     assert verify_relation(q1, q2, q3, 1, 2, 500, "strongly_primitive") == (True, None)
@@ -164,15 +175,31 @@ def verification_cases(draw):
     return (q, apply_transform(q, u1), apply_transform(q, u2), *weights)
 
 
+def _verify_by_coefficients(q1, q2, q3, a, b, m_max, variant):
+    """Reference: one coefficient list per form, compared m by m."""
+    t1, t2, t3 = (theta_coeffs(q, m_max, variant) for q in (q1, q2, q3))
+    for m, r1, r2, r3 in zip(range(m_max + 1), t1, t2, t3):
+        if a * r1 + b * r2 != (a + b) * r3:
+            return False, m
+    return True, None
+
+
 @settings(max_examples=150, deadline=None)
 @given(verification_cases())
-def test_ordinary_and_sp_verification_agree(case):
-    # r(m) = 2 * sum over d^2 | m of sp(m / d^2) for m >= 1 is linear and
-    # triangular, so the two defects a r_1 + b r_2 - (a+b) r_3 first differ
-    # from 0 at the same m; at m = 0 both are 0.  Equal verdicts, and an
-    # equal first failing m.
+def test_verify_relation_matches_coefficient_reference(case):
     q1, q2, q3, a, b = case
-    assert verify_relation(q1, q2, q3, a, b, 300) == verify_sp_relation(q1, q2, q3, a, b, 300)
+    for variant in ("ordinary", "strongly_primitive"):
+        expected = _verify_by_coefficients(q1, q2, q3, a, b, 300, variant)
+        assert verify_relation(q1, q2, q3, a, b, 300, variant) == expected
+
+
+@pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
+def test_verify_relation_matches_coefficient_reference_at_20000(variant):
+    hexagonal = nontrivial_family(1)
+    bad = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
+    for forms, a, b, expected in ((hexagonal, 1, 2, (True, None)), (bad, 1, 1, (False, 1))):
+        assert _verify_by_coefficients(*forms, a, b, 20000, variant) == expected
+        assert verify_relation(*forms, a, b, 20000, variant) == expected
 
 
 def test_hexagonal_bijections():
