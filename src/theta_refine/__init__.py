@@ -7,14 +7,13 @@ anywhere.
 """
 
 from .geometry import Cone, ConeDimensionError, NonPointedConeError, product3
-from .quadform import BQF, IntBQF, reduce_gl2, theta_coeffs
+from .quadform import IntBQF, reduce_gl2, theta_coeffs
 from .minima import min_complement, min_n, min_of_finite, preceq
 from .ksets import kset, kset_chain, kset_zero_test
 from .refinement import linset, run_algorithm, stop_set
 from .relations import classify, key_lemma_decompose, normalize, verify_relation
 
 __all__ = [
-    "BQF",
     "Cone",
     "ConeDimensionError",
     "IntBQF",

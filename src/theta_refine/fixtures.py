@@ -10,8 +10,7 @@ Value-link row sets are compared literally after scaling rows primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .geometry import Cone, cones_closed_equal, scale_primitive
 from .ksets import V_CLOSED_ROWS, kset, kset_chain, kset_zero_test
@@ -30,8 +29,7 @@ from .refinement import (
 Pair = tuple[int, int]
 
 
-@dataclass
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

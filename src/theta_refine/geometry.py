@@ -31,10 +31,8 @@ only when the missed row is negative somewhere on the closed cone.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -58,18 +56,20 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 def scale_primitive(v: Sequence) -> Vector:
     """Scale a rational vector by a positive factor to primitive integer form.
 
-    Clears denominators and divides by the gcd of the entries.  The scale
-    factor is always positive, so the direction of a ray is preserved.  A
-    vector of ``int`` entries needs only the gcd.
+    Entries are ``int`` or ``Fraction``; both have ``numerator`` and
+    ``denominator``.  Clears denominators with their lcm and divides by the
+    gcd of the entries.  The scale factor is always positive, so the
+    direction of a ray and the sign of every entry are preserved.  A vector
+    of ``int`` entries needs only the gcd.
     """
     if all(type(x) is int for x in v):
         ints = v
     else:
-        fracs = [Fraction(x) for x in v]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in fracs]
+        try:
+            den = lcm(*(x.denominator for x in v))
+        except AttributeError:
+            raise TypeError(f"expected int or Fraction entries, got {tuple(v)!r}") from None
+        ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
     if g > 1:
         return tuple(x // g for x in ints)
@@ -329,13 +329,17 @@ class Cone:
         return result
 
     def member_contains(self, point: Sequence) -> bool:
-        """Exact membership test for a rational point."""
-        p = [Fraction(x) for x in point]
+        """Exact membership test for a rational point.
+
+        The point is scaled to integers by a positive factor, which keeps
+        the sign of every row's dot product.
+        """
+        p = scale_primitive(point)
         return self.closed_contains(p) and all(_dot(b, p) > 0 for b in self.strict)
 
     def closed_contains(self, point: Sequence) -> bool:
         """Exact test that a rational point satisfies every closed row."""
-        p = [Fraction(x) for x in point]
+        p = scale_primitive(point)
         if len(p) != self.dim:
             raise ConeDimensionError("point has wrong length")
         return all(_dot(a, p) >= 0 for a in self.closed)
@@ -392,7 +396,7 @@ def cones_equivalent(c1: Cone, c2: Cone) -> bool:
 
 # ---------------------------------------------------------------------------
 # Serialization: text matrices in the row convention of the golden fixtures,
-# and JSON with decimal-string integers.
+# and JSON-ready dicts with decimal-string integers.
 
 
 def format_matrix(rows: Sequence[Vector]) -> str:
@@ -427,11 +431,3 @@ def cone_from_json_dict(data: dict) -> Cone:
     closed = [[int(x) for x in row] for row in data["A"]]
     strict = [[int(x) for x in row] for row in data["B"]]
     return Cone(dim, closed, strict)
-
-
-def cone_to_json(cone: Cone) -> str:
-    return json.dumps(cone_to_json_dict(cone))
-
-
-def cone_from_json(text: str) -> Cone:
-    return cone_from_json_dict(json.loads(text))

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .quadform import BQF, in_v, is_strongly_primitive
+from .quadform import is_strongly_primitive
 
 Pair = tuple[int, int]
 
@@ -138,53 +138,3 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
 
 def clear_caches() -> None:
     _min_complement_cache.clear()
-
-
-def _min_value_over_complement(q: BQF, excluded: frozenset[Pair]):
-    """min Q(v) over strongly primitive v outside the exclusion, by box search.
-
-    Independent of the minimal-subset machinery on purpose: it serves as the
-    checking side of successive-minima verification.  Outside the box of
-    radius r every value exceeds q11 * r^2 / 2, so the search stops as soon as
-    the best value found is at most that threshold.
-    """
-    radius = 1
-    best = None
-    while True:
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                v = (x, y)
-                if not is_strongly_primitive(v) or v in excluded:
-                    continue
-                val = q.evaluate(v)
-                if best is None or val < best:
-                    best = val
-        if best is not None and 2 * best <= q.q11 * radius * radius:
-            return best
-        radius *= 2
-
-
-def is_successive_minima_prefix(q: BQF, sets: Sequence[Iterable[Sequence[int]]]) -> bool:
-    """Whether the given sets are a truncated successive-minima sequence of q.
-
-    Each non-empty set must take a single value under q, namely the minimum of
-    q over the strongly primitive vectors not consumed by the earlier sets.
-    Empty sets are allowed anywhere and impose nothing.
-    """
-    if not in_v(q):
-        raise ValueError(f"form {q.as_tuple()} is not in the reduction domain")
-    normalized = [tuple(tuple(v) for v in s) for s in sets]
-    flat: list[Pair] = [v for s in normalized for v in s]
-    if len(flat) != len(set(flat)):
-        raise ValueError("sets must be pairwise disjoint")
-    for v in flat:
-        if not is_strongly_primitive(v):
-            raise ValueError(f"{v} is not strongly primitive")
-    consumed: frozenset[Pair] = frozenset()
-    for s in normalized:
-        if s:
-            target = _min_value_over_complement(q, consumed)
-            if any(q.evaluate(v) != target for v in s):
-                return False
-        consumed |= frozenset(s)
-    return True

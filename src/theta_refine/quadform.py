@@ -1,26 +1,25 @@
 """Binary quadratic forms, GL2(Z) reduction, and theta-series coefficients.
 
-Two tuple conventions coexist and both appear in the interfaces:
+Two coordinate orders meet here:
 
-* ``BQF(q11, q22, q12)`` identifies a real form ``q11 x^2 + q12 xy + q22 y^2``
-  with the rational point ``(q11, q22, q12)``; this is the coordinate order
-  used by every cone row in this package.
 * ``IntBQF(a, b, c)`` is an integer form ``a x^2 + b xy + c y^2`` in the
-  classical coefficient order used on the command line.
+  classical coefficient order used on the command line.  It is a
+  ``NamedTuple``, so it compares equal to the plain tuple ``(a, b, c)``.
+* Cone rows use the coordinates ``(q11, q22, q12)`` of the real form
+  ``q11 x^2 + q12 xy + q22 y^2``: ``coeff_row`` turns a vector ``(x, y)``
+  into the row ``(x^2, y^2, xy)``, and ``IntBQF(a, b, c)`` is the point
+  ``(a, c, b)``.
 
-Representation counting is exact integer arithmetic throughout: the solution
-box is bounded via the discriminant and square roots are taken with
-``math.isqrt``.
+Theta coefficients are exact integer arithmetic throughout: the ellipse is
+bounded via the discriminant and square roots are taken with ``math.isqrt``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 Pair = tuple[int, int]
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -42,37 +41,7 @@ def coeff_row(v: Sequence[int]) -> tuple[int, int, int]:
     return (x * x, y * y, x * y)
 
 
-@dataclass(frozen=True)
-class BQF:
-    """Real-valued form as the rational tuple (q11, q22, q12)."""
-
-    q11: Fraction
-    q22: Fraction
-    q12: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q11", Fraction(self.q11))
-        object.__setattr__(self, "q22", Fraction(self.q22))
-        object.__setattr__(self, "q12", Fraction(self.q12))
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.q11, self.q22, self.q12)
-
-    def evaluate(self, v: Sequence[int]) -> Fraction:
-        x, y = v
-        return self.q11 * x * x + self.q12 * x * y + self.q22 * y * y
-
-    def is_positive_definite(self) -> bool:
-        return self.q11 > 0 and 4 * self.q11 * self.q22 - self.q12 * self.q12 > 0
-
-
-def in_v(q: BQF) -> bool:
-    """Membership in the reduction domain: q22 >= q11 >= q12 >= 0 and q11 > 0."""
-    return q.q22 >= q.q11 and q.q12 >= 0 and q.q11 >= q.q12 and q.q11 > 0
-
-
-@dataclass(frozen=True)
-class IntBQF:
+class IntBQF(NamedTuple):
     """Integer form a x^2 + b xy + c y^2."""
 
     a: int
@@ -91,9 +60,6 @@ class IntBQF:
     def evaluate(self, v: Sequence[int]) -> int:
         x, y = v
         return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def to_bqf(self) -> BQF:
-        return BQF(self.a, self.c, self.b)
 
     def __str__(self) -> str:
         return f"{self.a},{self.b},{self.c}"
@@ -142,78 +108,6 @@ def reduce_gl2(q: IntBQF) -> tuple[IntBQF, Matrix2]:
     return IntBQF(a, b, c), x
 
 
-def representations(q: IntBQF, m: int) -> Iterator[Pair]:
-    """All integer vectors with Q(v) = m, by exact per-column quadratic solving."""
-    if not q.is_positive_definite():
-        raise ValueError(f"form {q} is not positive-definite")
-    if m < 0:
-        return
-    if m == 0:
-        yield (0, 0)
-        return
-    a, b = q.a, q.b
-    disc = -q.discriminant()
-    ymax = isqrt(4 * a * m // disc)
-    for y in range(-ymax, ymax + 1):
-        e = 4 * a * m - disc * y * y
-        s = isqrt(e)
-        if s * s != e:
-            continue
-        for root in {s, -s}:
-            num = -b * y + root
-            if num % (2 * a) == 0:
-                yield (num // (2 * a), y)
-
-
-def rep_number(q: IntBQF, m: int) -> int:
-    return sum(1 for _ in representations(q, m))
-
-
-def sp_representations(q: IntBQF, m: int) -> list[Pair]:
-    return [v for v in representations(q, m) if is_strongly_primitive(v)]
-
-
-def sp_rep_number(q: IntBQF, m: int) -> int:
-    return len(sp_representations(q, m))
-
-
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("moebius is defined for positive integers")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
-
-
-def sp_from_rep_moebius(q: IntBQF, m: int) -> int:
-    """Strongly primitive count recovered from ordinary counts by inversion.
-
-    Every solution of Q(v) = m is g * w with w primitive and Q(w) = m / g^2,
-    so r(m) = sum over d^2 | m of 2 * sp(m / d^2); Moebius inversion over the
-    square divisors gives sp back.
-    """
-    if m < 1:
-        raise ValueError("inversion needs m >= 1")
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % (d * d) == 0:
-            mu = moebius(d)
-            if mu:
-                total += mu * rep_number(q, m // (d * d))
-        d += 1
-    return total // 2
-
-
 def theta_coeffs(
     q: IntBQF,
     m_max: int,
@@ -226,7 +120,8 @@ def theta_coeffs(
 
     ``weight`` times the coefficients is added into ``out``, which is
     returned; with ``out=None`` a new zero list is used.  Weighted sums of
-    several forms are built this way without a list per form.
+    several forms are built this way without a list per form.  An ``out``
+    shorter than ``m_max + 1`` raises ``ValueError`` and is left untouched.
 
     One exact pass over the half-plane y > 0, plus y = 0 with x > 0, of the
     ellipse {Q <= m_max}, rather than m_max independent counts.
@@ -256,6 +151,8 @@ def theta_coeffs(
         out = [0] * (m_max + 1)
     elif sp:
         raise ValueError("the strongly primitive variant cannot add into a given list")
+    elif len(out) <= m_max:
+        raise ValueError(f"out has {len(out)} entries, m_max = {m_max} needs {m_max + 1}")
     w = weight if sp else 2 * weight
     if not sp:
         out[0] += weight

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -79,8 +78,7 @@ def linset(a: int, b: int) -> tuple[Shape, ...]:
     return (l2, l3) if a == 0 or b == 0 else (l1, l2, l3)
 
 
-@dataclass(frozen=True)
-class CoveringParameter:
+class CoveringParameter(NamedTuple):
     """Per-factor sequences of vector sets chosen along one refinement branch."""
 
     x_sets: tuple[tuple[Pair, ...], ...] = ()
@@ -92,18 +90,33 @@ class CoveringParameter:
         return (chain(self.x_sets), chain(self.y_sets), chain(self.z_sets))
 
 
-@dataclass(frozen=True)
 class RefinementPair:
     """A cone, its covering parameter and the ``Chain`` of each factor.
 
     ``chains`` is ``param.chains()``, which ``refine_pair`` reads the next
     choices from and never looks up again; a hand-built pair passes
-    ``param.chains()``.  It takes no part in equality.
+    ``param.chains()``.  It takes no part in equality, hash or repr.
     """
 
-    cone: Cone
-    param: CoveringParameter
-    chains: tuple[Chain, Chain, Chain] = field(compare=False, repr=False)
+    __slots__ = ("cone", "param", "chains")
+
+    def __init__(
+        self, cone: Cone, param: CoveringParameter, chains: tuple[Chain, Chain, Chain]
+    ) -> None:
+        self.cone = cone
+        self.param = param
+        self.chains = chains
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cone == other.cone and self.param == other.param
+
+    def __hash__(self) -> int:
+        return hash((self.cone, self.param))
+
+    def __repr__(self) -> str:
+        return f"RefinementPair(cone={self.cone!r}, param={self.param!r})"
 
 
 class RefinementClass(NamedTuple):
@@ -118,8 +131,7 @@ class RefinementClass(NamedTuple):
     chains: tuple[Chain, Chain, Chain]
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """Exact per-generation counts; wall time is informational only.
 
     ``total`` counts every pair produced for the generation.  ``non_empty``
@@ -142,7 +154,6 @@ class IterationRecord:
     seconds: float
 
 
-@dataclass
 class RunResult:
     """The run's table, its log, and each generation's live classes.
 
@@ -154,14 +165,26 @@ class RunResult:
     ``generations[i]`` classified live, in order).
     """
 
-    a: int
-    b: int
-    stop_kind: str
-    log: list[IterationRecord]
-    live_classes: list[dict[RefinementClass, int]]
-    table: RunTable = field(repr=False)
-    first: RefinementPair = field(repr=False)
-    _pairs: tuple[list, list] | None = field(default=None, init=False, repr=False)
+    __slots__ = ("a", "b", "stop_kind", "log", "live_classes", "table", "first", "_pairs")
+
+    def __init__(
+        self,
+        a: int,
+        b: int,
+        stop_kind: str,
+        log: list[IterationRecord],
+        live_classes: list[dict[RefinementClass, int]],
+        table: RunTable,
+        first: RefinementPair,
+    ) -> None:
+        self.a = a
+        self.b = b
+        self.stop_kind = stop_kind
+        self.log = log
+        self.live_classes = live_classes
+        self.table = table
+        self.first = first
+        self._pairs: tuple[list, list] | None = None
 
     def totals(self) -> list[int]:
         return [rec.total for rec in self.log]

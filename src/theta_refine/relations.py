@@ -10,20 +10,19 @@ with the label, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from .geometry import scale_primitive
 from .quadform import IntBQF, reduce_gl2, theta_coeffs
+
 
 class ObstructionError(ValueError):
     """Coefficients do not sum to zero, so the constant terms already fail."""
 
 
-@dataclass(frozen=True)
-class NormalizedRelation:
+class NormalizedRelation(NamedTuple):
     """a/(a+b) theta_{sigma(1)} + b/(a+b) theta_{sigma(2)} = theta_{sigma(3)}."""
 
     a: int
@@ -31,13 +30,11 @@ class NormalizedRelation:
     sigma: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class DegenerateRelation:
+class DegenerateRelation(NamedTuple):
     """All coefficients zero; the forms are arbitrary."""
 
 
-@dataclass(frozen=True)
-class TwoTermRelation:
+class TwoTermRelation(NamedTuple):
     """One coefficient zero; the remaining pair are opposite and non-zero."""
 
     i: int
@@ -52,12 +49,17 @@ def normalize(alpha1, alpha2, alpha3) -> NormalizedRelation | DegenerateRelation
     marker.  Otherwise the relation is rescaled so exactly one coefficient is
     negative, that index moves to the right-hand side, and the two left
     coefficients scale to a/(a+b) and b/(a+b) in lowest terms.
+
+    The coefficients are ``int`` or ``Fraction``.  They are first scaled to
+    a primitive integer triple by a positive factor, which keeps every sign,
+    every zero and a zero sum, and leaves each ratio as it is.
     """
-    alphas = [Fraction(alpha1), Fraction(alpha2), Fraction(alpha3)]
-    if all(x == 0 for x in alphas):
+    alphas = scale_primitive((alpha1, alpha2, alpha3))
+    if not any(alphas):
         return DegenerateRelation()
     if sum(alphas) != 0:
-        raise ObstructionError(f"coefficients {', '.join(map(str, alphas))} do not sum to zero")
+        given = ", ".join(map(str, (alpha1, alpha2, alpha3)))
+        raise ObstructionError(f"coefficients {given} do not sum to zero")
     zeros = [i for i, x in enumerate(alphas) if x == 0]
     if len(zeros) == 1:
         i, j = (k for k in range(3) if k != zeros[0])
@@ -68,9 +70,10 @@ def normalize(alpha1, alpha2, alpha3) -> NormalizedRelation | DegenerateRelation
         alphas = [-x for x in alphas]
     k = next(i for i, x in enumerate(alphas) if x < 0)
     i, j = (idx for idx in range(3) if idx != k)
-    beta1 = alphas[i] / -alphas[k]
-    a, c = beta1.numerator, beta1.denominator
-    return NormalizedRelation(a, c - a, (i + 1, j + 1, k + 1))
+    # a/(a+b) = alphas[i] / -alphas[k] with a + b = -alphas[k], so b is
+    # alphas[j]; a common factor of two entries divides the third, so the
+    # primitive triple leaves a and b coprime.
+    return NormalizedRelation(alphas[i], alphas[j], (i + 1, j + 1, k + 1))
 
 
 def key_lemma_decompose(a: int, b: int, triple: Sequence[int]) -> tuple[int, int, int] | None:
@@ -151,8 +154,7 @@ def nontrivial_family(c: int) -> tuple[IntBQF, IntBQF, IntBQF]:
     return (IntBQF(c, c, c), IntBQF(4 * c, 4 * c, 4 * c), IntBQF(c, 0, 3 * c))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     label: str
     bound: int
     detail: str

@@ -1,0 +1,253 @@
+"""Test-only oracles: independent reference code the tests check the engine
+against.  No refinement, verification or CLI command uses any of it, so it
+lives with the tests and costs the package's import nothing.
+
+* ``BQF``, ``in_v`` and ``to_bqf``: real forms as the rational point
+  ``(q11, q22, q12)`` of the cone coordinates, and the reduction domain.
+* ``representations`` to ``sp_from_rep_moebius``: per-point representation
+  counts, the oracles of ``quadform.theta_coeffs``.
+* ``is_successive_minima_prefix``: a box search, the oracle of ``minima``.
+* ``cone_to_json`` and ``cone_from_json``: the JSON text round trip of a cone.
+* ``fraction_scale_primitive`` and ``fraction_normalize``: the ``Fraction``
+  versions of ``geometry.scale_primitive`` and ``relations.normalize``, which
+  now clear denominators with ``lcm`` and reduce with ``gcd``, and
+  ``RATIONALS``, the ``int`` and ``Fraction`` inputs they are compared on.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, isqrt
+from typing import Iterable, Iterator, Sequence
+
+from hypothesis import strategies as st
+
+from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict
+from theta_refine.quadform import IntBQF, is_strongly_primitive
+from theta_refine.relations import (
+    DegenerateRelation,
+    NormalizedRelation,
+    ObstructionError,
+    TwoTermRelation,
+)
+
+Pair = tuple[int, int]
+
+RATIONALS = st.one_of(
+    st.integers(-60, 60), st.fractions(min_value=-60, max_value=60, max_denominator=12)
+)
+
+
+@dataclass(frozen=True)
+class BQF:
+    """Real-valued form as the rational tuple (q11, q22, q12)."""
+
+    q11: Fraction
+    q22: Fraction
+    q12: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "q11", Fraction(self.q11))
+        object.__setattr__(self, "q22", Fraction(self.q22))
+        object.__setattr__(self, "q12", Fraction(self.q12))
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
+        return (self.q11, self.q22, self.q12)
+
+    def evaluate(self, v: Sequence[int]) -> Fraction:
+        x, y = v
+        return self.q11 * x * x + self.q12 * x * y + self.q22 * y * y
+
+    def is_positive_definite(self) -> bool:
+        return self.q11 > 0 and 4 * self.q11 * self.q22 - self.q12 * self.q12 > 0
+
+
+def in_v(q: BQF) -> bool:
+    """Membership in the reduction domain: q22 >= q11 >= q12 >= 0 and q11 > 0."""
+    return q.q22 >= q.q11 and q.q12 >= 0 and q.q11 >= q.q12 and q.q11 > 0
+
+
+def to_bqf(q: IntBQF) -> BQF:
+    """The integer form a x^2 + b xy + c y^2 as the point (q11, q22, q12) = (a, c, b)."""
+    return BQF(q.a, q.c, q.b)
+
+
+def representations(q: IntBQF, m: int) -> Iterator[Pair]:
+    """All integer vectors with Q(v) = m, by exact per-column quadratic solving."""
+    if not q.is_positive_definite():
+        raise ValueError(f"form {q} is not positive-definite")
+    if m < 0:
+        return
+    if m == 0:
+        yield (0, 0)
+        return
+    a, b = q.a, q.b
+    disc = -q.discriminant()
+    ymax = isqrt(4 * a * m // disc)
+    for y in range(-ymax, ymax + 1):
+        e = 4 * a * m - disc * y * y
+        s = isqrt(e)
+        if s * s != e:
+            continue
+        for root in {s, -s}:
+            num = -b * y + root
+            if num % (2 * a) == 0:
+                yield (num // (2 * a), y)
+
+
+def rep_number(q: IntBQF, m: int) -> int:
+    return sum(1 for _ in representations(q, m))
+
+
+def sp_representations(q: IntBQF, m: int) -> list[Pair]:
+    return [v for v in representations(q, m) if is_strongly_primitive(v)]
+
+
+def sp_rep_number(q: IntBQF, m: int) -> int:
+    return len(sp_representations(q, m))
+
+
+def moebius(n: int) -> int:
+    if n < 1:
+        raise ValueError("moebius is defined for positive integers")
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1 if p == 2 else 2
+    if n > 1:
+        result = -result
+    return result
+
+
+def sp_from_rep_moebius(q: IntBQF, m: int) -> int:
+    """Strongly primitive count recovered from ordinary counts by inversion.
+
+    Every solution of Q(v) = m is g * w with w primitive and Q(w) = m / g^2,
+    so r(m) = sum over d^2 | m of 2 * sp(m / d^2); Moebius inversion over the
+    square divisors gives sp back.
+    """
+    if m < 1:
+        raise ValueError("inversion needs m >= 1")
+    total = 0
+    d = 1
+    while d * d <= m:
+        if m % (d * d) == 0:
+            mu = moebius(d)
+            if mu:
+                total += mu * rep_number(q, m // (d * d))
+        d += 1
+    return total // 2
+
+
+def _min_value_over_complement(q: BQF, excluded: frozenset[Pair]):
+    """min Q(v) over strongly primitive v outside the exclusion, by box search.
+
+    Independent of the minimal-subset machinery on purpose: it serves as the
+    checking side of successive-minima verification.  Outside the box of
+    radius r every value exceeds q11 * r^2 / 2, so the search stops as soon as
+    the best value found is at most that threshold.
+    """
+    radius = 1
+    best = None
+    while True:
+        for x in range(-radius, radius + 1):
+            for y in range(-radius, radius + 1):
+                v = (x, y)
+                if not is_strongly_primitive(v) or v in excluded:
+                    continue
+                val = q.evaluate(v)
+                if best is None or val < best:
+                    best = val
+        if best is not None and 2 * best <= q.q11 * radius * radius:
+            return best
+        radius *= 2
+
+
+def is_successive_minima_prefix(q: BQF, sets: Sequence[Iterable[Sequence[int]]]) -> bool:
+    """Whether the given sets are a truncated successive-minima sequence of q.
+
+    Each non-empty set must take a single value under q, namely the minimum of
+    q over the strongly primitive vectors not consumed by the earlier sets.
+    Empty sets are allowed anywhere and impose nothing.
+    """
+    if not in_v(q):
+        raise ValueError(f"form {q.as_tuple()} is not in the reduction domain")
+    normalized = [tuple(tuple(v) for v in s) for s in sets]
+    flat: list[Pair] = [v for s in normalized for v in s]
+    if len(flat) != len(set(flat)):
+        raise ValueError("sets must be pairwise disjoint")
+    for v in flat:
+        if not is_strongly_primitive(v):
+            raise ValueError(f"{v} is not strongly primitive")
+    consumed: frozenset[Pair] = frozenset()
+    for s in normalized:
+        if s:
+            target = _min_value_over_complement(q, consumed)
+            if any(q.evaluate(v) != target for v in s):
+                return False
+        consumed |= frozenset(s)
+    return True
+
+
+def cone_to_json(cone: Cone) -> str:
+    return json.dumps(cone_to_json_dict(cone))
+
+
+def cone_from_json(text: str) -> Cone:
+    return cone_from_json_dict(json.loads(text))
+
+
+def fraction_scale_primitive(v: Sequence) -> Vector:
+    """Scale a rational vector by a positive factor to primitive integer form.
+
+    Clears denominators and divides by the gcd of the entries.  The scale
+    factor is always positive, so the direction of a ray is preserved.  A
+    vector of ``int`` entries needs only the gcd.
+    """
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fracs = [Fraction(x) for x in v]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // gcd(den, f.denominator)
+        ints = [int(f * den) for f in fracs]
+    g = gcd(*ints)
+    if g > 1:
+        return tuple(x // g for x in ints)
+    return tuple(ints)
+
+
+def fraction_normalize(alpha1, alpha2, alpha3) -> NormalizedRelation | DegenerateRelation | TwoTermRelation:
+    """Normalize rational coefficients summing to zero.
+
+    All zero gives the degenerate marker; exactly one zero gives the 2-term
+    marker.  Otherwise the relation is rescaled so exactly one coefficient is
+    negative, that index moves to the right-hand side, and the two left
+    coefficients scale to a/(a+b) and b/(a+b) in lowest terms.
+    """
+    alphas = [Fraction(alpha1), Fraction(alpha2), Fraction(alpha3)]
+    if all(x == 0 for x in alphas):
+        return DegenerateRelation()
+    if sum(alphas) != 0:
+        raise ObstructionError(f"coefficients {', '.join(map(str, alphas))} do not sum to zero")
+    zeros = [i for i, x in enumerate(alphas) if x == 0]
+    if len(zeros) == 1:
+        i, j = (k for k in range(3) if k != zeros[0])
+        return TwoTermRelation(i + 1, j + 1, zeros[0] + 1)
+    # Three non-zero values summing to zero have one or two negatives, so
+    # after the sign flip exactly one is negative.
+    if sum(x < 0 for x in alphas) == 2:
+        alphas = [-x for x in alphas]
+    k = next(i for i, x in enumerate(alphas) if x < 0)
+    i, j = (idx for idx in range(3) if idx != k)
+    beta1 = alphas[i] / -alphas[k]
+    a, c = beta1.numerator, beta1.denominator
+    return NormalizedRelation(a, c - a, (i + 1, j + 1, k + 1))

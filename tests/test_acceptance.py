@@ -14,7 +14,7 @@ from theta_refine.fixtures import run_fixtures
 from theta_refine.geometry import Cone, cones_closed_equal
 from theta_refine.ksets import kset_zero_test
 from theta_refine.minima import min_n
-from theta_refine.quadform import IntBQF, sp_from_rep_moebius, sp_rep_number, theta_coeffs
+from theta_refine.quadform import IntBQF, theta_coeffs
 from theta_refine.refinement import (
     check_y_projection_argument,
     run_algorithm,
@@ -22,6 +22,8 @@ from theta_refine.refinement import (
 )
 from theta_refine.relations import key_lemma_decompose, nontrivial_family, verify_relation
 from theta_refine.fixtures import T0_A, T1_A, T2_A, T3_A
+
+from oracles import sp_from_rep_moebius, sp_rep_number
 
 
 def _report(criterion, ok, note=""):

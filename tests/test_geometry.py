@@ -14,14 +14,14 @@ from theta_refine.geometry import (
     Cone,
     ConeDimensionError,
     NonPointedConeError,
-    cone_from_json,
     cone_from_json_dict,
-    cone_to_json,
     cones_closed_equal,
     cones_equivalent,
     product3,
     scale_primitive,
 )
+
+from oracles import RATIONALS, cone_from_json, cone_to_json, fraction_scale_primitive
 
 V_ROWS = ((-1, 1, 0), (1, 0, -1), (0, 0, 1))
 V_STRICT = ((1, 0, 0),)
@@ -288,6 +288,41 @@ def test_rational_rows_normalized():
     c = Cone(2, [(Fraction(1, 2), Fraction(3, 4))])
     assert c.closed == ((2, 3),)
     assert scale_primitive((Fraction(-4, 6), Fraction(2, 3))) == (-1, 1)
+
+
+RATIONAL_ROWS = st.lists(st.lists(RATIONALS, min_size=3, max_size=3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RATIONALS, min_size=3, max_size=3), RATIONAL_ROWS, RATIONAL_ROWS)
+def test_rational_inputs_match_the_fraction_oracle(point, closed, strict):
+    # lcm and gcd on numerators and denominators against the Fraction code
+    # they replace; containment against dot products taken in Fractions
+    assert scale_primitive(point) == fraction_scale_primitive(point)
+    cone = Cone(3, closed, strict)
+    scaled = [fraction_scale_primitive(row) for row in closed]
+    assert cone.closed == tuple(dict.fromkeys(row for row in scaled if any(row)))
+    assert cone.strict == tuple(dict.fromkeys(fraction_scale_primitive(row) for row in strict))
+    p = [Fraction(x) for x in point]
+    inside = all(sum(a * x for a, x in zip(row, p)) >= 0 for row in cone.closed)
+    assert cone.closed_contains(point) == inside
+    member = inside and all(sum(b * x for b, x in zip(row, p)) > 0 for row in cone.strict)
+    assert cone.member_contains(point) == member
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_float_or_str_entries_raise_a_one_line_type_error(bad):
+    calls = (
+        lambda: scale_primitive((1, bad)),
+        lambda: Cone(2, [(1, bad)]),
+        lambda: Cone(2, [], [(bad, 1)]),
+        lambda: Cone(2).closed_contains((1, bad)),
+        lambda: Cone(2).member_contains((bad, 1)),
+    )
+    for call in calls:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert "\n" not in str(info.value) and repr(bad) in str(info.value)
 
 
 def test_json_round_trip():

@@ -18,8 +18,9 @@ from theta_refine.ksets import (
     kset_chain,
     kset_zero_test,
 )
-from theta_refine.minima import is_successive_minima_prefix
-from theta_refine.quadform import BQF, coeff_row, in_v, is_strongly_primitive
+from theta_refine.quadform import coeff_row, is_strongly_primitive
+
+from oracles import BQF, in_v, is_successive_minima_prefix
 
 
 def test_reduction_domain_constants():

@@ -6,15 +6,10 @@ from math import gcd, isqrt
 
 import pytest
 
-from theta_refine.minima import (
-    edge_values,
-    is_successive_minima_prefix,
-    min_complement,
-    min_n,
-    min_of_finite,
-    preceq,
-)
-from theta_refine.quadform import BQF, is_strongly_primitive
+from theta_refine.minima import edge_values, min_complement, min_n, min_of_finite, preceq
+from theta_refine.quadform import is_strongly_primitive
+
+from oracles import BQF, is_successive_minima_prefix
 
 BOX12 = [
     (x, y)

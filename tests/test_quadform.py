@@ -8,20 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta_refine.quadform import (
-    BQF,
     IntBQF,
     apply_transform,
     coeff_row,
-    in_v,
     is_strongly_primitive,
-    moebius,
     parse_int_form,
     reduce_gl2,
-    rep_number,
-    sp_from_rep_moebius,
-    sp_rep_number,
     theta_coeffs,
 )
+
+from oracles import BQF, in_v, moebius, rep_number, sp_from_rep_moebius, sp_rep_number, to_bqf
 
 
 def brute_representations(q, m):
@@ -207,6 +203,15 @@ def test_theta_strongly_primitive_takes_no_out():
         theta_coeffs(IntBQF(1, 1, 1), 10, "strongly_primitive", out=[0] * 11)
 
 
+def test_theta_rejects_a_short_out_untouched():
+    # the length is checked before the walk, so nothing is added
+    lst = [0] * 6
+    with pytest.raises(ValueError):
+        theta_coeffs(IntBQF(1, 0, 1), 10, out=lst)
+    assert lst == [0] * 6
+    assert theta_coeffs(IntBQF(1, 0, 1), 5, out=lst) == theta_coeffs(IntBQF(1, 0, 1), 5)
+
+
 @pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
 def test_theta_matches_per_point_walk_on_hexagonal_forms(variant):
     # every row of these forms is a mirror row (b is 0 or a)
@@ -305,7 +310,7 @@ def test_reduction_canonical_on_orbits(seed):
     q = random_posdef(rng)
     reduced, transform = reduce_gl2(q)
     assert apply_transform(q, transform) == reduced
-    assert in_v(reduced.to_bqf())
+    assert in_v(to_bqf(reduced))
     assert reduce_gl2(reduced)[0] == reduced
     u = _random_unimodular(rng)
     assert reduce_gl2(apply_transform(q, u))[0] == reduced

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theta_refine.quadform import IntBQF, apply_transform, representations, theta_coeffs
+from theta_refine.quadform import IntBQF, apply_transform, theta_coeffs
 from theta_refine.relations import (
     DegenerateRelation,
     NormalizedRelation,
@@ -20,6 +20,8 @@ from theta_refine.relations import (
     verify_relation,
     verify_sp_relation,
 )
+
+from oracles import RATIONALS, fraction_normalize, representations
 
 COPRIME_PAIRS = [
     (a, b)
@@ -39,6 +41,31 @@ def test_normalize_examples():
     )
     with pytest.raises(ObstructionError):
         normalize(1, 1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RATIONALS, min_size=3, max_size=3), st.booleans())
+def test_normalize_matches_the_fraction_oracle(alphas, zero_sum):
+    # lcm and gcd against the Fraction code they replace, also the
+    # obstruction and its message, which prints the caller's values
+    if zero_sum:
+        alphas[2] = -alphas[0] - alphas[1]
+    try:
+        expected = fraction_normalize(*alphas)
+    except ObstructionError as exc:
+        with pytest.raises(ObstructionError) as info:
+            normalize(*alphas)
+        assert str(info.value) == str(exc)
+    else:
+        got = normalize(*alphas)
+        assert type(got) is type(expected) and got == expected
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_normalize_rejects_float_or_str_in_one_line(bad):
+    with pytest.raises(TypeError) as info:
+        normalize(bad, 1, -1)
+    assert "\n" not in str(info.value) and repr(bad) in str(info.value)
 
 
 def test_normalized_coefficients_are_coprime():
