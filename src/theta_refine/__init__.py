@@ -7,7 +7,7 @@ anywhere.
 """
 
 from .geometry import Cone, ConeDimensionError, NonPointedConeError, product3
-from .quadform import IntBQF, reduce_gl2, theta_coeffs
+from .quadform import IntBQF, reduce_gl2, sp_theta_coeffs, theta_coeffs
 from .minima import min_complement, min_n, min_of_finite, preceq
 from .ksets import kset, kset_chain, kset_zero_test
 from .refinement import linset, run_algorithm, stop_set
@@ -32,6 +32,7 @@ __all__ = [
     "product3",
     "reduce_gl2",
     "run_algorithm",
+    "sp_theta_coeffs",
     "stop_set",
     "theta_coeffs",
     "verify_relation",

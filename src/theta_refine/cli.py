@@ -17,7 +17,7 @@ from pathlib import Path
 from .geometry import cone_to_json_dict, format_cone
 from .ksets import kset
 from .minima import min_complement, min_n
-from .quadform import parse_int_form, reduce_gl2, theta_coeffs
+from .quadform import parse_int_form, reduce_gl2, sp_theta_coeffs, theta_coeffs
 from .refinement import (
     RunResult,
     check_y_projection_argument,
@@ -76,7 +76,7 @@ def _param_json(param) -> dict:
 
 def _dump_run(result: RunResult, out_dir: Path) -> None:
     """One file per pair, replayed and written one generation at a time."""
-    for i, (gen, _) in enumerate(result.replay()):
+    for i, gen in enumerate(result.replay()):
         gen_dir = out_dir / f"gen_{i}"
         gen_dir.mkdir()
         for j, pair in enumerate(gen):
@@ -189,8 +189,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_theta(args) -> int:
     form = parse_int_form(args.form)
-    variant = "strongly_primitive" if args.variant == "sp" else "ordinary"
-    coeffs = theta_coeffs(form, args.max_coeff, variant)
+    count = sp_theta_coeffs if args.variant == "sp" else theta_coeffs
+    coeffs = count(form, args.max_coeff)
     if args.emit == "json":
         print(json.dumps([str(c) for c in coeffs]))
     else:

@@ -108,54 +108,21 @@ def reduce_gl2(q: IntBQF) -> tuple[IntBQF, Matrix2]:
     return IntBQF(a, b, c), x
 
 
-def theta_coeffs(
-    q: IntBQF,
-    m_max: int,
-    variant: str = "ordinary",
-    *,
-    weight: int = 1,
-    out: list[int] | None = None,
-) -> list[int]:
-    """Coefficients r_Q(m) (or strongly primitive) for m = 0..m_max.
+def _add_half_plane(q: IntBQF, m_max: int, w: int, out: list[int]) -> None:
+    """Add ``w`` per point of the half-plane y > 0, plus y = 0 with x > 0,
+    of the ellipse {Q <= m_max} into ``out[Q]``, in one exact pass.
 
-    ``weight`` times the coefficients is added into ``out``, which is
-    returned; with ``out=None`` a new zero list is used.  Weighted sums of
-    several forms are built this way without a list per form.  An ``out``
-    shorter than ``m_max + 1`` raises ``ValueError`` and is left untouched.
-
-    One exact pass over the half-plane y > 0, plus y = 0 with x > 0, of the
-    ellipse {Q <= m_max}, rather than m_max independent counts.
+    The form and the bound are checked before ``out`` is written.
 
     * Rows: with D = 4ac - b^2 and t = 2ax + by, 4a Q = t^2 + D y^2, so a
       row holds |t| <= isqrt(4a m_max - D y^2); Q steps by a(2x + 1) + by.
-    * Q(-v) = Q(v): a half-plane point weighs w = 2 (ordinary, r(0) = 1)
-      or w = 1 (strongly primitive), times ``weight``.  If y > 0 and
-      a | by, t -> -t maps the row onto itself with Q kept: walk t >= 0 at
-      2w, less w at t = 0.
-    * Each half-plane point is g v, v strongly primitive, Q = g^2 Q(v), so
-      the w = 1 count is h(m) = sum over g^2 | m of sp(m / g^2).  Per prime
-      p, out[j p^2] -= out[j] for j from m_max // p^2 down to 1 inverts it:
-      going down, each read still holds the value before this pass.  Only
-      j in the support of h are visited: an entry never leaves it.  The
-      inversion needs the whole of h, so the strongly primitive variant
-      does not take ``out``.
+    * If y > 0 and a | by, t -> -t maps the row onto itself with Q kept:
+      walk t >= 0 at 2w, less w at t = 0.
     """
-    if variant not in ("ordinary", "strongly_primitive"):
-        raise ValueError(f"unknown variant {variant!r}")
     if not q.is_positive_definite():
         raise ValueError(f"form {q} is not positive-definite")
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    sp = variant == "strongly_primitive"
-    if out is None:
-        out = [0] * (m_max + 1)
-    elif sp:
-        raise ValueError("the strongly primitive variant cannot add into a given list")
-    elif len(out) <= m_max:
-        raise ValueError(f"out has {len(out)} entries, m_max = {m_max} needs {m_max + 1}")
-    w = weight if sp else 2 * weight
-    if not sp:
-        out[0] += weight
     a, b, c = q.a, q.b, q.c
     two_a = 2 * a
     bound = 4 * a * m_max
@@ -178,21 +145,56 @@ def theta_coeffs(
             d = a * (2 * xlo + 1) + by
             for m in accumulate(range(d, d + two_a * (xhi - xlo), two_a), initial=m):
                 out[m] += step
-    if sp:
-        # Between passes out[k] counts the half-plane points with Q = k whose
-        # content has no prime inverted yet, a subset of those h(k) counts,
-        # so an entry with h(k) = 0 stays 0.  Since p^2 >= 4, every pass
-        # reads only the non-zero j <= m_max // 4 of h, collected once.
-        support = list(compress(range(m_max // 4 + 1), out))
-        r = isqrt(m_max)
-        sieve = bytearray([1]) * (r + 1)
-        for p in range(2, r + 1):
-            if sieve[p]:
-                pp = p * p
-                sieve[pp::p] = bytes(len(range(pp, r + 1, p)))
-                for j in reversed(support[: bisect_right(support, m_max // pp)]):
-                    if out[j]:
-                        out[j * pp] -= out[j]
+
+
+def theta_coeffs(
+    q: IntBQF, m_max: int, *, weight: int = 1, out: list[int] | None = None
+) -> list[int]:
+    """Representation numbers r_Q(m) for m = 0..m_max.
+
+    ``weight`` times the coefficients is added into ``out``, which is
+    returned; with ``out=None`` a new zero list is used.  Weighted sums of
+    several forms are built this way without a list per form.  An ``out``
+    shorter than ``m_max + 1`` raises ``ValueError`` and is left untouched,
+    as does a form that is not positive-definite or a negative ``m_max``.
+
+    Q(-v) = Q(v), so each half-plane point stands for two points: the walk
+    adds ``2 * weight`` per point, and the origin adds ``weight`` at m = 0.
+    """
+    if out is None:
+        out = [0] * (m_max + 1)
+    elif len(out) <= m_max:
+        raise ValueError(f"out has {len(out)} entries, m_max = {m_max} needs {m_max + 1}")
+    _add_half_plane(q, m_max, 2 * weight, out)
+    out[0] += weight
+    return out
+
+
+def sp_theta_coeffs(q: IntBQF, m_max: int) -> list[int]:
+    """Strongly primitive representation numbers sp_Q(m) for m = 0..m_max.
+
+    Each half-plane point is g v, v strongly primitive, Q = g^2 Q(v), so the
+    half-plane count is h(m) = sum over g^2 | m of sp(m / g^2).  Per prime
+    p, out[j p^2] -= out[j] for j from m_max // p^2 down to 1 inverts it:
+    going down, each read still holds the value before this pass.  Only j
+    in the support of h are visited: an entry never leaves it.
+    """
+    out = [0] * (m_max + 1)
+    _add_half_plane(q, m_max, 1, out)
+    # Between passes out[k] counts the half-plane points with Q = k whose
+    # content has no prime inverted yet, a subset of those h(k) counts,
+    # so an entry with h(k) = 0 stays 0.  Since p^2 >= 4, every pass
+    # reads only the non-zero j <= m_max // 4 of h, collected once.
+    support = list(compress(range(m_max // 4 + 1), out))
+    r = isqrt(m_max)
+    sieve = bytearray([1]) * (r + 1)
+    for p in range(2, r + 1):
+        if sieve[p]:
+            pp = p * p
+            sieve[pp::p] = bytes(len(range(pp, r + 1, p)))
+            for j in reversed(support[: bisect_right(support, m_max // pp)]):
+                if out[j]:
+                    out[j * pp] -= out[j]
     return out
 
 

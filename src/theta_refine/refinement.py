@@ -22,8 +22,8 @@ generation is a dict from class to multiplicity, each class is classified
 and refined once, and every count of the table is a sum of multiplicities.
 The run keeps each generation's live classes, which the y-projection check
 reads instead of classifying again.  The pairs themselves are replayed on
-demand (``RunResult.replay``, ``generations`` and ``live``) through the
-same child enumeration, against the run's own table.
+demand (``RunResult.replay`` and ``generations``) through the same child
+enumeration, against the run's own table.
 
 Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
 sorted extreme rays of the (pointed) closed cone plus the strict rows.
@@ -161,8 +161,8 @@ class RunResult:
     multiplicity: the classes that generation ``i + 1`` refines.  The pairs
     themselves are replayed from ``first``, the generation-0 pair, on
     demand: ``replay`` yields them one generation at a time, and
-    ``generations`` and ``live`` keep them (``live[i]`` holds the pairs of
-    ``generations[i]`` classified live, in order).
+    ``generations`` keeps them.  A pair is live when ``table.verdicts``
+    holds ``_LIVE`` for its cone.
     """
 
     __slots__ = ("a", "b", "stop_kind", "log", "live_classes", "table", "first", "_pairs")
@@ -184,7 +184,7 @@ class RunResult:
         self.live_classes = live_classes
         self.table = table
         self.first = first
-        self._pairs: tuple[list, list] | None = None
+        self._pairs: list[list[RefinementPair]] | None = None
 
     def totals(self) -> list[int]:
         return [rec.total for rec in self.log]
@@ -192,9 +192,10 @@ class RunResult:
     def non_empty_counts(self) -> list[int]:
         return [rec.non_empty for rec in self.log]
 
-    def replay(self) -> Iterator[tuple[list[RefinementPair], list[RefinementPair]]]:
-        """Each generation's pairs and live pairs, as a loop over pairs
-        makes them.  Every construction is a hit in the run's table and
+    def replay(self) -> Iterator[list[RefinementPair]]:
+        """Each generation's pairs, as a loop over pairs makes them: the
+        live pairs of one generation are refined into the next, and none
+        after the last.  Every construction is a hit in the run's table and
         every verdict is known, so the replay computes no double description
         and tests no cone.  Nothing is kept."""
         shapes = linset(self.a, self.b)
@@ -203,24 +204,18 @@ class RunResult:
         generation = [self.first]
         for i in range(len(self.log)):
             if i:
-                generation = [c for p in live for c in refine_pair(p, shapes, table)]
-            live = [p for p in generation if verdicts[p.cone] == _LIVE]
-            yield generation, live
-
-    def _replayed(self) -> tuple[list, list]:
-        if self._pairs is None:
-            self._pairs = tuple(map(list, zip(*self.replay())))
-        return self._pairs
+                generation = [
+                    c for p in generation if verdicts[p.cone] == _LIVE
+                    for c in refine_pair(p, shapes, table)
+                ]
+            yield generation
 
     @property
     def generations(self) -> list[list[RefinementPair]]:
         """Every generation's pairs, replayed at the first access."""
-        return self._replayed()[0]
-
-    @property
-    def live(self) -> list[list[RefinementPair]]:
-        """Every generation's live pairs, the same objects as in ``generations``."""
-        return self._replayed()[1]
+        if self._pairs is None:
+            self._pairs = list(self.replay())
+        return self._pairs
 
 
 def stop_set(kind: str) -> tuple[Vector, ...]:
@@ -495,8 +490,9 @@ def check_y_projection_argument(
     """Every live pair chose a non-empty factor-2 set.
 
     ``items`` are the live pairs or the live classes of a generation, as
-    the run classified them (``RunResult.live`` or
-    ``RunResult.live_classes``).  A pair chose a non-empty factor-2 set
+    the run classified them: the pairs of ``RunResult.generations`` whose
+    cone ``RunResult.table.verdicts`` holds live, or
+    ``RunResult.live_classes``.  A pair chose a non-empty factor-2 set
     exactly when its factor-2 chain has a non-empty key, and the pairs of a
     class share their chains.  This is the machine-checkable core of the
     argument that, for the relation with zero second coefficient, the

@@ -103,13 +103,7 @@ def key_lemma_decompose(a: int, b: int, triple: Sequence[int]) -> tuple[int, int
 
 
 def verify_relation(
-    q1: IntBQF,
-    q2: IntBQF,
-    q3: IntBQF,
-    a: int,
-    b: int,
-    m_max: int,
-    variant: str = "ordinary",
+    q1: IntBQF, q2: IntBQF, q3: IntBQF, a: int, b: int, m_max: int
 ) -> tuple[bool, int | None]:
     """Check a r_1(m) + b r_2(m) = (a+b) r_3(m) for 0 <= m <= m_max.
 
@@ -120,19 +114,9 @@ def verify_relation(
     One list, the defect a r_1 + b r_2 - (a+b) r_3, is built by adding each
     form's coefficients into it with its weight; the answer is its first
     non-zero entry.  Its m = 0 entry is a + b - (a+b) = 0.
-
-    ``variant`` is "ordinary" or "strongly_primitive", and both get the
-    same answer from the ordinary defect, with no inversion.  For m >= 1,
-    r(m) = 2 sum over g^2 | m of sp(m / g^2), so the ordinary defect is
-    2 H(m) with H(k) = sum over g^2 | k of S(k / g^2), S being the strongly
-    primitive defect.  H(k) is S(k) plus terms S(j) with j < k: the map is
-    unitriangular, so H and S first leave 0 at the same m, and at m = 0
-    both defects are 0.  The verdict and the first failing m are equal.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError(f"need weights a, b >= 0 with (a, b) != (0, 0), got ({a}, {b})")
-    if variant not in ("ordinary", "strongly_primitive"):
-        raise ValueError(f"unknown variant {variant!r}")
     defect = theta_coeffs(q1, m_max, weight=a)
     theta_coeffs(q2, m_max, weight=b, out=defect)
     theta_coeffs(q3, m_max, weight=-(a + b), out=defect)
@@ -143,8 +127,17 @@ def verify_relation(
 def verify_sp_relation(
     q1: IntBQF, q2: IntBQF, q3: IntBQF, a: int, b: int, m_max: int
 ) -> tuple[bool, int | None]:
-    """Same check on strongly primitive coefficients (constant term 0)."""
-    return verify_relation(q1, q2, q3, a, b, m_max, "strongly_primitive")
+    """Same check on strongly primitive coefficients: ``verify_relation``.
+
+    For m >= 1, r(m) = 2 sum over g^2 | m of sp(m / g^2), so the ordinary
+    defect is 2 H(m) with H(k) = sum over g^2 | k of S(k / g^2), S being
+    the strongly primitive defect.  H(k) is S(k) plus terms S(j) with
+    j < k: the map is unitriangular, so H and S first leave 0 at the same
+    m, and at m = 0 both defects are 0.  The verdict and the first failing
+    m are equal, so no strongly primitive count is computed.  The benchmark
+    workload ``verify-hex`` calls this name.
+    """
+    return verify_relation(q1, q2, q3, a, b, m_max)
 
 
 def nontrivial_family(c: int) -> tuple[IntBQF, IntBQF, IntBQF]:
@@ -167,9 +160,14 @@ def classify(
 
     The label records which solution shape the data matches after GL2(Z)
     reduction; verification up to m_max is evidence, not proof, and the bound
-    is carried in the result.
+    is carried in the result.  Each form must be positive-definite, also
+    one whose coefficient is zero, as in ``verify_relation``; otherwise
+    ``ValueError`` is raised before anything is labelled.
     """
     q1, q2, q3 = forms
+    for q in forms:
+        if not q.is_positive_definite():
+            raise ValueError(f"form {q} is not positive-definite")
     norm = normalize(*alphas)
     if isinstance(norm, DegenerateRelation):
         return Classification("degenerate", m_max, "all coefficients zero")

@@ -5,7 +5,7 @@ lives with the tests and costs the package's import nothing.
 * ``BQF``, ``in_v`` and ``to_bqf``: real forms as the rational point
   ``(q11, q22, q12)`` of the cone coordinates, and the reduction domain.
 * ``representations`` to ``sp_from_rep_moebius``: per-point representation
-  counts, the oracles of ``quadform.theta_coeffs``.
+  counts, the oracles of ``quadform.theta_coeffs`` and ``sp_theta_coeffs``.
 * ``is_successive_minima_prefix``: a box search, the oracle of ``minima``.
 * ``cone_to_json`` and ``cone_from_json``: the JSON text round trip of a cone.
 * ``fraction_scale_primitive`` and ``fraction_normalize``: the ``Fraction``

@@ -14,7 +14,7 @@ from theta_refine.fixtures import run_fixtures
 from theta_refine.geometry import Cone, cones_closed_equal
 from theta_refine.ksets import kset_zero_test
 from theta_refine.minima import min_n
-from theta_refine.quadform import IntBQF, theta_coeffs
+from theta_refine.quadform import IntBQF, sp_theta_coeffs
 from theta_refine.refinement import (
     check_y_projection_argument,
     run_algorithm,
@@ -145,12 +145,13 @@ def test_criterion_5_short_chain_diagram():
 
 
 def test_criterion_6_y_projection(run_10):
-    ok = check_y_projection_argument(run_10.live[-1])
+    live = run_10.live_classes[-1]
+    ok = check_y_projection_argument(live)
     _report(
         6,
         ok,
         f"final generation size {len(run_10.generations[-1])}, "
-        f"{len(run_10.live[-1])} live",
+        f"{sum(live.values())} live",
     )
 
 
@@ -210,7 +211,7 @@ def test_criterion_9_property_suites(run_12):
             q = IntBQF(rng.randint(1, 6), rng.randint(-6, 6), rng.randint(1, 6))
             if q.is_positive_definite():
                 break
-        sp = theta_coeffs(q, 200, "strongly_primitive")
+        sp = sp_theta_coeffs(q, 200)
         for m in range(1, 201):
             if sp_from_rep_moebius(q, m) != sp[m] or sp[m] != sp_rep_number(q, m):
                 moebius_ok = False

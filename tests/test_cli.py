@@ -54,6 +54,13 @@ def test_bad_input_exits_2_with_one_line(capsys):
         ("min", "--exclude", "1,2,3"),
         ("classify", "--alphas", "1,2,3", "--q1", "1,0,1", "--q2", "1,0,1",
          "--q3", "1,0,1"),
+        # a form that is not positive-definite, with coefficient zero
+        ("classify", "--alphas", "0,1,-1", "--q1", "0,0,0", "--q2", "1,0,1",
+         "--q3", "1,0,2"),
+        ("classify", "--alphas", "0,0,0", "--q1", "0,0,0", "--q2", "1,0,1",
+         "--q3", "1,0,2"),
+        ("classify", "--alphas", "1,-1,0", "--q1", "1,0,1", "--q2", "1,0,1",
+         "--q3", "0,0,0"),
     ):
         code, out, err = run_cli_error(capsys, *argv)
         assert code == 2, argv

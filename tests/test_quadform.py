@@ -14,6 +14,7 @@ from theta_refine.quadform import (
     is_strongly_primitive,
     parse_int_form,
     reduce_gl2,
+    sp_theta_coeffs,
     theta_coeffs,
 )
 
@@ -37,6 +38,10 @@ def brute_sp_count(q, m):
     if m == 0:
         return 0
     return sum(1 for v in brute_representations(q, m) if is_strongly_primitive(v))
+
+
+# The count each variant of the per-point oracle checks.
+COUNTS = {"ordinary": theta_coeffs, "strongly_primitive": sp_theta_coeffs}
 
 
 def per_point_theta(q, m_max, variant="ordinary"):
@@ -142,8 +147,13 @@ def test_theta_examples():
     assert theta_coeffs(IntBQF(1, 0, 3), 4) == [1, 2, 0, 2, 6]
     assert theta_coeffs(IntBQF(1, 1, 1), 3) == [1, 6, 0, 6]
     assert theta_coeffs(IntBQF(4, 4, 4), 3) == [1, 0, 0, 0]
-    with pytest.raises(ValueError):
-        theta_coeffs(IntBQF(1, 0, 1), 10, "bogus")
+    assert sp_theta_coeffs(IntBQF(1, 0, 3), 4) == [0, 1, 0, 1, 2]
+    assert sp_theta_coeffs(IntBQF(1, 1, 1), 0) == [0]
+    for count in (theta_coeffs, sp_theta_coeffs):
+        with pytest.raises(ValueError):
+            count(IntBQF(1, 0, -1), 10)
+        with pytest.raises(ValueError):
+            count(IntBQF(1, 0, 1), -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,7 +188,7 @@ def test_theta_single_pass_matches_counts(case):
     q, m_max = case
     assert q.is_positive_definite()
     coeffs = theta_coeffs(q, m_max)
-    sp_coeffs = theta_coeffs(q, m_max, "strongly_primitive")
+    sp_coeffs = sp_theta_coeffs(q, m_max)
     assert coeffs == [rep_number(q, m) for m in range(m_max + 1)]
     assert sp_coeffs == [sp_rep_number(q, m) for m in range(m_max + 1)]
     assert coeffs == per_point_theta(q, m_max)
@@ -197,19 +207,20 @@ def test_theta_adds_weighted_coefficients_into_out(case, weight, start):
     assert theta_coeffs(q, m_max, weight=weight) == [weight * r for r in coeffs]
 
 
-def test_theta_strongly_primitive_takes_no_out():
-    # the inversion works on the whole half-plane count, not on a sum
-    with pytest.raises(ValueError):
-        theta_coeffs(IntBQF(1, 1, 1), 10, "strongly_primitive", out=[0] * 11)
-
-
 def test_theta_rejects_a_short_out_untouched():
-    # the length is checked before the walk, so nothing is added
+    # the length, the form and the bound are checked before the walk, so
+    # nothing is added
     lst = [0] * 6
     with pytest.raises(ValueError):
         theta_coeffs(IntBQF(1, 0, 1), 10, out=lst)
     assert lst == [0] * 6
     assert theta_coeffs(IntBQF(1, 0, 1), 5, out=lst) == theta_coeffs(IntBQF(1, 0, 1), 5)
+    start = [3, 1, 4, 1, 5, 9]
+    for q, m_max in ((IntBQF(1, 0, -1), 5), (IntBQF(1, 2, 1), 5), (IntBQF(1, 0, 1), -1)):
+        out = list(start)
+        with pytest.raises(ValueError):
+            theta_coeffs(q, m_max, weight=2, out=out)
+        assert out == start, (q, m_max)
 
 
 @pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
@@ -217,7 +228,7 @@ def test_theta_matches_per_point_walk_on_hexagonal_forms(variant):
     # every row of these forms is a mirror row (b is 0 or a)
     for k in (1, 2, 3):
         for q in (IntBQF(k, k, k), IntBQF(4 * k, 4 * k, 4 * k), IntBQF(k, 0, 3 * k)):
-            assert theta_coeffs(q, 20000, variant) == per_point_theta(q, 20000, variant), q
+            assert COUNTS[variant](q, 20000) == per_point_theta(q, 20000, variant), q
 
 
 @pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
@@ -225,7 +236,7 @@ def test_theta_matches_per_point_walk_on_hexagonal_forms(variant):
 def test_theta_matches_per_point_walk_on_sparse_forms(q, variant):
     # few mirror rows and a large discriminant: the half-plane count is
     # sparse, and the inversion visits only its non-zero entries
-    assert theta_coeffs(q, 20000, variant) == per_point_theta(q, 20000, variant)
+    assert COUNTS[variant](q, 20000) == per_point_theta(q, 20000, variant)
 
 
 @pytest.mark.parametrize(
@@ -243,7 +254,7 @@ def test_theta_matches_per_point_walk_on_sparse_forms(q, variant):
 def test_theta_on_mirror_rows_with_and_without_a_centre_point(q, centres):
     m_max = 400
     coeffs = theta_coeffs(q, m_max)
-    sp = theta_coeffs(q, m_max, "strongly_primitive")
+    sp = sp_theta_coeffs(q, m_max)
     assert coeffs == per_point_theta(q, m_max)
     assert sp == per_point_theta(q, m_max, "strongly_primitive")
     assert coeffs == [rep_number(q, m) for m in range(m_max + 1)]
@@ -257,7 +268,7 @@ def test_theta_divisor_sums_on_hexagonal_family():
     for k in (1, 2, 3):
         for q in (IntBQF(k, k, k), IntBQF(4 * k, 4 * k, 4 * k), IntBQF(k, 0, 3 * k)):
             coeffs = theta_coeffs(q, m_max)
-            sp = theta_coeffs(q, m_max, "strongly_primitive")
+            sp = sp_theta_coeffs(q, m_max)
             assert coeffs[0] == 1 and sp[0] == 0
             assert all(r % 2 == 0 for r in coeffs[1:])
             sums = [0] * (m_max + 1)
@@ -274,7 +285,7 @@ def test_moebius_and_divisor_sum_identities():
     forms = [random_posdef(rng) for _ in range(6)]
     for q in forms:
         coeffs = theta_coeffs(q, 200)
-        sp = theta_coeffs(q, 200, "strongly_primitive")
+        sp = sp_theta_coeffs(q, 200)
         for m in range(1, 201):
             assert sp_from_rep_moebius(q, m) == sp[m]
             # ordinary counts decompose over square divisors of m

@@ -171,19 +171,23 @@ def test_table_formatting(run_11):
     assert "seconds" in format_table(run_11, verbose=True)
 
 
+def _live_pairs(result, i):
+    """The pairs of generation ``i`` whose cone the run classified live."""
+    verdicts = result.table.verdicts
+    return [p for p in result.generations[i] if verdicts[p.cone] == refinement._LIVE]
+
+
 def test_iteration_log_consistency(run_11):
     # produced pairs at i+1 all descend from pairs counted non-empty at i
     for i in range(len(run_11.log) - 1):
         rec = run_11.log[i]
         assert rec.total == len(run_11.generations[i])
         assert rec.non_empty + rec.stop_absorbed <= rec.total
-        assert len(run_11.live[i]) == rec.non_empty
-        assert all(any(p is q for q in run_11.generations[i]) for p in run_11.live[i])
+        live = _live_pairs(run_11, i)
+        assert len(live) == rec.non_empty
+        assert sum(run_11.live_classes[i].values()) == rec.non_empty
         children = run_11.generations[i + 1]
-        parents = {
-            (p.param.x_sets, p.param.y_sets, p.param.z_sets)
-            for p in run_11.live[i]
-        }
+        parents = {(p.param.x_sets, p.param.y_sets, p.param.z_sets) for p in live}
         for child in children:
             key = (
                 child.param.x_sets[:-1],
@@ -565,7 +569,8 @@ def test_min_complement_builds_from_cold_memos():
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
     # The last generation of the (1, 0) run holds 5 890 pairs, 3 185 of them
     # live.  The run classified each of its cones once; the check reads the
-    # run's live pairs and tests no cone again.
+    # run's live classes, or the pairs its verdicts call live, and tests no
+    # cone again.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -574,9 +579,11 @@ def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
         return is_member_empty(self)
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    assert check_y_projection_argument(run_10.live[-1])
+    live = _live_pairs(run_10, -1)
+    assert check_y_projection_argument(run_10.live_classes[-1])
+    assert check_y_projection_argument(live)
     assert len(run_10.generations[-1]) == 5890
-    assert len(run_10.live[-1]) == 3185
+    assert len(live) == sum(run_10.live_classes[-1].values()) == 3185
     assert empties[0] == 0
 
 
@@ -634,7 +641,7 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
 
     monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    generations, live = result.generations, result.live
+    generations = result.generations
     assert dd[0] == empties[0] == 0
     monkeypatch.undo()
 
@@ -658,7 +665,7 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
         assert list(built.items()) == [(tuple(cls), mult) for cls, mult in classes.items()]
         assert rec.total == len(generations[i]) == counted + sum(classes.values())
         live_built = {}
-        for p in live[i]:
+        for p in _live_pairs(result, i):
             live_built[p.cone, p.chains] = live_built.get((p.cone, p.chains), 0) + 1
         assert list(live_built.items()) == [
             (tuple(cls), mult) for cls, mult in result.live_classes[i].items()

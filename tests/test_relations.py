@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theta_refine.quadform import IntBQF, apply_transform, theta_coeffs
+from theta_refine.quadform import IntBQF, apply_transform, sp_theta_coeffs, theta_coeffs
 from theta_refine.relations import (
     DegenerateRelation,
     NormalizedRelation,
@@ -22,6 +22,10 @@ from theta_refine.relations import (
 )
 
 from oracles import RATIONALS, fraction_normalize, representations
+
+# The per-form count and the verification of each variant.
+COUNTS = {"ordinary": theta_coeffs, "strongly_primitive": sp_theta_coeffs}
+VERIFY = {"ordinary": verify_relation, "strongly_primitive": verify_sp_relation}
 
 COPRIME_PAIRS = [
     (a, b)
@@ -141,8 +145,9 @@ def test_verify_relation_family():
         assert verify_sp_relation(q1, q2, q3, 1, 2, 2000) == (True, None)
     same = IntBQF(1, 0, 1)
     assert verify_relation(same, same, same, 5, 3, 1000) == (True, None)
-    bad = verify_relation(IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3), 1, 1, 10)
-    assert bad == (False, 1)
+    bad = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
+    assert verify_relation(*bad, 1, 1, 10) == (False, 1)
+    assert verify_sp_relation(*bad, 1, 1, 10) == (False, 1)
 
 
 def test_verify_rejects_degenerate_weights():
@@ -158,22 +163,13 @@ def test_verify_rejects_degenerate_weights():
 
 def test_verify_validates_every_form_and_the_bound():
     forms = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
-    for variant in ("ordinary", "strongly_primitive"):
+    for verify in (verify_relation, verify_sp_relation):
         # a form with weight 0 adds nothing to the defect, but is still checked
         with pytest.raises(ValueError):
-            verify_relation(IntBQF(1, 0, -1), *forms[1:], 0, 1, 10, variant)
+            verify(IntBQF(1, 0, -1), *forms[1:], 0, 1, 10)
         with pytest.raises(ValueError):
-            verify_relation(*forms, 1, 1, -1, variant)
-        assert verify_relation(*forms, 1, 1, 0, variant) == (True, None)
-
-
-def test_verify_variant_parameter():
-    q1, q2, q3 = nontrivial_family(1)
-    assert verify_relation(q1, q2, q3, 1, 2, 500, "strongly_primitive") == (True, None)
-    bad = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
-    assert verify_relation(*bad, 1, 1, 10, "strongly_primitive") == (False, 1)
-    with pytest.raises(ValueError):
-        verify_relation(q1, q2, q3, 1, 2, 10, "bogus")
+            verify(*forms, 1, 1, -1)
+        assert verify(*forms, 1, 1, 0) == (True, None)
 
 
 def _positive_definite_forms():
@@ -204,7 +200,7 @@ def verification_cases(draw):
 
 def _verify_by_coefficients(q1, q2, q3, a, b, m_max, variant):
     """Reference: one coefficient list per form, compared m by m."""
-    t1, t2, t3 = (theta_coeffs(q, m_max, variant) for q in (q1, q2, q3))
+    t1, t2, t3 = (COUNTS[variant](q, m_max) for q in (q1, q2, q3))
     for m, r1, r2, r3 in zip(range(m_max + 1), t1, t2, t3):
         if a * r1 + b * r2 != (a + b) * r3:
             return False, m
@@ -217,7 +213,7 @@ def test_verify_relation_matches_coefficient_reference(case):
     q1, q2, q3, a, b = case
     for variant in ("ordinary", "strongly_primitive"):
         expected = _verify_by_coefficients(q1, q2, q3, a, b, 300, variant)
-        assert verify_relation(q1, q2, q3, a, b, 300, variant) == expected
+        assert VERIFY[variant](q1, q2, q3, a, b, 300) == expected
 
 
 @pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
@@ -226,7 +222,7 @@ def test_verify_relation_matches_coefficient_reference_at_20000(variant):
     bad = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
     for forms, a, b, expected in ((hexagonal, 1, 2, (True, None)), (bad, 1, 1, (False, 1))):
         assert _verify_by_coefficients(*forms, a, b, 20000, variant) == expected
-        assert verify_relation(*forms, a, b, 20000, variant) == expected
+        assert VERIFY[variant](*forms, a, b, 20000) == expected
 
 
 def test_hexagonal_bijections():
@@ -275,6 +271,17 @@ def test_classify_cases():
     assert wrong.label == "no-relation-detected" and "m=1" in wrong.detail
     with pytest.raises(ObstructionError):
         classify((1, 2, 3), fam)
+    # every form is checked, also one whose coefficient is zero, before the
+    # coefficients are normalized
+    q1, q2 = IntBQF(1, 0, 1), IntBQF(1, 0, 2)
+    for alphas, forms in (
+        ((0, 1, -1), (IntBQF(0, 0, 0), q1, q2)),
+        ((0, 0, 0), (IntBQF(0, 0, 0), q1, q2)),
+        ((1, -1, 0), (q1, q1, IntBQF(0, 0, 0))),
+        ((1, 2, 3), (q1, q2, IntBQF(1, 0, -1))),
+    ):
+        with pytest.raises(ValueError, match="not positive-definite"):
+            classify(alphas, forms)
 
 
 def test_classify_scaled_family():
