@@ -43,9 +43,9 @@ its own.
 
 The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
-at import by its own DD over its own rows.  A run pays no DD for either,
-and its table interns them like any other cone: the initial cone first,
-the empty cone when the run first meets an empty chain.
+at import by its own DD over its own rows.  A run pays no DD for either:
+its table interns both when it is made, the initial cone first, and holds
+the empty cone's verdict from the start.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class RefinementPair:
 
     ``chains`` is ``param.chains()``, which ``refine_pair`` reads the next
     choices from and never looks up again; a hand-built pair passes
-    ``param.chains()``.  It takes no part in equality, hash or repr.
+    ``param.chains()``.  Pairs compare by identity.
     """
 
     __slots__ = ("cone", "param", "chains")
@@ -106,17 +106,6 @@ class RefinementPair:
         self.cone = cone
         self.param = param
         self.chains = chains
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cone == other.cone and self.param == other.param
-
-    def __hash__(self) -> int:
-        return hash((self.cone, self.param))
-
-    def __repr__(self) -> str:
-        return f"RefinementPair(cone={self.cone!r}, param={self.param!r})"
 
 
 class RefinementClass(NamedTuple):
@@ -159,13 +148,12 @@ class RunResult:
 
     ``live_classes[i]`` maps each live class of generation ``i`` to its
     multiplicity: the classes that generation ``i + 1`` refines.  The pairs
-    themselves are replayed from ``first``, the generation-0 pair, on
-    demand: ``replay`` yields them one generation at a time, and
-    ``generations`` keeps them.  A pair is live when ``table.verdicts``
-    holds ``_LIVE`` for its cone.
+    themselves are replayed from ``initial_pair()`` on demand: ``replay``
+    yields them one generation at a time, and ``generations`` keeps them.
+    A pair is live when ``table.verdicts`` holds ``_LIVE`` for its cone.
     """
 
-    __slots__ = ("a", "b", "stop_kind", "log", "live_classes", "table", "first", "_pairs")
+    __slots__ = ("a", "b", "stop_kind", "log", "live_classes", "table", "_pairs")
 
     def __init__(
         self,
@@ -175,7 +163,6 @@ class RunResult:
         log: list[IterationRecord],
         live_classes: list[dict[RefinementClass, int]],
         table: RunTable,
-        first: RefinementPair,
     ) -> None:
         self.a = a
         self.b = b
@@ -183,7 +170,6 @@ class RunResult:
         self.log = log
         self.live_classes = live_classes
         self.table = table
-        self.first = first
         self._pairs: list[list[RefinementPair]] | None = None
 
     def totals(self) -> list[int]:
@@ -201,7 +187,7 @@ class RunResult:
         shapes = linset(self.a, self.b)
         table = self.table
         verdicts = table.verdicts
-        generation = [self.first]
+        generation = [initial_pair()]
         for i in range(len(self.log)):
             if i:
                 generation = [
@@ -317,24 +303,26 @@ class RunTable:
     repeated construction skips the product, link cone, intersection and
     double description.  Building from the interned chain cone, not each
     chain's own, makes the DDs insert fewer rows: 1 621 against 2 145 on
-    ``(1,0)`` q1_eq_q3/13, 1 577 against 2 838 on ``(1,2)``/14.  ``empty``
-    is the run's one empty cone, held by the children of an empty chain: it
-    interns the process constant ``_EMPTY_CONE``, as ``run_algorithm``
-    interns ``_INITIAL_CONE`` first, and both were described at import, so
-    neither costs the run a DD.  ``verdicts`` holds
-    ``_record``'s classification of each interned cone.  A table serves one
-    sequential run: the constructions and chain cones it meets first fix
-    the rows a shared cone is dumped with, whatever ran before it.
+    ``(1,0)`` q1_eq_q3/13, 1 577 against 2 838 on ``(1,2)``/14.  A new
+    table interns the process constants ``_INITIAL_CONE`` and then
+    ``_EMPTY_CONE``, the run's one empty cone, held by the children of an
+    empty chain and by every cone with no ray and the same strict rows.
+    Both were described at import, so neither costs the run a DD.
+    ``verdicts`` holds the empty cone's verdict from the start and
+    ``_record``'s classification of every other interned cone.  A table
+    serves one sequential run: the constructions and chain cones it meets
+    first fix the rows a shared cone is dumped with, whatever ran before it.
     """
 
-    __slots__ = ("_cones", "_chain_cones", "_children", "_empty", "verdicts")
+    __slots__ = ("_cones", "_chain_cones", "_children", "verdicts")
 
     def __init__(self) -> None:
         self._cones: dict[tuple, Cone] = {}
         self._chain_cones: dict[Chain, Cone] = {}
         self._children: dict[tuple, Cone] = {}
-        self._empty: Cone | None = None
-        self.verdicts: dict[Cone, int] = {}
+        self.intern(_INITIAL_CONE)
+        self.intern(_EMPTY_CONE)
+        self.verdicts: dict[Cone, int] = {_EMPTY_CONE: _EMPTY}
 
     def intern(self, cone: Cone) -> Cone:
         """The run's cone with this member set; computes ``cone``'s rays."""
@@ -366,14 +354,6 @@ class RunTable:
             )
         return cone
 
-    def empty(self) -> Cone:
-        """The run's empty cone, held by every child of an empty chain:
-        ``_EMPTY_CONE``, the zero cone with the three ``q11 > 0`` rows,
-        interned at the first call."""
-        if self._empty is None:
-            self._empty = self.intern(_EMPTY_CONE)
-        return self._empty
-
 
 def _children(
     table: RunTable,
@@ -390,28 +370,24 @@ def _children(
     ``table.child``.  A child whose chain on some factor is empty while
     ``cone`` carries that block's ``q11 > 0`` row has no member: once the
     choices so far make that so, the children that follow them form one
-    block with ``child`` None, and none of them is built.  The run's empty
-    cone is interned at the first such block, where a loop over every child
-    meets the first child of an empty chain.
+    block with ``child`` None, and none of them is built: each holds the
+    run's empty cone, ``_EMPTY_CONE``.
     """
     kx, ky, kz = (row in cone.strict for row in _Q11_ROWS)
     xl, yl, zl = choices
     for x in xl:
         xset, xn = x
         if kx and xn.empty:
-            table.empty()
             yield None, (x,), yl, zl
             continue
         for y in yl:
             yset, yn = y
             if ky and yn.empty:
-                table.empty()
                 yield None, (x,), (y,), zl
                 continue
             for z in zl:
                 zset, zn = z
                 if kz and zn.empty:
-                    table.empty()
                     yield None, (x,), (y,), (z,)
                     continue
                 child = table.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
@@ -440,7 +416,7 @@ def refine_pair(
         choices = [c.choices(n) for c, n in zip(pair.chains, shape)]
         xe, ye, ze = ({s: seq + (s,) for s, _ in cs} for seq, cs in zip(seqs, choices))
         for child, xs, ys, zs in _children(table, pair.cone, shape, choices):
-            cone = table.empty() if child is None else child
+            cone = _EMPTY_CONE if child is None else child
             for xset, xn in xs:
                 for yset, yn in ys:
                     for zset, zn in zs:
@@ -513,10 +489,10 @@ def run_algorithm(
 
     A generation is a dict from class to multiplicity.  Pairs whose member
     set is empty are subsets of every stop set and are dropped together
-    with the absorbed ones.  The run has its own ``RunTable``: every cone,
-    the initial one included, is interned by its member set (extreme rays
-    and strict rows), so classes with equal member sets share one
-    ``Cone``, and each distinct member set is classified once, when its
+    with the absorbed ones.  The run has its own ``RunTable``: every cone
+    is interned by its member set (extreme rays and strict rows), so
+    classes with equal member sets share one ``Cone``, and each distinct
+    member set other than the empty cone's is classified once, when its
     first class is recorded.  Runs for at most ``max_iter`` refinements or
     until a generation is produced with no pairs at all.  The run is
     sequential and deterministic, whatever ran before it in the process;
@@ -535,15 +511,13 @@ def run_algorithm(
     live_classes: list[dict[RefinementClass, int]] = []
 
     start = time.perf_counter()
-    initial = initial_pair()
-    first = RefinementPair(table.intern(initial.cone), initial.param, initial.chains)
-    classes, counted = {RefinementClass(first.cone, first.chains): 1}, 0
+    classes, counted = {RefinementClass(_INITIAL_CONE, initial_pair().chains): 1}, 0
     while True:
         live, record = _record(len(log), classes, counted, rows, start, table)
         live_classes.append(live)
         log.append(record)
         if record.total == 0 or record.index == max_iter:
-            return RunResult(a, b, stop_kind, log, live_classes, table, first)
+            return RunResult(a, b, stop_kind, log, live_classes, table)
         start = time.perf_counter()
         classes, counted = _refine_classes(live, shapes, table)
 
@@ -561,18 +535,15 @@ def _record(
 
     A class is empty, absorbed by the stop set, or live; only the live
     classes are refined next, and each counts its multiplicity.  The
-    ``counted`` children of empty chains hold the run's empty cone.  Each
-    interned cone, one per member set, is classified the first time a class
-    holding it is recorded, and every later class that shares it reuses the
-    verdict from ``table``.  The seconds run from ``start`` to the end of
-    the classification; the cones' rays were already computed when they
-    were interned.
+    ``counted`` children of empty chains hold the run's empty cone, whose
+    verdict the table holds from the start.  Every other interned cone, one
+    per member set, is classified the first time a class holding it is
+    recorded, and every later class that shares it reuses the verdict from
+    ``table``.  The seconds run from ``start`` to the end of the
+    classification; the cones' rays were already computed when they were
+    interned.
     """
     verdicts = table.verdicts
-    if counted:
-        empty = table.empty()
-        if empty not in verdicts:
-            verdicts[empty] = _classify(empty, stop_rows)
     live = {}
     total, non_empty, stopped = counted, 0, 0
     for cls, mult in classes.items():

@@ -161,10 +161,13 @@ def classify(
     The label records which solution shape the data matches after GL2(Z)
     reduction; verification up to m_max is evidence, not proof, and the bound
     is carried in the result.  Each form must be positive-definite, also
-    one whose coefficient is zero, as in ``verify_relation``; otherwise
-    ``ValueError`` is raised before anything is labelled.
+    one whose coefficient is zero, as in ``verify_relation``, and ``m_max``
+    non-negative; otherwise ``ValueError`` is raised before anything is
+    labelled.
     """
     q1, q2, q3 = forms
+    if m_max < 0:
+        raise ValueError("m_max must be non-negative")
     for q in forms:
         if not q.is_positive_definite():
             raise ValueError(f"form {q} is not positive-definite")

@@ -114,6 +114,12 @@ def test_every_surviving_cone_ends_in_diagonal(run_11):
     for pair in run_11.generations[5]:
         assert pair.cone.is_member_empty() or pair.cone.is_subset_of(diag)
     assert run_11.generations[6] == []
+    # The run meets no empty chain, yet every pair whose cone has no extreme
+    # ray holds the run's one empty cone, interned when its table was made.
+    rayless = [p for gen in run_11.generations for p in gen if not p.cone.edges()]
+    assert len(rayless) == 46
+    assert all(p.cone is refinement._EMPTY_CONE for p in rayless)
+    assert sum(rec.counted for rec in run_11.log) == 0
 
 
 def test_run_validation():
@@ -202,7 +208,7 @@ def test_seconds_cover_classification(monkeypatch):
     # member set is classified once, when the first pair holding its cone is
     # recorded, so record i counts one tick per cone first seen in
     # generation i.  Every child of an empty chain holds the run's one empty
-    # cone, first seen in generation 1.
+    # cone, whose verdict the table holds from the start: it costs no tick.
     ticks = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -220,8 +226,8 @@ def test_seconds_cover_classification(monkeypatch):
     for gen in result.generations:
         new = {id(p.cone) for p in gen} - seen
         seen |= new
-        first_seen.append(len(new))
-    assert first_seen == [1, 2, 1, 1, 0]
+        first_seen.append(len(new - {id(refinement._EMPTY_CONE)}))
+    assert first_seen == [1, 1, 1, 1, 0]
     assert [rec.seconds for rec in result.log] == first_seen
 
 
@@ -263,6 +269,8 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
     # at import by their own DDs.  Every run shares them, so no nine-
     # dimensional DD of a run starts from scratch, and a run from cold chain
     # memos counts the same DDs whether or not the same run came before it.
+    # A new table interns both as their own representatives and holds the
+    # empty cone's verdict, the one either stop set would compute.
     from test_geometry import assert_exact_description
 
     counts = []
@@ -281,13 +289,19 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
         minima.clear_caches()
         counts.append({3: 0, 9: 0})
         result = run_algorithm(1, 2, "diagonal", 14)
-        assert result.first.cone is refinement._INITIAL_CONE
-        assert result.table.empty() is refinement._EMPTY_CONE
+        assert result.generations[0][0].cone is refinement._INITIAL_CONE
+        assert result.table.verdicts[refinement._EMPTY_CONE] == refinement._EMPTY
     assert unseeded == []
     assert counts[0] == counts[1] == {3: 224, 9: 92}
     assert initial_pair().cone is initial_pair().cone
     assert_exact_description(refinement._INITIAL_CONE)
     assert_exact_description(refinement._EMPTY_CONE)
+    table = refinement.RunTable()
+    for cone in (refinement._INITIAL_CONE, refinement._EMPTY_CONE):
+        assert table.intern(Cone(9, cone.closed, cone.strict)) is cone
+    assert table.verdicts == {refinement._EMPTY_CONE: refinement._EMPTY}
+    for kind in refinement.STOP_SET_KINDS:
+        assert refinement._classify(refinement._EMPTY_CONE, stop_set(kind)) == refinement._EMPTY
 
 
 def test_work_counters_on_reference_run(monkeypatch):
@@ -297,8 +311,9 @@ def test_work_counters_on_reference_run(monkeypatch):
     # empty), one nine-dimensional DD per distinct construction (parent,
     # chain geometries, shape and link vectors) from chains that are not
     # empty, none for the initial cone or the run's empty cone (both were
-    # described at import), and one emptiness test per distinct member set:
-    # 18 for the 676 pairs produced.
+    # described at import), and one emptiness test per distinct member set
+    # other than the empty cone's, whose verdict the table holds from the
+    # start: 17 for the 676 pairs produced.
     builds = [0]
     empties = [0]
     chain_init = ksets.Chain.__init__
@@ -318,7 +333,7 @@ def test_work_counters_on_reference_run(monkeypatch):
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
     assert dd == {3: 224, 9: 92}
-    assert empties[0] == 18
+    assert empties[0] == 17
     assert sum(result.totals()) == 676
 
 
@@ -533,10 +548,9 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # link vectors) without an empty chain needs its rays before it can be
     # interned, so each of the 590 gets one nine-dimensional DD; the initial
     # cone and the run's empty cone get none, as they were described at
-    # import.  Each of the 316
-    # distinct member sets gets one emptiness test, and no cone needs the
-    # extra DD of the exact emptiness path, because its strict rows are
-    # non-negative on its rays.
+    # import.  Each of the 316 distinct member sets but the empty cone's
+    # gets one emptiness test, and no cone needs the extra DD of the exact
+    # emptiness path, because its strict rows are non-negative on its rays.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -548,7 +562,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     assert sum(result.totals()) == 10558
-    assert empties[0] == 316
+    assert empties[0] == 315
     assert dd == {3: 336, 9: 590}
 
 
@@ -656,7 +670,7 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
         built, killed = {}, 0
         for p in generations[i]:
             if any(c.empty for c in p.chains):
-                assert p.cone is table.empty()
+                assert p.cone is refinement._EMPTY_CONE
                 killed += 1
             else:
                 key = (p.cone, p.chains)

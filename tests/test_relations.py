@@ -282,6 +282,15 @@ def test_classify_cases():
     ):
         with pytest.raises(ValueError, match="not positive-definite"):
             classify(alphas, forms)
+    # a negative bound is refused on every path, not only the three-term one
+    q7 = IntBQF(1, 0, 7)
+    for alphas, forms in (
+        ((0, 0, 0), (q, q, q)),
+        ((1, -1, 0), (q, q, q7)),
+        ((1, -1, 0), (q, q7, q7)),
+    ):
+        with pytest.raises(ValueError, match="m_max must be non-negative"):
+            classify(alphas, forms, -5)
 
 
 def test_classify_scaled_family():
