@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .geometry import cone_to_json_dict, format_cone
 from .ksets import kset
@@ -74,26 +74,26 @@ def _param_json(param) -> dict:
     }
 
 
-def _dump_run(result: RunResult, out_dir: Path) -> None:
+def _dump_run(result: RunResult, out_dir: str) -> None:
     """One file per pair, replayed and written one generation at a time."""
     for i, gen in enumerate(result.replay()):
-        gen_dir = out_dir / f"gen_{i}"
-        gen_dir.mkdir()
+        gen_dir = os.path.join(out_dir, f"gen_{i}")
+        os.mkdir(gen_dir)
         for j, pair in enumerate(gen):
             payload = {
                 "cone": cone_to_json_dict(pair.cone),
                 "param": _param_json(pair.param),
             }
-            (gen_dir / f"pair_{j}.json").write_text(json.dumps(payload, indent=1))
+            with open(os.path.join(gen_dir, f"pair_{j}.json"), "w") as f:
+                f.write(json.dumps(payload, indent=1))
 
 
 def _cmd_refine(args) -> int:
     # A non-empty --out would mix an earlier dump's files with this one's.
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if any(out.iterdir()):
-            raise ValueError(f"--out directory {out} is not empty")
+        os.makedirs(args.out, exist_ok=True)
+        if os.listdir(args.out):
+            raise ValueError(f"--out directory {args.out} is not empty")
     result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
     if args.emit == "json":
         print(
@@ -112,7 +112,7 @@ def _cmd_refine(args) -> int:
     else:
         print(format_table(result, verbose=args.verbose))
     if args.out:
-        _dump_run(result, Path(args.out))
+        _dump_run(result, args.out)
     return 0
 
 

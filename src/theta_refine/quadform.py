@@ -12,6 +12,10 @@ Two coordinate orders meet here:
 
 Theta coefficients are exact integer arithmetic throughout: the ellipse is
 bounded via the discriminant and square roots are taken with ``math.isqrt``.
+Both counts share one half-plane walk.  A square or hexagonal form, one
+GL2(Z)-equivalent to k (1, 0, 1) or k (1, 1, 1), is walked on one wedge of
+its reduced form's automorphism group, each point weighted by its orbit
+size: an eighth or a twelfth of the ellipse in place of a half.
 """
 
 from __future__ import annotations
@@ -118,27 +122,46 @@ def _add_half_plane(q: IntBQF, m_max: int, w: int, out: list[int]) -> None:
       row holds |t| <= isqrt(4a m_max - D y^2); Q steps by a(2x + 1) + by.
     * If y > 0 and a | by, t -> -t maps the row onto itself with Q kept:
       walk t >= 0 at 2w, less w at t = 0.
+    * Wedge: a form whose reduced form (a, b, c) has a = c and b in (0, a)
+      is square (b = 0, |Aut| = 8) or hexagonal (b = a, |Aut| = 12), and
+      the reduced form's wedge 0 <= y <= x is a fundamental domain of its
+      automorphism group Aut, which contains -1.  A point inside the wedge
+      has a free orbit of |Aut| points, |Aut|/2 of them in the half-plane;
+      one on the mirror y = 0 or x = y has a stabiliser of order 2, so
+      |Aut|/4 in the half-plane.  Q(X v) is the reduced form at v, so the
+      reduced form's wedge is walked: rows y <= isqrt(m_max // (2a + b)),
+      where (y, y) still lies in the ellipse, from x = y (or 1) on, at
+      |Aut|/2 w per point, less |Aut|/4 w at x = y, and the row y = 0 at
+      |Aut|/4 w.  Every other form is walked as given.
     """
     if not q.is_positive_definite():
         raise ValueError(f"form {q} is not positive-definite")
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    a, b, c = q.a, q.b, q.c
+    a, b, c = reduce_gl2(q)[0]
+    wedge = a == c and b in (0, a)
+    if wedge:
+        w *= 3 if b else 2
+    else:
+        a, b, c = q
     two_a = 2 * a
     bound = 4 * a * m_max
     disc = -q.discriminant()
-    for y in range(isqrt(bound // disc) + 1):
+    rows = isqrt(m_max // (two_a + b)) if wedge else isqrt(bound // disc)
+    for y in range(rows + 1):
         s = isqrt(bound - disc * y * y)
         by = b * y
         xhi = (s - by) // two_a
         if not y:
             xlo, step = 1, w
+        elif wedge:
+            xlo, step = y, 2 * w
         elif by % a:
             xlo, step = -((s + by) // two_a), w
         else:
             xlo, step = -(by // two_a), 2 * w
         m = (a * xlo + by) * xlo + c * y * y
-        if two_a * xlo + by == 0:
+        if two_a * xlo + by == 0 or wedge and y:
             out[m] -= w
         if xhi >= xlo:
             # Q at successive x: m, then m + d, m + d + (d + 2a), ...

@@ -113,14 +113,17 @@ def verify_relation(
 
     One list, the defect a r_1 + b r_2 - (a+b) r_3, is built by adding each
     form's coefficients into it with its weight; the answer is its first
-    non-zero entry.  Its m = 0 entry is a + b - (a+b) = 0.
+    non-zero entry.  Its m = 0 entry is a + b - (a+b) = 0.  The relation
+    holds when all m_max + 1 entries are 0, which ``list.count`` decides
+    without an int per index; only a failing relation is scanned for its
+    first non-zero entry.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError(f"need weights a, b >= 0 with (a, b) != (0, 0), got ({a}, {b})")
     defect = theta_coeffs(q1, m_max, weight=a)
     theta_coeffs(q2, m_max, weight=b, out=defect)
     theta_coeffs(q3, m_max, weight=-(a + b), out=defect)
-    failing = next(compress(range(m_max + 1), defect), None)
+    failing = None if defect.count(0) > m_max else next(compress(range(m_max + 1), defect))
     return failing is None, failing
 
 

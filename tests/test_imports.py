@@ -44,3 +44,18 @@ def test_modules_import_at_top_level_only():
                 assert not inner, f"{path.name}: import inside {node.name}"
         names = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         assert "__getattr__" not in names, path.name
+
+
+def test_cli_import_loads_no_pathlib():
+    # --out is written with os alone; -S keeps site's own imports out of
+    # the count
+    code = "import sys, theta_refine.cli; print('pathlib' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"

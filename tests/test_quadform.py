@@ -168,11 +168,18 @@ def test_counts_match_brute_force(seed, m):
 @st.composite
 def theta_cases(draw):
     """A positive-definite form, reduced or not, with content up to 4, and a
-    bound up to 400, so the inversion runs over the primes 2..19."""
+    bound up to 400, so the inversion runs over the primes 2..19.  About half
+    the forms are square or hexagonal, k (1,0,1) or k (1,1,1) under a shear
+    or a shear and a swap, so the walk takes their wedge."""
     k = draw(st.integers(1, 4))
-    a, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    b = draw(st.integers(-isqrt(4 * a * c - 1), isqrt(4 * a * c - 1)))
-    q = IntBQF(k * a, k * b, k * c)
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([IntBQF(k, 0, k), IntBQF(k, k, k)]))
+        t = draw(st.integers(-3, 3))
+        q = apply_transform(base, draw(st.sampled_from([((1, t), (0, 1)), ((t, 1), (1, 0))])))
+    else:
+        a, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        b = draw(st.integers(-isqrt(4 * a * c - 1), isqrt(4 * a * c - 1)))
+        q = IntBQF(k * a, k * b, k * c)
     m_max = draw(
         st.sampled_from([0, 1, q.a - 1, q.a, q.a + 1])
         | st.integers(0, 60)
@@ -225,10 +232,36 @@ def test_theta_rejects_a_short_out_untouched():
 
 @pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])
 def test_theta_matches_per_point_walk_on_hexagonal_forms(variant):
-    # every row of these forms is a mirror row (b is 0 or a)
+    # the hexagonal forms take the wedge; every row of (k, 0, 3k) is a
+    # mirror row (b is 0)
     for k in (1, 2, 3):
         for q in (IntBQF(k, k, k), IntBQF(4 * k, 4 * k, 4 * k), IntBQF(k, 0, 3 * k)):
             assert COUNTS[variant](q, 20000) == per_point_theta(q, 20000, variant), q
+
+
+# Square and hexagonal forms, reduced, and non-reduced images of (1,1,1)
+# and (1,0,1): the walk takes the reduced form's wedge 0 <= y <= x.
+WEDGE_FORMS = [IntBQF(k, b, k) for k in (1, 2, 3, 4) for b in (k, 0)] + [
+    IntBQF(1, -1, 1),
+    IntBQF(3, 3, 1),
+    IntBQF(2, 2, 1),
+    IntBQF(1, 2, 2),
+]
+
+
+@pytest.mark.parametrize("q", WEDGE_FORMS)
+def test_theta_matches_per_point_walk_on_wedge_forms(q):
+    # the bounds around the first shells: on a reduced form, a - 1 has
+    # only the origin, a the first points on the mirror y = 0, and 3a the
+    # first points on the mirror x = y of a hexagonal form
+    for m_max in sorted({0, 1, 2, 3, q.a - 1, q.a, q.a + 1, 3 * q.a, 400}):
+        coeffs = per_point_theta(q, m_max)
+        assert theta_coeffs(q, m_max) == coeffs, m_max
+        assert sp_theta_coeffs(q, m_max) == per_point_theta(q, m_max, "strongly_primitive"), m_max
+        for weight in (-3, 0, 2):
+            start = [(7 * m) % 5 - 2 for m in range(m_max + 1)]
+            out = theta_coeffs(q, m_max, weight=weight, out=list(start))
+            assert out == [s + weight * r for s, r in zip(start, coeffs)], (m_max, weight)
 
 
 @pytest.mark.parametrize("variant", ["ordinary", "strongly_primitive"])

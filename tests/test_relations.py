@@ -150,6 +150,18 @@ def test_verify_relation_family():
     assert verify_sp_relation(*bad, 1, 1, 10) == (False, 1)
 
 
+@pytest.mark.parametrize("verify", [verify_relation, verify_sp_relation])
+def test_verify_first_failure_at_the_boundary(verify):
+    # (5,0,5) and (4,0,4) are square, walked on their wedge; (4,1,5) is
+    # walked as given.  The defect is 0 up to 18 and first non-zero at 19,
+    # so the zero count decides m <= 18 and the scan finds 19 beyond it.
+    forms = (IntBQF(5, 0, 5), IntBQF(4, 0, 4), IntBQF(4, 1, 5))
+    assert verify(*forms, 1, 1, 19) == (False, 19)
+    assert verify(*forms, 1, 1, 60) == (False, 19)
+    assert verify(*forms, 1, 1, 18) == (True, None)
+    assert verify(*forms, 1, 1, 0) == (True, None)
+
+
 def test_verify_rejects_degenerate_weights():
     # a = b = 0 would "verify" any three forms
     forms = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
