@@ -297,9 +297,10 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     0 is success; 1 is a negative answer from ``verify``, ``classify``,
-    ``decompose``, ``fixtures`` or ``ycheck``; 2 is bad input or an output
-    path that cannot be written or is not empty, reported as a one-line
-    ``error:`` message on standard error.
+    ``decompose``, ``fixtures`` or ``ycheck``; 2 is bad input, an output
+    path that cannot be written or is not empty, or a ``--max-coeff`` whose
+    coefficient list cannot be allocated, reported as a one-line ``error:``
+    message on standard error.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -308,6 +309,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError):
+        # A list of --max-coeff + 1 entries: past the address space it
+        # raises MemoryError, past the index size OverflowError.
+        if not hasattr(args, "max_coeff"):
+            raise
+        print(f"error: --max-coeff {args.max_coeff} is too large to allocate", file=sys.stderr)
         return 2
 
 

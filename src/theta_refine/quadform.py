@@ -228,3 +228,11 @@ def parse_int_form(text: str) -> IntBQF:
         raise ValueError(f"expected 'a,b,c', got {text!r}")
     a, b, c = (int(p.strip()) for p in parts)
     return IntBQF(a, b, c)
+
+
+def level(q: IntBQF) -> int:
+    """The least N with N A^-1 even integral, A the Gram matrix of q."""
+    if not q.is_positive_definite():
+        raise ValueError(f"form {q} is not positive-definite")
+    disc = -q.discriminant()
+    return disc // gcd(disc, q.content())

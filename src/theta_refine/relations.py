@@ -5,17 +5,24 @@ coefficients summing to zero normalizes to a/(a+b) theta + b/(a+b) theta =
 theta with coprime non-negative a, b.  Verification checks that the weighted
 sum of representation numbers vanishes up to a bound; classification matches the
 reduced forms against the known solution shapes and reports the bound along
-with the label, never a proof.
+with the label.
+
+A failing coefficient disproves a relation.  A relation that holds up to
+its Sturm bound (``sturm_bound``) holds for every m: its defect is a weight
+1 modular form for Gamma1(N), N the lcm of the three forms' levels, and
+such a form vanishing up to [SL2(Z) : Gamma1(N)] / 12 is zero (Sturm,
+LNM 1240, 1987).  So "holds" is a proof whenever the bound is at most the
+one checked, and evidence up to that bound otherwise.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .geometry import scale_primitive
-from .quadform import IntBQF, reduce_gl2, theta_coeffs
+from .quadform import IntBQF, level, reduce_gl2, theta_coeffs
 
 
 class ObstructionError(ValueError):
@@ -102,6 +109,38 @@ def key_lemma_decompose(a: int, b: int, triple: Sequence[int]) -> tuple[int, int
     return (y0, (x0 - y0) // step, 0)
 
 
+def gamma1_index(n: int) -> int:
+    """[SL2(Z) : Gamma1(N)] = N^2 prod over primes p | N of (1 - p^-2).
+
+    Exact: p^2 divides the running product for each prime p of N, found by
+    trial division up to the square root of what is left of N.
+    """
+    index, rest, p = n * n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            index = index // (p * p) * (p * p - 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        index = index // (rest * rest) * (rest * rest - 1)
+    return index
+
+
+def sturm_bound(q1: IntBQF, q2: IntBQF, q3: IntBQF) -> int:
+    """Coefficients up to which a relation among the three theta series must
+    hold for it to hold everywhere.
+
+    Each theta series lies in M_1(Gamma0(N_i), chi_i) with N_i its
+    ``level``, so every linear combination lies in M_1(Gamma1(N)), N the
+    lcm of the levels.  By Sturm's theorem a weight 1 form whose
+    coefficients vanish up to [SL2(Z) : Gamma1(N)] / 12 is zero.  The full
+    SL2(Z) index is used, twice the index of the image in PSL2(Z) for
+    N >= 3: the bound is conservative and needs no character argument.
+    """
+    return gamma1_index(lcm(level(q1), level(q2), level(q3))) // 12
+
+
 def verify_relation(
     q1: IntBQF, q2: IntBQF, q3: IntBQF, a: int, b: int, m_max: int
 ) -> tuple[bool, int | None]:
@@ -109,21 +148,37 @@ def verify_relation(
 
     The weights follow the linset rule: a, b >= 0 and (a, b) != (0, 0);
     anything else raises ``ValueError``, since a = b = 0 would make every
-    relation hold.  Returns (True, None) or (False, first failing m).
+    relation hold.  So does a form that is not positive-definite, also one
+    of weight 0, or a negative ``m_max``, checked in the order q1, m_max,
+    q2, q3.  Returns (True, None) or (False, first failing m).
+
+    The walk stops at n = min(m_max, ``sturm_bound``): a non-zero entry up
+    to n is the first failure, and when every entry is 0 the relation holds
+    up to m_max, for every m if n < m_max.  So (True, None) is a proof
+    whenever the Sturm bound is at most m_max, and the answer is that of
+    the walk to m_max on every input.  The index of Gamma1(N) exceeds
+    N^2 / 2, so when N^2 >= 24 (m_max + 1) the bound is at least m_max:
+    the walk goes to m_max and N is not factored.
 
     One list, the defect a r_1 + b r_2 - (a+b) r_3, is built by adding each
     form's coefficients into it with its weight; the answer is its first
     non-zero entry.  Its m = 0 entry is a + b - (a+b) = 0.  The relation
-    holds when all m_max + 1 entries are 0, which ``list.count`` decides
+    holds when all n + 1 entries are 0, which ``list.count`` decides
     without an int per index; only a failing relation is scanned for its
     first non-zero entry.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError(f"need weights a, b >= 0 with (a, b) != (0, 0), got ({a}, {b})")
-    defect = theta_coeffs(q1, m_max, weight=a)
-    theta_coeffs(q2, m_max, weight=b, out=defect)
-    theta_coeffs(q3, m_max, weight=-(a + b), out=defect)
-    failing = None if defect.count(0) > m_max else next(compress(range(m_max + 1), defect))
+    # ``level`` checks each form, before its discriminant divides anything.
+    n1 = level(q1)
+    if m_max < 0:
+        raise ValueError("m_max must be non-negative")
+    big = lcm(n1, level(q2), level(q3))
+    n = min(m_max, gamma1_index(big) // 12) if big * big < 24 * (m_max + 1) else m_max
+    defect = theta_coeffs(q1, n, weight=a)
+    theta_coeffs(q2, n, weight=b, out=defect)
+    theta_coeffs(q3, n, weight=-(a + b), out=defect)
+    failing = None if defect.count(0) > n else next(compress(range(n + 1), defect))
     return failing is None, failing
 
 
@@ -137,8 +192,10 @@ def verify_sp_relation(
     the strongly primitive defect.  H(k) is S(k) plus terms S(j) with
     j < k: the map is unitriangular, so H and S first leave 0 at the same
     m, and at m = 0 both defects are 0.  The verdict and the first failing
-    m are equal, so no strongly primitive count is computed.  The benchmark
-    workload ``verify-hex`` calls this name.
+    m are equal, so no strongly primitive count is computed.  For the same
+    reason S vanishes for every m exactly when the ordinary defect does, so
+    (True, None) is a proof whenever it is one for ``verify_relation``.  The
+    benchmark workload ``verify-hex`` calls this name.
     """
     return verify_relation(q1, q2, q3, a, b, m_max)
 
@@ -162,8 +219,13 @@ def classify(
     """Bounded-verification classification of a candidate relation.
 
     The label records which solution shape the data matches after GL2(Z)
-    reduction; verification up to m_max is evidence, not proof, and the bound
-    is carried in the result.  Each form must be positive-definite, also
+    reduction, and the bound m_max is carried in the result.  A three-term
+    label rests on ``verify_relation``: "fails at m" disproves the
+    relation, and a relation that holds is proved for every m when
+    ``sturm_bound`` of the three forms is at most m_max (the paper's family
+    has bounds 8, 32 and 72 for c = 1, 2, 3), and is evidence up to m_max
+    otherwise.  The two-term labels come from reduction alone.  Each form
+    must be positive-definite, also
     one whose coefficient is zero, as in ``verify_relation``, and ``m_max``
     non-negative; otherwise ``ValueError`` is raised before anything is
     labelled.

@@ -12,6 +12,8 @@ lives with the tests and costs the package's import nothing.
   versions of ``geometry.scale_primitive`` and ``relations.normalize``, which
   now clear denominators with ``lcm`` and reduce with ``gcd``, and
   ``RATIONALS``, the ``int`` and ``Fraction`` inputs they are compared on.
+* ``verify_relation_walk``: ``relations.verify_relation`` without the Sturm
+  bound, walking every form to ``m_max``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
 from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict
-from theta_refine.quadform import IntBQF, is_strongly_primitive
+from theta_refine.quadform import IntBQF, is_strongly_primitive, theta_coeffs
 from theta_refine.relations import (
     DegenerateRelation,
     NormalizedRelation,
@@ -251,3 +254,19 @@ def fraction_normalize(alpha1, alpha2, alpha3) -> NormalizedRelation | Degenerat
     beta1 = alphas[i] / -alphas[k]
     a, c = beta1.numerator, beta1.denominator
     return NormalizedRelation(a, c - a, (i + 1, j + 1, k + 1))
+
+
+def verify_relation_walk(
+    q1: IntBQF, q2: IntBQF, q3: IntBQF, a: int, b: int, m_max: int
+) -> tuple[bool, int | None]:
+    """Check a r_1(m) + b r_2(m) = (a+b) r_3(m) for 0 <= m <= m_max by
+    walking every form to m_max: the weighted defect list, its zero count,
+    then its first non-zero entry.  Returns (True, None) or (False, first
+    failing m)."""
+    if (a, b) == (0, 0) or a < 0 or b < 0:
+        raise ValueError(f"need weights a, b >= 0 with (a, b) != (0, 0), got ({a}, {b})")
+    defect = theta_coeffs(q1, m_max, weight=a)
+    theta_coeffs(q2, m_max, weight=b, out=defect)
+    theta_coeffs(q3, m_max, weight=-(a + b), out=defect)
+    failing = None if defect.count(0) > m_max else next(compress(range(m_max + 1), defect))
+    return failing is None, failing

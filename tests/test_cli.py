@@ -177,6 +177,32 @@ def test_verify_exit_codes(capsys):
     assert code == 1 and "m=1" in out
 
 
+@pytest.mark.parametrize("bound", [str(2**62), str(2**63)])
+def test_an_unallocatable_max_coeff_exits_2_unless_the_sturm_bound_decides(capsys, bound):
+    # A list of 2**62 + 1 entries is refused before any allocation
+    # (MemoryError), one of 2**63 + 1 cannot be indexed (OverflowError).
+    code, out = run_cli(
+        capsys, "verify", "--q1", "1,1,1", "--q2", "4,4,4", "--q3", "1,0,3",
+        "--a", "1", "--b", "2", "--max-coeff", bound,
+    )
+    assert (code, out) == (0, f"verified for all m <= {bound}\n")
+    code, out = run_cli(
+        capsys, "verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", "1,0,3",
+        "--a", "1", "--b", "1", "--max-coeff", bound,
+    )
+    assert (code, out) == (1, "fails at m=1\n")
+    # N = 4 * 10**10: N^2 >= 24 (m_max + 1), so the walk goes to m_max
+    for argv in (
+        ("verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", f"1,0,{10**10}",
+         "--a", "1", "--b", "1"),
+        ("theta", "--form", "1,0,1"),
+        ("theta", "--form", "1,0,1", "--variant", "sp"),
+    ):
+        code, out, err = run_cli_error(capsys, *argv, "--max-coeff", bound)
+        assert code == 2 and out == "", argv
+        assert err == f"error: --max-coeff {bound} is too large to allocate\n", argv
+
+
 def test_verify_degenerate_weights_exit_2(capsys):
     code, out, err = run_cli_error(
         capsys, "verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", "1,0,3",

@@ -12,6 +12,7 @@ from theta_refine.quadform import (
     apply_transform,
     coeff_row,
     is_strongly_primitive,
+    level,
     parse_int_form,
     reduce_gl2,
     sp_theta_coeffs,
@@ -367,6 +368,46 @@ def test_theta_is_class_invariant(seed):
     q = random_posdef(rng)
     other = apply_transform(q, _random_unimodular(rng))
     assert theta_coeffs(q, 40) == theta_coeffs(other, 40)
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [((1, 0, 1), 4), ((1, 1, 1), 3), ((1, 0, 3), 12), ((4, 4, 4), 12), ((3, 3, 3), 9), ((1, 0, 2), 8)],
+)
+def test_level_examples(q, expected):
+    assert level(IntBQF(*q)) == expected
+
+
+def test_level_is_the_least_n_with_n_times_the_inverse_gram_even():
+    # Oracle: A^-1 = [[2c, -b], [-b, 2a]] / D in Fractions, N tried upward.
+    for a in range(1, 7):
+        for b in range(-a, a + 1):
+            for c in range(a, 9):
+                q = IntBQF(a, b, c)
+                if not q.is_positive_definite():
+                    continue
+                d = Fraction(-q.discriminant())
+                inverse = (2 * c / d, -b / d, 2 * a / d)
+                n = next(
+                    n for n in range(1, 4 * a * c + 1)
+                    if all((n * x).denominator == 1 for x in inverse)
+                    and (n * inverse[0]) % 2 == 0 and (n * inverse[2]) % 2 == 0
+                )
+                assert level(q) == n, q
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5))
+def test_level_is_gl2_invariant(seed, scale):
+    rng = random.Random(seed)
+    q = IntBQF(*(scale * x for x in random_posdef(rng)))
+    assert level(apply_transform(q, _random_unimodular(rng))) == level(q)
+
+
+def test_level_rejects_a_form_that_is_not_positive_definite():
+    for q in (IntBQF(0, 0, 0), IntBQF(1, 2, 1), IntBQF(1, 0, -1), IntBQF(-1, 0, -1)):
+        with pytest.raises(ValueError, match="not positive-definite"):
+            level(q)
 
 
 def test_parsers():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -14,14 +15,17 @@ from theta_refine.relations import (
     ObstructionError,
     TwoTermRelation,
     classify,
+    gamma1_index,
     key_lemma_decompose,
     nontrivial_family,
     normalize,
+    sturm_bound,
     verify_relation,
     verify_sp_relation,
 )
+from theta_refine import relations
 
-from oracles import RATIONALS, fraction_normalize, representations
+from oracles import RATIONALS, fraction_normalize, representations, verify_relation_walk
 
 # The per-form count and the verification of each variant.
 COUNTS = {"ordinary": theta_coeffs, "strongly_primitive": sp_theta_coeffs}
@@ -182,6 +186,14 @@ def test_verify_validates_every_form_and_the_bound():
         with pytest.raises(ValueError):
             verify(*forms, 1, 1, -1)
         assert verify(*forms, 1, 1, 0) == (True, None)
+        # the order of the checks is q1, m_max, q2, q3
+        bad = IntBQF(0, 0, 0)
+        with pytest.raises(ValueError, match="form 0,0,0 is not positive-definite"):
+            verify(bad, forms[1], bad, 1, 1, -1)
+        with pytest.raises(ValueError, match="m_max must be non-negative"):
+            verify(forms[0], bad, bad, 1, 1, -1)
+        with pytest.raises(ValueError, match="form 1,0,-1 is not positive-definite"):
+            verify(forms[0], IntBQF(1, 0, -1), bad, 1, 1, 2**62)
 
 
 def _positive_definite_forms():
@@ -310,3 +322,109 @@ def test_classify_scaled_family():
         fam = nontrivial_family(c)
         result = classify((Fraction(1, 3), Fraction(2, 3), -1), fam, 3000)
         assert result.label == "non-trivial" and f"c={c}" in result.detail
+
+
+def test_gamma1_index_examples_and_pair_count():
+    assert [gamma1_index(n) for n in (3, 4, 12)] == [8, 12, 96]
+    # Oracle: the index is the number of pairs (c, d) mod N with
+    # gcd(c, d, N) = 1, the bottom rows of SL2(Z/N).
+    for n in range(1, 41):
+        pairs = sum(gcd(gcd(c, d), n) == 1 for c in range(n) for d in range(n))
+        assert gamma1_index(n) == pairs, n
+
+
+def test_sturm_bound_of_the_hexagonal_family():
+    assert [sturm_bound(*nontrivial_family(c)) for c in (1, 2, 3)] == [8, 32, 72]
+    # levels 4, 8 and 12: N = 24
+    assert sturm_bound(IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3)) == 32
+
+
+def _factoring_forbidden(n):
+    raise AssertionError(f"gamma1_index({n}) called")
+
+
+def test_a_bound_that_cannot_undercut_m_max_factors_nothing(monkeypatch):
+    # N = lcm(4, 8, 4 * 1000003) with N^2 >= 24 (m_max + 1): the walk goes to
+    # m_max without the index.
+    far = IntBQF(1, 0, 1000003)
+    monkeypatch.setattr(relations, "gamma1_index", _factoring_forbidden)
+    for forms, a, b in (
+        ((IntBQF(1, 0, 1), IntBQF(1, 0, 2), far), 1, 1),
+        ((far, far, far), 2, 3),
+    ):
+        assert verify_relation(*forms, a, b, 100) == verify_relation_walk(*forms, a, b, 100)
+    # The paper's triple has N = 12, so its bound, 8, is computed.
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(relations, "gamma1_index", lambda n: calls.append(n) or gamma1_index(n))
+    assert verify_relation(*nontrivial_family(1), 1, 2, 100) == (True, None)
+    assert calls == [12]
+
+
+def _reduced_forms(max_disc):
+    return [
+        IntBQF(a, b, c)
+        for a in range(1, max_disc + 1)
+        for b in range(a + 1)
+        for c in range(a, max_disc + 1)
+        if 0 < 4 * a * c - b * b <= max_disc
+    ]
+
+
+def test_verify_relation_matches_the_walk_to_m_max():
+    # Every ordered triple of reduced forms with |D| <= 30.  The bound cuts
+    # the walk short on 1 822 triples, and proves 44 of their 3 644 cases.
+    forms = _reduced_forms(30)
+    assert len(forms) == 22
+    short = proved = 0
+    for q1, q2, q3 in product(forms, repeat=3):
+        cut = sturm_bound(q1, q2, q3) < 300
+        for a, b in ((1, 1), (1, 2)):
+            expected = verify_relation_walk(q1, q2, q3, a, b, 300)
+            assert verify_relation(q1, q2, q3, a, b, 300) == expected, (q1, q2, q3, a, b)
+            short += cut
+            proved += cut and expected[0]
+    assert (short, proved) == (3644, 44)
+    for c in (1, 2, 3):
+        forms = nontrivial_family(c)
+        assert verify_relation(*forms, 1, 2, 20000) == verify_relation_walk(*forms, 1, 2, 20000)
+        assert verify_relation_walk(*forms, 1, 2, 20000) == (True, None)
+
+
+@pytest.fixture
+def walk_lengths(monkeypatch):
+    """The m_max of every ``theta_coeffs`` call ``verify_relation`` makes."""
+    lengths = []
+
+    def recording(q, m_max, **kwargs):
+        lengths.append(m_max)
+        return theta_coeffs(q, m_max, **kwargs)
+
+    monkeypatch.setattr(relations, "theta_coeffs", recording)
+    return lengths
+
+
+def test_verify_walks_to_the_sturm_bound(walk_lengths):
+    assert verify_relation(*nontrivial_family(1), 1, 2, 200000) == (True, None)
+    assert walk_lengths == [8, 8, 8]
+    walk_lengths.clear()
+    bad = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
+    assert verify_relation(*bad, 1, 1, 10) == (False, 1)
+    assert walk_lengths == [10, 10, 10]
+    # N = lcm(20, 16, 79) = 6320: the bound is far beyond m_max
+    forms = (IntBQF(5, 0, 5), IntBQF(4, 0, 4), IntBQF(4, 1, 5))
+    for m_max, expected in ((19, (False, 19)), (60, (False, 19)), (18, (True, None))):
+        walk_lengths.clear()
+        assert verify_relation(*forms, 1, 1, m_max) == expected
+        assert walk_lengths == [m_max] * 3
+
+
+def test_verify_holds_up_to_m_max_below_a_later_failure(walk_lengths):
+    # N = 16, bound 64; the defect first leaves 0 at m = 8
+    forms = (IntBQF(4, 0, 4), IntBQF(8, 0, 8), IntBQF(4, 0, 8))
+    assert sturm_bound(*forms) == 64
+    assert verify_relation(*forms, 1, 1, 7) == (True, None)
+    assert walk_lengths == [7] * 3
+    walk_lengths.clear()
+    assert verify_relation(*forms, 1, 1, 200000) == (False, 8)
+    assert walk_lengths == [64] * 3
