@@ -8,9 +8,11 @@ only; the open condition q11 > 0 is re-imposed where the refinement loop
 judges emptiness.
 
 ``kset`` builds a cone from scratch.  ``chain`` keeps the process's one
-``Chain`` per sequence of non-empty sets, for every run.  A chain builds its
-cone at the first use, from its prefix's cone and the rows its last set
-adds, and decides emptiness first from an integer certificate on its key.
+``Chain`` per sequence of non-empty sets, for every run.  Both check their
+sets; a chain looks up its prefix and children by its own key, unchecked.
+A chain builds its cone at the first use, from its prefix's cone and the
+rows its last set adds, and decides emptiness first from an integer
+certificate on its key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .geometry import Cone
 from .minima import min_complement, min_n
-from .quadform import coeff_row
+from .quadform import coeff_row, is_strongly_primitive
 
 Pair = tuple[int, int]
 Key = tuple[tuple[Pair, ...], ...]
@@ -47,22 +49,21 @@ def kset_chain(vectors: Sequence[Pair]) -> Cone:
     vecs = [tuple(v) for v in vectors]
     if len(vecs) != len(set(vecs)):
         raise ValueError("chain vectors must be distinct")
-    rows = list(V_CLOSED_ROWS)
-    for prev, nxt in zip(vecs, vecs[1:]):
-        rows.append(_row_diff(nxt, prev))
+    rows = [*V_CLOSED_ROWS, *(_row_diff(nxt, prev) for prev, nxt in zip(vecs, vecs[1:]))]
     if vecs:
-        last = vecs[-1]
-        for w in min_complement(frozenset(vecs)):
-            rows.append(_row_diff(w, last))
+        rows += (_row_diff(w, vecs[-1]) for w in min_complement(frozenset(vecs)))
     return Cone(3, rows)
 
 
 def _normalize_sets(sets: Iterable[Iterable[Pair]]) -> Key:
-    """The non-empty sets as tuples of tuples, checked to be disjoint."""
+    """The non-empty sets as tuples of tuples, checked: disjoint, strongly primitive."""
     normalized = tuple(t for t in (tuple(tuple(v) for v in s) for s in sets) if t)
     flat = [v for s in normalized for v in s]
     if len(flat) != len(set(flat)):
         raise ValueError("sets must be pairwise disjoint with distinct members")
+    for v in flat:
+        if not is_strongly_primitive(v):
+            raise ValueError(f"vector {v} is not strongly primitive")
     return normalized
 
 
@@ -75,12 +76,7 @@ def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
     """
     key = _normalize_sets(sets)
     cone = kset_chain([v for s in key for v in s])
-    eq_rows = []
-    for s in key:
-        for other in s[1:]:
-            row = _row_diff(other, s[0])
-            eq_rows.append(row)
-            eq_rows.append(tuple(-x for x in row))
+    eq_rows = [r for s in key for v in s[1:] for r in (_row_diff(v, s[0]), _row_diff(s[0], v))]
     if eq_rows:
         cone = cone.intersect(Cone(3, eq_rows))
     return cone
@@ -108,9 +104,7 @@ def _step_rows(key: Key) -> list[tuple[int, int, int]]:
     vector ``w`` outside the key."""
     s = key[-1]
     rows = [_row_diff(s[0], key[-2][-1])] if len(key) > 1 else []
-    for other in s[1:]:
-        row = _row_diff(other, s[0])
-        rows += (row, tuple(-x for x in row))
+    rows += (r for v in s[1:] for r in (_row_diff(v, s[0]), _row_diff(s[0], v)))
     excluded = frozenset(v for t in key for v in t)
     rows += (_row_diff(w, s[-1]) for w in min_complement(excluded))
     return rows
@@ -120,7 +114,9 @@ class Chain:
     """A sequence of non-empty sets (``key``) with its ``kset`` cone.
 
     A plain value of its key: the cone, ``empty`` and the next choices all
-    follow from it, and each is computed at its first use.  ``kset(key)``
+    follow from it, and each is computed at its first use.  Its prefix and
+    its children, the key plus a set of its choices, are valid keys, looked
+    up unchecked; a child's key shares its parent's set tuples.  ``kset(key)``
     lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by
     ``_step_rows(key)``: it has the member set of ``kset(key)``, and its DD
     resumes from the prefix cone's description, as every intersection's
@@ -147,7 +143,7 @@ class Chain:
         """The chain cone, built at the first call from the prefix's cone."""
         if self._cone is None:
             if self.key:
-                self._cone = chain(self.key[:-1]).cone.intersect(Cone(3, _step_rows(self.key)))
+                self._cone = _chain(self.key[:-1]).cone.intersect(Cone(3, _step_rows(self.key)))
             else:
                 self._cone = kset(())
         return self._cone
@@ -169,7 +165,7 @@ class Chain:
         if found is None:
             excluded = frozenset(v for s in self.key for v in s)
             found = self._choices[n] = tuple(
-                (s, chain(self.key + (s,)) if s else self) for s in min_n(excluded, n)
+                (s, _chain(self.key + (s,)) if s else self) for s in min_n(excluded, n)
             )
         return found
 
@@ -178,21 +174,19 @@ class Chain:
 _chains: dict[Key, Chain] = {}
 
 
+def _chain(key: Key) -> Chain:
+    """The chain of a checked key; ``setdefault`` gives concurrent misses one chain."""
+    return _chains.get(key) or _chains.setdefault(key, Chain(key))
+
+
 def chain(sets: Iterable[Iterable[Pair]]) -> Chain:
     """The process's ``Chain`` for an ordered sequence of disjoint sets.
 
     The key is the non-empty sets as tuples, so ``chain([[v], [], [w]])`` is
-    ``chain(((v,), (w,)))``.  It is checked on every call (strong
-    primitivity on a miss, by ``min_complement``, since a new chain builds
-    no cone), so an invalid sequence is never stored and raises every time;
-    ``setdefault`` gives concurrent misses one chain.
+    ``chain(((v,), (w,)))``.  It is checked on every call, before the memo
+    is read, so an invalid sequence is never stored and raises every time.
     """
-    key = _normalize_sets(sets)
-    found = _chains.get(key)
-    if found is None:
-        min_complement(frozenset(v for s in key for v in s))
-        found = _chains.setdefault(key, Chain(key))
-    return found
+    return _chain(_normalize_sets(sets))
 
 
 def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:

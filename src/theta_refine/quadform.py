@@ -116,7 +116,7 @@ def _add_half_plane(q: IntBQF, m_max: int, w: int, out: list[int]) -> None:
     """Add ``w`` per point of the half-plane y > 0, plus y = 0 with x > 0,
     of the ellipse {Q <= m_max} into ``out[Q]``, in one exact pass.
 
-    The form and the bound are checked before ``out`` is written.
+    The callers check the form and the bound before they allocate ``out``.
 
     * Rows: with D = 4ac - b^2 and t = 2ax + by, 4a Q = t^2 + D y^2, so a
       row holds |t| <= isqrt(4a m_max - D y^2); Q steps by a(2x + 1) + by.
@@ -134,10 +134,6 @@ def _add_half_plane(q: IntBQF, m_max: int, w: int, out: list[int]) -> None:
       |Aut|/2 w per point, less |Aut|/4 w at x = y, and the row y = 0 at
       |Aut|/4 w.  Every other form is walked as given.
     """
-    if not q.is_positive_definite():
-        raise ValueError(f"form {q} is not positive-definite")
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
     a, b, c = reduce_gl2(q)[0]
     wedge = a == c and b in (0, a)
     if wedge:
@@ -184,6 +180,10 @@ def theta_coeffs(
     Q(-v) = Q(v), so each half-plane point stands for two points: the walk
     adds ``2 * weight`` per point, and the origin adds ``weight`` at m = 0.
     """
+    if not q.is_positive_definite():
+        raise ValueError(f"form {q} is not positive-definite")
+    if m_max < 0:
+        raise ValueError("m_max must be non-negative")
     if out is None:
         out = [0] * (m_max + 1)
     elif len(out) <= m_max:
@@ -202,6 +202,10 @@ def sp_theta_coeffs(q: IntBQF, m_max: int) -> list[int]:
     going down, each read still holds the value before this pass.  Only j
     in the support of h are visited: an entry never leaves it.
     """
+    if not q.is_positive_definite():
+        raise ValueError(f"form {q} is not positive-definite")
+    if m_max < 0:
+        raise ValueError("m_max must be non-negative")
     out = [0] * (m_max + 1)
     _add_half_plane(q, m_max, 1, out)
     # Between passes out[k] counts the half-plane points with Q = k whose

@@ -201,6 +201,13 @@ def test_an_unallocatable_max_coeff_exits_2_unless_the_sturm_bound_decides(capsy
         code, out, err = run_cli_error(capsys, *argv, "--max-coeff", bound)
         assert code == 2 and out == "", argv
         assert err == f"error: --max-coeff {bound} is too large to allocate\n", argv
+    # a form that is not positive-definite is reported as such at any bound
+    for form, variant in (("0,0,0", "ordinary"), ("1,0,-1", "sp")):
+        code, out, err = run_cli_error(
+            capsys, "theta", "--form", form, "--variant", variant, "--max-coeff", bound
+        )
+        assert (code, out) == (2, ""), form
+        assert err == f"error: form {form} is not positive-definite\n", form
 
 
 def test_verify_degenerate_weights_exit_2(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theta_refine import ksets
+from theta_refine import ksets, minima
 from theta_refine.geometry import Cone, cones_closed_equal, cones_equivalent
 from theta_refine.ksets import (
     V_CLOSURE_CONE,
@@ -19,6 +19,7 @@ from theta_refine.ksets import (
     kset_zero_test,
 )
 from theta_refine.quadform import coeff_row, is_strongly_primitive
+from theta_refine.refinement import run_algorithm
 
 from oracles import BQF, in_v, is_successive_minima_prefix
 
@@ -79,14 +80,17 @@ def test_kset_memo_key_is_the_non_empty_sets():
     ],
 )
 def test_invalid_kset_key_raises_every_time(bad):
+    # The key is checked before either memo is read or written.
     kset([[(1, 0)]])
     kset([[(1, 0)], [(0, 1)]])
     chain([[(1, 0)], [(0, 1)]])
-    for _ in range(2):
+    keys = set(ksets._chains)
+    built = dict(minima._min_complement_cache)
+    for call in (kset, chain, kset, chain):
         with pytest.raises(ValueError):
-            kset(bad)
-        with pytest.raises(ValueError):
-            chain(bad)
+            call(bad)
+        assert set(ksets._chains) == keys
+        assert minima._min_complement_cache == built
 
 
 def test_concurrent_misses_return_one_cached_cone():
@@ -211,11 +215,28 @@ def test_members_have_prescribed_minima_structure():
 )
 def test_invalid_chain_is_never_stored(bad, key):
     # A chain builds no cone when it is made, so the key's strong
-    # primitivity is checked on the miss itself.
+    # primitivity is checked by chain() itself.
     for _ in range(2):
         with pytest.raises(ValueError):
             chain(bad)
         assert key not in ksets._chains
+
+
+def test_chain_memo_keys_are_normal_and_share_their_prefix_sets():
+    # A run reaches every chain but the root through its parent's choices,
+    # not through chain(), so every stored key is already normal, its prefix
+    # is stored, and it holds its prefix's set tuples rather than copies.
+    ksets.clear_cache()
+    minima.clear_caches()
+    run_algorithm(1, 0, "q1_eq_q3", 13)
+    run_algorithm(1, 2, "diagonal", 14)
+    assert len(ksets._chains) > 1
+    for key, c in ksets._chains.items():
+        assert c.key is key
+        assert ksets._normalize_sets(key) == key
+        if key:
+            prefix = ksets._chains[key[:-1]].key
+            assert all(s is t for s, t in zip(key, prefix)), key
 
 
 def _rank(rows):

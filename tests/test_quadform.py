@@ -157,6 +157,15 @@ def test_theta_examples():
             count(IntBQF(1, 0, 1), -1)
 
 
+def test_counts_check_the_form_before_allocating():
+    # A list of 2**62 + 1 entries cannot be allocated, so only a check made
+    # before the allocation reports the form.
+    for count in (theta_coeffs, sp_theta_coeffs):
+        for q in (IntBQF(0, 0, 0), IntBQF(1, 0, -1), IntBQF(1, 2, 1)):
+            with pytest.raises(ValueError, match=f"form {q} is not positive-definite"):
+                count(q, 2**62)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 40))
 def test_counts_match_brute_force(seed, m):

@@ -578,6 +578,12 @@ def test_min_complement_builds_from_cold_memos():
     minima.clear_caches()
     run_algorithm(1, 0, "q1_eq_q3", 13)
     assert len(minima._min_complement_cache) == 47
+    # A chain asks about its own exclusion only when it builds its cone, so
+    # the many chains of (1, 29) that the certificate shows empty ask none.
+    ksets.clear_cache()
+    minima.clear_caches()
+    run_algorithm(1, 29, "diagonal", 13)
+    assert len(minima._min_complement_cache) == 2209
 
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
