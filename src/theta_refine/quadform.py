@@ -12,10 +12,11 @@ Two coordinate orders meet here:
 
 Theta coefficients are exact integer arithmetic throughout: the ellipse is
 bounded via the discriminant and square roots are taken with ``math.isqrt``.
-Both counts share one half-plane walk.  A square or hexagonal form, one
-GL2(Z)-equivalent to k (1, 0, 1) or k (1, 1, 1), is walked on one wedge of
-its reduced form's automorphism group, each point weighted by its orbit
-size: an eighth or a twelfth of the ellipse in place of a half.
+Both counts share one half-plane walk of the GL2(Z)-reduced form, which
+has the same theta series.  A square or hexagonal form, reduced to
+k (1, 0, 1) or k (1, 1, 1), is walked on one wedge of its automorphism
+group, each point weighted by its orbit size: an eighth or a twelfth of the
+ellipse in place of a half.
 """
 
 from __future__ import annotations
@@ -116,30 +117,28 @@ def _add_half_plane(q: IntBQF, m_max: int, w: int, out: list[int]) -> None:
     """Add ``w`` per point of the half-plane y > 0, plus y = 0 with x > 0,
     of the ellipse {Q <= m_max} into ``out[Q]``, in one exact pass.
 
-    The callers check the form and the bound before they allocate ``out``.
+    ``q`` is reduced, 0 <= b <= a <= c: the callers reduce the form, which
+    checks it, and check the bound before they allocate ``out``.
 
     * Rows: with D = 4ac - b^2 and t = 2ax + by, 4a Q = t^2 + D y^2, so a
       row holds |t| <= isqrt(4a m_max - D y^2); Q steps by a(2x + 1) + by.
     * If y > 0 and a | by, t -> -t maps the row onto itself with Q kept:
       walk t >= 0 at 2w, less w at t = 0.
-    * Wedge: a form whose reduced form (a, b, c) has a = c and b in (0, a)
-      is square (b = 0, |Aut| = 8) or hexagonal (b = a, |Aut| = 12), and
-      the reduced form's wedge 0 <= y <= x is a fundamental domain of its
-      automorphism group Aut, which contains -1.  A point inside the wedge
-      has a free orbit of |Aut| points, |Aut|/2 of them in the half-plane;
-      one on the mirror y = 0 or x = y has a stabiliser of order 2, so
-      |Aut|/4 in the half-plane.  Q(X v) is the reduced form at v, so the
-      reduced form's wedge is walked: rows y <= isqrt(m_max // (2a + b)),
+    * Wedge: a reduced form with a = c and b in (0, a) is square (b = 0,
+      |Aut| = 8) or hexagonal (b = a, |Aut| = 12), and its wedge
+      0 <= y <= x is a fundamental domain of its automorphism group Aut,
+      which contains -1.  A point inside the wedge has a free orbit of
+      |Aut| points, |Aut|/2 of them in the half-plane; one on the mirror
+      y = 0 or x = y has a stabiliser of order 2, so |Aut|/4 in the
+      half-plane.  So the wedge is walked: rows y <= isqrt(m_max // (2a + b)),
       where (y, y) still lies in the ellipse, from x = y (or 1) on, at
       |Aut|/2 w per point, less |Aut|/4 w at x = y, and the row y = 0 at
-      |Aut|/4 w.  Every other form is walked as given.
+      |Aut|/4 w.  Every other form walks its half-plane.
     """
-    a, b, c = reduce_gl2(q)[0]
+    a, b, c = q
     wedge = a == c and b in (0, a)
     if wedge:
         w *= 3 if b else 2
-    else:
-        a, b, c = q
     two_a = 2 * a
     bound = 4 * a * m_max
     disc = -q.discriminant()
@@ -180,8 +179,7 @@ def theta_coeffs(
     Q(-v) = Q(v), so each half-plane point stands for two points: the walk
     adds ``2 * weight`` per point, and the origin adds ``weight`` at m = 0.
     """
-    if not q.is_positive_definite():
-        raise ValueError(f"form {q} is not positive-definite")
+    q = reduce_gl2(q)[0]
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     if out is None:
@@ -202,8 +200,7 @@ def sp_theta_coeffs(q: IntBQF, m_max: int) -> list[int]:
     going down, each read still holds the value before this pass.  Only j
     in the support of h are visited: an entry never leaves it.
     """
-    if not q.is_positive_definite():
-        raise ValueError(f"form {q} is not positive-definite")
+    q = reduce_gl2(q)[0]
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     out = [0] * (m_max + 1)

@@ -165,7 +165,10 @@ def verify_relation(
     non-zero entry.  Its m = 0 entry is a + b - (a+b) = 0.  The relation
     holds when all n + 1 entries are 0, which ``list.count`` decides
     without an int per index; only a failing relation is scanned for its
-    first non-zero entry.
+    first non-zero entry.  It walks to min(n, 1024) first and on to n only
+    if that prefix holds, so an early failure needs no list of n + 1
+    entries; a later one, like a relation that holds, needs it, and raises
+    ``MemoryError`` or ``OverflowError`` when it cannot be allocated.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise ValueError(f"need weights a, b >= 0 with (a, b) != (0, 0), got ({a}, {b})")
@@ -175,11 +178,13 @@ def verify_relation(
         raise ValueError("m_max must be non-negative")
     big = lcm(n1, level(q2), level(q3))
     n = min(m_max, gamma1_index(big) // 12) if big * big < 24 * (m_max + 1) else m_max
-    defect = theta_coeffs(q1, n, weight=a)
-    theta_coeffs(q2, n, weight=b, out=defect)
-    theta_coeffs(q3, n, weight=-(a + b), out=defect)
-    failing = None if defect.count(0) > n else next(compress(range(n + 1), defect))
-    return failing is None, failing
+    for k in (n,) if n <= 1024 else (1024, n):
+        defect = theta_coeffs(q1, k, weight=a)
+        theta_coeffs(q2, k, weight=b, out=defect)
+        theta_coeffs(q3, k, weight=-(a + b), out=defect)
+        if defect.count(0) <= k:
+            return False, next(compress(range(k + 1), defect))
+    return True, None
 
 
 def verify_sp_relation(
@@ -224,24 +229,19 @@ def classify(
     relation, and a relation that holds is proved for every m when
     ``sturm_bound`` of the three forms is at most m_max (the paper's family
     has bounds 8, 32 and 72 for c = 1, 2, 3), and is evidence up to m_max
-    otherwise.  The two-term labels come from reduction alone.  Each form
-    must be positive-definite, also
-    one whose coefficient is zero, as in ``verify_relation``, and ``m_max``
-    non-negative; otherwise ``ValueError`` is raised before anything is
-    labelled.
+    otherwise.  The two-term labels come from reduction alone.  A negative
+    ``m_max`` raises ``ValueError``; then each form is reduced once, which
+    raises it for a form that is not positive-definite, also one whose
+    coefficient is zero.  Every label uses the reduced forms.
     """
-    q1, q2, q3 = forms
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    for q in forms:
-        if not q.is_positive_definite():
-            raise ValueError(f"form {q} is not positive-definite")
+    reduced = [reduce_gl2(q)[0] for q in forms]
     norm = normalize(*alphas)
     if isinstance(norm, DegenerateRelation):
         return Classification("degenerate", m_max, "all coefficients zero")
     if isinstance(norm, TwoTermRelation):
-        qi, qj = forms[norm.i - 1], forms[norm.j - 1]
-        if reduce_gl2(qi)[0] == reduce_gl2(qj)[0]:
+        if reduced[norm.i - 1] == reduced[norm.j - 1]:
             return Classification(
                 "trivial-2-term",
                 m_max,
@@ -250,17 +250,16 @@ def classify(
         return Classification(
             "no-relation-detected", m_max, f"Q{norm.i} and Q{norm.j} are inequivalent"
         )
-    s1, s2, s3 = (forms[i - 1] for i in norm.sigma)
+    s1, s2, s3 = (reduced[i - 1] for i in norm.sigma)
     ok, failing = verify_relation(s1, s2, s3, norm.a, norm.b, m_max)
     if not ok:
         return Classification("no-relation-detected", m_max, f"fails at m={failing}")
-    r1, r2, r3 = (reduce_gl2(q)[0] for q in (s1, s2, s3))
-    if r1 == r2 == r3:
+    if s1 == s2 == s3:
         return Classification("trivial-3-term", m_max, "all forms GL2(Z)-equivalent")
     if (norm.a, norm.b) in ((1, 2), (2, 1)):
-        small, big = (r1, r2) if (norm.a, norm.b) == (1, 2) else (r2, r1)
+        small, big = (s1, s2) if (norm.a, norm.b) == (1, 2) else (s2, s1)
         c = small.content()
-        if (small, big, r3) == nontrivial_family(c):
+        if (small, big, s3) == nontrivial_family(c):
             return Classification(
                 "non-trivial", m_max, f"matches the hexagonal family with c={c}"
             )

@@ -191,10 +191,16 @@ def test_an_unallocatable_max_coeff_exits_2_unless_the_sturm_bound_decides(capsy
         "--a", "1", "--b", "1", "--max-coeff", bound,
     )
     assert (code, out) == (1, "fails at m=1\n")
-    # N = 4 * 10**10: N^2 >= 24 (m_max + 1), so the walk goes to m_max
+    # N = 4 * 10**10: N^2 >= 24 (m_max + 1), so the walk goes to m_max; a
+    # failure within the first 1024 coefficients is found without that list
+    big = f"1,0,{10**10}"
+    code, out = run_cli(
+        capsys, "verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", big,
+        "--a", "1", "--b", "1", "--max-coeff", bound,
+    )
+    assert (code, out) == (1, "fails at m=1\n")
     for argv in (
-        ("verify", "--q1", "1,0,1", "--q2", "1,0,2", "--q3", f"1,0,{10**10}",
-         "--a", "1", "--b", "1"),
+        ("verify", "--q1", big, "--q2", big, "--q3", big, "--a", "1", "--b", "1"),
         ("theta", "--form", "1,0,1"),
         ("theta", "--form", "1,0,1", "--variant", "sp"),
     ):

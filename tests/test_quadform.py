@@ -7,6 +7,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from theta_refine import quadform
 from theta_refine.quadform import (
     IntBQF,
     apply_transform,
@@ -164,6 +165,23 @@ def test_counts_check_the_form_before_allocating():
         for q in (IntBQF(0, 0, 0), IntBQF(1, 0, -1), IntBQF(1, 2, 1)):
             with pytest.raises(ValueError, match=f"form {q} is not positive-definite"):
                 count(q, 2**62)
+
+
+def test_counts_walk_the_reduced_form(monkeypatch):
+    # 1000002,2000,1 reduces to 1,0,2: to m = 1000 its ellipse has 22 361
+    # rows as given, and 23 reduced
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(quadform, "isqrt", counting)
+    walks = []
+    for q in (IntBQF(1000002, 2000, 1), IntBQF(1, 0, 2)):
+        calls.clear()
+        walks.append((theta_coeffs(q, 1000), sp_theta_coeffs(q, 1000), len(calls)))
+    assert walks[0] == walks[1]
 
 
 @settings(max_examples=40, deadline=None)

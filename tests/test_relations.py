@@ -428,3 +428,16 @@ def test_verify_holds_up_to_m_max_below_a_later_failure(walk_lengths):
     walk_lengths.clear()
     assert verify_relation(*forms, 1, 1, 200000) == (False, 8)
     assert walk_lengths == [64] * 3
+
+
+def test_verify_walks_a_prefix_before_a_far_bound(walk_lengths):
+    # The bound is 40 002 400 032: a list that long is never built, since
+    # the first 1024 coefficients already fail
+    far = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 100003))
+    assert verify_relation(*far, 1, 1, 2**62) == (False, 1)
+    assert walk_lengths == [1024] * 3
+    walk_lengths.clear()
+    # N = 24000, so the walk goes to m_max once the prefix holds
+    forms = (IntBQF(1, 0, 2000), IntBQF(1, 0, 2000), IntBQF(1, 0, 3000))
+    assert verify_relation(*forms, 1, 1, 10000) == (False, 2000)
+    assert walk_lengths == [1024] * 3 + [10000] * 3
