@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theta_refine import ksets, minima
+from theta_refine import ksets, minima, refinement
 from theta_refine.geometry import Cone, cones_closed_equal, cones_equivalent
 from theta_refine.ksets import (
     V_CLOSURE_CONE,
@@ -226,8 +226,7 @@ def test_chain_memo_keys_are_normal_and_share_their_prefix_sets():
     # A run reaches every chain but the root through its parent's choices,
     # not through chain(), so every stored key is already normal, its prefix
     # is stored, and it holds its prefix's set tuples rather than copies.
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     run_algorithm(1, 0, "q1_eq_q3", 13)
     run_algorithm(1, 2, "diagonal", 14)
     assert len(ksets._chains) > 1

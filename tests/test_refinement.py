@@ -209,6 +209,8 @@ def test_seconds_cover_classification(monkeypatch):
     # recorded, so record i counts one tick per cone first seen in
     # generation i.  Every child of an empty chain holds the run's one empty
     # cone, whose verdict the table holds from the start: it costs no tick.
+    # The run starts from cold memos, so no verdict comes from an earlier run.
+    refinement.clear_caches()
     ticks = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -234,12 +236,11 @@ def test_seconds_cover_classification(monkeypatch):
 def _count_dd_by_dim(monkeypatch):
     """Cold memos, then a counter of ``_extreme_rays`` calls per dimension.
 
-    Every cone's rays come from its own DD, so the counts do not depend on
-    what ran before.  The initial cone and the empty cone are process
+    From cold memos every cone's rays come from a DD of the run itself, so
+    the counts do not depend on what ran before.  The initial cone and the empty cone are process
     constants described at import, so a run counts no DD for either.
     """
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     dd = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
 
@@ -267,8 +268,8 @@ def test_descriptions_do_not_depend_on_process_history():
 def test_constant_cones_cost_a_run_no_dd(monkeypatch):
     # The initial cone and the empty cone are process constants, described
     # at import by their own DDs.  Every run shares them, so no nine-
-    # dimensional DD of a run starts from scratch, and a run from cold chain
-    # memos counts the same DDs whether or not the same run came before it.
+    # dimensional DD of a run starts from scratch, and a run from cold memos
+    # counts the same DDs whether or not the same run came before it.
     # A new table interns both as their own representatives and holds the
     # empty cone's verdict, the one either stop set would compute.
     from test_geometry import assert_exact_description
@@ -285,8 +286,7 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
 
     monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
     for _ in range(2):
-        ksets.clear_cache()
-        minima.clear_caches()
+        refinement.clear_caches()
         counts.append({3: 0, 9: 0})
         result = run_algorithm(1, 2, "diagonal", 14)
         assert result.generations[0][0].cone is refinement._INITIAL_CONE
@@ -346,9 +346,10 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     # empty cone were described at import.  Only 6 chains get a cone and its
     # three-dimensional DD: the certificate on the key shows 174 chains
     # empty without one, and 146 are never asked whether they are empty.
-    # The chains are shared by the whole process, but each run interns its
-    # own chain cones: after other runs have made chains of the same
-    # geometries, the run still makes 3 constructions.
+    # The chains and the raw constructions are shared by the whole process,
+    # and each run interns them in its own table: after (1, 2)/14 and
+    # (2, 1)/13 have made the same constructions, the run makes none and
+    # pays no nine-dimensional DD.
     constructions = [0]
     intersect = Cone.intersect
 
@@ -363,16 +364,15 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     assert constructions[0] == 3
     assert dd == {3: 6, 9: 3}
 
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     run_algorithm(1, 2, "diagonal", 14)
     run_algorithm(2, 1, "diagonal", 13)
     constructions[0] = 0
     dd[9] = 0
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
-    assert constructions[0] == 3
-    assert dd[9] == 3
+    assert constructions[0] == 0
+    assert dd[9] == 0
 
 
 @pytest.mark.parametrize(
@@ -384,8 +384,7 @@ def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeyp
     # resumes from its prefix's rays and inserts only the rows its last set
     # adds, and a child's DD resumes from its parent's rays.  The initial
     # cone's 9 rows and the empty cone's 10 were inserted at import.
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     inserted = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
 
@@ -403,8 +402,7 @@ def test_chain_cones_match_independent_builders():
     # orders, (19, 1) among them, from cold memos: the cone built from the prefix's cone has the
     # member set of ``kset`` built from scratch, and a key whose certificate
     # fires passes the independent zero test.
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     for args in ((1, 0, "q1_eq_q3", 13), (1, 1, "diagonal", 13), (1, 2, "diagonal", 14)):
         run_algorithm(*args)
     for a, b in SWEEP_PAIRS:
@@ -422,9 +420,10 @@ def test_chain_cones_match_independent_builders():
 
 
 def test_dump_does_not_depend_on_earlier_runs():
-    # Chains are global, and cones and chain cones are interned per run, so
-    # a run from cold memos and the same run after others must give every
-    # pair the same rows, rays and covering parameter.
+    # Chains and raw constructions are shared by the process, and cones and
+    # chain cones are interned per run, so a run from cold memos and the same
+    # run after others must give every pair the same rows, rays and covering
+    # parameter.
     def snapshot():
         result = run_algorithm(1, 2, "diagonal", 14)
         return [
@@ -433,8 +432,7 @@ def test_dump_does_not_depend_on_earlier_runs():
             for p in gen
         ]
 
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     cold = snapshot()
     run_algorithm(2, 1, "diagonal", 13)
     run_algorithm(1, 0, "q1_eq_q3", 8)
@@ -442,6 +440,74 @@ def test_dump_does_not_depend_on_earlier_runs():
     warm = snapshot()
     assert len(cold) == 676
     assert warm == cold
+
+
+def test_verdict_memo_is_per_stop_set():
+    # A cone can be absorbed under q1_eq_q3 and live under the diagonal, so
+    # each stop set has its own process memo of verdicts: in either order in
+    # one process, each run's log, stop_absorbed included, equals its log
+    # from cold memos.
+    def log(stop_kind):
+        return [rec[:-1] for rec in run_algorithm(1, 0, stop_kind, 13).log]
+
+    cold = {}
+    for kind in ("q1_eq_q3", "diagonal"):
+        refinement.clear_caches()
+        cold[kind] = log(kind)
+    for order in (("q1_eq_q3", "diagonal"), ("diagonal", "q1_eq_q3")):
+        refinement.clear_caches()
+        for kind in order:
+            assert log(kind) == cold[kind], (order, kind)
+    known = [refinement._verdicts[stop_set(kind)] for kind in ("q1_eq_q3", "diagonal")]
+    assert any(known[0][cone] != known[1][cone] for cone in known[0].keys() & known[1].keys())
+
+
+def test_repeated_run_does_no_geometry_and_replay_needs_no_memo(monkeypatch):
+    # A second (1, 2)/14 in the process finds every construction and verdict
+    # in the process memos: it runs no DD, no intersection and no emptiness
+    # test, and gives the first run's log and dump.  A replay reads only its
+    # own run's chains and table, so it runs no DD after the process memos
+    # are cleared.
+    def snapshot(result):
+        return [
+            (p.cone.closed, p.cone.strict, p.cone.edges(), p.param)
+            for gen in result.generations
+            for p in gen
+        ]
+
+    refinement.clear_caches()
+    first = run_algorithm(1, 2, "diagonal", 14)
+    first_dump = snapshot(first)
+    calls = {"dd": 0, "intersect": 0, "empty": 0}
+    extreme_rays = geometry._extreme_rays
+    intersect = Cone.intersect
+    is_member_empty = Cone.is_member_empty
+
+    def counting_dd(*args):
+        calls["dd"] += 1
+        return extreme_rays(*args)
+
+    def counting_intersect(self, *others):
+        calls["intersect"] += 1
+        return intersect(self, *others)
+
+    def counting_empty(self):
+        calls["empty"] += 1
+        return is_member_empty(self)
+
+    monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
+    monkeypatch.setattr(Cone, "intersect", counting_intersect)
+    monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
+    second = run_algorithm(1, 2, "diagonal", 14)
+    assert [rec[:-1] for rec in second.log] == [rec[:-1] for rec in first.log]
+    assert snapshot(second) == first_dump
+    assert calls == {"dd": 0, "intersect": 0, "empty": 0}
+
+    third = run_algorithm(1, 1, "diagonal", 13)
+    refinement.clear_caches()
+    calls["dd"] = 0
+    assert sum(len(gen) for gen in third.generations) == 130
+    assert calls["dd"] == 0
 
 
 def _parents(result):
@@ -569,19 +635,16 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
 def test_min_complement_builds_from_cold_memos():
     # Exact chain-layer work: one minimal-complement build per distinct
     # exclusion set the chains ask about, from cold memos.
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     run_algorithm(1, 1, "diagonal", 13)
     run_algorithm(1, 2, "diagonal", 14)
     assert len(minima._min_complement_cache) == 195
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     run_algorithm(1, 0, "q1_eq_q3", 13)
     assert len(minima._min_complement_cache) == 47
     # A chain asks about its own exclusion only when it builds its cone, so
     # the many chains of (1, 29) that the certificate shows empty ask none.
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     run_algorithm(1, 29, "diagonal", 13)
     assert len(minima._min_complement_cache) == 2209
 
@@ -610,8 +673,7 @@ def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
 def test_class_counters_at_depth_16():
     # The (1, 0) q1_eq_q3 run to 16 from cold memos: the pair counts of the
     # pair loop, and the live classes (cone, chains) they fall into.
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     result = run_algorithm(1, 0, "q1_eq_q3", 16)
     assert result.totals() == [
         1, 2, 4, 8, 14, 22, 33, 53, 107, 228, 500, 1105, 2591, 5890, 12075, 23932, 41901
@@ -737,8 +799,7 @@ def test_chain_layer_calls_the_public_minima(monkeypatch):
         misses[0] += frozenset(excluded) not in minima._min_complement_cache
         return min_complement(excluded)
 
-    ksets.clear_cache()
-    minima.clear_caches()
+    refinement.clear_caches()
     monkeypatch.setattr(minima, "min_complement", counting)
     monkeypatch.setattr(ksets, "min_complement", counting)
     run_algorithm(1, 0, "q1_eq_q3", 13)
