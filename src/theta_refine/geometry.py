@@ -10,23 +10,25 @@ Rows are put in canonical form once, at the public boundary: the ``Cone``
 constructor scales every row to a primitive integer vector, drops duplicates
 and drops zero closed rows.  ``intersect`` and ``product3`` combine rows of
 existing cones, which are canonical already (zero-padding keeps a row
-primitive), so they build their result without normalising again.
+primitive), so they build their result without normalising again; so does
+the private ``_cut``, which takes rows its caller made canonical.
 
 Extreme rays of the *closed* part come from one place only: an incremental
 double description pass that inserts one constraint at a time.  Its state is
 a ``Description``: the rays, the lineality generators, and for each ray a
 bitmask of the closed rows tight at it.  The cone caches its description,
 and a DD can resume from any description an earlier DD returned, pointed
-or not; from scratch is the description of no rows.  ``intersect`` puts
-this cone's rows first in the result, so the result's DD resumes from this
-cone's description at once and only inserts the new rows.  Rays are never
-installed from outside the DD: ``product3`` returns rows only, and loading
-a cone from JSON ignores stored rays.  Strict rows are carried symbolically and never
-enter the cached rays; they are consulted only by membership and emptiness
-tests.  Emptiness is exact for every cone: when the ray sum misses a strict
-row, the test enumerates the rays of the closed cone cut by ``b . x >= 0``
-for the strict rows, a DD that resumes from the closed description and runs
-only when the missed row is negative somewhere on the closed cone.
+or not; from scratch is the description of no rows.  ``_cut``, which
+``intersect`` calls, puts this cone's rows first in the result, so the
+result's DD resumes from this cone's description at once and only inserts
+the new rows.  Rays are never installed from outside the DD: ``product3``
+returns rows only, and loading a cone from JSON ignores stored rays.
+Strict rows are carried symbolically and never enter the cached rays; they
+are consulted only by membership and emptiness tests.  Emptiness is exact
+for every cone: when the ray sum misses a strict row, the test enumerates
+the rays of the closed cone cut by ``b . x >= 0`` for the strict rows, a DD
+that resumes from the closed description and runs only when the missed row
+is negative somewhere on the closed cone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[int, ...]
 # Sorted extreme rays, lineality generators, and per-ray tight-row masks.
@@ -206,8 +208,8 @@ class Cone:
     Row invariant: ``closed`` and ``strict`` are tuples of primitive integer
     rows without duplicates, and ``closed`` has no zero row.  (A zero strict
     row, ``0 > 0``, is unsatisfiable and is kept.)  The constructor
-    establishes it from arbitrary rational rows; ``intersect`` and
-    ``product3`` preserve it and skip normalisation.
+    establishes it from arbitrary rational rows; ``intersect``, ``_cut``
+    and ``product3`` preserve it and skip normalisation.
 
     Immutable after construction apart from the extreme-ray memo ``_desc``,
     a write-once ``(rays, lineality, masks)`` tuple from a DD over
@@ -310,18 +312,27 @@ class Cone:
         return all(_dot(e, g) == 0 for e in rows for g in chain(rays, lin))
 
     def intersect(self, *others: "Cone") -> "Cone":
-        """Intersection, its DD resumed from this cone's description.
-
-        This cone's closed rows come first in the result, in order, so the
-        tight-row masks of its description carry over bit for bit.  The
-        result's DD runs now, from this cone's description (computed first
-        if need be), and inserts only the new rows.
-        """
+        """Intersection, its DD resumed from this cone's description: this
+        cone cut by the other cones' rows, in order (``_cut``)."""
         for o in others:
             if o.dim != self.dim:
                 raise ConeDimensionError(f"cannot intersect dim {self.dim} with dim {o.dim}")
-        closed = tuple(dict.fromkeys(chain(self.closed, *(o.closed for o in others))))
-        strict = tuple(dict.fromkeys(chain(self.strict, *(o.strict for o in others))))
+        return self._cut(
+            chain.from_iterable(o.closed for o in others),
+            chain.from_iterable(o.strict for o in others),
+        )
+
+    def _cut(self, closed: Iterable[Vector], strict: Iterable[Vector] = ()) -> "Cone":
+        """This cone cut by rows that satisfy the row invariant, unchecked.
+
+        The new rows follow this cone's, in order, and a row already present
+        is dropped, so the tight-row masks of this cone's description carry
+        over bit for bit.  The result's DD runs now, from this cone's
+        description (computed first if need be), and inserts only the new
+        rows.  Every cone built from another cone's description is built here.
+        """
+        closed = tuple(dict.fromkeys(chain(self.closed, closed)))
+        strict = tuple(dict.fromkeys(chain(self.strict, strict)))
         result = Cone._from_canonical(self.dim, closed, strict)
         result._desc = _extreme_rays(
             closed, self.dim, self._closed_description(), len(self.closed)
@@ -345,6 +356,17 @@ class Cone:
         return all(_dot(a, p) >= 0 for a in self.closed)
 
 
+def _padded(cones: Sequence[Cone], attr: str) -> Iterator[Vector]:
+    """The ``closed`` or ``strict`` rows (``attr``) of each cone in turn,
+    zero-padded into its block of the sum of the dimensions."""
+    dim = sum(c.dim for c in cones)
+    off = 0
+    for c in cones:
+        left, right = (0,) * off, (0,) * (dim - off - c.dim)
+        yield from (left + r + right for r in getattr(c, attr))
+        off += c.dim
+
+
 def product3(c1: Cone, c2: Cone, c3: Cone) -> Cone:
     """Cross product of three cones as one cone in the sum of the dimensions.
 
@@ -354,19 +376,9 @@ def product3(c1: Cone, c2: Cone, c3: Cone) -> Cone:
     use, like any other cone's.
     """
     factors = (c1, c2, c3)
-    dim = sum(c.dim for c in factors)
-    offsets = (0, c1.dim, c1.dim + c2.dim)
-
-    def embed(row: Vector, off: int, d: int) -> Vector:
-        out = [0] * dim
-        out[off : off + d] = row
-        return tuple(out)
-
-    closed = tuple(embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.closed)
-    strict = tuple(
-        dict.fromkeys(embed(r, off, c.dim) for c, off in zip(factors, offsets) for r in c.strict)
-    )
-    return Cone._from_canonical(dim, closed, strict)
+    closed = tuple(_padded(factors, "closed"))
+    strict = tuple(dict.fromkeys(_padded(factors, "strict")))
+    return Cone._from_canonical(c1.dim + c2.dim + c3.dim, closed, strict)
 
 
 def _closed_within(inner: Description, outer: Cone) -> bool:

@@ -9,18 +9,18 @@ judges emptiness.
 
 ``kset`` builds a cone from scratch.  ``chain`` keeps the process's one
 ``Chain`` per sequence of non-empty sets, for every run.  Both check their
-sets; a chain looks up its prefix and children by its own key, unchecked.
-A chain builds its cone at the first use, from its prefix's cone and the
-rows its last set adds, and decides emptiness first from an integer
-certificate on its key.
+sets; a chain looks up its prefix and children by its own key, and asks
+``minima`` about it, unchecked.  A chain builds its cone at the first use,
+from its prefix's cone and the canonical rows its last set adds, and
+decides emptiness first from an integer certificate on its key.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import Cone
-from .minima import min_complement, min_n
+from .geometry import Cone, scale_primitive
+from .minima import _min_complement, _min_n, min_complement
 from .quadform import coeff_row, is_strongly_primitive
 
 Pair = tuple[int, int]
@@ -101,13 +101,15 @@ def _step_rows(key: Key) -> list[tuple[int, int, int]]:
     """The rows the last set ``s`` of ``key`` adds to its prefix's cone: the
     link ``Q(s_0) >= Q(x)`` for the prefix's last vector ``x``, the
     equalities within ``s``, and ``Q(w) >= Q(s_last)`` for every minimal
-    vector ``w`` outside the key."""
+    vector ``w`` outside the key.  Each is scaled primitive; none is zero,
+    because distinct strongly primitive vectors have distinct coefficient
+    rows.  The key is checked, so its minimal complement is read unchecked."""
     s = key[-1]
     rows = [_row_diff(s[0], key[-2][-1])] if len(key) > 1 else []
     rows += (r for v in s[1:] for r in (_row_diff(v, s[0]), _row_diff(s[0], v)))
     excluded = frozenset(v for t in key for v in t)
-    rows += (_row_diff(w, s[-1]) for w in min_complement(excluded))
-    return rows
+    rows += (_row_diff(w, s[-1]) for w in _min_complement(excluded))
+    return [scale_primitive(r) for r in rows]
 
 
 class Chain:
@@ -118,9 +120,9 @@ class Chain:
     its children, the key plus a set of its choices, are valid keys, looked
     up unchecked; a child's key shares its parent's set tuples.  ``kset(key)``
     lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by
-    ``_step_rows(key)``: it has the member set of ``kset(key)``, and its DD
-    resumes from the prefix cone's description, as every intersection's
-    does.  The root, key ``()``, is ``kset(())``.
+    ``_step_rows(key)``, which are canonical already: it has the member set
+    of ``kset(key)``, and its DD resumes from the prefix cone's description.
+    The root, key ``()``, is ``kset(())``.
 
     ``empty`` is ``kset_zero_test(key)``: no reduced form has this
     structure.  When a set of at least four vectors ``_collapses``, the
@@ -143,7 +145,7 @@ class Chain:
         """The chain cone, built at the first call from the prefix's cone."""
         if self._cone is None:
             if self.key:
-                self._cone = _chain(self.key[:-1]).cone.intersect(Cone(3, _step_rows(self.key)))
+                self._cone = _chain(self.key[:-1]).cone._cut(_step_rows(self.key))
             else:
                 self._cone = kset(())
         return self._cone
@@ -159,13 +161,14 @@ class Chain:
 
     def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
         """Each set of ``min_n(excluded, n)`` with the chain it leads to; an
-        empty set changes nothing and leads back to ``self``.  Memoised per
-        ``n``: the process's only memo of next choices."""
+        empty set changes nothing and leads back to ``self``.  The key is
+        checked, so ``min_n`` runs unchecked.  Memoised per ``n``: the
+        process's only memo of next choices."""
         found = self._choices.get(n)
         if found is None:
             excluded = frozenset(v for s in self.key for v in s)
             found = self._choices[n] = tuple(
-                (s, _chain(self.key + (s,)) if s else self) for s in min_n(excluded, n)
+                (s, _chain(self.key + (s,)) if s else self) for s in _min_n(excluded, n)
             )
         return found
 

@@ -7,8 +7,11 @@ a dominator always comes before what it dominates, and checks each vector
 only against the dominators kept so far.  ``min_complement`` computes the
 minimal elements of the strongly primitive vectors outside a finite
 exclusion set: a witness (a, 1) outside the exclusion dominates all but
-finitely many of them, and the rest are enumerated row by row.  ``min_n``
-enumerates every way of picking the next n minimal vectors in sequence.
+finitely many of them, and the rest, the witness's region, are enumerated
+and ranked by edge values once per witness, so a build is one pass over a
+ranked region.  ``min_n`` enumerates every way of picking the next n
+minimal vectors in sequence.  The public functions check their exclusion;
+``_min_complement`` and ``_min_n`` take one that is already checked.
 """
 
 from __future__ import annotations
@@ -59,6 +62,73 @@ def min_of_finite(vectors: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
 
 
 _min_complement_cache: dict[frozenset[Pair], tuple[Pair, ...]] = {}
+# The ranked candidate region of each witness (a, 1), keyed by a.
+_regions: dict[int, tuple[tuple[tuple[int, int, int], Pair], ...]] = {}
+
+
+def _region(a: int) -> tuple[tuple[tuple[int, int, int], Pair], ...]:
+    """The candidates of the witness (a, 1) as ``(edge_values(v), v)``, sorted.
+
+    A vector other than the witness that the witness dominates is never
+    minimal, so the candidates are the witness and the strongly primitive
+    vectors (x, y) that escape its domination: the row y = 0, where (1, 0)
+    is the only one, and the vectors with x^2 + y^2 < a^2 + 1 or
+    (2x + y)^2 + 3y^2 < 4(a^2 + a + 1).  Both regions are bounded; in each
+    row y >= 1 they are at most two intervals of x, whose ends come from
+    ``isqrt``, and the witness lies in neither.  Memoised per witness.
+    """
+    region = _regions.get(a)
+    if region is None:
+        vectors = {(a, 1), (1, 0)}
+        norm = a * a + 1
+        hex4 = 4 * (a * a + a + 1)
+        y = 1
+        while y * y < norm or 3 * y * y < hex4:
+            xs: set[int] = set()
+            if y * y < norm:
+                r = isqrt(norm - 1 - y * y)
+                xs.update(range(-r, r + 1))
+            if 3 * y * y < hex4:
+                s = isqrt(hex4 - 1 - 3 * y * y)
+                xs.update(range((-s - y + 1) // 2, (s - y) // 2 + 1))
+            vectors.update((x, y) for x in xs if gcd(x, y) == 1)
+            y += 1
+        region = _regions.setdefault(a, tuple(sorted((edge_values(v), v) for v in vectors)))
+    return region
+
+
+def _min_complement(exc: frozenset[Pair]) -> tuple[Pair, ...]:
+    """``min_complement`` of an exclusion known to be strongly primitive.
+
+    Picks the first witness (a, 1) not excluded, scanning a = 0, -1, 1, -2,
+    2, ..., and walks its ranked region once: an excluded vector is skipped,
+    and any other is kept unless a kept vector dominates it.  This is
+    ``min_of_finite`` of the region's vectors outside the exclusion: no two
+    of them have equal edge values (that takes v and -v), and a dominator
+    comes first in the ranking, with a first edge value no larger, so only
+    the other two are compared.
+    """
+    cached = _min_complement_cache.get(exc)
+    if cached is not None:
+        return cached
+    a = 0
+    k = 0
+    while (a, 1) in exc:
+        k += 1
+        a = -((k + 1) // 2) if k % 2 else k // 2
+    out = []
+    kept: list[tuple[int, int]] = []
+    for (_, e1, e2), v in _region(a):
+        if v in exc:
+            continue
+        for d1, d2 in kept:
+            if d1 <= e1 and d2 <= e2:
+                break
+        else:
+            kept.append((e1, e2))
+            out.append(v)
+    out.sort()
+    return _min_complement_cache.setdefault(exc, tuple(out))
 
 
 def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
@@ -66,50 +136,16 @@ def min_complement(excluded: Iterable[Sequence[int]] = ()) -> tuple[Pair, ...]:
 
     The exclusion must be strongly primitive; it is checked on a memo miss,
     before the memo stores anything, so an invalid one raises every time.
-
-    Picks the first witness (a, 1) not excluded, scanning a = 0, -1, 1, -2,
-    2, ...  A vector other than the witness that the witness dominates is
-    never minimal, so the candidates are the witness and the vectors (x, y)
-    that escape its domination: the row y = 0, where (1, 0) is the only
-    strongly primitive vector, and the vectors with x^2 + y^2 < a^2 + 1 or
-    (2x + y)^2 + 3y^2 < 4(a^2 + a + 1).  Both regions are bounded, so the
-    minimal set of the complement is the minimal set of finitely many
-    candidates.  In each row y >= 1 they are at most two intervals of x,
-    whose ends come from ``isqrt``; the witness lies in neither.
+    The minimal set is that of a finite region of a witness (a, 1) outside
+    the exclusion (``_region``), ranked once per witness and walked once per
+    exclusion (``_min_complement``).
     """
     exc = excluded if type(excluded) is frozenset else frozenset(tuple(v) for v in excluded)
-    cached = _min_complement_cache.get(exc)
-    if cached is not None:
-        return cached
-    for v in exc:
-        if not is_strongly_primitive(v):
-            raise ValueError(f"vector {v} is not strongly primitive")
-    a = 0
-    k = 0
-    while (a, 1) in exc:
-        k += 1
-        a = -((k + 1) // 2) if k % 2 else k // 2
-    witness = (a, 1)
-    candidates = [witness]
-    if (1, 0) not in exc:
-        candidates.append((1, 0))
-    norm = a * a + 1
-    hex4 = 4 * (a * a + a + 1)
-    y = 1
-    while y * y < norm or 3 * y * y < hex4:
-        xs: set[int] = set()
-        if y * y < norm:
-            r = isqrt(norm - 1 - y * y)
-            xs.update(range(-r, r + 1))
-        if 3 * y * y < hex4:
-            s = isqrt(hex4 - 1 - 3 * y * y)
-            xs.update(range((-s - y + 1) // 2, (s - y) // 2 + 1))
-        for x in xs:
-            v = (x, y)
-            if v not in exc and gcd(x, y) == 1:
-                candidates.append(v)
-        y += 1
-    return _min_complement_cache.setdefault(exc, min_of_finite(candidates))
+    if exc not in _min_complement_cache:
+        for v in exc:
+            if not is_strongly_primitive(v):
+                raise ValueError(f"vector {v} is not strongly primitive")
+    return _min_complement(exc)
 
 
 def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], ...]:
@@ -118,18 +154,25 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
     Each choice is reported in construction order (the order the vectors were
     selected); the collection is deduplicated as sets and sorted by the
     canonical sorted tuple.  The exclusion is checked by ``min_complement``,
-    which is called at least once, so an invalid exclusion raises also for
+    which is called once, so an invalid exclusion raises also for
     ``n == 0``.  Not memoised; ``ksets.Chain.choices`` is.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     exc = frozenset(tuple(v) for v in excluded)
-    minimal = min_complement(exc)
+    min_complement(exc)
+    return _min_n(exc, n)
+
+
+def _min_n(exc: frozenset[Pair], n: int) -> tuple[tuple[Pair, ...], ...]:
+    """``min_n`` of a checked exclusion.  Each prefix it extends holds
+    minimal vectors, which are strongly primitive, so every exclusion it
+    asks ``_min_complement`` about is valid."""
     result: tuple[tuple[Pair, ...], ...] = ((),)
     for _ in range(n):
         chosen: dict[frozenset[Pair], tuple[Pair, ...]] = {}
         for prefix in result:
-            for v in min_complement(exc | set(prefix)) if prefix else minimal:
+            for v in _min_complement(exc.union(prefix)):
                 candidate = prefix + (v,)
                 chosen.setdefault(frozenset(candidate), candidate)
         result = tuple(sorted(chosen.values(), key=lambda c: tuple(sorted(c))))
@@ -138,3 +181,4 @@ def min_n(excluded: Iterable[Sequence[int]], n: int) -> tuple[tuple[Pair, ...], 
 
 def clear_caches() -> None:
     _min_complement_cache.clear()
+    _regions.clear()

@@ -8,8 +8,8 @@ which holds the chain cone and the next choices.  A pair is empty (no
 member), absorbed (its cone lies in the stop set) or live.  The next
 generation replaces each live pair by all of its refinements: for every
 shape in the linset and every admissible choice of next minimal-vector sets,
-intersect T with the corresponding product cone and value-equality rows and
-extend P.
+cut T by the rows of the corresponding product cone and the value-equality
+rows, and extend P.
 
 Counting convention for the per-iteration table: generation i holds every
 pair produced by refining generation i-1's live pairs, including pairs whose
@@ -31,15 +31,18 @@ Classes whose cones have the same member set share one ``Cone`` object and
 one verdict, whatever rows built it.  Chain cones are interned in the same
 table, and a construction is keyed on its parent cone, the three interned
 chain cones, the shape and the link vectors, so chain sequences with equal
-chain geometry share one child, looked up instead of rebuilt.  A chain
-with no reduced form of its structure (``Chain.empty``, the degenerate-cone
-certificate) gives every child built from it an empty member set when the
-parent carries that block's ``q11 > 0`` row.  The run counts those children
-without building them: with ``X``, ``Y`` and ``Z`` the choices per factor
-and ``X'``, ``Y'`` and ``Z'`` those that lead to no such chain, a shape has
-``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay they hold the run's one
-empty cone, which has no product, intersection or double description of
-its own.
+chain geometry share one child, looked up instead of rebuilt.  A child is
+built as one row merge on its parent cone (``Cone._cut``): the chain cones'
+rows, each in its block, then the link rows, the rows and order of the
+parent intersected with ``product3`` and the link cone, neither of which is
+built.  A chain with no reduced form of its structure (``Chain.empty``, the
+degenerate-cone certificate) gives every child built from it an empty
+member set when the parent carries that block's ``q11 > 0`` row.  The run
+counts those children without building them: with ``X``, ``Y`` and ``Z``
+the choices per factor and ``X'``, ``Y'`` and ``Z'`` those that lead to no
+such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay
+they hold the run's one empty cone, which has no row merge or double
+description of its own.
 
 The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
@@ -69,7 +72,7 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ksets, minima
-from .geometry import Cone, Vector, product3
+from .geometry import Cone, Vector, _padded, product3, scale_primitive
 from .ksets import V_CONE, Chain, chain
 from .quadform import coeff_row
 
@@ -288,10 +291,12 @@ def _cross_equality_rows(block_i: int, vi: Pair, block_j: int, vj: Pair) -> list
     return [tuple(row), tuple(-x for x in row)]
 
 
-def _link_cone(
-    shape: Shape, xs: tuple[Pair, ...], ys: tuple[Pair, ...], zs: tuple[Pair, ...]
-) -> Cone:
-    """Value-link rows between the first elements of the linked sets."""
+def _link_rows(
+    shape: Shape, xs: Sequence[Pair], ys: Sequence[Pair], zs: Sequence[Pair]
+) -> list[Vector]:
+    """Value-link rows between the first elements of the linked sets,
+    scaled primitive.  They are distinct and none is zero: each pair of
+    opposite rows spans its own two blocks."""
     rows: list[Vector] = []
     if shape == (1, 1, 1):
         rows += _cross_equality_rows(0, xs[0], 1, ys[0])
@@ -302,7 +307,7 @@ def _link_cone(
     else:
         if ys and zs:
             rows += _cross_equality_rows(1, ys[0], 2, zs[0])
-    return Cone(9, rows)
+    return [scale_primitive(r) for r in rows]
 
 
 def aux_cones(
@@ -323,7 +328,7 @@ def aux_cones(
     k1 = chain(param.x_sets + (xs,)).cone
     k2 = chain(param.y_sets + (ys,)).cone
     k3 = chain(param.z_sets + (zs,)).cone
-    return product3(k1, k2, k3), _link_cone(shape, xs, ys, zs)
+    return product3(k1, k2, k3), Cone(9, _link_rows(shape, xs, ys, zs))
 
 
 class RunTable:
@@ -340,10 +345,10 @@ class RunTable:
     memoises the child of a parent cone, three interned chain cones, a
     shape and the first elements of the linked sets, which fix the child's
     member set.  Chains of equal geometry so share one child, and a
-    repeated construction skips the product, link cone, intersection and
-    double description.  Building from the interned chain cone, not each
-    chain's own, makes the DDs insert fewer rows: 1 621 against 2 145 on
-    ``(1,0)`` q1_eq_q3/13, 1 577 against 2 838 on ``(1,2)``/14.  A new
+    repeated construction skips the row merge and the double description.
+    Building from the interned chain cone, not each chain's own, makes the
+    DDs insert fewer rows: 1 621 against 2 145 on ``(1,0)`` q1_eq_q3/13,
+    1 577 against 2 838 on ``(1,2)``/14.  A new
     table interns the process constants ``_INITIAL_CONE`` and then
     ``_EMPTY_CONE``, the run's one empty cone, held by the children of an
     empty chain and by every cone with no ray and the same strict rows.
@@ -387,7 +392,11 @@ class RunTable:
         ``k2`` and ``k3`` are the run's interned chain cones of ``c1``,
         ``c2`` and ``c3``; ``x1``, ``y1`` and ``z1`` hold the first element
         of each chosen set (empty for an empty set).  Built only when
-        neither the table nor ``_constructions`` holds it.
+        neither the table nor ``_constructions`` holds it, as one
+        ``parent._cut`` on the chain cones' closed rows, each in its block,
+        and the link rows: the rows, in the order, of
+        ``parent.intersect(product3(k1, k2, k3), Cone(9, link rows))``.
+        Chain cones carry no strict rows, so neither does the cut.
         """
         ks = self._chain_cones
         k1, k2, k3 = (ks.get(c) or ks.setdefault(c, self.intern(c.cone)) for c in (c1, c2, c3))
@@ -396,8 +405,8 @@ class RunTable:
         if cone is None:
             raw = _constructions.get(memo_key)
             if raw is None:
-                raw = _constructions[memo_key] = parent.intersect(
-                    product3(k1, k2, k3), _link_cone(shape, x1, y1, z1)
+                raw = _constructions[memo_key] = parent._cut(
+                    [*_padded((k1, k2, k3), "closed"), *_link_rows(shape, x1, y1, z1)]
                 )
             cone = self._children[memo_key] = self.intern(raw)
         return cone

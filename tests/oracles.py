@@ -7,6 +7,9 @@ lives with the tests and costs the package's import nothing.
 * ``representations`` to ``sp_from_rep_moebius``: per-point representation
   counts, the oracles of ``quadform.theta_coeffs`` and ``sp_theta_coeffs``.
 * ``is_successive_minima_prefix``: a box search, the oracle of ``minima``.
+* ``min_complement_row_scan``: ``minima.min_complement`` as it was built
+  before witness regions were ranked once: the witness's region scanned row
+  by row for each exclusion, then ranked by ``minima.min_of_finite``.
 * ``cone_to_json`` and ``cone_from_json``: the JSON text round trip of a cone.
 * ``fraction_scale_primitive`` and ``fraction_normalize``: the ``Fraction``
   versions of ``geometry.scale_primitive`` and ``relations.normalize``, which
@@ -28,6 +31,7 @@ from typing import Iterable, Iterator, Sequence
 from hypothesis import strategies as st
 
 from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict
+from theta_refine.minima import min_of_finite
 from theta_refine.quadform import IntBQF, is_strongly_primitive, theta_coeffs
 from theta_refine.relations import (
     DegenerateRelation,
@@ -197,6 +201,35 @@ def is_successive_minima_prefix(q: BQF, sets: Sequence[Iterable[Sequence[int]]])
                 return False
         consumed |= frozenset(s)
     return True
+
+
+def min_complement_row_scan(excluded: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
+    """Minimal strongly primitive vectors outside ``excluded``: the first
+    witness (a, 1) not excluded, (1, 0) unless excluded, and every vector
+    of the rows y >= 1 that escapes the witness's domination and is not
+    excluded, ranked by ``min_of_finite``."""
+    exc = frozenset(tuple(v) for v in excluded)
+    a, k = 0, 0
+    while (a, 1) in exc:
+        k += 1
+        a = -((k + 1) // 2) if k % 2 else k // 2
+    candidates = [(a, 1)]
+    if (1, 0) not in exc:
+        candidates.append((1, 0))
+    norm = a * a + 1
+    hex4 = 4 * (a * a + a + 1)
+    y = 1
+    while y * y < norm or 3 * y * y < hex4:
+        xs: set[int] = set()
+        if y * y < norm:
+            r = isqrt(norm - 1 - y * y)
+            xs.update(range(-r, r + 1))
+        if 3 * y * y < hex4:
+            s = isqrt(hex4 - 1 - 3 * y * y)
+            xs.update(range((-s - y + 1) // 2, (s - y) // 2 + 1))
+        candidates += ((x, y) for x in xs if (x, y) not in exc and gcd(x, y) == 1)
+        y += 1
+    return min_of_finite(candidates)
 
 
 def cone_to_json(cone: Cone) -> str:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,35 @@ def test_dump_streams_the_replay(tmp_path):
     assert result._pairs is None
     counts = [len(list((tmp_path / f"gen_{i}").iterdir())) for i in range(5)]
     assert counts == result.totals()
+
+
+def _tree_digest(root):
+    """SHA-256 of every file under ``root``, by sorted relative path: each
+    path and the file's bytes, each followed by a zero byte."""
+    digest = hashlib.sha256()
+    for path in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        digest.update(path.encode() + b"\0" + (root / path).read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, files, digest",
+    [
+        (("--a", "1", "--b", "1"), 130, "076094b1de0b4fccde5cb04643a8cfad78a3cfe1060885d39a169ac9b2d9d62b"),
+        (
+            ("--a", "1", "--b", "2", "--max-iter", "14"),
+            676,
+            "ded874aa2d25d4b558d3ee13532d9fb6ed2071f405afcd26101ea6d244ab96f4",
+        ),
+    ],
+)
+def test_dump_digests(argv, files, digest, tmp_path, capsys):
+    # The --out trees of two reference runs, byte for byte: a change to the
+    # rows, their order, the rays or the parameters of any pair shows here.
+    code, _ = run_cli(capsys, "refine", *argv, "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert len(list((tmp_path / "run").rglob("pair_*.json"))) == files
+    assert _tree_digest(tmp_path / "run") == digest
 
 
 def test_threads_flag_is_gone(capsys):

@@ -5,11 +5,14 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from theta_refine import minima, refinement
 from theta_refine.minima import edge_values, min_complement, min_n, min_of_finite, preceq
 from theta_refine.quadform import is_strongly_primitive
+from theta_refine.refinement import run_algorithm
 
-from oracles import BQF, is_successive_minima_prefix
+from oracles import BQF, is_successive_minima_prefix, min_complement_row_scan
 
 BOX12 = [
     (x, y)
@@ -135,6 +138,32 @@ def test_min_complement_far_witness_against_box_scan():
                     cases += 1
                     far += abs(a) >= 10
     assert cases >= 60 and far >= 20
+
+
+def test_min_complement_equals_row_scan_on_run_exclusions():
+    # Every exclusion the chains of four reference runs ask about, from cold
+    # memos: the walk over the witness's ranked region gives the row scan's
+    # tuple, order included.
+    refinement.clear_caches()
+    for args in ((1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13), (19, 1, "diagonal", 13)):
+        run_algorithm(*args)
+    entries = dict(minima._min_complement_cache)
+    assert len(entries) == 382
+    for exc, found in entries.items():
+        assert found == min_complement_row_scan(exc), exc
+
+
+# Strongly primitive vectors, with every (x, 1) for |x| <= n added so that
+# the witness moves away from a = 0.
+SP_VECTORS = st.tuples(st.integers(-12, 12), st.integers(0, 8)).filter(is_strongly_primitive)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SP_VECTORS, max_size=40), st.integers(-1, 8))
+def test_min_complement_equals_row_scan_on_random_exclusions(vectors, n):
+    excluded = set(vectors) | {(x, 1) for x in range(-n, n + 1)}
+    minima.clear_caches()
+    assert min_complement(excluded) == min_complement_row_scan(excluded)
 
 
 def test_min_n_examples():

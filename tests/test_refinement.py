@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from theta_refine import geometry, ksets, minima, refinement
-from theta_refine.geometry import Cone
+from theta_refine.geometry import Cone, product3
 from theta_refine.fixtures import T0_A, T1_A, T2_A, T3_A
 from theta_refine.refinement import (
     CoveringParameter,
@@ -341,37 +341,29 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
     # chain geometries, so its 8 922 children come from 17 distinct
     # constructions.  14 of them have an empty chain and give the run's
-    # empty cone; the other 3 are each one intersection and one
-    # nine-dimensional DD, the run's only ones: the initial cone and the
-    # empty cone were described at import.  Only 6 chains get a cone and its
-    # three-dimensional DD: the certificate on the key shows 174 chains
-    # empty without one, and 146 are never asked whether they are empty.
-    # The chains and the raw constructions are shared by the whole process,
-    # and each run interns them in its own table: after (1, 2)/14 and
-    # (2, 1)/13 have made the same constructions, the run makes none and
-    # pays no nine-dimensional DD.
-    constructions = [0]
-    intersect = Cone.intersect
-
-    def counting_intersect(self, *others):
-        constructions[0] += self.dim == 9
-        return intersect(self, *others)
-
+    # empty cone; the other 3 are each built once, entering the process memo
+    # of constructions, with one nine-dimensional DD, the run's only ones:
+    # the initial cone and the empty cone were described at import.  Only 6
+    # chains get a cone and its three-dimensional DD: the certificate on the
+    # key shows 174 chains empty without one, and 146 are never asked
+    # whether they are empty.  The chains and the raw constructions are
+    # shared by the whole process, and each run interns them in its own
+    # table: after (1, 2)/14 and (2, 1)/13 have made the same constructions,
+    # the run makes none and pays no nine-dimensional DD.
     dd = _count_dd_by_dim(monkeypatch)
-    monkeypatch.setattr(Cone, "intersect", counting_intersect)
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
-    assert constructions[0] == 3
+    assert len(refinement._constructions) == 3
     assert dd == {3: 6, 9: 3}
 
     refinement.clear_caches()
     run_algorithm(1, 2, "diagonal", 14)
     run_algorithm(2, 1, "diagonal", 13)
-    constructions[0] = 0
+    before = len(refinement._constructions)
     dd[9] = 0
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
-    assert constructions[0] == 0
+    assert len(refinement._constructions) - before == 0
     assert dd[9] == 0
 
 
@@ -464,8 +456,9 @@ def test_verdict_memo_is_per_stop_set():
 
 def test_repeated_run_does_no_geometry_and_replay_needs_no_memo(monkeypatch):
     # A second (1, 2)/14 in the process finds every construction and verdict
-    # in the process memos: it runs no DD, no intersection and no emptiness
-    # test, and gives the first run's log and dump.  A replay reads only its
+    # in the process memos: it runs no DD, no row merge (``Cone._cut``, which
+    # builds every construction and chain cone) and no emptiness test, and
+    # gives the first run's log and dump.  A replay reads only its
     # own run's chains and table, so it runs no DD after the process memos
     # are cleared.
     def snapshot(result):
@@ -478,30 +471,30 @@ def test_repeated_run_does_no_geometry_and_replay_needs_no_memo(monkeypatch):
     refinement.clear_caches()
     first = run_algorithm(1, 2, "diagonal", 14)
     first_dump = snapshot(first)
-    calls = {"dd": 0, "intersect": 0, "empty": 0}
+    calls = {"dd": 0, "cut": 0, "empty": 0}
     extreme_rays = geometry._extreme_rays
-    intersect = Cone.intersect
+    cut = Cone._cut
     is_member_empty = Cone.is_member_empty
 
     def counting_dd(*args):
         calls["dd"] += 1
         return extreme_rays(*args)
 
-    def counting_intersect(self, *others):
-        calls["intersect"] += 1
-        return intersect(self, *others)
+    def counting_cut(self, *rows):
+        calls["cut"] += 1
+        return cut(self, *rows)
 
     def counting_empty(self):
         calls["empty"] += 1
         return is_member_empty(self)
 
     monkeypatch.setattr(geometry, "_extreme_rays", counting_dd)
-    monkeypatch.setattr(Cone, "intersect", counting_intersect)
+    monkeypatch.setattr(Cone, "_cut", counting_cut)
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     second = run_algorithm(1, 2, "diagonal", 14)
     assert [rec[:-1] for rec in second.log] == [rec[:-1] for rec in first.log]
     assert snapshot(second) == first_dump
-    assert calls == {"dd": 0, "intersect": 0, "empty": 0}
+    assert calls == {"dd": 0, "cut": 0, "empty": 0}
 
     third = run_algorithm(1, 1, "diagonal", 13)
     refinement.clear_caches()
@@ -787,21 +780,68 @@ def test_no_further_relations_sweep_to_30(a, b):
         assert forward.totals() == [1, 88645, 135199, 204722, 0]
 
 
-def test_chain_layer_calls_the_public_minima(monkeypatch):
-    # The chain layer reaches ``minima`` only through ``min_complement``, so
-    # wrappers on the public name see every call a run makes: from cold
-    # memos, the calls that miss the memo are exactly the memo's entries.
-    calls, misses = [0], [0]
-    min_complement = minima.min_complement
+def test_chain_layer_reads_minima_unchecked(monkeypatch):
+    # A chain's key is checked once, when ``ksets.chain`` makes it; the chain
+    # layer then reaches ``minima`` only through ``_min_complement``, which
+    # checks nothing, so a run tests no vector for strong primitivity in
+    # ``minima``.  From cold memos, the calls that miss the memo are exactly
+    # the memo's entries.
+    calls, misses, checks = [0], [0], [0]
+    min_complement = minima._min_complement
+    is_strongly_primitive = minima.is_strongly_primitive
 
-    def counting(excluded=()):
+    def counting(exc):
         calls[0] += 1
-        misses[0] += frozenset(excluded) not in minima._min_complement_cache
-        return min_complement(excluded)
+        misses[0] += exc not in minima._min_complement_cache
+        return min_complement(exc)
+
+    def counting_check(v):
+        checks[0] += 1
+        return is_strongly_primitive(v)
 
     refinement.clear_caches()
-    monkeypatch.setattr(minima, "min_complement", counting)
-    monkeypatch.setattr(ksets, "min_complement", counting)
+    monkeypatch.setattr(minima, "_min_complement", counting)
+    monkeypatch.setattr(ksets, "_min_complement", counting)
+    monkeypatch.setattr(minima, "is_strongly_primitive", counting_check)
     run_algorithm(1, 0, "q1_eq_q3", 13)
     assert calls[0] > misses[0] > 0
     assert misses[0] == len(minima._min_complement_cache) == 47
+    assert checks[0] == 0
+
+
+def _description(cone):
+    return cone.closed, cone.strict, cone._closed_description()
+
+
+def _link_cone(shape, xs, ys, zs):
+    """The value-link cone as a ``Cone`` of the cross equalities of the
+    linked sets' first elements: factor 1 to both others for (1, 1, 1),
+    else factors 1 and 3 or 2 and 3, when both sides are non-empty."""
+    cross = refinement._cross_equality_rows
+    if shape == (1, 1, 1):
+        rows = cross(0, xs[0], 1, ys[0]) + cross(0, xs[0], 2, zs[0])
+    elif shape[1] == 0:
+        rows = cross(0, xs[0], 2, zs[0]) if xs and zs else []
+    else:
+        rows = cross(1, ys[0], 2, zs[0]) if ys and zs else []
+    return Cone(9, rows)
+
+
+@pytest.mark.parametrize("a, b, stop_kind, max_iter", [(1, 0, "q1_eq_q3", 13), (1, 2, "diagonal", 14)])
+def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter):
+    # Every construction of a run from cold memos, built as one row merge,
+    # has the rows, row order, rays and tight-row masks of the parent cut by
+    # the product of the chain cones and the link cone; every chain cone has
+    # those of its prefix's cone cut by ``Cone(3, _step_rows(key))``.
+    refinement.clear_caches()
+    run_algorithm(a, b, stop_kind, max_iter)
+    for (parent, k1, k2, k3, shape, x1, y1, z1), built in refinement._constructions.items():
+        link = _link_cone(shape, x1, y1, z1)
+        assert _description(built) == _description(parent.intersect(product3(k1, k2, k3), link))
+    chains = [c for c in ksets._chains.values() if c.key and c._cone is not None]
+    for c in chains:
+        prefix = ksets._chain(c.key[:-1]).cone
+        assert _description(c.cone) == _description(prefix.intersect(Cone(3, ksets._step_rows(c.key))))
+    assert (len(refinement._constructions), len(chains)) == {
+        (1, 0): (590, 335), (1, 2): (92, 223)
+    }[a, b]
