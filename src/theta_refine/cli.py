@@ -18,12 +18,7 @@ from .geometry import cone_to_json_dict, format_cone
 from .ksets import kset
 from .minima import min_complement, min_n
 from .quadform import parse_int_form, reduce_gl2, sp_theta_coeffs, theta_coeffs
-from .refinement import (
-    RunResult,
-    check_y_projection_argument,
-    format_table,
-    run_algorithm,
-)
+from .refinement import RunResult, check_y_projection_argument, run_algorithm
 from .relations import classify, key_lemma_decompose, verify_relation
 from . import fixtures
 
@@ -86,6 +81,32 @@ def _dump_run(result: RunResult, out_dir: str) -> None:
             }
             with open(os.path.join(gen_dir, f"pair_{j}.json"), "w") as f:
                 f.write(json.dumps(payload, indent=1))
+
+
+def format_table(result: RunResult, verbose: bool = False) -> str:
+    """Aligned per-iteration table: totals and non-empty counts; ``verbose``
+    adds the stop-absorbed pairs, live classes, counted children of empty
+    chains and seconds."""
+    indices = [str(rec.index) for rec in result.log]
+    totals = [str(rec.total) for rec in result.log]
+    nonempty = [str(rec.non_empty) for rec in result.log]
+    rows = [("iteration", indices), ("pairs", totals), ("non-empty", nonempty)]
+    if verbose:
+        rows.append(("stop-absorbed", [str(rec.stop_absorbed) for rec in result.log]))
+        rows.append(("live classes", [str(rec.live_classes) for rec in result.log]))
+        rows.append(("counted", [str(rec.counted) for rec in result.log]))
+        rows.append(("seconds", [f"{rec.seconds:.2f}" for rec in result.log]))
+    label_w = max(len(r[0]) for r in rows)
+    col_w = [
+        max(len(row[1][i]) for row in rows) for i in range(len(result.log))
+    ]
+    lines = []
+    for label, cells in rows:
+        line = label.ljust(label_w) + "  " + "  ".join(
+            c.rjust(col_w[i]) for i, c in enumerate(cells)
+        )
+        lines.append(line.rstrip())
+    return "\n".join(lines)
 
 
 def _cmd_refine(args) -> int:

@@ -78,6 +78,13 @@ def scale_primitive(v: Sequence) -> Vector:
     return tuple(ints)
 
 
+def _primitive(v: Vector) -> Vector:
+    """An integer tuple divided by the gcd of its entries: ``scale_primitive``
+    for a vector known to be integer, without its type scan."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else v
+
+
 def _dedup_rows(rows: Iterable[Sequence], dim: int, drop_zero: bool) -> tuple[Vector, ...]:
     out: list[Vector] = []
     seen: set[Vector] = set()
@@ -133,7 +140,7 @@ def _extreme_rays(
         bit = 1 << j
         pivot = None
         for idx, l in enumerate(lineality):
-            d = _dot(a, l)
+            d = sum(map(mul, a, l))
             if d != 0:
                 pivot = (idx, l, d)
                 break
@@ -148,16 +155,16 @@ def _extreme_rays(
             for k, l in enumerate(lineality):
                 if k == idx:
                     continue
-                d = _dot(a, l)
-                new_lin.append(scale_primitive(tuple(d0 * x - d * y for x, y in zip(l, l0))))
+                d = sum(map(mul, a, l))
+                new_lin.append(_primitive(tuple(d0 * x - d * y for x, y in zip(l, l0))))
             lineality = new_lin
             new_rays = []
             for r, m in rays:
-                d = _dot(a, r)
+                d = sum(map(mul, a, r))
                 if d == 0:
                     new_rays.append((r, m | bit))
                 else:
-                    proj = scale_primitive(tuple(d0 * x - d * y for x, y in zip(r, l0)))
+                    proj = _primitive(tuple(d0 * x - d * y for x, y in zip(r, l0)))
                     new_rays.append((proj, m | bit))
             # l0 itself satisfies every earlier row with equality.
             new_rays.append((l0, (1 << j) - 1))
@@ -168,7 +175,7 @@ def _extreme_rays(
         zero: list[tuple[Vector, int]] = []
         neg: list[tuple[Vector, int, int]] = []
         for r, m in rays:
-            d = _dot(a, r)
+            d = sum(map(mul, a, r))
             if d > 0:
                 pos.append((r, m, d))
             elif d == 0:
@@ -194,7 +201,7 @@ def _extreme_rays(
                         adjacent = False
                         break
                 if adjacent:
-                    comb = scale_primitive(tuple(dp * x - dn * y for x, y in zip(rn, rp)))
+                    comb = _primitive(tuple(dp * x - dn * y for x, y in zip(rn, rp)))
                     kept.append((comb, t | bit))
         rays = kept
 

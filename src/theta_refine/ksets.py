@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import Cone, scale_primitive
+from .geometry import Cone, _primitive
 from .minima import _min_complement, _min_n, min_complement
 from .quadform import coeff_row, is_strongly_primitive
 
@@ -101,15 +101,16 @@ def _step_rows(key: Key) -> list[tuple[int, int, int]]:
     """The rows the last set ``s`` of ``key`` adds to its prefix's cone: the
     link ``Q(s_0) >= Q(x)`` for the prefix's last vector ``x``, the
     equalities within ``s``, and ``Q(w) >= Q(s_last)`` for every minimal
-    vector ``w`` outside the key.  Each is scaled primitive; none is zero,
-    because distinct strongly primitive vectors have distinct coefficient
-    rows.  The key is checked, so its minimal complement is read unchecked."""
+    vector ``w`` outside the key.  Each is an integer row scaled primitive
+    (``_primitive``); none is zero, because distinct strongly primitive
+    vectors have distinct coefficient rows.  The key is checked, so its
+    minimal complement is read unchecked."""
     s = key[-1]
     rows = [_row_diff(s[0], key[-2][-1])] if len(key) > 1 else []
     rows += (r for v in s[1:] for r in (_row_diff(v, s[0]), _row_diff(s[0], v)))
     excluded = frozenset(v for t in key for v in t)
     rows += (_row_diff(w, s[-1]) for w in _min_complement(excluded))
-    return [scale_primitive(r) for r in rows]
+    return [_primitive(r) for r in rows]
 
 
 class Chain:

@@ -44,6 +44,35 @@ such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay
 they hold the run's one empty cone, which has no row merge or double
 description of its own.
 
+A child's member set is decided before its DD, from the chain cones and
+the link equalities along its path.  Every cone the run builds is the
+initial cone cut step by step by two kinds of rows: the padded rows of
+interned chain cones, and link rows.  Chain cones nest, because a chain
+cone is its prefix's cone cut by ``ksets._step_rows``, and interning keeps
+the closed set.  A link ``(i, u, j, v)`` says that the forms of blocks
+``i`` and ``j`` take one value at ``u`` and ``v``.  So a class
+``(P, (c1, c2, c3))`` reached by a path whose steps made the link set
+``L`` has ``closed(P) = K(c1) x K(c2) x K(c3) ∩ L``, with ``K`` the chain
+cone, and its strict rows are always the three ``q11 > 0`` rows.  Its
+child has ``closed = K(c1') x K(c2') x K(c3') ∩ (L ∪ new links)``, whatever
+parent it came from: the link key ``(k1', k2', k3', L ∪ new)`` of the
+interned chain cones and the link set fixes the child's member set.  The
+run carries one such ``L`` per class, as a mask over the links the run has
+numbered (``RunTable.link_mask``): the root class has none, and a new class
+gets the first ``L`` that reaches it.  ``RunTable.child`` looks a child up
+in this order: the table's children keyed by parent, which the replay
+reads; the run's children keyed by link key; the process memo of
+constructions, keyed by parent; only then does it build.  The first
+construction of each member set in a run misses both of the run's keys,
+so it is made from its parent with the rows it always had, built or taken
+from the process memo: the interned cones, tables and dumps are those of
+building every construction.  On ``(1,0)`` q1_eq_q3/13 the 590 distinct
+constructions have 315 link keys, one per non-empty member set, so the run
+builds 315 nine-dimensional cones, not 590.  The link sets are not
+canonical: on ``(1,1)``/13, 113 link keys give 46 member sets.  A
+hand-built pair has no known ``L``, so ``refine_pair`` looks its children
+up by parent only.
+
 The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
 at import by its own DD over its own rows.  A run pays no DD for either:
@@ -56,11 +85,12 @@ chains (``ksets._chains``), the minimal complements
 (``_constructions``) and one dict of verdicts per stop set (``_verdicts``).
 A construction is keyed as in the run's table and memoised as built, before
 interning; each run interns it in its own table, so a run's dump does not
-depend on what ran before it.  A one-run command fills each memo once and
-does the same work as with none; it keeps the built cones whose member set
-the table already held, about 0.1 MiB more on a reference run.  A process
-keeps every chain, construction and verdict it met until ``clear_caches``
-empties all four.  The 38 coprime runs with ``4 <= a + b <= 11`` so build
+depend on what ran before it.  The link keys are per run, and a run drops
+them when it ends.  A one-run command fills each memo once and does the
+same work as with none; it keeps the built cones whose member set the
+table already held, which the link keys do not catch on the diagonal
+runs.  A process keeps every chain, construction and verdict it met until
+``clear_caches`` empties all four.  The 38 coprime runs with ``4 <= a + b <= 11`` so build
 3 nine-dimensional cones, not 114.
 """
 
@@ -72,12 +102,15 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ksets, minima
-from .geometry import Cone, Vector, _padded, product3, scale_primitive
+from .geometry import Cone, Vector, _padded, _primitive, product3
 from .ksets import V_CONE, Chain, chain
 from .quadform import coeff_row
 
 Pair = tuple[int, int]
 Shape = tuple[int, int, int]
+# A value link ``(i, u, j, v)`` with blocks ``i < j``: the forms of blocks
+# ``i`` and ``j`` take one value at ``u`` and ``v``.
+Link = tuple[int, Pair, int, Pair]
 
 STOP_SET_KINDS = ("diagonal", "q1_eq_q3")
 
@@ -282,32 +315,31 @@ def initial_pair() -> RefinementPair:
     return RefinementPair(_INITIAL_CONE, param, param.chains())
 
 
-def _cross_equality_rows(block_i: int, vi: Pair, block_j: int, vj: Pair) -> list[Vector]:
-    row = [0] * 9
-    ri, rj = coeff_row(vi), coeff_row(vj)
-    for k in range(3):
-        row[3 * block_i + k] += ri[k]
-        row[3 * block_j + k] -= rj[k]
-    return [tuple(row), tuple(-x for x in row)]
-
-
-def _link_rows(
+def _links(
     shape: Shape, xs: Sequence[Pair], ys: Sequence[Pair], zs: Sequence[Pair]
-) -> list[Vector]:
-    """Value-link rows between the first elements of the linked sets,
-    scaled primitive.  They are distinct and none is zero: each pair of
-    opposite rows spans its own two blocks."""
-    rows: list[Vector] = []
+) -> tuple[Link, ...]:
+    """The value links ``(i, u, j, v)`` of a child of ``shape`` whose chosen
+    sets are ``xs``, ``ys`` and ``zs``, between the first elements of the
+    linked sets: block 1 to both others for (1, 1, 1); else blocks 1 and 3,
+    or 2 and 3, when both sets are non-empty."""
     if shape == (1, 1, 1):
-        rows += _cross_equality_rows(0, xs[0], 1, ys[0])
-        rows += _cross_equality_rows(0, xs[0], 2, zs[0])
-    elif shape[1] == 0:
-        if xs and zs:
-            rows += _cross_equality_rows(0, xs[0], 2, zs[0])
-    else:
-        if ys and zs:
-            rows += _cross_equality_rows(1, ys[0], 2, zs[0])
-    return [scale_primitive(r) for r in rows]
+        return (0, xs[0], 1, ys[0]), (0, xs[0], 2, zs[0])
+    i, us = (0, xs) if shape[1] == 0 else (1, ys)
+    return ((i, us[0], 2, zs[0]),) if us and zs else ()
+
+
+def _link_rows(links: Iterable[Link]) -> list[Vector]:
+    """Each link ``(i, u, j, v)`` as the closed rows ``Q_i(u) - Q_j(v) >= 0``
+    and its opposite, scaled primitive.  They are distinct and none is
+    zero: each pair spans its own two blocks."""
+    rows = []
+    for i, u, j, v in links:
+        row = [0] * 9
+        row[3 * i : 3 * i + 3] = coeff_row(u)
+        row[3 * j : 3 * j + 3] = (-x for x in coeff_row(v))
+        row = _primitive(tuple(row))
+        rows += row, tuple(-x for x in row)
+    return rows
 
 
 def aux_cones(
@@ -328,7 +360,7 @@ def aux_cones(
     k1 = chain(param.x_sets + (xs,)).cone
     k2 = chain(param.y_sets + (ys,)).cone
     k3 = chain(param.z_sets + (zs,)).cone
-    return product3(k1, k2, k3), Cone(9, _link_rows(shape, xs, ys, zs))
+    return product3(k1, k2, k3), Cone(9, _link_rows(_links(shape, xs, ys, zs)))
 
 
 class RunTable:
@@ -346,10 +378,16 @@ class RunTable:
     shape and the first elements of the linked sets, which fix the child's
     member set.  Chains of equal geometry so share one child, and a
     repeated construction skips the row merge and the double description.
-    Building from the interned chain cone, not each chain's own, makes the
-    DDs insert fewer rows: 1 621 against 2 145 on ``(1,0)`` q1_eq_q3/13,
-    1 577 against 2 838 on ``(1,2)``/14.  A new
-    table interns the process constants ``_INITIAL_CONE`` and then
+    During a run it also memoises each child by its link key: its three
+    interned chain cones and the link set of its path, a mask of
+    ``link_mask``, which fix its member set whatever its parent (see the
+    module docstring).  It looks a child up by parent in the table, then by
+    link key, then by parent in ``_constructions``, and builds it only when
+    all three miss.  The replay and ``refine_pair`` look children up by
+    parent only, and ``run_algorithm`` empties the link memos when the run
+    ends.  Building from the interned chain cone, not each chain's own,
+    makes the DDs insert fewer rows: 1 577 against 2 805 on ``(1,2)``/14.
+    A new table interns the process constants ``_INITIAL_CONE`` and then
     ``_EMPTY_CONE``, the run's one empty cone, held by the children of an
     empty chain and by every cone with no ray and the same strict rows.
     Both were described at import, so neither costs the run a DD.
@@ -363,12 +401,14 @@ class RunTable:
     after ``clear_caches``.
     """
 
-    __slots__ = ("_cones", "_chain_cones", "_children", "verdicts")
+    __slots__ = ("_cones", "_chain_cones", "_children", "_link_bits", "_linked", "verdicts")
 
     def __init__(self) -> None:
         self._cones: dict[tuple, Cone] = {}
         self._chain_cones: dict[Chain, Cone] = {}
         self._children: dict[tuple, Cone] = {}
+        self._link_bits: dict[Link, int] = {}
+        self._linked: dict[tuple, Cone] = {}
         self.intern(_INITIAL_CONE)
         self.intern(_EMPTY_CONE)
         self.verdicts: dict[Cone, int] = {_EMPTY_CONE: _EMPTY}
@@ -376,6 +416,15 @@ class RunTable:
     def intern(self, cone: Cone) -> Cone:
         """The run's cone with this member set; computes ``cone``'s rays."""
         return self._cones.setdefault((cone.dim, cone.edges(), frozenset(cone.strict)), cone)
+
+    def link_mask(self, links: Iterable[Link]) -> int:
+        """``links`` as a set of bits: the run numbers each link it meets,
+        so equal link sets give equal masks within the run."""
+        bits = self._link_bits
+        mask = 0
+        for link in links:
+            mask |= bits.get(link) or bits.setdefault(link, 1 << len(bits))
+        return mask
 
     def child(
         self,
@@ -387,14 +436,17 @@ class RunTable:
         x1: tuple[Pair, ...],
         y1: tuple[Pair, ...],
         z1: tuple[Pair, ...],
+        path: int | None = None,
     ) -> Cone:
         """``parent ∩ (k1 x k2 x k3) ∩ link``, interned, where ``k1``,
         ``k2`` and ``k3`` are the run's interned chain cones of ``c1``,
         ``c2`` and ``c3``; ``x1``, ``y1`` and ``z1`` hold the first element
-        of each chosen set (empty for an empty set).  Built only when
-        neither the table nor ``_constructions`` holds it, as one
-        ``parent._cut`` on the chain cones' closed rows, each in its block,
-        and the link rows: the rows, in the order, of
+        of each chosen set (empty for an empty set).  ``path``, when
+        given, is the link set of the child's path (``link_mask``), which
+        with ``k1``, ``k2`` and ``k3`` fixes its member set.  Built only
+        when neither the table, the link key nor ``_constructions`` holds
+        it, as one ``parent._cut`` on the chain cones' closed rows, each in
+        its block, and the link rows: the rows, in the order, of
         ``parent.intersect(product3(k1, k2, k3), Cone(9, link rows))``.
         Chain cones carry no strict rows, so neither does the cut.
         """
@@ -403,12 +455,20 @@ class RunTable:
         memo_key = (parent, k1, k2, k3, shape, x1, y1, z1)
         cone = self._children.get(memo_key)
         if cone is None:
-            raw = _constructions.get(memo_key)
-            if raw is None:
-                raw = _constructions[memo_key] = parent._cut(
-                    [*_padded((k1, k2, k3), "closed"), *_link_rows(shape, x1, y1, z1)]
-                )
-            cone = self._children[memo_key] = self.intern(raw)
+            if path is not None:
+                link_key = (k1, k2, k3, path)
+                cone = self._linked.get(link_key)
+            if cone is None:
+                raw = _constructions.get(memo_key)
+                if raw is None:
+                    rows = _link_rows(_links(shape, x1, y1, z1))
+                    raw = _constructions[memo_key] = parent._cut(
+                        [*_padded((k1, k2, k3), "closed"), *rows]
+                    )
+                cone = self.intern(raw)
+                if path is not None:
+                    self._linked[link_key] = cone
+            self._children[memo_key] = cone
         return cone
 
 
@@ -417,7 +477,8 @@ def _children(
     cone: Cone,
     shape: Shape,
     choices: Sequence[Sequence[tuple[tuple[Pair, ...], Chain]]],
-) -> Iterator[tuple[Cone | None, Sequence, Sequence, Sequence]]:
+    path: int | None = None,
+) -> Iterator[tuple[Cone | None, Sequence, Sequence, Sequence, int | None]]:
     """The children of ``cone`` under one shape, in canonical order, in blocks.
 
     ``choices`` holds each factor's next choices (``Chain.choices``).  A
@@ -428,27 +489,31 @@ def _children(
     ``cone`` carries that block's ``q11 > 0`` row has no member: once the
     choices so far make that so, the children that follow them form one
     block with ``child`` None, and none of them is built: each holds the
-    run's empty cone, ``_EMPTY_CONE``.
+    run's empty cone, ``_EMPTY_CONE``.  With ``path``, the link set of
+    ``cone``'s class, a built child's block ends with its own link set,
+    ``path`` and the links of its step, by which ``table.child`` keys it;
+    otherwise, and for an unbuilt block, it ends with None.
     """
     kx, ky, kz = (row in cone.strict for row in _Q11_ROWS)
     xl, yl, zl = choices
     for x in xl:
         xset, xn = x
         if kx and xn.empty:
-            yield None, (x,), yl, zl
+            yield None, (x,), yl, zl, None
             continue
         for y in yl:
             yset, yn = y
             if ky and yn.empty:
-                yield None, (x,), (y,), zl
+                yield None, (x,), (y,), zl, None
                 continue
             for z in zl:
                 zset, zn = z
                 if kz and zn.empty:
-                    yield None, (x,), (y,), (z,)
+                    yield None, (x,), (y,), (z,), None
                     continue
-                child = table.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
-                yield child, (x,), (y,), (z,)
+                x1, y1, z1 = xset[:1], yset[:1], zset[:1]
+                own = None if path is None else path | table.link_mask(_links(shape, x1, y1, z1))
+                yield table.child(cone, xn, yn, zn, shape, x1, y1, z1, own), (x,), (y,), (z,), own
 
 
 def refine_pair(
@@ -472,7 +537,7 @@ def refine_pair(
     for shape in shapes:
         choices = [c.choices(n) for c, n in zip(pair.chains, shape)]
         xe, ye, ze = ({s: seq + (s,) for s, _ in cs} for seq, cs in zip(seqs, choices))
-        for child, xs, ys, zs in _children(table, pair.cone, shape, choices):
+        for child, xs, ys, zs, _ in _children(table, pair.cone, shape, choices):
             cone = _EMPTY_CONE if child is None else child
             for xset, xn in xs:
                 for yset, yn in ys:
@@ -483,27 +548,44 @@ def refine_pair(
 
 
 def _refine_classes(
-    live: dict[RefinementClass, int], shapes: Sequence[Shape], table: RunTable
-) -> tuple[dict[RefinementClass, int], int]:
+    live: dict[RefinementClass, int],
+    shapes: Sequence[Shape],
+    table: RunTable,
+    paths: dict[RefinementClass, int] | None = None,
+) -> tuple[dict[RefinementClass, int], int, dict[RefinementClass, int] | None]:
     """The next generation's classes with their multiplicities, in order of
-    first appearance, and the number of children of empty chains.
+    first appearance, the number of children of empty chains, and the link
+    set of each of these classes.
 
     Each live class is refined once, and its multiplicity is added to each
     child class.  A block of children of an empty chain adds its size times
-    the multiplicity to the count and builds nothing.
+    the multiplicity to the count and builds nothing.  ``paths`` maps each
+    live class to the link set of a path to it (a ``RunTable.link_mask``),
+    by which ``table.child`` keys its children; a new class gets its
+    parent's set and the links of the step that first reaches it.  Without
+    ``paths`` the children are looked up by their parent only and the third
+    item is None.
     """
     classes: dict[RefinementClass, int] = {}
+    child_paths: dict[RefinementClass, int] | None = None if paths is None else {}
     counted = 0
-    for (cone, chains), mult in live.items():
+    for cls, mult in live.items():
+        cone, chains = cls
+        path = None if paths is None else paths[cls]
         for shape in shapes:
             choices = [c.choices(n) for c, n in zip(chains, shape)]
-            for child, xs, ys, zs in _children(table, cone, shape, choices):
+            for child, xs, ys, zs, own in _children(table, cone, shape, choices, path):
                 if child is None:
                     counted += mult * len(xs) * len(ys) * len(zs)
+                    continue
+                new = RefinementClass(child, (xs[0][1], ys[0][1], zs[0][1]))
+                if new in classes:
+                    classes[new] += mult
                 else:
-                    cls = RefinementClass(child, (xs[0][1], ys[0][1], zs[0][1]))
-                    classes[cls] = classes.get(cls, 0) + mult
-    return classes, counted
+                    classes[new] = mult
+                    if own is not None:
+                        child_paths[new] = own
+    return classes, counted, child_paths
 
 
 _EMPTY, _ABSORBED, _LIVE = range(3)
@@ -550,7 +632,10 @@ def run_algorithm(
     is interned by its member set (extreme rays and strict rows), so
     classes with equal member sets share one ``Cone``, and each interned
     cone other than the empty cone is classified at most once in the
-    process, when its first class is recorded.  Runs for at most
+    process, when its first class is recorded.  Each class carries the
+    link set of the first path that reached it, by which its children are
+    looked up before they are built (see the module docstring); the link
+    memos serve the run only and are emptied when it ends.  Runs for at most
     ``max_iter`` refinements or until a generation is produced with no pairs
     at all.  The run is sequential, and its log and dump are the same
     whatever ran before it in the process; ``threads`` is accepted for
@@ -569,15 +654,18 @@ def run_algorithm(
     live_classes: list[dict[RefinementClass, int]] = []
 
     start = time.perf_counter()
-    classes, counted = {RefinementClass(_INITIAL_CONE, initial_pair().chains): 1}, 0
+    root = RefinementClass(_INITIAL_CONE, (ksets._chain(()),) * 3)
+    classes, counted, paths = {root: 1}, 0, {root: 0}
     while True:
         live, record = _record(len(log), classes, counted, rows, start, table)
         live_classes.append(live)
         log.append(record)
         if record.total == 0 or record.index == max_iter:
+            table._link_bits.clear()
+            table._linked.clear()
             return RunResult(a, b, stop_kind, log, live_classes, table)
         start = time.perf_counter()
-        classes, counted = _refine_classes(live, shapes, table)
+        classes, counted, paths = _refine_classes(live, shapes, table, paths)
 
 
 def _record(
@@ -623,29 +711,3 @@ def _record(
     seconds = time.perf_counter() - start
     record = IterationRecord(index, total, non_empty, stopped, len(live), counted, seconds)
     return live, record
-
-
-def format_table(result: RunResult, verbose: bool = False) -> str:
-    """Aligned per-iteration table: totals and non-empty counts; ``verbose``
-    adds the stop-absorbed pairs, live classes, counted children of empty
-    chains and seconds."""
-    indices = [str(rec.index) for rec in result.log]
-    totals = [str(rec.total) for rec in result.log]
-    nonempty = [str(rec.non_empty) for rec in result.log]
-    rows = [("iteration", indices), ("pairs", totals), ("non-empty", nonempty)]
-    if verbose:
-        rows.append(("stop-absorbed", [str(rec.stop_absorbed) for rec in result.log]))
-        rows.append(("live classes", [str(rec.live_classes) for rec in result.log]))
-        rows.append(("counted", [str(rec.counted) for rec in result.log]))
-        rows.append(("seconds", [f"{rec.seconds:.2f}" for rec in result.log]))
-    label_w = max(len(r[0]) for r in rows)
-    col_w = [
-        max(len(row[1][i]) for row in rows) for i in range(len(result.log))
-    ]
-    lines = []
-    for label, cells in rows:
-        line = label.ljust(label_w) + "  " + "  ".join(
-            c.rjust(col_w[i]) for i, c in enumerate(cells)
-        )
-        lines.append(line.rstrip())
-    return "\n".join(lines)

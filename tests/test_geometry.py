@@ -462,6 +462,8 @@ def test_scale_primitive_int_path_matches_fraction_path(ints, den, picks):
     # the all-int fast path against the Fraction path on the same direction
     expected = scale_primitive([Fraction(x) for x in ints])
     assert scale_primitive(ints) == scale_primitive(tuple(ints)) == expected
+    # and the unchecked integer helper of the DD and the row builders
+    assert geometry._primitive(tuple(ints)) == expected
     assert scale_primitive([Fraction(x, den) for x in ints]) == expected
     mixed = [Fraction(x * den, den) if pick else x for x, pick in zip(ints, picks)]
     assert scale_primitive(mixed) == expected

@@ -5,14 +5,15 @@ from math import gcd
 import pytest
 
 from theta_refine import geometry, ksets, minima, refinement
+from theta_refine.cli import format_table
 from theta_refine.geometry import Cone, product3
 from theta_refine.fixtures import T0_A, T1_A, T2_A, T3_A
+from theta_refine.quadform import coeff_row
 from theta_refine.refinement import (
     CoveringParameter,
     RefinementPair,
     aux_cones,
     check_y_projection_argument,
-    format_table,
     initial_pair,
     linset,
     refine_pair,
@@ -369,13 +370,16 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
 
 @pytest.mark.parametrize(
     "a, b, stop_kind, max_iter, rows",
-    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 972}), (1, 2, "diagonal", 14, {3: 745, 9: 832})],
+    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 668}), (1, 2, "diagonal", 14, {3: 745, 9: 832})],
 )
 def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeypatch):
     # Rows inserted by every DD of a run from cold memos.  A chain cone's DD
     # resumes from its prefix's rays and inserts only the rows its last set
     # adds, and a child's DD resumes from its parent's rays.  The initial
-    # cone's 9 rows and the empty cone's 10 were inserted at import.
+    # cone's 9 rows and the empty cone's 10 were inserted at import.  A
+    # child whose link key (chain cones and link set) the run already met
+    # inserts none: on (1, 0) the 315 built children insert 668 rows, where
+    # building all 590 constructions inserted 972.
     refinement.clear_caches()
     inserted = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
@@ -603,13 +607,16 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  Each of
     # the 336 distinct chain sequences gets one three-dimensional DD, so its
     # chain knows whether it is empty and the run can intern its cone.
-    # Every distinct construction (parent, interned chain cones, shape and
-    # link vectors) without an empty chain needs its rays before it can be
-    # interned, so each of the 590 gets one nine-dimensional DD; the initial
-    # cone and the run's empty cone get none, as they were described at
-    # import.  Each of the 316 distinct member sets but the empty cone's
-    # gets one emptiness test, and no cone needs the extra DD of the exact
-    # emptiness path, because its strict rows are non-negative on its rays.
+    # There are 590 distinct constructions (parent, interned chain cones,
+    # shape and link vectors) without an empty chain, but a child's link
+    # key (its interned chain cones and the link set of its path) fixes its
+    # member set, so only the first construction of each key is built:
+    # one nine-dimensional DD per member set other than the empty cone's,
+    # 315.  The initial cone and the run's empty cone get none, as they
+    # were described at import.  Each of the 316 distinct member sets but
+    # the empty cone's gets one emptiness test, and no cone needs the extra
+    # DD of the exact emptiness path, because its strict rows are
+    # non-negative on its rays.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -622,7 +629,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     assert sum(result.totals()) == 10558
     assert empties[0] == 315
-    assert dd == {3: 336, 9: 590}
+    assert dd == {3: 336, 9: 315}
 
 
 def test_min_complement_builds_from_cold_memos():
@@ -727,7 +734,7 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     classes, counted = {refinement.RefinementClass(first.cone, first.chains): 1}, 0
     for i, rec in enumerate(result.log):
         if i:
-            classes, counted = refinement._refine_classes(result.live_classes[i - 1], shapes, table)
+            classes, counted, _ = refinement._refine_classes(result.live_classes[i - 1], shapes, table)
         built, killed = {}, 0
         for p in generations[i]:
             if any(c.empty for c in p.chains):
@@ -766,7 +773,7 @@ def test_no_further_relations_sweep_to_30(a, b):
     for res in (forward, backward):
         assert res.non_empty_counts() == [1, 1, 1, 0, 0]
         assert [rec.stop_absorbed for rec in res.log] == [0, 0, 0, 1, 0]
-        gen3, _ = refinement._refine_classes(res.live_classes[2], linset(res.a, res.b), res.table)
+        gen3, _, _ = refinement._refine_classes(res.live_classes[2], linset(res.a, res.b), res.table)
         absorbed = {
             cls: mult for cls, mult in gen3.items()
             if res.table.verdicts[cls.cone] == refinement._ABSORBED
@@ -813,17 +820,24 @@ def _description(cone):
     return cone.closed, cone.strict, cone._closed_description()
 
 
+def _cross(i, u, j, v):
+    """The rows ``Q_i(u) = Q_j(v)`` of blocks ``i`` and ``j``, both signs."""
+    row = [0] * 9
+    row[3 * i : 3 * i + 3] = coeff_row(u)
+    row[3 * j : 3 * j + 3] = [-x for x in coeff_row(v)]
+    return [row, [-x for x in row]]
+
+
 def _link_cone(shape, xs, ys, zs):
     """The value-link cone as a ``Cone`` of the cross equalities of the
     linked sets' first elements: factor 1 to both others for (1, 1, 1),
     else factors 1 and 3 or 2 and 3, when both sides are non-empty."""
-    cross = refinement._cross_equality_rows
     if shape == (1, 1, 1):
-        rows = cross(0, xs[0], 1, ys[0]) + cross(0, xs[0], 2, zs[0])
+        rows = _cross(0, xs[0], 1, ys[0]) + _cross(0, xs[0], 2, zs[0])
     elif shape[1] == 0:
-        rows = cross(0, xs[0], 2, zs[0]) if xs and zs else []
+        rows = _cross(0, xs[0], 2, zs[0]) if xs and zs else []
     else:
-        rows = cross(1, ys[0], 2, zs[0]) if ys and zs else []
+        rows = _cross(1, ys[0], 2, zs[0]) if ys and zs else []
     return Cone(9, rows)
 
 
@@ -832,7 +846,9 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter):
     # Every construction of a run from cold memos, built as one row merge,
     # has the rows, row order, rays and tight-row masks of the parent cut by
     # the product of the chain cones and the link cone; every chain cone has
-    # those of its prefix's cone cut by ``Cone(3, _step_rows(key))``.
+    # those of its prefix's cone cut by ``Cone(3, _step_rows(key))``.  Only
+    # the first construction of each link key is built: 315 of the 590 on
+    # (1, 0), and all 92 on (1, 2).
     refinement.clear_caches()
     run_algorithm(a, b, stop_kind, max_iter)
     for (parent, k1, k2, k3, shape, x1, y1, z1), built in refinement._constructions.items():
@@ -843,5 +859,95 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter):
         prefix = ksets._chain(c.key[:-1]).cone
         assert _description(c.cone) == _description(prefix.intersect(Cone(3, ksets._step_rows(c.key))))
     assert (len(refinement._constructions), len(chains)) == {
-        (1, 0): (590, 335), (1, 2): (92, 223)
+        (1, 0): (315, 335), (1, 2): (92, 223)
     }[a, b]
+
+
+def _record_link_sets(monkeypatch):
+    """Wrap ``_refine_classes`` so that each run's classes are recorded with
+    the link set their run carries, decoded while the run's numbering of its
+    links is still there.  Returns ``{table: {class: frozenset of links}}``
+    and ``{table: largest number of link keys}``."""
+    link_sets, keys = {}, {}
+    refine_classes = refinement._refine_classes
+
+    def recording(live, shapes, table, paths=None):
+        classes, counted, child_paths = refine_classes(live, shapes, table, paths)
+        if child_paths is not None:
+            named = {bit: link for link, bit in table._link_bits.items()}
+            sets = link_sets.setdefault(table, {})
+            for cls, mask in child_paths.items():
+                sets[cls] = frozenset(link for bit, link in named.items() if mask & bit)
+            keys[table] = len(table._linked)
+        return classes, counted, child_paths
+
+    monkeypatch.setattr(refinement, "_refine_classes", recording)
+    return link_sets, keys
+
+
+def _product_cut_by_links(chains, links):
+    """``K(c1) x K(c2) x K(c3) ∩ links`` with the three ``q11 > 0`` rows,
+    from each chain's own cone and the cross equalities of the links."""
+    rows = [r for link in links for r in _cross(*link)]
+    return Cone(9, product3(*(c.cone for c in chains)).closed + tuple(rows), refinement._Q11_ROWS)
+
+
+def test_class_cones_are_chain_products_cut_by_links(monkeypatch):
+    # The invariant the link key rests on, on every live class of the three
+    # reference runs and of the coprime a + b <= 20 sweep in both orders, all
+    # in one process: a class's cone has the member set of its chains' cones,
+    # each in its block, cut by the link equalities of the link set the run
+    # carries for it, with the three q11 > 0 rows.  Within a run, equal link
+    # keys (interned chain cones and link set) never give different cones;
+    # on (1, 0) q1_eq_q3/13 the 315 link keys are the 315 non-empty member
+    # sets.
+    refinement.clear_caches()
+    link_sets, keys = _record_link_sets(monkeypatch)
+    runs = [run_algorithm(1, 0, "q1_eq_q3", 13), run_algorithm(1, 1), run_algorithm(1, 2, "diagonal", 14)]
+    for a, b in SWEEP_PAIRS:
+        runs += [run_algorithm(a, b), run_algorithm(b, a)]
+    checked = 0
+    for result in runs:
+        table = result.table
+        sets = link_sets[table]
+        ((root, _),) = result.live_classes[0].items()
+        sets[root] = frozenset()
+        by_key = {}
+        for cls, links in sets.items():
+            key = (tuple(c.cone.edges() for c in cls.chains), links)
+            assert by_key.setdefault(key, cls.cone) is cls.cone
+        for live in result.live_classes:
+            for cls in live:
+                assert geometry.cones_equivalent(cls.cone, _product_cut_by_links(cls.chains, sets[cls]))
+                checked += 1
+        assert table._link_bits == table._linked == {}
+    # 412 live classes on (1, 0), 61 on the two diagonal runs, 3 per sweep run.
+    assert checked == 412 + 61 + 3 * 2 * len(SWEEP_PAIRS) == 845
+    assert keys[runs[0].table] == 315
+
+
+def test_refine_pair_on_a_hand_built_pair_uses_no_link_key():
+    # A hand-built pair has no known link set, so ``refine_pair`` looks its
+    # children up by parent only, even in a table whose link memo holds
+    # children with the same chain cones and links.  The pair's cone is the
+    # initial cone cut by Q1(1, 0) >= Q2(1, 0), which no product of chain
+    # cones cut by link equalities gives; each child must be that cone cut
+    # by the product of its chain cones and its link cone.
+    refinement.clear_caches()
+    shapes = linset(1, 2)
+    table = refinement.RunTable()
+    start = initial_pair()
+    root = refinement.RefinementClass(start.cone, start.chains)
+    linked, _, _ = refinement._refine_classes({root: 1}, shapes, table, {root: 0})
+    assert len(table._linked) == len(linked) == 3
+    cone = start.cone.intersect(Cone(9, [(1, 0, 0, -1, 0, 0, 0, 0, 0)]))
+    children = refine_pair(RefinementPair(cone, start.param, start.chains), shapes, table)
+    by_chains = {cls.chains: cls.cone for cls in linked}
+    differs = 0
+    for child in children:
+        xs, ys, zs = (s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
+        shape = (len(xs), len(ys), len(zs))
+        want = cone.intersect(product3(*(c.cone for c in child.chains)), _link_cone(shape, xs, ys, zs))
+        assert geometry.cones_equivalent(child.cone, want)
+        differs += not geometry.cones_equivalent(child.cone, by_chains[child.chains])
+    assert len(children) == 3 and differs > 0
