@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from .geometry import cone_to_json_dict, format_cone
@@ -23,6 +24,10 @@ from .relations import classify, key_lemma_decompose, verify_relation
 from . import fixtures
 
 STOP_CHOICES = {"diagonal": "diagonal", "q1q3": "q1_eq_q3"}
+FORM_HELP = (
+    "a,b,c; a form with a negative first entry must be written --form=-1,0,-1,"
+    " as argparse reads --form -1,0,-1 as an option"
+)
 
 
 _PAIR = re.compile(r"\s*(\()?\s*([-+]?\d+)\s*,\s*([-+]?\d+)\s*(\))?\s*")
@@ -115,7 +120,11 @@ def _cmd_refine(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         if os.listdir(args.out):
             raise ValueError(f"--out directory {args.out} is not empty")
-    result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.emit == "json":
         print(
             json.dumps(
@@ -293,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kset)
 
     p = sub.add_parser("reduce", help="GL2(Z)-reduce an integer form")
-    p.add_argument("--form", required=True, help="a,b,c")
+    p.add_argument("--form", required=True, help=FORM_HELP)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("theta", help="theta series coefficients")
-    p.add_argument("--form", required=True, help="a,b,c")
+    p.add_argument("--form", required=True, help=FORM_HELP)
     p.add_argument("--max-coeff", type=int, default=100)
     p.add_argument("--variant", choices=("ordinary", "sp"), default="ordinary")
     p.add_argument("--emit", choices=("text", "json"), default="text")

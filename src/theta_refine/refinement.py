@@ -44,34 +44,32 @@ such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay
 they hold the run's one empty cone, which has no row merge or double
 description of its own.
 
-A child's member set is decided before its DD, from the chain cones and
-the link equalities along its path.  Every cone the run builds is the
-initial cone cut step by step by two kinds of rows: the padded rows of
-interned chain cones, and link rows.  Chain cones nest, because a chain
-cone is its prefix's cone cut by ``ksets._step_rows``, and interning keeps
-the closed set.  A link ``(i, u, j, v)`` says that the forms of blocks
-``i`` and ``j`` take one value at ``u`` and ``v``.  So a class
-``(P, (c1, c2, c3))`` reached by a path whose steps made the link set
-``L`` has ``closed(P) = K(c1) x K(c2) x K(c3) ∩ L``, with ``K`` the chain
-cone, and its strict rows are always the three ``q11 > 0`` rows.  Its
-child has ``closed = K(c1') x K(c2') x K(c3') ∩ (L ∪ new links)``, whatever
-parent it came from: the link key ``(k1', k2', k3', L ∪ new)`` of the
-interned chain cones and the link set fixes the child's member set.  The
-run carries one such ``L`` per class, as a mask over the links the run has
-numbered (``RunTable.link_mask``): the root class has none, and a new class
-gets the first ``L`` that reaches it.  ``RunTable.child`` looks a child up
-in this order: the table's children keyed by parent, which the replay
-reads; the run's children keyed by link key; the process memo of
-constructions, keyed by parent; only then does it build.  The first
-construction of each member set in a run misses both of the run's keys,
-so it is made from its parent with the rows it always had, built or taken
-from the process memo: the interned cones, tables and dumps are those of
-building every construction.  On ``(1,0)`` q1_eq_q3/13 the 590 distinct
-constructions have 315 link keys, one per non-empty member set, so the run
-builds 315 nine-dimensional cones, not 590.  The link sets are not
-canonical: on ``(1,1)``/13, 113 link keys give 46 member sets.  A
-hand-built pair has no known ``L``, so ``refine_pair`` looks its children
-up by parent only.
+A run factors when one block is free: no stop row touches it, and every
+shape that touches it touches no other block, so no link row touches it
+either (``_free_block``).  Only the ``(k, 0)`` runs under ``q1_eq_q3`` do, with
+the second block free.  Every cone of such a run is ``C x K(c)``, with
+``K(c)`` the free block's chain cone; a free step changes only ``c``, and
+another step only ``C`` and the other chains.  So ``run_algorithm`` steps
+two processes one generation at a time.  The first is the class loop
+from the root class under the other shapes; its free block keeps the root
+chain, whose cone has members with ``q11 > 0``, so its verdicts are
+those of ``C``.  The second walks the free block's chains
+(``Chain.choices``, ``Chain.empty``).  It is exact: the strict rows of
+every cone are the three ``q11 > 0`` rows, and a chain is empty when no
+ray of its cone has ``q11 > 0``, so a free child of a live class is live
+unless its chain is empty, when it is counted; it builds no cone.
+A pair of generation ``g`` with ``k`` steps of the first process is one
+of ``C(g, k)`` interleavings, ``C(g-1, k-1)`` of which end with a step of
+the first.  With ``A[k]`` and ``B[j]`` the processes' records,
+``non_empty(g) = Σ C(g, k) A[k].non_empty B[g-k].non_empty``; ``total``,
+``stop_absorbed`` and ``counted`` are ``Σ C(g-1, k-1) A[k].f
+B[g-k].non_empty + C(g-1, k) A[k].non_empty B[g-k].f``; and
+``live_classes(g) = Σ A[k].live_classes B[g-k].live_classes``, with no
+binomial, since the free chain has ``g - k`` sets (``_convolve``).  On
+``(1,0)``/13 that takes 336 three-dim DDs and 3 nine-dim ones, where the
+class loop over all shapes (``_run_generic``) makes 590.  The result runs
+that loop at the first access to its table, live classes or replay, so
+dumps and the y-projection check are those of the unfactored run.
 
 The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
@@ -85,20 +83,18 @@ chains (``ksets._chains``), the minimal complements
 (``_constructions``) and one dict of verdicts per stop set (``_verdicts``).
 A construction is keyed as in the run's table and memoised as built, before
 interning; each run interns it in its own table, so a run's dump does not
-depend on what ran before it.  The link keys are per run, and a run drops
-them when it ends.  A one-run command fills each memo once and does the
-same work as with none; it keeps the built cones whose member set the
-table already held, which the link keys do not catch on the diagonal
-runs.  A process keeps every chain, construction and verdict it met until
-``clear_caches`` empties all four.  The 38 coprime runs with ``4 <= a + b <= 11`` so build
-3 nine-dimensional cones, not 114.
+depend on what ran before it.  A one-run command fills each memo once and
+does the same work as with none; it keeps the built cones whose member set
+the table already held.  A process keeps every chain, construction and
+verdict it met until ``clear_caches`` empties all four.  The 38 coprime
+runs with ``4 <= a + b <= 11`` so build 3 nine-dimensional cones, not 114.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ksets, minima
@@ -112,7 +108,12 @@ Shape = tuple[int, int, int]
 # ``i`` and ``j`` take one value at ``u`` and ``v``.
 Link = tuple[int, Pair, int, Pair]
 
-STOP_SET_KINDS = ("diagonal", "q1_eq_q3")
+# The rows ``x_i - x_(i+d)`` of each stop subspace, built once.
+_STOP_ROWS = {
+    kind: tuple(tuple((k == i) - (k == i + d) for k in range(9)) for i in range(9 - d))
+    for kind, d in (("diagonal", 3), ("q1_eq_q3", 6))
+}
+STOP_SET_KINDS = tuple(_STOP_ROWS)
 
 
 def linset(a: int, b: int) -> tuple[Shape, ...]:
@@ -194,16 +195,20 @@ class IterationRecord(NamedTuple):
 
 
 class RunResult:
-    """The run's table, its log, and each generation's live classes.
+    """The run's log, its table and each generation's live classes.
 
     ``live_classes[i]`` maps each live class of generation ``i`` to its
     multiplicity: the classes that generation ``i + 1`` refines.  The pairs
     themselves are replayed from the initial class on demand: ``replay``
     yields them one generation at a time, and ``generations`` keeps them.
     A pair is live when ``table.verdicts`` holds ``_LIVE`` for its cone.
+    A factored run (see the module docstring) makes its log without a
+    class of all three blocks; the first access to ``table``,
+    ``live_classes``, ``replay`` or ``generations`` runs ``_run_generic``
+    to the log's last generation and keeps its table and classes.
     """
 
-    __slots__ = ("a", "b", "stop_kind", "log", "live_classes", "table", "_pairs")
+    __slots__ = ("a", "b", "stop_kind", "log", "_classes", "_table", "_pairs")
 
     def __init__(
         self,
@@ -211,16 +216,30 @@ class RunResult:
         b: int,
         stop_kind: str,
         log: list[IterationRecord],
-        live_classes: list[dict[RefinementClass, int]],
-        table: RunTable,
+        live_classes: list[dict[RefinementClass, int]] | None = None,
+        table: RunTable | None = None,
     ) -> None:
         self.a = a
         self.b = b
         self.stop_kind = stop_kind
         self.log = log
-        self.live_classes = live_classes
-        self.table = table
+        self._classes = live_classes
+        self._table = table
         self._pairs: list[list[RefinementPair]] | None = None
+
+    def _generic(self) -> RunResult:
+        if self._table is None:
+            run = _run_generic(self.a, self.b, self.stop_kind, len(self.log) - 1)
+            self._classes, self._table = run._classes, run._table
+        return self
+
+    @property
+    def table(self) -> RunTable:
+        return self._generic()._table
+
+    @property
+    def live_classes(self) -> list[dict[RefinementClass, int]]:
+        return self._generic()._classes
 
     def totals(self) -> list[int]:
         return [rec.total for rec in self.log]
@@ -259,19 +278,11 @@ class RunResult:
 
 
 def stop_set(kind: str) -> tuple[Vector, ...]:
-    """Equality rows (dim 9) of the stop subspace."""
-    if kind == "diagonal":
-        pairs = [(i, i + 3) for i in range(3)] + [(i + 3, i + 6) for i in range(3)]
-    elif kind == "q1_eq_q3":
-        pairs = [(i, i + 6) for i in range(3)]
-    else:
+    """Equality rows (dim 9) of the stop subspace, built at import."""
+    rows = _STOP_ROWS.get(kind)
+    if rows is None:
         raise ValueError(f"unknown stop set {kind!r}; expected one of {STOP_SET_KINDS}")
-    rows = []
-    for i, j in pairs:
-        row = [0] * 9
-        row[i], row[j] = 1, -1
-        rows.append(tuple(row))
-    return tuple(rows)
+    return rows
 
 
 _UNIT_ROWS = tuple(tuple(int(k == j) for k in range(9)) for j in range(9))
@@ -285,15 +296,10 @@ _INITIAL_CONE.edges()
 _EMPTY_CONE = Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS)
 _EMPTY_CONE.edges()
 
-# Process memos, like ``ksets._chains``.  A construction's key holds its
-# run's interned parent and chain cones, so equal keys give equal rows and
-# descriptions; the memo keeps the cone as built, which each run interns in
-# its own table.  A cone can be absorbed under one stop set and live under
-# the other, so each stop set has its own dict of verdicts.
+# Process memos, like ``ksets._chains`` (see the module docstring).  A cone
+# can be absorbed under one stop set and live under the other.
 _constructions: dict[tuple, Cone] = {}
-_verdicts: dict[tuple[Vector, ...], dict[Cone, int]] = {
-    stop_set(kind): {} for kind in STOP_SET_KINDS
-}
+_verdicts: dict[tuple[Vector, ...], dict[Cone, int]] = {rows: {} for rows in _STOP_ROWS.values()}
 
 
 def clear_caches() -> None:
@@ -378,37 +384,23 @@ class RunTable:
     shape and the first elements of the linked sets, which fix the child's
     member set.  Chains of equal geometry so share one child, and a
     repeated construction skips the row merge and the double description.
-    During a run it also memoises each child by its link key: its three
-    interned chain cones and the link set of its path, a mask of
-    ``link_mask``, which fix its member set whatever its parent (see the
-    module docstring).  It looks a child up by parent in the table, then by
-    link key, then by parent in ``_constructions``, and builds it only when
-    all three miss.  The replay and ``refine_pair`` look children up by
-    parent only, and ``run_algorithm`` empties the link memos when the run
-    ends.  Building from the interned chain cone, not each chain's own,
+    Building from the interned chain cone, not each chain's own,
     makes the DDs insert fewer rows: 1 577 against 2 805 on ``(1,2)``/14.
-    A new table interns the process constants ``_INITIAL_CONE`` and then
-    ``_EMPTY_CONE``, the run's one empty cone, held by the children of an
-    empty chain and by every cone with no ray and the same strict rows.
-    Both were described at import, so neither costs the run a DD.
-    ``verdicts`` holds the empty cone's verdict from the start and
-    ``_record``'s classification of every other interned cone.  A table is
-    the record of one sequential run.  On a miss ``child`` takes the raw
-    cone from the process memo ``_constructions`` before it builds one, and
-    ``_record`` takes a verdict from ``_verdicts``, but the constructions
-    and chain cones the run meets first fix the rows a shared cone is dumped
-    with, whatever ran before it, and a replay reads only the table, also
-    after ``clear_caches``.
+    A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held
+    by the children of an empty chain and by every cone with no ray and the
+    same strict rows.  ``verdicts`` holds the empty cone's verdict from the
+    start and ``_record``'s verdict of every other interned cone.  A table
+    is the record of one sequential run: the constructions and chain cones
+    it meets first fix the rows a shared cone is dumped with, and a replay
+    reads only the table, also after ``clear_caches``.
     """
 
-    __slots__ = ("_cones", "_chain_cones", "_children", "_link_bits", "_linked", "verdicts")
+    __slots__ = ("_cones", "_chain_cones", "_children", "verdicts")
 
     def __init__(self) -> None:
         self._cones: dict[tuple, Cone] = {}
         self._chain_cones: dict[Chain, Cone] = {}
         self._children: dict[tuple, Cone] = {}
-        self._link_bits: dict[Link, int] = {}
-        self._linked: dict[tuple, Cone] = {}
         self.intern(_INITIAL_CONE)
         self.intern(_EMPTY_CONE)
         self.verdicts: dict[Cone, int] = {_EMPTY_CONE: _EMPTY}
@@ -416,15 +408,6 @@ class RunTable:
     def intern(self, cone: Cone) -> Cone:
         """The run's cone with this member set; computes ``cone``'s rays."""
         return self._cones.setdefault((cone.dim, cone.edges(), frozenset(cone.strict)), cone)
-
-    def link_mask(self, links: Iterable[Link]) -> int:
-        """``links`` as a set of bits: the run numbers each link it meets,
-        so equal link sets give equal masks within the run."""
-        bits = self._link_bits
-        mask = 0
-        for link in links:
-            mask |= bits.get(link) or bits.setdefault(link, 1 << len(bits))
-        return mask
 
     def child(
         self,
@@ -436,16 +419,13 @@ class RunTable:
         x1: tuple[Pair, ...],
         y1: tuple[Pair, ...],
         z1: tuple[Pair, ...],
-        path: int | None = None,
     ) -> Cone:
         """``parent ∩ (k1 x k2 x k3) ∩ link``, interned, where ``k1``,
         ``k2`` and ``k3`` are the run's interned chain cones of ``c1``,
         ``c2`` and ``c3``; ``x1``, ``y1`` and ``z1`` hold the first element
-        of each chosen set (empty for an empty set).  ``path``, when
-        given, is the link set of the child's path (``link_mask``), which
-        with ``k1``, ``k2`` and ``k3`` fixes its member set.  Built only
-        when neither the table, the link key nor ``_constructions`` holds
-        it, as one ``parent._cut`` on the chain cones' closed rows, each in
+        of each chosen set (empty for an empty set).  Built only when
+        neither the table nor ``_constructions`` holds it, as one
+        ``parent._cut`` on the chain cones' closed rows, each in
         its block, and the link rows: the rows, in the order, of
         ``parent.intersect(product3(k1, k2, k3), Cone(9, link rows))``.
         Chain cones carry no strict rows, so neither does the cut.
@@ -455,20 +435,11 @@ class RunTable:
         memo_key = (parent, k1, k2, k3, shape, x1, y1, z1)
         cone = self._children.get(memo_key)
         if cone is None:
-            if path is not None:
-                link_key = (k1, k2, k3, path)
-                cone = self._linked.get(link_key)
-            if cone is None:
-                raw = _constructions.get(memo_key)
-                if raw is None:
-                    rows = _link_rows(_links(shape, x1, y1, z1))
-                    raw = _constructions[memo_key] = parent._cut(
-                        [*_padded((k1, k2, k3), "closed"), *rows]
-                    )
-                cone = self.intern(raw)
-                if path is not None:
-                    self._linked[link_key] = cone
-            self._children[memo_key] = cone
+            raw = _constructions.get(memo_key)
+            if raw is None:
+                rows = [*_padded((k1, k2, k3), "closed"), *_link_rows(_links(shape, x1, y1, z1))]
+                raw = _constructions[memo_key] = parent._cut(rows)
+            cone = self._children[memo_key] = self.intern(raw)
         return cone
 
 
@@ -477,8 +448,7 @@ def _children(
     cone: Cone,
     shape: Shape,
     choices: Sequence[Sequence[tuple[tuple[Pair, ...], Chain]]],
-    path: int | None = None,
-) -> Iterator[tuple[Cone | None, Sequence, Sequence, Sequence, int | None]]:
+) -> Iterator[tuple[Cone | None, Sequence, Sequence, Sequence]]:
     """The children of ``cone`` under one shape, in canonical order, in blocks.
 
     ``choices`` holds each factor's next choices (``Chain.choices``).  A
@@ -489,31 +459,27 @@ def _children(
     ``cone`` carries that block's ``q11 > 0`` row has no member: once the
     choices so far make that so, the children that follow them form one
     block with ``child`` None, and none of them is built: each holds the
-    run's empty cone, ``_EMPTY_CONE``.  With ``path``, the link set of
-    ``cone``'s class, a built child's block ends with its own link set,
-    ``path`` and the links of its step, by which ``table.child`` keys it;
-    otherwise, and for an unbuilt block, it ends with None.
+    run's empty cone, ``_EMPTY_CONE``.
     """
     kx, ky, kz = (row in cone.strict for row in _Q11_ROWS)
     xl, yl, zl = choices
     for x in xl:
         xset, xn = x
         if kx and xn.empty:
-            yield None, (x,), yl, zl, None
+            yield None, (x,), yl, zl
             continue
         for y in yl:
             yset, yn = y
             if ky and yn.empty:
-                yield None, (x,), (y,), zl, None
+                yield None, (x,), (y,), zl
                 continue
             for z in zl:
                 zset, zn = z
                 if kz and zn.empty:
-                    yield None, (x,), (y,), (z,), None
+                    yield None, (x,), (y,), (z,)
                     continue
-                x1, y1, z1 = xset[:1], yset[:1], zset[:1]
-                own = None if path is None else path | table.link_mask(_links(shape, x1, y1, z1))
-                yield table.child(cone, xn, yn, zn, shape, x1, y1, z1, own), (x,), (y,), (z,), own
+                child = table.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
+                yield child, (x,), (y,), (z,)
 
 
 def refine_pair(
@@ -537,7 +503,7 @@ def refine_pair(
     for shape in shapes:
         choices = [c.choices(n) for c, n in zip(pair.chains, shape)]
         xe, ye, ze = ({s: seq + (s,) for s, _ in cs} for seq, cs in zip(seqs, choices))
-        for child, xs, ys, zs, _ in _children(table, pair.cone, shape, choices):
+        for child, xs, ys, zs in _children(table, pair.cone, shape, choices):
             cone = _EMPTY_CONE if child is None else child
             for xset, xn in xs:
                 for yset, yn in ys:
@@ -548,44 +514,27 @@ def refine_pair(
 
 
 def _refine_classes(
-    live: dict[RefinementClass, int],
-    shapes: Sequence[Shape],
-    table: RunTable,
-    paths: dict[RefinementClass, int] | None = None,
-) -> tuple[dict[RefinementClass, int], int, dict[RefinementClass, int] | None]:
+    live: dict[RefinementClass, int], shapes: Sequence[Shape], table: RunTable
+) -> tuple[dict[RefinementClass, int], int]:
     """The next generation's classes with their multiplicities, in order of
-    first appearance, the number of children of empty chains, and the link
-    set of each of these classes.
+    first appearance, and the number of children of empty chains.
 
     Each live class is refined once, and its multiplicity is added to each
     child class.  A block of children of an empty chain adds its size times
-    the multiplicity to the count and builds nothing.  ``paths`` maps each
-    live class to the link set of a path to it (a ``RunTable.link_mask``),
-    by which ``table.child`` keys its children; a new class gets its
-    parent's set and the links of the step that first reaches it.  Without
-    ``paths`` the children are looked up by their parent only and the third
-    item is None.
+    the multiplicity to the count and builds nothing.
     """
     classes: dict[RefinementClass, int] = {}
-    child_paths: dict[RefinementClass, int] | None = None if paths is None else {}
     counted = 0
-    for cls, mult in live.items():
-        cone, chains = cls
-        path = None if paths is None else paths[cls]
+    for (cone, chains), mult in live.items():
         for shape in shapes:
             choices = [c.choices(n) for c, n in zip(chains, shape)]
-            for child, xs, ys, zs, own in _children(table, cone, shape, choices, path):
+            for child, xs, ys, zs in _children(table, cone, shape, choices):
                 if child is None:
                     counted += mult * len(xs) * len(ys) * len(zs)
                     continue
                 new = RefinementClass(child, (xs[0][1], ys[0][1], zs[0][1]))
-                if new in classes:
-                    classes[new] += mult
-                else:
-                    classes[new] = mult
-                    if own is not None:
-                        child_paths[new] = own
-    return classes, counted, child_paths
+                classes[new] = classes.get(new, 0) + mult
+    return classes, counted
 
 
 _EMPTY, _ABSORBED, _LIVE = range(3)
@@ -618,28 +567,16 @@ def check_y_projection_argument(
 
 
 def run_algorithm(
-    a: int,
-    b: int,
-    stop_kind: str = "diagonal",
-    max_iter: int = 13,
-    threads: int = 1,
+    a: int, b: int, stop_kind: str = "diagonal", max_iter: int = 13, threads: int = 1
 ) -> RunResult:
-    """The refinement loop: classify a generation, refine its live classes, repeat.
+    """The refinement loop for ``a x + b y = (a+b) z`` until the stop set.
 
-    A generation is a dict from class to multiplicity.  Pairs whose member
-    set is empty are subsets of every stop set and are dropped together
-    with the absorbed ones.  The run has its own ``RunTable``: every cone
-    is interned by its member set (extreme rays and strict rows), so
-    classes with equal member sets share one ``Cone``, and each interned
-    cone other than the empty cone is classified at most once in the
-    process, when its first class is recorded.  Each class carries the
-    link set of the first path that reached it, by which its children are
-    looked up before they are built (see the module docstring); the link
-    memos serve the run only and are emptied when it ends.  Runs for at most
-    ``max_iter`` refinements or until a generation is produced with no pairs
-    at all.  The run is sequential, and its log and dump are the same
-    whatever ran before it in the process; ``threads`` is accepted for
-    compatibility and must be 1.
+    Runs for at most ``max_iter`` refinements or until a generation is
+    produced with no pairs at all.  A run with a free block steps its two
+    processes and combines their counts (see the module docstring); any
+    other run is ``_run_generic``.  The run is sequential, and its log and
+    dump are the same whatever ran before it in the process; ``threads`` is
+    accepted for compatibility and must be 1.
     """
     shapes = linset(a, b)
     if max_iter < 0:
@@ -649,23 +586,82 @@ def run_algorithm(
     if gcd(a, b) != 1:
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
     rows = stop_set(stop_kind)
-    table = RunTable()
-    log: list[IterationRecord] = []
-    live_classes: list[dict[RefinementClass, int]] = []
+    free = _free_block(shapes, rows)
+    if free is None:
+        return _run_generic(a, b, stop_kind, max_iter)
+    rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
+    loop = _class_loop(rest, rows, RunTable())
+    log = [next(loop)[1]]
+    steps, walked, chains = log[:], [IterationRecord(0, 1, 1, 0, 1, 0, 0.0)], [ksets._chain(())]
+    while log[-1].total and len(log) <= max_iter:
+        start = time.perf_counter()
+        steps.append(next(loop)[1])
+        # The free process: a child of a live chain is live unless its chain
+        # is empty, when it is counted.  Distinct steps give distinct chains.
+        children = [c for p in chains for n in ns for _, c in p.choices(n)]
+        chains = [c for c in children if not c.empty]
+        n = len(chains)
+        walked.append(IterationRecord(len(log), len(children), n, 0, n, len(children) - n, 0.0))
+        log.append(_convolve(steps, walked, time.perf_counter() - start))
+    return RunResult(a, b, stop_kind, log)
 
-    start = time.perf_counter()
-    root = RefinementClass(_INITIAL_CONE, (ksets._chain(()),) * 3)
-    classes, counted, paths = {root: 1}, 0, {root: 0}
-    while True:
-        live, record = _record(len(log), classes, counted, rows, start, table)
+
+def _free_block(shapes: Sequence[Shape], stop_rows: Sequence[Vector]) -> int | None:
+    """The first block that no stop row touches and that every shape
+    touching it touches alone; None when there is none.  No link joins
+    such a block to another: ``_links`` joins two blocks only when one
+    shape touches both."""
+    columns = list(zip(*stop_rows))
+    for i in range(3):
+        if not any(map(any, columns[3 * i : 3 * i + 3])) and all(s[i] in (0, sum(s)) for s in shapes):
+            return i
+    return None
+
+
+def _convolve(
+    steps: Sequence[IterationRecord], walked: Sequence[IterationRecord], seconds: float
+) -> IterationRecord:
+    """Generation ``g`` of a factored run from the records of its two
+    processes to step ``g`` (see the module docstring).  ``C(g-1, k-1)``
+    is ``C(g, k) - C(g-1, k)``, which is 0 at ``k = 0``."""
+    g = len(steps) - 1
+    sums = [g, 0, 0, 0, 0, 0]
+    for k in range(g + 1):
+        x, y, n, j = steps[k], walked[g - k], comb(g, k), comb(g - 1, k)
+        for f in (1, 2, 3, 5):
+            sums[f] += (n - j) * x[f] * y.non_empty + j * x.non_empty * y[f]
+        sums[4] += x.live_classes * y.live_classes
+    return IterationRecord(*sums, seconds)
+
+
+def _run_generic(a: int, b: int, stop_kind: str, max_iter: int) -> RunResult:
+    """The class loop: classify a generation, refine its live classes, repeat.
+
+    A generation is a dict from class to multiplicity.  Pairs whose member
+    set is empty are subsets of every stop set and are dropped together
+    with the absorbed ones.  The run interns its cones in its own
+    ``RunTable`` and keeps each generation's live classes.
+    """
+    table = RunTable()
+    log, live_classes = [], []
+    for live, record in _class_loop(linset(a, b), stop_set(stop_kind), table):
         live_classes.append(live)
         log.append(record)
         if record.total == 0 or record.index == max_iter:
-            table._link_bits.clear()
-            table._linked.clear()
             return RunResult(a, b, stop_kind, log, live_classes, table)
-        start = time.perf_counter()
-        classes, counted, paths = _refine_classes(live, shapes, table, paths)
+
+
+def _class_loop(
+    shapes: Sequence[Shape], rows: tuple[Vector, ...], table: RunTable
+) -> Iterator[tuple[dict[RefinementClass, int], IterationRecord]]:
+    """Each generation's live classes and record, from the root class."""
+    classes, counted, index = {RefinementClass(_INITIAL_CONE, (ksets._chain(()),) * 3): 1}, 0, 0
+    start = time.perf_counter()
+    while True:
+        live, record = _record(index, classes, counted, rows, start, table)
+        yield live, record
+        start, index = time.perf_counter(), index + 1
+        classes, counted = _refine_classes(live, shapes, table)
 
 
 def _record(
@@ -682,13 +678,11 @@ def _record(
     A class is empty, absorbed by the stop set, or live; only the live
     classes are refined next, and each counts its multiplicity.  The
     ``counted`` children of empty chains hold the run's empty cone, whose
-    verdict the table holds from the start.  Every other interned cone, one
-    per member set, takes its verdict from ``_verdicts`` for ``stop_rows``
-    and is classified only when no earlier run in the process classified
-    it; the verdict then enters ``table``, where every later class that
-    shares it finds it.  The seconds run from ``start`` to the end of
-    the classification; the cones' rays were already computed when they
-    were interned.
+    verdict the table holds from the start.  Every other interned cone
+    takes its verdict from ``_verdicts`` for ``stop_rows``, classified only
+    when no earlier run in the process classified it, and the verdict
+    enters ``table``.  The seconds run from ``start`` to the end of the
+    classification.
     """
     verdicts = table.verdicts
     known = _verdicts[stop_rows]

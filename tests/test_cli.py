@@ -31,6 +31,23 @@ def run_cli_error(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_refine_warns_in_one_line_when_not_in_lowest_terms(capsys):
+    # run_algorithm raises a UserWarning; the command prints it as one
+    # stderr line and leaves the table and the exit code as they are.
+    code, out, err = run_cli_error(capsys, "refine", "--a", "2", "--b", "4", "--max-iter", "3")
+    assert code == 0
+    assert err == "warning: gcd(2, 4) != 1; the relation is not in lowest terms\n"
+    assert out.splitlines()[1].split() == ["pairs", "1", "3", "11", "21"]
+
+
+def test_form_help_says_how_to_write_a_negative_first_entry(capsys):
+    for command in ("reduce", "theta"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--form=-1,0,-1" in capsys.readouterr().out
+    assert main(["reduce", "--form=-1,0,-1"]) == 2
+
+
 def test_refine_invalid_pair(capsys):
     code, out, err = run_cli_error(capsys, "refine", "--a", "0", "--b", "0")
     assert code == 2 and out == ""

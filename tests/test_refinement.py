@@ -370,16 +370,16 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
 
 @pytest.mark.parametrize(
     "a, b, stop_kind, max_iter, rows",
-    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 668}), (1, 2, "diagonal", 14, {3: 745, 9: 832})],
+    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 6}), (1, 2, "diagonal", 14, {3: 745, 9: 832})],
 )
 def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeypatch):
     # Rows inserted by every DD of a run from cold memos.  A chain cone's DD
     # resumes from its prefix's rays and inserts only the rows its last set
     # adds, and a child's DD resumes from its parent's rays.  The initial
-    # cone's 9 rows and the empty cone's 10 were inserted at import.  A
-    # child whose link key (chain cones and link set) the run already met
-    # inserts none: on (1, 0) the 315 built children insert 668 rows, where
-    # building all 590 constructions inserted 972.
+    # cone's 9 rows and the empty cone's 10 were inserted at import.  The
+    # (1, 0) run factors: its only nine-dimensional DDs are the three of its
+    # (1, 0, 1) process, 6 rows, where the class loop over both shapes
+    # inserts 972 rows in 590 children.
     refinement.clear_caches()
     inserted = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
@@ -606,17 +606,15 @@ def test_one_cone_object_per_member_set(run_10):
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  Each of
     # the 336 distinct chain sequences gets one three-dimensional DD, so its
-    # chain knows whether it is empty and the run can intern its cone.
-    # There are 590 distinct constructions (parent, interned chain cones,
-    # shape and link vectors) without an empty chain, but a child's link
-    # key (its interned chain cones and the link set of its path) fixes its
-    # member set, so only the first construction of each key is built:
-    # one nine-dimensional DD per member set other than the empty cone's,
-    # 315.  The initial cone and the run's empty cone get none, as they
-    # were described at import.  Each of the 316 distinct member sets but
-    # the empty cone's gets one emptiness test, and no cone needs the extra
-    # DD of the exact emptiness path, because its strict rows are
-    # non-negative on its rays.
+    # chain knows whether it is empty.  The run factors: the (0, 1, 0) steps
+    # walk the second block's chains and build no cone, and the (1, 0, 1)
+    # steps build 3 nine-dimensional cones, each tested once for emptiness,
+    # with the initial cone, 4 tests.  The class loop over both shapes
+    # (``_run_generic``) builds one cone per distinct construction (parent,
+    # interned chain cones, shape and link vectors) without an empty chain,
+    # 590, and tests each of the 315 member sets other than the empty
+    # cone's once.  The initial cone and the run's empty cone get no DD, as
+    # they were described at import.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -624,12 +622,14 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
         empties[0] += 1
         return is_member_empty(self)
 
-    dd = _count_dd_by_dim(monkeypatch)
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    result = run_algorithm(1, 0, "q1_eq_q3", 13)
-    assert sum(result.totals()) == 10558
-    assert empties[0] == 315
-    assert dd == {3: 336, 9: 315}
+    expected = ((run_algorithm, {3: 336, 9: 3}, 4), (refinement._run_generic, {3: 336, 9: 590}, 315))
+    for run, dds, tests in expected:
+        dd = _count_dd_by_dim(monkeypatch)
+        empties[0] = 0
+        result = run(1, 0, "q1_eq_q3", 13)
+        assert sum(result.totals()) == 10558
+        assert (dd, empties[0]) == (dds, tests), run
 
 
 def test_min_complement_builds_from_cold_memos():
@@ -708,8 +708,11 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     # order of first appearance, the pairs that are not children of an
     # empty chain must be the classes with their multiplicities, and the
     # others must number ``counted`` and hold the run's empty cone.  The
-    # replay computes no double description and tests no cone.
+    # replay computes no double description and tests no cone.  A factored
+    # run, (1, 0) here, runs the class loop at the first access to its
+    # table, which comes before the counters.
     result = run_algorithm(a, b, stop_kind, max_iter)
+    table = result.table
     dd, empties = [0], [0]
     extreme_rays, is_member_empty = geometry._extreme_rays, Cone.is_member_empty
 
@@ -728,13 +731,12 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     monkeypatch.undo()
 
     shapes = linset(a, b)
-    table = result.table
     assert len(generations) == len(result.log) == len(result.live_classes)
     (first,) = generations[0]
     classes, counted = {refinement.RefinementClass(first.cone, first.chains): 1}, 0
     for i, rec in enumerate(result.log):
         if i:
-            classes, counted, _ = refinement._refine_classes(result.live_classes[i - 1], shapes, table)
+            classes, counted = refinement._refine_classes(result.live_classes[i - 1], shapes, table)
         built, killed = {}, 0
         for p in generations[i]:
             if any(c.empty for c in p.chains):
@@ -773,7 +775,7 @@ def test_no_further_relations_sweep_to_30(a, b):
     for res in (forward, backward):
         assert res.non_empty_counts() == [1, 1, 1, 0, 0]
         assert [rec.stop_absorbed for rec in res.log] == [0, 0, 0, 1, 0]
-        gen3, _, _ = refinement._refine_classes(res.live_classes[2], linset(res.a, res.b), res.table)
+        gen3, _ = refinement._refine_classes(res.live_classes[2], linset(res.a, res.b), res.table)
         absorbed = {
             cls: mult for cls, mult in gen3.items()
             if res.table.verdicts[cls.cone] == refinement._ABSORBED
@@ -846,11 +848,11 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter):
     # Every construction of a run from cold memos, built as one row merge,
     # has the rows, row order, rays and tight-row masks of the parent cut by
     # the product of the chain cones and the link cone; every chain cone has
-    # those of its prefix's cone cut by ``Cone(3, _step_rows(key))``.  Only
-    # the first construction of each link key is built: 315 of the 590 on
-    # (1, 0), and all 92 on (1, 2).
+    # those of its prefix's cone cut by ``Cone(3, _step_rows(key))``.  The
+    # class loop runs over every shape, also for the (1, 0) run that
+    # factors: 590 constructions on (1, 0), 92 on (1, 2).
     refinement.clear_caches()
-    run_algorithm(a, b, stop_kind, max_iter)
+    refinement._run_generic(a, b, stop_kind, max_iter)
     for (parent, k1, k2, k3, shape, x1, y1, z1), built in refinement._constructions.items():
         link = _link_cone(shape, x1, y1, z1)
         assert _description(built) == _description(parent.intersect(product3(k1, k2, k3), link))
@@ -859,30 +861,27 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter):
         prefix = ksets._chain(c.key[:-1]).cone
         assert _description(c.cone) == _description(prefix.intersect(Cone(3, ksets._step_rows(c.key))))
     assert (len(refinement._constructions), len(chains)) == {
-        (1, 0): (315, 335), (1, 2): (92, 223)
+        (1, 0): (590, 335), (1, 2): (92, 223)
     }[a, b]
 
 
-def _record_link_sets(monkeypatch):
-    """Wrap ``_refine_classes`` so that each run's classes are recorded with
-    the link set their run carries, decoded while the run's numbering of its
-    links is still there.  Returns ``{table: {class: frozenset of links}}``
-    and ``{table: largest number of link keys}``."""
-    link_sets, keys = {}, {}
-    refine_classes = refinement._refine_classes
-
-    def recording(live, shapes, table, paths=None):
-        classes, counted, child_paths = refine_classes(live, shapes, table, paths)
-        if child_paths is not None:
-            named = {bit: link for link, bit in table._link_bits.items()}
-            sets = link_sets.setdefault(table, {})
-            for cls, mask in child_paths.items():
-                sets[cls] = frozenset(link for bit, link in named.items() if mask & bit)
-            keys[table] = len(table._linked)
-        return classes, counted, child_paths
-
-    monkeypatch.setattr(refinement, "_refine_classes", recording)
-    return link_sets, keys
+def _link_sets(result):
+    """Each class the run's live classes refine to, with the link set of the
+    first path that reaches it: the root has none, and a child gets its
+    parent's set and the links of its step, each ``(i, u, j, v)``."""
+    shapes = linset(result.a, result.b)
+    ((root, _),) = result.live_classes[0].items()
+    sets = {root: frozenset()}
+    for live in result.live_classes[:-1]:
+        for cls in live:
+            for shape in shapes:
+                choices = [c.choices(n) for c, n in zip(cls.chains, shape)]
+                for child, xs, ys, zs in refinement._children(result.table, cls.cone, shape, choices):
+                    if child is not None:
+                        links = refinement._links(shape, xs[0][0][:1], ys[0][0][:1], zs[0][0][:1])
+                        new = refinement.RefinementClass(child, (xs[0][1], ys[0][1], zs[0][1]))
+                        sets.setdefault(new, sets[cls] | set(links))
+    return sets
 
 
 def _product_cut_by_links(chains, links):
@@ -892,26 +891,23 @@ def _product_cut_by_links(chains, links):
     return Cone(9, product3(*(c.cone for c in chains)).closed + tuple(rows), refinement._Q11_ROWS)
 
 
-def test_class_cones_are_chain_products_cut_by_links(monkeypatch):
-    # The invariant the link key rests on, on every live class of the three
-    # reference runs and of the coprime a + b <= 20 sweep in both orders, all
-    # in one process: a class's cone has the member set of its chains' cones,
-    # each in its block, cut by the link equalities of the link set the run
-    # carries for it, with the three q11 > 0 rows.  Within a run, equal link
-    # keys (interned chain cones and link set) never give different cones;
-    # on (1, 0) q1_eq_q3/13 the 315 link keys are the 315 non-empty member
-    # sets.
+def test_class_cones_are_chain_products_cut_by_links():
+    # Every cone the class loop builds is the initial cone cut by chain-cone
+    # rows and link equalities, and chain cones nest.  So on every live
+    # class of the three reference runs and of the coprime a + b <= 20
+    # sweep in both orders, all in one process, a class's cone has the
+    # member set of its chains' cones, each in its block, cut by the link
+    # equalities along the first path to it, with the three q11 > 0 rows;
+    # and the chain cones with the link set fix the cone.  On (1, 0)
+    # q1_eq_q3/13 the 590 constructions have 315 such keys, one per
+    # non-empty member set.
     refinement.clear_caches()
-    link_sets, keys = _record_link_sets(monkeypatch)
-    runs = [run_algorithm(1, 0, "q1_eq_q3", 13), run_algorithm(1, 1), run_algorithm(1, 2, "diagonal", 14)]
+    runs = [refinement._run_generic(1, 0, "q1_eq_q3", 13), run_algorithm(1, 1), run_algorithm(1, 2, "diagonal", 14)]
     for a, b in SWEEP_PAIRS:
         runs += [run_algorithm(a, b), run_algorithm(b, a)]
     checked = 0
     for result in runs:
-        table = result.table
-        sets = link_sets[table]
-        ((root, _),) = result.live_classes[0].items()
-        sets[root] = frozenset()
+        sets = _link_sets(result)
         by_key = {}
         for cls, links in sets.items():
             key = (tuple(c.cone.edges() for c in cls.chains), links)
@@ -920,26 +916,27 @@ def test_class_cones_are_chain_products_cut_by_links(monkeypatch):
             for cls in live:
                 assert geometry.cones_equivalent(cls.cone, _product_cut_by_links(cls.chains, sets[cls]))
                 checked += 1
-        assert table._link_bits == table._linked == {}
+        if result is runs[0]:
+            assert len(by_key) == 315
     # 412 live classes on (1, 0), 61 on the two diagonal runs, 3 per sweep run.
     assert checked == 412 + 61 + 3 * 2 * len(SWEEP_PAIRS) == 845
-    assert keys[runs[0].table] == 315
 
 
 def test_refine_pair_on_a_hand_built_pair_uses_no_link_key():
-    # A hand-built pair has no known link set, so ``refine_pair`` looks its
-    # children up by parent only, even in a table whose link memo holds
-    # children with the same chain cones and links.  The pair's cone is the
-    # initial cone cut by Q1(1, 0) >= Q2(1, 0), which no product of chain
-    # cones cut by link equalities gives; each child must be that cone cut
-    # by the product of its chain cones and its link cone.
+    # A table looks a child up by its parent cone, never by its chains and
+    # links alone, so ``refine_pair`` on a hand-built pair builds its own
+    # children even in a table that holds the root's children with the same
+    # chain cones and links.  The pair's cone is the initial cone cut by
+    # Q1(1, 0) >= Q2(1, 0), which no product of chain cones cut by link
+    # equalities gives; each child must be that cone cut by the product of
+    # its chain cones and its link cone.
     refinement.clear_caches()
     shapes = linset(1, 2)
     table = refinement.RunTable()
     start = initial_pair()
     root = refinement.RefinementClass(start.cone, start.chains)
-    linked, _, _ = refinement._refine_classes({root: 1}, shapes, table, {root: 0})
-    assert len(table._linked) == len(linked) == 3
+    linked, _ = refinement._refine_classes({root: 1}, shapes, table)
+    assert len(linked) == 3
     cone = start.cone.intersect(Cone(9, [(1, 0, 0, -1, 0, 0, 0, 0, 0)]))
     children = refine_pair(RefinementPair(cone, start.param, start.chains), shapes, table)
     by_chains = {cls.chains: cls.cone for cls in linked}
@@ -951,3 +948,45 @@ def test_refine_pair_on_a_hand_built_pair_uses_no_link_key():
         assert geometry.cones_equivalent(child.cone, want)
         differs += not geometry.cones_equivalent(child.cone, by_chains[child.chains])
     assert len(children) == 3 and differs > 0
+
+
+@pytest.mark.filterwarnings("ignore:gcd")
+@pytest.mark.parametrize("a", [1, 2])
+def test_factored_log_equals_the_class_loop(a):
+    # The (a, 0) q1_eq_q3 runs factor into the (1, 0, 1) class loop and the
+    # walk of the second block's chains.  At every depth to 20, every field
+    # of the factored log but the seconds equals the class loop's over both
+    # shapes.  The class loop stops only at an empty generation or at
+    # max_iter, so its log to depth d is the first d + 1 records of its log
+    # to 20.  A factored result builds the class loop's table and live
+    # classes at their first access, with the log it already has.
+    generic = [rec[:-1] for rec in refinement._run_generic(a, 0, "q1_eq_q3", 20).log]
+    assert len(generic) == 21 and generic[-1][1] > 0
+    for depth in range(21):
+        result = run_algorithm(a, 0, "q1_eq_q3", depth)
+        assert [rec[:-1] for rec in result.log] == generic[: depth + 1], depth
+    assert [len(live) for live in result.live_classes] == [rec[4] for rec in generic]
+    assert sum(result.live_classes[-1].values()) == generic[-1][2]
+
+
+def test_only_the_b_zero_runs_under_q1_eq_q3_factor():
+    # A block is free when no stop row touches it and every shape that
+    # touches it touches it alone.  Over every (a, b) with a + b <= 12 and
+    # both stop sets, only (k, 0) under q1_eq_q3 has one, the second block;
+    # its linset is (1, 0, 1), (0, 1, 0) for every k.  No link touches a
+    # free block: a shape's set in a block is empty exactly when the shape
+    # does not touch it, and a shape links two blocks only when both of its
+    # sets there are non-empty.
+    shapes = {s for a in range(13) for b in range(13 - a) if (a, b) != (0, 0) for s in linset(a, b)}
+    for shape in shapes:
+        for i, _, j, _ in refinement._links(shape, *[[(1, 0)][:n] for n in shape]):
+            assert shape[i] and shape[j], shape
+    free = {
+        (a, b, kind): refinement._free_block(linset(a, b), stop_set(kind))
+        for a in range(13) for b in range(13 - a) if (a, b) != (0, 0)
+        for kind in refinement.STOP_SET_KINDS
+    }
+    assert {key: i for key, i in free.items() if i is not None} == {
+        (k, 0, "q1_eq_q3"): 1 for k in range(1, 13)
+    }
+    assert stop_set("diagonal") is stop_set("diagonal")
