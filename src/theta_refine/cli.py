@@ -114,15 +114,31 @@ def format_table(result: RunResult, verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
+def _check_out(path: str) -> None:
+    """Refuse ``path`` unless it is an empty directory or does not exist
+    and can be made: its nearest existing ancestor is a writable directory.
+    A non-empty one would mix an earlier dump's files with this one's."""
+    if os.path.lexists(path):
+        if os.listdir(path):
+            raise ValueError(f"--out directory {path} is not empty")
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise ValueError(f"--out directory {path} cannot be made in {parent}")
+
+
 def _cmd_refine(args) -> int:
-    # A non-empty --out would mix an earlier dump's files with this one's.
+    # --out is checked before the run and made after it, so bad input
+    # leaves no directory behind.
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        if os.listdir(args.out):
-            raise ValueError(f"--out directory {args.out} is not empty")
+        _check_out(args.out)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if args.emit == "json":

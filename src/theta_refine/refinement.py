@@ -23,19 +23,12 @@ and refined once, and every count of the table is a sum of multiplicities.
 The run keeps each generation's live classes, which the y-projection check
 reads instead of classifying again.  The pairs themselves are replayed on
 demand (``RunResult.replay`` and ``generations``) through the same child
-enumeration, against the run's own table.
+enumeration, against the table the run used.
 
-Each run hash-conses its cones in a ``RunTable``, keyed by member set: the
-sorted extreme rays of the (pointed) closed cone plus the strict rows.
-Classes whose cones have the same member set share one ``Cone`` object and
-one verdict, whatever rows built it.  Chain cones are interned in the same
-table, and a construction is keyed on its parent cone, the three interned
-chain cones, the shape and the link vectors, so chain sequences with equal
-chain geometry share one child, looked up instead of rebuilt.  A child is
-built as one row merge on its parent cone (``Cone._cut``): the chain cones'
-rows, each in its block, then the link rows, the rows and order of the
-parent intersected with ``product3`` and the link cone, neither of which is
-built.  A chain with no reduced form of its structure (``Chain.empty``, the
+A run interns its cones, chain cones and children in the process's
+``RunTable`` for its stop set, keyed by member set, so classes whose cones
+have one member set share one ``Cone`` object and one verdict.  A chain
+with no reduced form of its structure (``Chain.empty``, the
 degenerate-cone certificate) gives every child built from it an empty
 member set when the parent carries that block's ``q11 > 0`` row.  The run
 counts those children without building them: with ``X``, ``Y`` and ``Z``
@@ -73,21 +66,15 @@ dumps and the y-projection check are those of the unfactored run.
 
 The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
-at import by its own DD over its own rows.  A run pays no DD for either:
-its table interns both when it is made, the initial cone first, and holds
-the empty cone's verdict from the start.
+at import by its own DD over its own rows: no run pays a DD for either.
 
-Runs in one process share their work through four process memos: the
+Runs in one process share their work through three process memos: the
 chains (``ksets._chains``), the minimal complements
-(``minima._min_complement_cache``), the raw constructions
-(``_constructions``) and one dict of verdicts per stop set (``_verdicts``).
-A construction is keyed as in the run's table and memoised as built, before
-interning; each run interns it in its own table, so a run's dump does not
-depend on what ran before it.  A one-run command fills each memo once and
-does the same work as with none; it keeps the built cones whose member set
-the table already held.  A process keeps every chain, construction and
-verdict it met until ``clear_caches`` empties all four.  The 38 coprime
-runs with ``4 <= a + b <= 11`` so build 3 nine-dimensional cones, not 114.
+(``minima._min_complement_cache``) and one ``RunTable`` per stop set
+(``_tables``), made at its first use.  A one-run command fills each once
+and keeps each cone once.  A process keeps every chain and table entry it
+met until ``clear_caches`` empties all three, so the 38 coprime runs with
+``4 <= a + b <= 11`` build 3 nine-dimensional cones, not 114.
 """
 
 from __future__ import annotations
@@ -195,17 +182,18 @@ class IterationRecord(NamedTuple):
 
 
 class RunResult:
-    """The run's log, its table and each generation's live classes.
+    """The run's log, the table it used and each generation's live classes.
 
     ``live_classes[i]`` maps each live class of generation ``i`` to its
     multiplicity: the classes that generation ``i + 1`` refines.  The pairs
     themselves are replayed from the initial class on demand: ``replay``
     yields them one generation at a time, and ``generations`` keeps them.
     A pair is live when ``table.verdicts`` holds ``_LIVE`` for its cone.
-    A factored run (see the module docstring) makes its log without a
-    class of all three blocks; the first access to ``table``,
-    ``live_classes``, ``replay`` or ``generations`` runs ``_run_generic``
-    to the log's last generation and keeps its table and classes.
+    The result keeps its table after ``clear_caches``.  A factored run (see
+    the module docstring) makes its log without a class of all three
+    blocks; the first access to ``table``, ``live_classes``, ``replay`` or
+    ``generations`` runs ``_run_generic`` to the log's last generation and
+    keeps its table and classes.
     """
 
     __slots__ = ("a", "b", "stop_kind", "log", "_classes", "_table", "_pairs")
@@ -254,8 +242,7 @@ class RunResult:
         class of generation 0, so it reaches only the run's chains, whose
         choices and cones the run computed.  Every construction is a hit in
         the run's table and every verdict is known, so the replay computes no
-        double description and tests no cone, whatever the process memos
-        hold.  Nothing is kept."""
+        double description and tests no cone.  Nothing is kept."""
         shapes = linset(self.a, self.b)
         table = self.table
         verdicts = table.verdicts
@@ -288,30 +275,29 @@ def stop_set(kind: str) -> tuple[Vector, ...]:
 _UNIT_ROWS = tuple(tuple(int(k == j) for k in range(9)) for j in range(9))
 # The strict row q11 > 0 of each block, as ``product3`` embeds ``V_CONE``'s.
 _Q11_ROWS = _UNIT_ROWS[::3]
-# Every run starts from the same cone and meets the same empty cone, so both
-# are process constants, described at import by their own DDs: a run then
-# pays no DD for them, whatever ran before it in the process.
+# Process constants (see the module docstring).
 _INITIAL_CONE = product3(V_CONE, V_CONE, V_CONE)
 _INITIAL_CONE.edges()
 _EMPTY_CONE = Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS)
 _EMPTY_CONE.edges()
 
-# Process memos, like ``ksets._chains`` (see the module docstring).  A cone
-# can be absorbed under one stop set and live under the other.
-_constructions: dict[tuple, Cone] = {}
-_verdicts: dict[tuple[Vector, ...], dict[Cone, int]] = {rows: {} for rows in _STOP_ROWS.values()}
+# The process's table per stop set, keyed by its rows: a cone can be absorbed
+# under one stop set and live under the other.
+_tables: dict[tuple[Vector, ...], RunTable] = {}
+
+
+def _table(stop_rows: tuple[Vector, ...]) -> RunTable:
+    """The process's table for ``stop_rows``, made at its first use."""
+    return _tables.get(stop_rows) or _tables.setdefault(stop_rows, RunTable())
 
 
 def clear_caches() -> None:
     """Empty every process memo: the chains (``ksets._chains``), the
-    minimal complements (``minima._min_complement_cache``), the raw
-    constructions and the verdicts.  A run made after it works from cold
-    memos; a ``RunResult`` made before it still replays from its own table."""
+    minimal complements (``minima._min_complement_cache``) and the tables.
+    A run made after it starts from a new table and dumps the cold bytes."""
     ksets.clear_cache()
     minima.clear_caches()
-    _constructions.clear()
-    for known in _verdicts.values():
-        known.clear()
+    _tables.clear()
 
 
 def initial_pair() -> RefinementPair:
@@ -370,16 +356,16 @@ def aux_cones(
 
 
 class RunTable:
-    """The cones of one refinement run, hash-consed by member set, with
-    their verdicts.
+    """The cones of the runs under one stop set, hash-consed by member
+    set, with their verdicts.
 
-    ``intern`` maps every cone to the run's first cone with the same key
+    ``intern`` maps every cone to the table's first cone with the same key
     ``(dim, edges(), frozenset(strict))``; it is the only code that decides
     whether two cones are one.  Refinement and chain cones are pointed, so
     the sorted primitive extreme rays and the strict rows fix the member
     set: cones with one member set share one ``Cone`` and one verdict,
     however their rows were built.  ``child`` maps each chain to its
-    interned chain cone (the run's first chain cone of that geometry) and
+    interned chain cone (the table's first chain cone of that geometry) and
     memoises the child of a parent cone, three interned chain cones, a
     shape and the first elements of the linked sets, which fix the child's
     member set.  Chains of equal geometry so share one child, and a
@@ -389,10 +375,12 @@ class RunTable:
     A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held
     by the children of an empty chain and by every cone with no ray and the
     same strict rows.  ``verdicts`` holds the empty cone's verdict from the
-    start and ``_record``'s verdict of every other interned cone.  A table
-    is the record of one sequential run: the constructions and chain cones
-    it meets first fix the rows a shared cone is dumped with, and a replay
-    reads only the table, also after ``clear_caches``.
+    start and ``_record``'s verdict of every other interned cone.  The
+    constructions and chain cones a table meets first fix the rows a shared
+    cone is dumped with.  So a run in a new table dumps the same bytes each
+    time, and a run in a table that other runs filled may give a cone the
+    rows of another construction with its member set, never other rays,
+    strict rows or parameters.
     """
 
     __slots__ = ("_cones", "_chain_cones", "_children", "verdicts")
@@ -406,7 +394,7 @@ class RunTable:
         self.verdicts: dict[Cone, int] = {_EMPTY_CONE: _EMPTY}
 
     def intern(self, cone: Cone) -> Cone:
-        """The run's cone with this member set; computes ``cone``'s rays."""
+        """The table's cone with this member set; computes ``cone``'s rays."""
         return self._cones.setdefault((cone.dim, cone.edges(), frozenset(cone.strict)), cone)
 
     def child(
@@ -421,25 +409,22 @@ class RunTable:
         z1: tuple[Pair, ...],
     ) -> Cone:
         """``parent ∩ (k1 x k2 x k3) ∩ link``, interned, where ``k1``,
-        ``k2`` and ``k3`` are the run's interned chain cones of ``c1``,
+        ``k2`` and ``k3`` are the table's interned chain cones of ``c1``,
         ``c2`` and ``c3``; ``x1``, ``y1`` and ``z1`` hold the first element
-        of each chosen set (empty for an empty set).  Built only when
-        neither the table nor ``_constructions`` holds it, as one
-        ``parent._cut`` on the chain cones' closed rows, each in
-        its block, and the link rows: the rows, in the order, of
-        ``parent.intersect(product3(k1, k2, k3), Cone(9, link rows))``.
-        Chain cones carry no strict rows, so neither does the cut.
+        of each chosen set (empty for an empty set).  Built only on a
+        ``_children`` miss, as one ``parent._cut`` on the chain cones'
+        closed rows, each in its block, and the link rows: the rows, in the
+        order, of ``parent.intersect(product3(k1, k2, k3), Cone(9, link
+        rows))``, neither of which is built.  Chain cones carry no strict
+        rows, so neither does the cut.
         """
         ks = self._chain_cones
         k1, k2, k3 = (ks.get(c) or ks.setdefault(c, self.intern(c.cone)) for c in (c1, c2, c3))
-        memo_key = (parent, k1, k2, k3, shape, x1, y1, z1)
-        cone = self._children.get(memo_key)
+        key = (parent, k1, k2, k3, shape, x1, y1, z1)
+        cone = self._children.get(key)
         if cone is None:
-            raw = _constructions.get(memo_key)
-            if raw is None:
-                rows = [*_padded((k1, k2, k3), "closed"), *_link_rows(_links(shape, x1, y1, z1))]
-                raw = _constructions[memo_key] = parent._cut(rows)
-            cone = self._children[memo_key] = self.intern(raw)
+            rows = [*_padded((k1, k2, k3), "closed"), *_link_rows(_links(shape, x1, y1, z1))]
+            cone = self._children[key] = self.intern(parent._cut(rows))
         return cone
 
 
@@ -574,9 +559,9 @@ def run_algorithm(
     Runs for at most ``max_iter`` refinements or until a generation is
     produced with no pairs at all.  A run with a free block steps its two
     processes and combines their counts (see the module docstring); any
-    other run is ``_run_generic``.  The run is sequential, and its log and
-    dump are the same whatever ran before it in the process; ``threads`` is
-    accepted for compatibility and must be 1.
+    other run is ``_run_generic``.  The run is sequential and interns into
+    the process's table for its stop set; its log is the same whatever ran
+    before it.  ``threads`` is accepted for compatibility and must be 1.
     """
     shapes = linset(a, b)
     if max_iter < 0:
@@ -590,7 +575,7 @@ def run_algorithm(
     if free is None:
         return _run_generic(a, b, stop_kind, max_iter)
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
-    loop = _class_loop(rest, rows, RunTable())
+    loop = _class_loop(rest, rows, _table(rows))
     log = [next(loop)[1]]
     steps, walked, chains = log[:], [IterationRecord(0, 1, 1, 0, 1, 0, 0.0)], [ksets._chain(())]
     while log[-1].total and len(log) <= max_iter:
@@ -639,12 +624,13 @@ def _run_generic(a: int, b: int, stop_kind: str, max_iter: int) -> RunResult:
 
     A generation is a dict from class to multiplicity.  Pairs whose member
     set is empty are subsets of every stop set and are dropped together
-    with the absorbed ones.  The run interns its cones in its own
-    ``RunTable`` and keeps each generation's live classes.
+    with the absorbed ones.  The run interns its cones in the process's
+    table for its stop set and keeps each generation's live classes.
     """
-    table = RunTable()
+    rows = stop_set(stop_kind)
+    table = _table(rows)
     log, live_classes = [], []
-    for live, record in _class_loop(linset(a, b), stop_set(stop_kind), table):
+    for live, record in _class_loop(linset(a, b), rows, table):
         live_classes.append(live)
         log.append(record)
         if record.total == 0 or record.index == max_iter:
@@ -678,14 +664,11 @@ def _record(
     A class is empty, absorbed by the stop set, or live; only the live
     classes are refined next, and each counts its multiplicity.  The
     ``counted`` children of empty chains hold the run's empty cone, whose
-    verdict the table holds from the start.  Every other interned cone
-    takes its verdict from ``_verdicts`` for ``stop_rows``, classified only
-    when no earlier run in the process classified it, and the verdict
-    enters ``table``.  The seconds run from ``start`` to the end of the
-    classification.
+    verdict the table holds from the start.  Every other cone is classified
+    when ``table.verdicts`` does not hold it yet.  The seconds run from
+    ``start`` to the end of the classification.
     """
     verdicts = table.verdicts
-    known = _verdicts[stop_rows]
     live = {}
     total, non_empty, stopped = counted, 0, 0
     for cls, mult in classes.items():
@@ -693,10 +676,7 @@ def _record(
         cone = cls.cone
         verdict = verdicts.get(cone)
         if verdict is None:
-            verdict = known.get(cone)
-            if verdict is None:
-                verdict = known[cone] = _classify(cone, stop_rows)
-            verdicts[cone] = verdict
+            verdict = verdicts[cone] = _classify(cone, stop_rows)
         if verdict == _LIVE:
             live[cls] = mult
             non_empty += mult

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from theta_refine import cli
+from theta_refine import cli, refinement
 from theta_refine.cli import main
 from theta_refine.geometry import Cone, cone_from_json_dict, cones_closed_equal
 
@@ -89,8 +89,9 @@ def test_bad_input_exits_2_with_one_line(capsys):
 
 
 def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
-    # The --out directory is made before the run, so a path under a regular
-    # file fails at once with a one-line error instead of after the run.
+    # The --out directory is checked before the run, so a path under a
+    # regular file fails at once with a one-line error instead of after the
+    # run.
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(cli, "run_algorithm", None)
@@ -99,6 +100,17 @@ def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("--a", "-1", "--b", "1"), ("--a", "1", "--b", "1", "--max-iter", "-2")])
+def test_bad_input_leaves_no_out_directory(argv, tmp_path, capsys):
+    # --out is made only after the run returns, so a run refused as bad
+    # input leaves neither the directory nor its new parent behind.
+    out = tmp_path / "new" / "run"
+    code, stdout, err = run_cli_error(capsys, "refine", *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "new").exists()
 
 
 def test_nonempty_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
@@ -175,11 +187,20 @@ def _tree_digest(root):
             676,
             "ded874aa2d25d4b558d3ee13532d9fb6ed2071f405afcd26101ea6d244ab96f4",
         ),
+        (
+            ("--a", "1", "--b", "0", "--stop-set", "q1q3", "--max-iter", "13"),
+            10558,
+            "213ca5b93d6d468771ab6959ff0f59cd55ae7cfcd7d32dfce262adc68dd1ce27",
+        ),
     ],
 )
 def test_dump_digests(argv, files, digest, tmp_path, capsys):
-    # The --out trees of two reference runs, byte for byte: a change to the
-    # rows, their order, the rays or the parameters of any pair shows here.
+    # The --out trees of three reference runs from cold memos, as a fresh
+    # process makes them, byte for byte: a change to the rows, their order,
+    # the rays or the parameters of any pair shows here.  The (1, 0) run
+    # factors, and its replay runs the class loop in the table its
+    # (1, 0, 1) process filled.
+    refinement.clear_caches()
     code, _ = run_cli(capsys, "refine", *argv, "--out", str(tmp_path / "run"))
     assert code == 0
     assert len(list((tmp_path / "run").rglob("pair_*.json"))) == files

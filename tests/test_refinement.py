@@ -342,29 +342,29 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
     # chain geometries, so its 8 922 children come from 17 distinct
     # constructions.  14 of them have an empty chain and give the run's
-    # empty cone; the other 3 are each built once, entering the process memo
-    # of constructions, with one nine-dimensional DD, the run's only ones:
-    # the initial cone and the empty cone were described at import.  Only 6
+    # empty cone; the other 3 are each built once, entering the table's
+    # children, with one nine-dimensional DD, the run's only ones: the
+    # initial cone and the empty cone were described at import.  Only 6
     # chains get a cone and its three-dimensional DD: the certificate on the
     # key shows 174 chains empty without one, and 146 are never asked
-    # whether they are empty.  The chains and the raw constructions are
-    # shared by the whole process, and each run interns them in its own
-    # table: after (1, 2)/14 and (2, 1)/13 have made the same constructions,
-    # the run makes none and pays no nine-dimensional DD.
+    # whether they are empty.  The chains and the diagonal table are shared
+    # by the whole process: after (1, 2)/14 and (2, 1)/13 have made the same
+    # constructions, the run makes none and pays no nine-dimensional DD.
     dd = _count_dd_by_dim(monkeypatch)
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
-    assert len(refinement._constructions) == 3
+    assert len(result.table._children) == 3
     assert dd == {3: 6, 9: 3}
 
     refinement.clear_caches()
     run_algorithm(1, 2, "diagonal", 14)
     run_algorithm(2, 1, "diagonal", 13)
-    before = len(refinement._constructions)
+    children = refinement._tables[stop_set("diagonal")]._children
+    before = len(children)
     dd[9] = 0
     result = run_algorithm(19, 1, "diagonal", 13)
     assert result.totals() == [1, 2010, 2851, 4061, 0]
-    assert len(refinement._constructions) - before == 0
+    assert len(children) - before == 0
     assert dd[9] == 0
 
 
@@ -415,34 +415,44 @@ def test_chain_cones_match_independent_builders():
         assert ksets.kset_zero_test(c.key), c.key
 
 
-def test_dump_does_not_depend_on_earlier_runs():
-    # Chains and raw constructions are shared by the process, and cones and
-    # chain cones are interned per run, so a run from cold memos and the same
-    # run after others must give every pair the same rows, rays and covering
-    # parameter.
+def test_warm_run_keeps_member_sets_and_cleared_run_dumps_cold_rows():
+    # Runs under one stop set intern into one table per process, so after
+    # (1, 1)/13 the (1, 2)/14 run gives its cold log, and every pair its
+    # cold rays, strict rows and covering parameter, but a cone may keep the
+    # rows of the (1, 1) construction with its member set: 33 of the 676
+    # pairs do.  A run under the other stop set fills the other table and
+    # changes no row.  After ``clear_caches`` the run gives the cold rows
+    # again.
     def snapshot():
         result = run_algorithm(1, 2, "diagonal", 14)
-        return [
+        pairs = [
             (p.cone.closed, p.cone.strict, p.cone.edges(), p.param)
             for gen in result.generations
             for p in gen
         ]
+        return [rec[:-1] for rec in result.log], pairs
 
     refinement.clear_caches()
-    cold = snapshot()
-    run_algorithm(2, 1, "diagonal", 13)
+    cold_log, cold = snapshot()
+    refinement.clear_caches()
     run_algorithm(1, 0, "q1_eq_q3", 8)
+    assert snapshot() == (cold_log, cold)
+    refinement.clear_caches()
     run_algorithm(1, 1, "diagonal", 13)
-    warm = snapshot()
-    assert len(cold) == 676
-    assert warm == cold
+    warm_log, warm = snapshot()
+    assert warm_log == cold_log
+    assert len(warm) == len(cold) == 676
+    assert [pair[1:] for pair in warm] == [pair[1:] for pair in cold]
+    assert sum(w[0] != c[0] for w, c in zip(warm, cold)) == 33
+    refinement.clear_caches()
+    assert snapshot() == (cold_log, cold)
 
 
 def test_verdict_memo_is_per_stop_set():
     # A cone can be absorbed under q1_eq_q3 and live under the diagonal, so
-    # each stop set has its own process memo of verdicts: in either order in
-    # one process, each run's log, stop_absorbed included, equals its log
-    # from cold memos.
+    # each stop set has its own table and verdicts: in either order in one
+    # process, each run's log, stop_absorbed included, equals its log from
+    # cold memos, and some member set has a different verdict in each.
     def log(stop_kind):
         return [rec[:-1] for rec in run_algorithm(1, 0, stop_kind, 13).log]
 
@@ -454,17 +464,22 @@ def test_verdict_memo_is_per_stop_set():
         refinement.clear_caches()
         for kind in order:
             assert log(kind) == cold[kind], (order, kind)
-    known = [refinement._verdicts[stop_set(kind)] for kind in ("q1_eq_q3", "diagonal")]
-    assert any(known[0][cone] != known[1][cone] for cone in known[0].keys() & known[1].keys())
+    # Each table holds its own cones, so verdicts are compared by member set.
+    tables = [refinement._tables[stop_set(kind)] for kind in ("q1_eq_q3", "diagonal")]
+    known = [
+        {(c.dim, c.edges(), frozenset(c.strict)): v for c, v in table.verdicts.items()}
+        for table in tables
+    ]
+    assert any(known[0][key] != known[1][key] for key in known[0].keys() & known[1].keys())
 
 
 def test_repeated_run_does_no_geometry_and_replay_needs_no_memo(monkeypatch):
     # A second (1, 2)/14 in the process finds every construction and verdict
-    # in the process memos: it runs no DD, no row merge (``Cone._cut``, which
-    # builds every construction and chain cone) and no emptiness test, and
-    # gives the first run's log and dump.  A replay reads only its
-    # own run's chains and table, so it runs no DD after the process memos
-    # are cleared.
+    # in the diagonal table: it runs no DD, no row merge (``Cone._cut``,
+    # which builds every construction and chain cone) and no emptiness test,
+    # and gives the first run's log and dump.  A replay reads only its own
+    # run's chains and the table the run used, so it runs no DD after the
+    # process memos are cleared.
     def snapshot(result):
         return [
             (p.cone.closed, p.cone.strict, p.cone.edges(), p.param)
@@ -844,23 +859,39 @@ def _link_cone(shape, xs, ys, zs):
 
 
 @pytest.mark.parametrize("a, b, stop_kind, max_iter", [(1, 0, "q1_eq_q3", 13), (1, 2, "diagonal", 14)])
-def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter):
+def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch):
     # Every construction of a run from cold memos, built as one row merge,
     # has the rows, row order, rays and tight-row masks of the parent cut by
     # the product of the chain cones and the link cone; every chain cone has
     # those of its prefix's cone cut by ``Cone(3, _step_rows(key))``.  The
-    # class loop runs over every shape, also for the (1, 0) run that
-    # factors: 590 constructions on (1, 0), 92 on (1, 2).
+    # table keeps a child interned, so each nine-dimensional ``Cone._cut``
+    # is recorded as built and paired with the key the table files it under:
+    # one cut per key, in build order.  The class loop runs over every
+    # shape, also for the (1, 0) run that factors: 590 constructions on
+    # (1, 0), 92 on (1, 2).
     refinement.clear_caches()
+    built = []
+    cut = Cone._cut
+
+    def recording_cut(self, *rows):
+        cone = cut(self, *rows)
+        if cone.dim == 9:
+            built.append(cone)
+        return cone
+
+    monkeypatch.setattr(Cone, "_cut", recording_cut)
     refinement._run_generic(a, b, stop_kind, max_iter)
-    for (parent, k1, k2, k3, shape, x1, y1, z1), built in refinement._constructions.items():
+    monkeypatch.undo()
+    children = refinement._tables[stop_set(stop_kind)]._children
+    assert len(built) == len(children)
+    for (parent, k1, k2, k3, shape, x1, y1, z1), cone in zip(children, built):
         link = _link_cone(shape, x1, y1, z1)
-        assert _description(built) == _description(parent.intersect(product3(k1, k2, k3), link))
+        assert _description(cone) == _description(parent.intersect(product3(k1, k2, k3), link))
     chains = [c for c in ksets._chains.values() if c.key and c._cone is not None]
     for c in chains:
         prefix = ksets._chain(c.key[:-1]).cone
         assert _description(c.cone) == _description(prefix.intersect(Cone(3, ksets._step_rows(c.key))))
-    assert (len(refinement._constructions), len(chains)) == {
+    assert (len(children), len(chains)) == {
         (1, 0): (590, 335), (1, 2): (92, 223)
     }[a, b]
 
