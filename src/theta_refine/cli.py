@@ -118,6 +118,8 @@ def _check_out(path: str) -> None:
     """Refuse ``path`` unless it is an empty directory or does not exist
     and can be made: its nearest existing ancestor is a writable directory.
     A non-empty one would mix an earlier dump's files with this one's."""
+    if not path:
+        raise ValueError("--out needs a directory path, got ''")
     if os.path.lexists(path):
         if os.listdir(path):
             raise ValueError(f"--out directory {path} is not empty")
@@ -132,12 +134,12 @@ def _check_out(path: str) -> None:
 def _cmd_refine(args) -> int:
     # --out is checked before the run and made after it, so bad input
     # leaves no directory behind.
-    if args.out:
+    if args.out is not None:
         _check_out(args.out)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run_algorithm(args.a, args.b, STOP_CHOICES[args.stop_set], args.max_iter)
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
@@ -157,7 +159,7 @@ def _cmd_refine(args) -> int:
         )
     else:
         print(format_table(result, verbose=args.verbose))
-    if args.out:
+    if args.out is not None:
         _dump_run(result, args.out)
     return 0
 

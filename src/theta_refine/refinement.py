@@ -23,7 +23,7 @@ and refined once, and every count of the table is a sum of multiplicities.
 The run keeps each generation's live classes, which the y-projection check
 reads instead of classifying again.  The pairs themselves are replayed on
 demand (``RunResult.replay`` and ``generations``) through the same child
-enumeration, against the table the run used.
+enumeration and the verdicts of the table the run used.
 
 A run interns its cones, chain cones and children in the process's
 ``RunTable`` for its stop set, keyed by member set, so classes whose cones
@@ -60,9 +60,10 @@ B[g-k].non_empty + C(g-1, k) A[k].non_empty B[g-k].f``; and
 ``live_classes(g) = Σ A[k].live_classes B[g-k].live_classes``, with no
 binomial, since the free chain has ``g - k`` sets (``_convolve``).  On
 ``(1,0)``/13 that takes 336 three-dim DDs and 3 nine-dim ones, where the
-class loop over all shapes (``_run_generic``) makes 590.  The result runs
-that loop at the first access to its table, live classes or replay, so
-dumps and the y-projection check are those of the unfactored run.
+class loop over all shapes (``_run_generic``) makes 590.  The result keeps
+the run's table, so its replay, and with it a dump, is the unfactored
+run's; only its live classes, which the y-projection check reads, come from
+that class loop, at their first access.
 
 The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
@@ -182,21 +183,18 @@ class IterationRecord(NamedTuple):
 
 
 class RunResult:
-    """The run's log, the table it used and each generation's live classes.
+    """A run's log, the table it classified in and each generation's live
+    classes.
 
     ``live_classes[i]`` maps each live class of generation ``i`` to its
-    multiplicity: the classes that generation ``i + 1`` refines.  The pairs
-    themselves are replayed from the initial class on demand: ``replay``
-    yields them one generation at a time, and ``generations`` keeps them.
-    A pair is live when ``table.verdicts`` holds ``_LIVE`` for its cone.
-    The result keeps its table after ``clear_caches``.  A factored run (see
-    the module docstring) makes its log without a class of all three
-    blocks; the first access to ``table``, ``live_classes``, ``replay`` or
-    ``generations`` runs ``_run_generic`` to the log's last generation and
-    keeps its table and classes.
+    multiplicity: the classes that generation ``i + 1`` refines.  A factored
+    run (see the module docstring) makes its log without them; the first
+    access runs the class loop in ``table`` to the log's last generation.
+    ``replay`` and ``generations`` give the pairs themselves.  ``table`` is
+    the run's also after ``clear_caches``.
     """
 
-    __slots__ = ("a", "b", "stop_kind", "log", "_classes", "_table", "_pairs")
+    __slots__ = ("a", "b", "stop_kind", "log", "table", "_classes", "_pairs")
 
     def __init__(
         self,
@@ -204,30 +202,23 @@ class RunResult:
         b: int,
         stop_kind: str,
         log: list[IterationRecord],
+        table: RunTable,
         live_classes: list[dict[RefinementClass, int]] | None = None,
-        table: RunTable | None = None,
     ) -> None:
         self.a = a
         self.b = b
         self.stop_kind = stop_kind
         self.log = log
+        self.table = table
         self._classes = live_classes
-        self._table = table
         self._pairs: list[list[RefinementPair]] | None = None
-
-    def _generic(self) -> RunResult:
-        if self._table is None:
-            run = _run_generic(self.a, self.b, self.stop_kind, len(self.log) - 1)
-            self._classes, self._table = run._classes, run._table
-        return self
-
-    @property
-    def table(self) -> RunTable:
-        return self._generic()._table
 
     @property
     def live_classes(self) -> list[dict[RefinementClass, int]]:
-        return self._generic()._classes
+        if self._classes is None:
+            loop = _class_loop(linset(self.a, self.b), self.table)
+            self._classes = [next(loop)[0] for _ in self.log]
+        return self._classes
 
     def totals(self) -> list[int]:
         return [rec.total for rec in self.log]
@@ -236,22 +227,23 @@ class RunResult:
         return [rec.non_empty for rec in self.log]
 
     def replay(self) -> Iterator[list[RefinementPair]]:
-        """Each generation's pairs, as a loop over pairs makes them: the
-        live pairs of one generation are refined into the next, and none
-        after the last.  It starts from the run's own initial class, the one
-        class of generation 0, so it reaches only the run's chains, whose
-        choices and cones the run computed.  Every construction is a hit in
-        the run's table and every verdict is known, so the replay computes no
-        double description and tests no cone.  Nothing is kept."""
+        """Each generation's pairs, as a loop over pairs makes them: from
+        ``table.root``, the pairs of one generation that ``table.verdict``
+        calls live are refined into the next, and none after the last, which
+        is never classified.  The replay reaches only the run's chains, whose
+        choices and cones the run computed.  After a class loop over all
+        shapes every construction and verdict is in the table, so the replay
+        computes no double description and tests no cone; after a factored
+        run it builds and classifies what the class loop would have.
+        Nothing is kept."""
         shapes = linset(self.a, self.b)
         table = self.table
-        verdicts = table.verdicts
-        ((cone, chains),) = self.live_classes[0]
+        cone, chains = table.root
         generation = [RefinementPair(cone, CoveringParameter(), chains)]
         for i in range(len(self.log)):
             if i:
                 generation = [
-                    c for p in generation if verdicts[p.cone] == _LIVE
+                    c for p in generation if table.verdict(p.cone) == _LIVE
                     for c in refine_pair(p, shapes, table)
                 ]
             yield generation
@@ -288,7 +280,7 @@ _tables: dict[tuple[Vector, ...], RunTable] = {}
 
 def _table(stop_rows: tuple[Vector, ...]) -> RunTable:
     """The process's table for ``stop_rows``, made at its first use."""
-    return _tables.get(stop_rows) or _tables.setdefault(stop_rows, RunTable())
+    return _tables.get(stop_rows) or _tables.setdefault(stop_rows, RunTable(stop_rows))
 
 
 def clear_caches() -> None:
@@ -355,43 +347,63 @@ def aux_cones(
     return product3(k1, k2, k3), Cone(9, _link_rows(_links(shape, xs, ys, zs)))
 
 
-class RunTable:
-    """The cones of the runs under one stop set, hash-consed by member
-    set, with their verdicts.
+_EMPTY, _ABSORBED, _LIVE = range(3)
 
-    ``intern`` maps every cone to the table's first cone with the same key
-    ``(dim, edges(), frozenset(strict))``; it is the only code that decides
-    whether two cones are one.  Refinement and chain cones are pointed, so
-    the sorted primitive extreme rays and the strict rows fix the member
-    set: cones with one member set share one ``Cone`` and one verdict,
-    however their rows were built.  ``child`` maps each chain to its
-    interned chain cone (the table's first chain cone of that geometry) and
-    memoises the child of a parent cone, three interned chain cones, a
-    shape and the first elements of the linked sets, which fix the child's
-    member set.  Chains of equal geometry so share one child, and a
-    repeated construction skips the row merge and the double description.
-    Building from the interned chain cone, not each chain's own,
-    makes the DDs insert fewer rows: 1 577 against 2 805 on ``(1,2)``/14.
-    A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held
-    by the children of an empty chain and by every cone with no ray and the
-    same strict rows.  ``verdicts`` holds the empty cone's verdict from the
-    start and ``_record``'s verdict of every other interned cone.  The
-    constructions and chain cones a table meets first fix the rows a shared
-    cone is dumped with.  So a run in a new table dumps the same bytes each
-    time, and a run in a table that other runs filled may give a cone the
-    rows of another construction with its member set, never other rays,
-    strict rows or parameters.
+
+class RunTable:
+    """The facts of the runs under one stop set: its ``rows``, the ``root``
+    class, the cones hash-consed by member set, and their verdicts.
+
+    ``root`` is ``_INITIAL_CONE`` with the root chain on all three blocks,
+    the one class of generation 0 of every run in the table.  ``intern``
+    maps every cone to the table's first cone with the same key ``(dim,
+    edges(), frozenset(strict))``; it is the only code that decides whether
+    two cones are one.  Refinement and chain cones are pointed, so the
+    sorted primitive extreme rays and the strict rows fix the member set:
+    cones with one member set share one ``Cone`` and one verdict, however
+    their rows were built.  ``child`` maps each chain to its interned chain
+    cone (the table's first chain cone of that geometry) and memoises the
+    child of a parent cone, three interned chain cones, a shape and the
+    first elements of the linked sets, which fix the child's member set.
+    Chains of equal geometry so share one child, and a repeated construction
+    skips the row merge and the double description.  Building from the
+    interned chain cone, not each chain's own, makes the DDs insert fewer
+    rows: 1 577 against 2 805 on ``(1,2)``/14.  ``verdict`` classifies a
+    cone at its first query and memoises the verdict in ``verdicts``.
+
+    A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held by
+    the children of an empty chain and by every cone with no ray and the
+    same strict rows, and holds the empty cone's verdict from the start.
+    The constructions and chain cones a table meets first fix the rows a
+    shared cone is dumped with.  So a run in a new table dumps the same
+    bytes each time, and a run in a table that other runs filled may give a
+    cone the rows of another construction with its member set, never other
+    rays, strict rows or parameters.
     """
 
-    __slots__ = ("_cones", "_chain_cones", "_children", "verdicts")
+    __slots__ = ("rows", "root", "_cones", "_chain_cones", "_children", "verdicts")
 
-    def __init__(self) -> None:
+    def __init__(self, stop_rows: tuple[Vector, ...]) -> None:
+        self.rows = stop_rows
+        self.root = RefinementClass(_INITIAL_CONE, (ksets._chain(()),) * 3)
         self._cones: dict[tuple, Cone] = {}
         self._chain_cones: dict[Chain, Cone] = {}
         self._children: dict[tuple, Cone] = {}
         self.intern(_INITIAL_CONE)
         self.intern(_EMPTY_CONE)
         self.verdicts: dict[Cone, int] = {_EMPTY_CONE: _EMPTY}
+
+    def verdict(self, cone: Cone) -> int:
+        """``_EMPTY`` when the member set is empty, ``_ABSORBED`` when the
+        cone lies in the stop set, otherwise ``_LIVE``."""
+        verdict = self.verdicts.get(cone)
+        if verdict is None:
+            if cone.is_member_empty():
+                verdict = _EMPTY
+            else:
+                verdict = _ABSORBED if cone.is_subset_of(self.rows) else _LIVE
+            self.verdicts[cone] = verdict
+        return verdict
 
     def intern(self, cone: Cone) -> Cone:
         """The table's cone with this member set; computes ``cone``'s rays."""
@@ -482,7 +494,7 @@ def refine_pair(
     fresh table when none is given).
     """
     if table is None:
-        table = RunTable()
+        table = RunTable(())
     seqs = (pair.param.x_sets, pair.param.y_sets, pair.param.z_sets)
     children = []
     for shape in shapes:
@@ -522,31 +534,19 @@ def _refine_classes(
     return classes, counted
 
 
-_EMPTY, _ABSORBED, _LIVE = range(3)
-
-
-def _classify(cone: Cone, stop_rows: Sequence[Vector]) -> int:
-    """``_EMPTY`` when the member set is empty, ``_ABSORBED`` when the cone
-    lies in the stop set, otherwise ``_LIVE``."""
-    if cone.is_member_empty():
-        return _EMPTY
-    return _ABSORBED if cone.is_subset_of(stop_rows) else _LIVE
-
-
 def check_y_projection_argument(
     items: Iterable[RefinementPair] | Iterable[RefinementClass],
 ) -> bool:
     """Every live pair chose a non-empty factor-2 set.
 
-    ``items`` are the live pairs or the live classes of a generation, as
-    the run classified them: the pairs of ``RunResult.generations`` whose
-    cone ``RunResult.table.verdicts`` holds live, or
-    ``RunResult.live_classes``.  A pair chose a non-empty factor-2 set
-    exactly when its factor-2 chain has a non-empty key, and the pairs of a
-    class share their chains.  This is the machine-checkable core of the
-    argument that, for the relation with zero second coefficient, the
-    factor-2 choices carry no information and all genuine solutions already
-    lie in the stop set.
+    ``items`` are the live pairs or the live classes of a generation: the
+    pairs of ``RunResult.generations`` whose cone ``RunResult.table``
+    calls live, or ``RunResult.live_classes``.  A pair chose a non-empty
+    factor-2 set exactly when its factor-2 chain has a non-empty key, and
+    the pairs of a class share their chains.  This is the machine-checkable
+    core of the argument that, for the relation with zero second
+    coefficient, the factor-2 choices carry no information and all genuine
+    solutions already lie in the stop set.
     """
     return all(p.chains[1].key for p in items)
 
@@ -570,14 +570,14 @@ def run_algorithm(
         raise ValueError(f"runs are single-threaded; threads must be 1, got {threads}")
     if gcd(a, b) != 1:
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
-    rows = stop_set(stop_kind)
-    free = _free_block(shapes, rows)
+    table = _table(stop_set(stop_kind))
+    free = _free_block(shapes, table.rows)
     if free is None:
         return _run_generic(a, b, stop_kind, max_iter)
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
-    loop = _class_loop(rest, rows, _table(rows))
+    loop = _class_loop(rest, table)
     log = [next(loop)[1]]
-    steps, walked, chains = log[:], [IterationRecord(0, 1, 1, 0, 1, 0, 0.0)], [ksets._chain(())]
+    steps, walked, chains = log[:], [IterationRecord(0, 1, 1, 0, 1, 0, 0.0)], [table.root.chains[free]]
     while log[-1].total and len(log) <= max_iter:
         start = time.perf_counter()
         steps.append(next(loop)[1])
@@ -588,7 +588,7 @@ def run_algorithm(
         n = len(chains)
         walked.append(IterationRecord(len(log), len(children), n, 0, n, len(children) - n, 0.0))
         log.append(_convolve(steps, walked, time.perf_counter() - start))
-    return RunResult(a, b, stop_kind, log)
+    return RunResult(a, b, stop_kind, log, table)
 
 
 def _free_block(shapes: Sequence[Shape], stop_rows: Sequence[Vector]) -> int | None:
@@ -620,68 +620,45 @@ def _convolve(
 
 
 def _run_generic(a: int, b: int, stop_kind: str, max_iter: int) -> RunResult:
-    """The class loop: classify a generation, refine its live classes, repeat.
-
-    A generation is a dict from class to multiplicity.  Pairs whose member
-    set is empty are subsets of every stop set and are dropped together
-    with the absorbed ones.  The run interns its cones in the process's
-    table for its stop set and keeps each generation's live classes.
-    """
-    rows = stop_set(stop_kind)
-    table = _table(rows)
+    """The class loop over all shapes, in the process's table for
+    ``stop_kind``, to ``max_iter`` or an empty generation.  Pairs whose
+    member set is empty are subsets of every stop set and are dropped
+    together with the absorbed ones.  The result keeps each generation's
+    live classes."""
+    table = _table(stop_set(stop_kind))
     log, live_classes = [], []
-    for live, record in _class_loop(linset(a, b), rows, table):
+    for live, record in _class_loop(linset(a, b), table):
         live_classes.append(live)
         log.append(record)
         if record.total == 0 or record.index == max_iter:
-            return RunResult(a, b, stop_kind, log, live_classes, table)
+            return RunResult(a, b, stop_kind, log, table, live_classes)
 
 
 def _class_loop(
-    shapes: Sequence[Shape], rows: tuple[Vector, ...], table: RunTable
+    shapes: Sequence[Shape], table: RunTable
 ) -> Iterator[tuple[dict[RefinementClass, int], IterationRecord]]:
-    """Each generation's live classes and record, from the root class."""
-    classes, counted, index = {RefinementClass(_INITIAL_CONE, (ksets._chain(()),) * 3): 1}, 0, 0
+    """Each generation's live classes and record, from ``table.root``.
+
+    Each class of a generation counts its multiplicity under the verdict
+    ``table.verdict`` gives its cone, and only the live ones are refined
+    next.  The ``counted`` children of empty chains hold the run's empty
+    cone.  A record's seconds cover refining its generation and classifying
+    it.
+    """
+    classes, counted, index = {table.root: 1}, 0, 0
     start = time.perf_counter()
     while True:
-        live, record = _record(index, classes, counted, rows, start, table)
-        yield live, record
+        live = {}
+        total, non_empty, stopped = counted, 0, 0
+        for cls, mult in classes.items():
+            total += mult
+            verdict = table.verdict(cls.cone)
+            if verdict == _LIVE:
+                live[cls] = mult
+                non_empty += mult
+            elif verdict == _ABSORBED:
+                stopped += mult
+        seconds = time.perf_counter() - start
+        yield live, IterationRecord(index, total, non_empty, stopped, len(live), counted, seconds)
         start, index = time.perf_counter(), index + 1
         classes, counted = _refine_classes(live, shapes, table)
-
-
-def _record(
-    index: int,
-    classes: dict[RefinementClass, int],
-    counted: int,
-    stop_rows: tuple[Vector, ...],
-    start: float,
-    table: RunTable,
-) -> tuple[dict[RefinementClass, int], IterationRecord]:
-    """Classify a generation, one verdict per distinct member set; return
-    its live classes and record.
-
-    A class is empty, absorbed by the stop set, or live; only the live
-    classes are refined next, and each counts its multiplicity.  The
-    ``counted`` children of empty chains hold the run's empty cone, whose
-    verdict the table holds from the start.  Every other cone is classified
-    when ``table.verdicts`` does not hold it yet.  The seconds run from
-    ``start`` to the end of the classification.
-    """
-    verdicts = table.verdicts
-    live = {}
-    total, non_empty, stopped = counted, 0, 0
-    for cls, mult in classes.items():
-        total += mult
-        cone = cls.cone
-        verdict = verdicts.get(cone)
-        if verdict is None:
-            verdict = verdicts[cone] = _classify(cone, stop_rows)
-        if verdict == _LIVE:
-            live[cls] = mult
-            non_empty += mult
-        elif verdict == _ABSORBED:
-            stopped += mult
-    seconds = time.perf_counter() - start
-    record = IterationRecord(index, total, non_empty, stopped, len(live), counted, seconds)
-    return live, record

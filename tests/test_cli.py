@@ -64,6 +64,7 @@ def test_bad_input_exits_2_with_one_line(capsys):
         ("classify", "--alphas", "0,0,0", "--q1", "1,0,1", "--q2", "1,0,1",
          "--q3", "1,0,1", "--max-coeff", "-5"),
         ("refine", "--a", "1", "--b", "1", "--max-iter", "-1"),
+        ("refine", "--a", "1", "--b", "1", "--out", ""),
         ("ycheck", "--max-iter", "-1"),
         ("decompose", "--a", "1", "--b", "2", "--triple", "1,2"),
         ("classify", "--alphas", "1/0,1,-2", "--q1", "1,0,1", "--q2", "1,0,1",

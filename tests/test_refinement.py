@@ -179,9 +179,9 @@ def test_table_formatting(run_11):
 
 
 def _live_pairs(result, i):
-    """The pairs of generation ``i`` whose cone the run classified live."""
-    verdicts = result.table.verdicts
-    return [p for p in result.generations[i] if verdicts[p.cone] == refinement._LIVE]
+    """The pairs of generation ``i`` whose cone the run's table calls live."""
+    table = result.table
+    return [p for p in result.generations[i] if table.verdict(p.cone) == refinement._LIVE]
 
 
 def test_iteration_log_consistency(run_11):
@@ -297,12 +297,14 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
     assert initial_pair().cone is initial_pair().cone
     assert_exact_description(refinement._INITIAL_CONE)
     assert_exact_description(refinement._EMPTY_CONE)
-    table = refinement.RunTable()
+    table = refinement.RunTable(())
     for cone in (refinement._INITIAL_CONE, refinement._EMPTY_CONE):
         assert table.intern(Cone(9, cone.closed, cone.strict)) is cone
     assert table.verdicts == {refinement._EMPTY_CONE: refinement._EMPTY}
     for kind in refinement.STOP_SET_KINDS:
-        assert refinement._classify(refinement._EMPTY_CONE, stop_set(kind)) == refinement._EMPTY
+        table = refinement.RunTable(stop_set(kind))
+        table.verdicts.clear()
+        assert table.verdict(refinement._EMPTY_CONE) == refinement._EMPTY
 
 
 def test_work_counters_on_reference_run(monkeypatch):
@@ -647,6 +649,41 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
         assert (dd, empties[0]) == (dds, tests), run
 
 
+def test_factored_replay_classifies_through_its_table(monkeypatch):
+    # The factored (1, 0) q1_eq_q3 run to 13 from cold memos builds every
+    # chain cone its pairs reach but only 3 nine-dimensional cones.  Its
+    # replay starts from the table's root and asks the table for the verdict
+    # of each pair it refines: it builds the other 587 constructions of the
+    # class loop over both shapes and no chain cone, and tests 193 member
+    # sets, not the class loop's 311 after the run's 4, because the last
+    # generation is never refined.  It runs no class loop and forms no live
+    # class.  The result keeps its table and the root chain, so a second
+    # replay after ``clear_caches`` runs no DD.
+    dd = _count_dd_by_dim(monkeypatch)
+    result = run_algorithm(1, 0, "q1_eq_q3", 13)
+    dd.update({3: 0, 9: 0})
+    calls = {"empty": 0, "generic": 0, "loop": 0}
+    is_member_empty, run_generic, class_loop = (
+        Cone.is_member_empty, refinement._run_generic, refinement._class_loop
+    )
+
+    def counting(key, f):
+        def counted(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(Cone, "is_member_empty", counting("empty", is_member_empty))
+    monkeypatch.setattr(refinement, "_run_generic", counting("generic", run_generic))
+    monkeypatch.setattr(refinement, "_class_loop", counting("loop", class_loop))
+    assert sum(map(len, result.generations)) == 10558
+    assert (dd, calls) == ({3: 0, 9: 587}, {"empty": 193, "generic": 0, "loop": 0})
+    refinement.clear_caches()
+    assert sum(map(len, result.replay())) == 10558
+    assert dd == {3: 0, 9: 587}
+
+
 def test_min_complement_builds_from_cold_memos():
     # Exact chain-layer work: one minimal-complement build per distinct
     # exclusion set the chains ask about, from cold memos.
@@ -666,9 +703,10 @@ def test_min_complement_builds_from_cold_memos():
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
     # The last generation of the (1, 0) run holds 5 890 pairs, 3 185 of them
-    # live.  The run classified each of its cones once; the check reads the
-    # run's live classes, or the pairs its verdicts call live, and tests no
-    # cone again.
+    # live.  The run's class loop classified each of its cones once, when it
+    # formed the live classes; the check reads those classes, or the pairs
+    # the run's table calls live, and tests no cone again.
+    classes = run_10.live_classes[-1]
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -678,10 +716,10 @@ def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     live = _live_pairs(run_10, -1)
-    assert check_y_projection_argument(run_10.live_classes[-1])
+    assert check_y_projection_argument(classes)
     assert check_y_projection_argument(live)
     assert len(run_10.generations[-1]) == 5890
-    assert len(live) == sum(run_10.live_classes[-1].values()) == 3185
+    assert len(live) == sum(classes.values()) == 3185
     assert empties[0] == 0
 
 
@@ -724,10 +762,10 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     # empty chain must be the classes with their multiplicities, and the
     # others must number ``counted`` and hold the run's empty cone.  The
     # replay computes no double description and tests no cone.  A factored
-    # run, (1, 0) here, runs the class loop at the first access to its
-    # table, which comes before the counters.
+    # run, (1, 0) here, runs the class loop in its table at the first access
+    # to its live classes, which comes before the counters.
     result = run_algorithm(a, b, stop_kind, max_iter)
-    table = result.table
+    table, live_classes = result.table, result.live_classes
     dd, empties = [0], [0]
     extreme_rays, is_member_empty = geometry._extreme_rays, Cone.is_member_empty
 
@@ -746,12 +784,12 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     monkeypatch.undo()
 
     shapes = linset(a, b)
-    assert len(generations) == len(result.log) == len(result.live_classes)
+    assert len(generations) == len(result.log) == len(live_classes)
     (first,) = generations[0]
     classes, counted = {refinement.RefinementClass(first.cone, first.chains): 1}, 0
     for i, rec in enumerate(result.log):
         if i:
-            classes, counted = refinement._refine_classes(result.live_classes[i - 1], shapes, table)
+            classes, counted = refinement._refine_classes(live_classes[i - 1], shapes, table)
         built, killed = {}, 0
         for p in generations[i]:
             if any(c.empty for c in p.chains):
@@ -767,7 +805,7 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
         for p in _live_pairs(result, i):
             live_built[p.cone, p.chains] = live_built.get((p.cone, p.chains), 0) + 1
         assert list(live_built.items()) == [
-            (tuple(cls), mult) for cls, mult in result.live_classes[i].items()
+            (tuple(cls), mult) for cls, mult in live_classes[i].items()
         ]
     assert sum(rec.counted for rec in result.log) > 0
 
@@ -963,7 +1001,7 @@ def test_refine_pair_on_a_hand_built_pair_uses_no_link_key():
     # its chain cones and its link cone.
     refinement.clear_caches()
     shapes = linset(1, 2)
-    table = refinement.RunTable()
+    table = refinement.RunTable(())
     start = initial_pair()
     root = refinement.RefinementClass(start.cone, start.chains)
     linked, _ = refinement._refine_classes({root: 1}, shapes, table)
@@ -989,8 +1027,8 @@ def test_factored_log_equals_the_class_loop(a):
     # of the factored log but the seconds equals the class loop's over both
     # shapes.  The class loop stops only at an empty generation or at
     # max_iter, so its log to depth d is the first d + 1 records of its log
-    # to 20.  A factored result builds the class loop's table and live
-    # classes at their first access, with the log it already has.
+    # to 20.  A factored result forms the class loop's live classes at their
+    # first access, with the log it already has.
     generic = [rec[:-1] for rec in refinement._run_generic(a, 0, "q1_eq_q3", 20).log]
     assert len(generic) == 21 and generic[-1][1] > 0
     for depth in range(21):
