@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .geometry import Cone, _primitive
-from .minima import _min_complement, _min_n, min_complement
+from .minima import _count_n, _min_complement, _min_n, min_complement
 from .quadform import coeff_row, is_strongly_primitive
 
 Pair = tuple[int, int]
@@ -133,13 +133,14 @@ class Chain:
     rays.
     """
 
-    __slots__ = ("key", "_cone", "_empty", "_choices")
+    __slots__ = ("key", "_cone", "_empty", "_choices", "_counts")
 
     def __init__(self, key: Key) -> None:
         self.key = key
         self._cone: Cone | None = None
         self._empty: bool | None = None
         self._choices: dict[int, tuple[tuple[tuple[Pair, ...], Chain], ...]] = {}
+        self._counts: Sequence[int] = ()
 
     @property
     def cone(self) -> Cone:
@@ -172,6 +173,23 @@ class Chain:
                 (s, _chain(self.key + (s,)) if s else self) for s in _min_n(excluded, n)
             )
         return found
+
+    def dead(self, n: int) -> bool:
+        """``n >= 4`` and every chain of ``choices(4)`` is empty.  Then so is
+        every chain of ``choices(n)``: the first four vectors of an
+        ``n``-choice, in construction order, are a 4-choice whose chain cone
+        contains the ``n``-choice's."""
+        return n >= 4 and all(c.empty for _, c in self.choices(4))
+
+    def count(self, n: int) -> int:
+        """``len(choices(n))``, with no choice listed when none is: one
+        ``minima._count_n`` walk gives every ``k <= n``."""
+        listed = self._choices.get(n)
+        if listed is not None:
+            return len(listed)
+        if n >= len(self._counts):
+            self._counts = _count_n(frozenset(v for s in self.key for v in s), n)
+        return self._counts[n]
 
 
 # The process's one memo of chains.

@@ -10,8 +10,8 @@ exclusion set: a witness (a, 1) outside the exclusion dominates all but
 finitely many of them, and the rest, the witness's region, are enumerated
 and ranked by edge values once per witness, so a build is one pass over a
 ranked region.  ``min_n`` enumerates every way of picking the next n
-minimal vectors in sequence.  The public functions check their exclusion;
-``_min_complement`` and ``_min_n`` take one that is already checked.
+minimal vectors in sequence; ``_count_n`` counts them.  The public functions
+check their exclusion; the private ones take one that is already checked.
 """
 
 from __future__ import annotations
@@ -177,6 +177,16 @@ def _min_n(exc: frozenset[Pair], n: int) -> tuple[tuple[Pair, ...], ...]:
                 chosen.setdefault(frozenset(candidate), candidate)
         result = tuple(sorted(chosen.values(), key=lambda c: tuple(sorted(c))))
     return result
+
+
+def _count_n(exc: frozenset[Pair], n: int) -> list[int]:
+    """``len(_min_n(exc, k))`` for ``k = 0..n``: ``_min_n``'s walk over the
+    sets of each level, with no tuples and no sort."""
+    level, sizes = {frozenset()}, [1]
+    for _ in range(n):
+        level = {p.union((v,)) for p in level for v in _min_complement(exc.union(p))}
+        sizes.append(len(level))
+    return sizes
 
 
 def clear_caches() -> None:

@@ -26,15 +26,18 @@ demand (``RunResult.replay`` and ``generations``) through the same child
 enumeration and the verdicts of the table the run used.
 
 A run interns its cones, chain cones and children in the process's
-``RunTable`` for its stop set, keyed by member set, so classes whose cones
-have one member set share one ``Cone`` object and one verdict.  A chain
-with no reduced form of its structure (``Chain.empty``, the
-degenerate-cone certificate) gives every child built from it an empty
-member set when the parent carries that block's ``q11 > 0`` row.  The run
-counts those children without building them: with ``X``, ``Y`` and ``Z``
-the choices per factor and ``X'``, ``Y'`` and ``Z'`` those that lead to no
-such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them.  In a replay
-they hold the run's one empty cone, which has no row merge or double
+``RunTable`` for its stop set.  A chain with no reduced form of its
+structure (``Chain.empty``, the degenerate-cone certificate) gives every
+child built from it an empty member set when the parent carries that
+block's ``q11 > 0`` row.  The run counts those children without building
+them: with ``X``, ``Y`` and ``Z`` the choices per factor and ``X'``,
+``Y'`` and ``Z'`` those that lead to no such chain, a shape has
+``|X||Y||Z| - |X'||Y'||Z'|`` of them.  The 4-choice rule counts them
+without listing a choice: when a shape asks a block for ``n >= 4``
+vectors, the parent carries that block's ``q11 > 0`` row and every
+4-choice of the block's chain is empty (``Chain.dead``), all
+``|X||Y||Z|`` children are counted from the sizes (``Chain.count``).  In a
+replay they hold the run's one empty cone, which has no row merge or double
 description of its own.
 
 A run factors when one block is free: no stop row touches it, and every
@@ -58,12 +61,7 @@ the first.  With ``A[k]`` and ``B[j]`` the processes' records,
 ``stop_absorbed`` and ``counted`` are ``Σ C(g-1, k-1) A[k].f
 B[g-k].non_empty + C(g-1, k) A[k].non_empty B[g-k].f``; and
 ``live_classes(g) = Σ A[k].live_classes B[g-k].live_classes``, with no
-binomial, since the free chain has ``g - k`` sets (``_convolve``).  On
-``(1,0)``/13 that takes 336 three-dim DDs and 3 nine-dim ones, where the
-class loop over all shapes (``_run_generic``) makes 590.  The result keeps
-the run's table, so its replay, and with it a dump, is the unfactored
-run's; only its live classes, which the y-projection check reads, come from
-that class loop, at their first access.
+binomial, since the free chain has ``g - k`` sets (``_convolve``).
 
 The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
@@ -170,7 +168,7 @@ class IterationRecord(NamedTuple):
     ``total - non_empty - stop_absorbed`` pairs have empty member sets.
     ``live_classes`` counts the classes of the ``non_empty`` pairs, and
     ``counted`` the pairs among ``total`` that are children of an empty
-    chain, counted without being built.
+    chain, counted without being built (see the module docstring).
     """
 
     index: int
@@ -230,12 +228,11 @@ class RunResult:
         """Each generation's pairs, as a loop over pairs makes them: from
         ``table.root``, the pairs of one generation that ``table.verdict``
         calls live are refined into the next, and none after the last, which
-        is never classified.  The replay reaches only the run's chains, whose
-        choices and cones the run computed.  After a class loop over all
-        shapes every construction and verdict is in the table, so the replay
-        computes no double description and tests no cone; after a factored
-        run it builds and classifies what the class loop would have.
-        Nothing is kept."""
+        is never classified.  After a class loop over all shapes every
+        construction and verdict is in the table, so the replay computes no
+        double description and tests no cone; it lists the choices the run
+        counted.  After a factored run it builds and classifies what the
+        class loop would have.  Nothing is kept."""
         shapes = linset(self.a, self.b)
         table = self.table
         cone, chains = table.root
@@ -441,25 +438,27 @@ class RunTable:
 
 
 def _children(
-    table: RunTable,
-    cone: Cone,
-    shape: Shape,
-    choices: Sequence[Sequence[tuple[tuple[Pair, ...], Chain]]],
+    table: RunTable, cone: Cone, shape: Shape, chains: Sequence[Chain], listed: bool
 ) -> Iterator[tuple[Cone | None, Sequence, Sequence, Sequence]]:
     """The children of ``cone`` under one shape, in canonical order, in blocks.
 
-    ``choices`` holds each factor's next choices (``Chain.choices``).  A
-    block ``(child, xs, ys, zs)`` stands for the children that take one
-    choice from each of ``xs``, ``ys`` and ``zs``, in lexicographic order.
-    A built child is a block of one, and ``child`` is its cone from
-    ``table.child``.  A child whose chain on some factor is empty while
-    ``cone`` carries that block's ``q11 > 0`` row has no member: once the
-    choices so far make that so, the children that follow them form one
-    block with ``child`` None, and none of them is built: each holds the
-    run's empty cone, ``_EMPTY_CONE``.
+    A block ``(child, xs, ys, zs)`` stands for the children that take one
+    choice (``Chain.choices`` of ``chains``) from each of ``xs``, ``ys`` and
+    ``zs``, in lexicographic order.  A built child is a block of one, and
+    ``child`` is its cone from ``table.child``.  A child whose chain on some
+    factor is empty while ``cone`` carries that block's ``q11 > 0`` row has
+    no member: once the choices so far make that so, the children that
+    follow them form one block with ``child`` None, and none of them is
+    built: each holds the run's empty cone, ``_EMPTY_CONE``.  Under the
+    4-choice rule all children form that block, of the choices when
+    ``listed``, else of ranges as long (``Chain.count``).
     """
-    kx, ky, kz = (row in cone.strict for row in _Q11_ROWS)
-    xl, yl, zl = choices
+    carried = [row in cone.strict for row in _Q11_ROWS]
+    if max(shape) >= 4 and any(k and c.dead(n) for k, c, n in zip(carried, chains, shape)):
+        yield None, *(c.choices(n) if listed else range(c.count(n)) for c, n in zip(chains, shape))
+        return
+    kx, ky, kz = carried
+    xl, yl, zl = (c.choices(n) for c, n in zip(chains, shape))
     for x in xl:
         xset, xn = x
         if kx and xn.empty:
@@ -500,7 +499,7 @@ def refine_pair(
     for shape in shapes:
         choices = [c.choices(n) for c, n in zip(pair.chains, shape)]
         xe, ye, ze = ({s: seq + (s,) for s, _ in cs} for seq, cs in zip(seqs, choices))
-        for child, xs, ys, zs in _children(table, pair.cone, shape, choices):
+        for child, xs, ys, zs in _children(table, pair.cone, shape, pair.chains, True):
             cone = _EMPTY_CONE if child is None else child
             for xset, xn in xs:
                 for yset, yn in ys:
@@ -524,8 +523,7 @@ def _refine_classes(
     counted = 0
     for (cone, chains), mult in live.items():
         for shape in shapes:
-            choices = [c.choices(n) for c, n in zip(chains, shape)]
-            for child, xs, ys, zs in _children(table, cone, shape, choices):
+            for child, xs, ys, zs in _children(table, cone, shape, chains, False):
                 if child is None:
                     counted += mult * len(xs) * len(ys) * len(zs)
                     continue

@@ -1,6 +1,7 @@
 """Chain cones and grouped-set cones, with membership verified independently."""
 
 import random
+from math import gcd
 import sys
 import threading
 from fractions import Fraction
@@ -290,3 +291,69 @@ def test_certificate_and_seeded_cone_match_independent_builders(last, firsts):
     if collapses:
         assert c.empty and kset(key).edges() == ()
     assert cones_equivalent(c.cone, kset(key))
+
+
+# Every coprime (a, b) with a, b >= 1 and 4 <= a + b <= 20, in both orders.
+SWEEP_PAIRS = [(a, s - a) for s in range(4, 21) for a in range(1, s) if gcd(a, s) == 1]
+
+
+def test_dead_chain_has_only_empty_choices():
+    # The containment lemma through the engine: on every non-empty chain the
+    # coprime a + b <= 20 runs reach, in both orders, and so on every chain
+    # of their live classes, whenever ``dead(n)`` holds for n = 5..8, every
+    # chain of ``choices(n)`` passes the independent zero test, which builds
+    # its cone from scratch.  The replays list what the runs counted.
+    refinement.clear_caches()
+    live = set()
+    for a, b in SWEEP_PAIRS:
+        result = run_algorithm(a, b, "diagonal", 13)
+        live.update(c for classes in result.live_classes for cls in classes for c in cls.chains)
+        result.generations
+    chains = [c for c in list(ksets._chains.values()) if not c.empty]
+    assert live <= set(chains)
+    fired = checked = 0
+    for c in chains:
+        for n in range(5, 9):
+            if c.dead(n):
+                fired += 1
+                for _, child in c.choices(n):
+                    assert kset_zero_test(child.key), child.key
+                    checked += 1
+    assert (len(live), len(chains), fired, checked) == (3, 8, 28, 95)
+    # The rule with 3 in place of 4 fails at the root: of its 3-choices,
+    # {(1,0),(0,1),(-1,1)}, the hexagonal form's minima, is not empty.
+    root = chain(())
+    assert root.dead(4)
+    (hexagonal,) = [child for _, child in root.choices(3) if not child.empty]
+    assert set(hexagonal.key[0]) == {(1, 0), (0, 1), (-1, 1)}
+    assert not kset_zero_test(hexagonal.key)
+
+
+def _assert_count_matches_listing(key):
+    # Chains outside the memo count n = 0..8 rising and falling, before they
+    # list; then one reads its listing.
+    excluded = [v for s in key for v in s]
+    expected = [len(minima.min_n(excluded, n)) for n in range(9)]
+    rising, falling = ksets.Chain(key), ksets.Chain(key)
+    assert [rising.count(n) for n in range(9)] == expected, key
+    assert [falling.count(n) for n in reversed(range(9))] == expected[::-1], key
+    for n in range(9):
+        assert len(rising.choices(n)) == rising.count(n) == expected[n], (key, n)
+
+
+def test_count_equals_listing_on_run_exclusions():
+    # Every exclusion held by a chain of the reference runs, n = 0..8.
+    refinement.clear_caches()
+    for args in ((1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13)):
+        run_algorithm(*args)
+    run_algorithm(19, 1, "diagonal", 13)
+    keys = {frozenset(v for s in key for v in s): key for key in list(ksets._chains)}
+    assert len(keys) == 164
+    for key in keys.values():
+        _assert_count_matches_listing(key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_POOL), max_size=12, unique=True))
+def test_count_equals_listing_on_random_exclusions(vectors):
+    _assert_count_matches_listing((tuple(vectors),) if vectors else ())

@@ -341,15 +341,14 @@ def test_work_counters_on_reference_run(monkeypatch):
 
 
 def test_chain_geometry_collapses_constructions(monkeypatch):
-    # On the (19, 1) diagonal run the 326 chain sequences have 3 distinct
-    # chain geometries, so its 8 922 children come from 17 distinct
-    # constructions.  14 of them have an empty chain and give the run's
-    # empty cone; the other 3 are each built once, entering the table's
-    # children, with one nine-dimensional DD, the run's only ones: the
-    # initial cone and the empty cone were described at import.  Only 6
-    # chains get a cone and its three-dimensional DD: the certificate on the
-    # key shows 174 chains empty without one, and 146 are never asked
-    # whether they are empty.  The chains and the diagonal table are shared
+    # On the (19, 1) diagonal run every child of the shapes (20, 0, 19) and
+    # (0, 20, 1) is counted by the 4-choice rule, so of its 8 922 children
+    # only the 3 of (1, 1, 1) are constructions.  Each is built once,
+    # entering the table's children, with one nine-dimensional DD, the
+    # run's only ones: the initial cone and the empty cone were described at
+    # import.  The run makes 8 chains, not the 326 chain sequences of its
+    # pairs; 6 get a cone and its three-dimensional DD, and the certificate
+    # on the key shows the other 2 empty.  The chains and the diagonal table are shared
     # by the whole process: after (1, 2)/14 and (2, 1)/13 have made the same
     # constructions, the run makes none and pays no nine-dimensional DD.
     dd = _count_dd_by_dim(monkeypatch)
@@ -368,6 +367,28 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     assert result.totals() == [1, 2010, 2851, 4061, 0]
     assert len(children) - before == 0
     assert dd[9] == 0
+
+
+def test_dead_blocks_build_no_chain(monkeypatch):
+    # The 38 coprime runs with 4 <= a + b <= 11 from cold memos in one
+    # process: every child of a shape that asks a block for a + b vectors is
+    # counted by the 4-choice rule, so the runs make 8 chains, 6 three-
+    # dimensional DDs and 3 nine-dimensional ones; counting them from empty
+    # chains made 105 chains and 20 three-dimensional DDs.
+    builds = [0]
+    chain_init = ksets.Chain.__init__
+
+    def counting_chain(self, key):
+        builds[0] += 1
+        chain_init(self, key)
+
+    dd = _count_dd_by_dim(monkeypatch)
+    monkeypatch.setattr(ksets.Chain, "__init__", counting_chain)
+    pairs = [(a, s - a) for s in range(4, 12) for a in range(1, s) if gcd(a, s) == 1]
+    assert len(pairs) == 38
+    for a, b in pairs:
+        assert run_algorithm(a, b, "diagonal", 13).non_empty_counts() == [1, 1, 1, 0, 0]
+    assert (dd, builds[0]) == ({3: 6, 9: 3}, 8)
 
 
 @pytest.mark.parametrize(
@@ -399,13 +420,14 @@ def test_chain_cones_match_independent_builders():
     # Every chain of the reference runs and of the a + b <= 20 sweep in both
     # orders, (19, 1) among them, from cold memos: the cone built from the prefix's cone has the
     # member set of ``kset`` built from scratch, and a key whose certificate
-    # fires passes the independent zero test.
+    # fires passes the independent zero test.  The runs count the children
+    # of dead blocks without making their chains; the replays list them.
     refinement.clear_caches()
     for args in ((1, 0, "q1_eq_q3", 13), (1, 1, "diagonal", 13), (1, 2, "diagonal", 14)):
-        run_algorithm(*args)
+        run_algorithm(*args).generations
     for a, b in SWEEP_PAIRS:
-        run_algorithm(a, b, "diagonal", 13)
-        run_algorithm(b, a, "diagonal", 13)
+        run_algorithm(a, b, "diagonal", 13).generations
+        run_algorithm(b, a, "diagonal", 13).generations
     chains = list(ksets._chains.values())
     certified = [
         c for c in chains if any(len(s) >= 4 and ksets._collapses(s) for s in c.key)
@@ -696,9 +718,11 @@ def test_min_complement_builds_from_cold_memos():
     assert len(minima._min_complement_cache) == 47
     # A chain asks about its own exclusion only when it builds its cone, so
     # the many chains of (1, 29) that the certificate shows empty ask none.
+    # Counting the children of a dead block asks about the exclusions that
+    # listing them would, and builds none of their chains: 2 208, not 2 209.
     refinement.clear_caches()
     run_algorithm(1, 29, "diagonal", 13)
-    assert len(minima._min_complement_cache) == 2209
+    assert len(minima._min_complement_cache) == 2208
 
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
@@ -944,8 +968,8 @@ def _link_sets(result):
     for live in result.live_classes[:-1]:
         for cls in live:
             for shape in shapes:
-                choices = [c.choices(n) for c, n in zip(cls.chains, shape)]
-                for child, xs, ys, zs in refinement._children(result.table, cls.cone, shape, choices):
+                blocks = refinement._children(result.table, cls.cone, shape, cls.chains, True)
+                for child, xs, ys, zs in blocks:
                     if child is not None:
                         links = refinement._links(shape, xs[0][0][:1], ys[0][0][:1], zs[0][0][:1])
                         new = refinement.RefinementClass(child, (xs[0][1], ys[0][1], zs[0][1]))
