@@ -22,22 +22,24 @@ generation is a dict from class to multiplicity, each class is classified
 and refined once, and every count of the table is a sum of multiplicities.
 The run keeps each generation's live classes, which the y-projection check
 reads instead of classifying again.  The pairs themselves are replayed on
-demand (``RunResult.replay`` and ``generations``) through the same child
-enumeration and the verdicts of the table the run used.
+demand (``RunResult.replay`` and ``generations``) by ``refine_pair``, which
+lists the children the class loop builds and counts, and the verdicts of
+the table the run used.
 
 A run interns its cones, chain cones and children in the process's
-``RunTable`` for its stop set.  A chain with no reduced form of its
-structure (``Chain.empty``, the degenerate-cone certificate) gives every
-child built from it an empty member set when the parent carries that
-block's ``q11 > 0`` row.  The run counts those children without building
-them: with ``X``, ``Y`` and ``Z`` the choices per factor and ``X'``,
-``Y'`` and ``Z'`` those that lead to no such chain, a shape has
-``|X||Y||Z| - |X'||Y'||Z'|`` of them.  The 4-choice rule counts them
-without listing a choice: when a shape asks a block for ``n >= 4``
-vectors, the parent carries that block's ``q11 > 0`` row and every
-4-choice of the block's chain is empty (``Chain.dead``), all
-``|X||Y||Z|`` children are counted from the sizes (``Chain.count``).  In a
-replay they hold the run's one empty cone, which has no row merge or double
+``RunTable`` for its stop set.  Counted children: a chain with no reduced
+form of its structure (``Chain.empty``, the degenerate-cone certificate)
+gives every child built from it an empty member set when the parent
+carries that block's ``q11 > 0`` row.  With ``X``, ``Y`` and ``Z`` a
+shape's choices per factor and ``X'``, ``Y'`` and ``Z'`` those that lead
+to no such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them; the
+run builds only the ``X' x Y' x Z'`` children, and tests a factor's chains
+only while every factor before it has a choice left.  Under the 4-choice
+rule, when a shape asks a block for ``n >= 4`` vectors, the parent carries
+that block's ``q11 > 0`` row and every 4-choice of the block's chain is
+empty (``Chain.dead``), all ``|X||Y||Z|`` children are counted from the
+sizes (``Chain.count``) and no choice is listed.  In a replay the counted
+children hold the run's one empty cone, which has no row merge or double
 description of its own.
 
 A run factors when one block is free: no stop row touches it, and every
@@ -80,7 +82,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from math import comb, gcd
+from itertools import product
+from math import comb, gcd, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ksets, minima
@@ -127,22 +130,17 @@ class CoveringParameter(NamedTuple):
         return (chain(self.x_sets), chain(self.y_sets), chain(self.z_sets))
 
 
-class RefinementPair:
+class RefinementPair(NamedTuple):
     """A cone, its covering parameter and the ``Chain`` of each factor.
 
     ``chains`` is ``param.chains()``, which ``refine_pair`` reads the next
     choices from and never looks up again; a hand-built pair passes
-    ``param.chains()``.  Pairs compare by identity.
+    ``param.chains()``.
     """
 
-    __slots__ = ("cone", "param", "chains")
-
-    def __init__(
-        self, cone: Cone, param: CoveringParameter, chains: tuple[Chain, Chain, Chain]
-    ) -> None:
-        self.cone = cone
-        self.param = param
-        self.chains = chains
+    cone: Cone
+    param: CoveringParameter
+    chains: tuple[Chain, Chain, Chain]
 
 
 class RefinementClass(NamedTuple):
@@ -167,8 +165,8 @@ class IterationRecord(NamedTuple):
     non-empty member set that are contained in the stop set; the remaining
     ``total - non_empty - stop_absorbed`` pairs have empty member sets.
     ``live_classes`` counts the classes of the ``non_empty`` pairs, and
-    ``counted`` the pairs among ``total`` that are children of an empty
-    chain, counted without being built (see the module docstring).
+    ``counted`` the pairs among ``total`` that the run counts without
+    building them (the module docstring's counted children).
     """
 
     index: int
@@ -437,45 +435,11 @@ class RunTable:
         return cone
 
 
-def _children(
-    table: RunTable, cone: Cone, shape: Shape, chains: Sequence[Chain], listed: bool
-) -> Iterator[tuple[Cone | None, Sequence, Sequence, Sequence]]:
-    """The children of ``cone`` under one shape, in canonical order, in blocks.
-
-    A block ``(child, xs, ys, zs)`` stands for the children that take one
-    choice (``Chain.choices`` of ``chains``) from each of ``xs``, ``ys`` and
-    ``zs``, in lexicographic order.  A built child is a block of one, and
-    ``child`` is its cone from ``table.child``.  A child whose chain on some
-    factor is empty while ``cone`` carries that block's ``q11 > 0`` row has
-    no member: once the choices so far make that so, the children that
-    follow them form one block with ``child`` None, and none of them is
-    built: each holds the run's empty cone, ``_EMPTY_CONE``.  Under the
-    4-choice rule all children form that block, of the choices when
-    ``listed``, else of ranges as long (``Chain.count``).
-    """
-    carried = [row in cone.strict for row in _Q11_ROWS]
-    if max(shape) >= 4 and any(k and c.dead(n) for k, c, n in zip(carried, chains, shape)):
-        yield None, *(c.choices(n) if listed else range(c.count(n)) for c, n in zip(chains, shape))
-        return
-    kx, ky, kz = carried
-    xl, yl, zl = (c.choices(n) for c, n in zip(chains, shape))
-    for x in xl:
-        xset, xn = x
-        if kx and xn.empty:
-            yield None, (x,), yl, zl
-            continue
-        for y in yl:
-            yset, yn = y
-            if ky and yn.empty:
-                yield None, (x,), (y,), zl
-                continue
-            for z in zl:
-                zset, zn = z
-                if kz and zn.empty:
-                    yield None, (x,), (y,), (z,)
-                    continue
-                child = table.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
-                yield child, (x,), (y,), (z,)
+def _dead(carried: Sequence[bool], chains: Sequence[Chain], shape: Shape) -> bool:
+    """The 4-choice rule (see the module docstring) counts every child of
+    ``shape``; ``carried`` tells which blocks' ``q11 > 0`` rows the parent
+    carries."""
+    return max(shape) >= 4 and any(k and c.dead(n) for k, c, n in zip(carried, chains, shape))
 
 
 def refine_pair(
@@ -484,28 +448,29 @@ def refine_pair(
     """All children of one pair, in canonical order.
 
     Shapes are taken in linset order; within a shape the choice collections
-    are each canonically sorted, and the nested product enumerates them
-    lexicographically.  Children with empty member sets are kept.  Each
-    axis's choices and chain cones come from ``pair.chains``, each child
-    carries the chains its choices lead to, and each extended set sequence
-    is built once per shape and choice and shared by the children that take
-    it.  Children with equal member sets share one ``Cone`` of ``table`` (a
-    fresh table when none is given).
+    are each canonically sorted, and their product is enumerated
+    lexicographically.  Children with empty member sets are kept: a counted
+    child (see the module docstring) holds ``_EMPTY_CONE``, and every other
+    is ``table.child``.  Each axis's choices and chain cones come from
+    ``pair.chains``, each child carries the chains its choices lead to, and
+    each extended set sequence is built once per shape and choice and shared
+    by the children that take it.  Children with equal member sets share
+    one ``Cone`` of ``table`` (a fresh table when none is given).
     """
     if table is None:
         table = RunTable(())
-    seqs = (pair.param.x_sets, pair.param.y_sets, pair.param.z_sets)
+    cone, param, chains = pair
+    carried = kx, ky, kz = [row in cone.strict for row in _Q11_ROWS]
     children = []
     for shape in shapes:
-        choices = [c.choices(n) for c, n in zip(pair.chains, shape)]
-        xe, ye, ze = ({s: seq + (s,) for s, _ in cs} for seq, cs in zip(seqs, choices))
-        for child, xs, ys, zs in _children(table, pair.cone, shape, pair.chains, True):
-            cone = _EMPTY_CONE if child is None else child
-            for xset, xn in xs:
-                for yset, yn in ys:
-                    for zset, zn in zs:
-                        param = CoveringParameter(xe[xset], ye[yset], ze[zset])
-                        children.append(RefinementPair(cone, param, (xn, yn, zn)))
+        dead = _dead(carried, chains, shape)
+        sides = [[(s, c, seq + (s,)) for s, c in ch.choices(n)] for seq, ch, n in zip(param, chains, shape)]
+        for (x, xn, xe), (y, yn, ye), (z, zn, ze) in product(*sides):
+            if dead or kx and xn.empty or ky and yn.empty or kz and zn.empty:
+                child = _EMPTY_CONE
+            else:
+                child = table.child(cone, xn, yn, zn, shape, x[:1], y[:1], z[:1])
+            children.append(RefinementPair(child, CoveringParameter(xe, ye, ze), (xn, yn, zn)))
     return children
 
 
@@ -513,22 +478,31 @@ def _refine_classes(
     live: dict[RefinementClass, int], shapes: Sequence[Shape], table: RunTable
 ) -> tuple[dict[RefinementClass, int], int]:
     """The next generation's classes with their multiplicities, in order of
-    first appearance, and the number of children of empty chains.
+    first appearance, and its counted children (see the module docstring).
 
     Each live class is refined once, and its multiplicity is added to each
-    child class.  A block of children of an empty chain adds its size times
-    the multiplicity to the count and builds nothing.
+    child class and, times the number of its counted children, to the
+    count.
     """
     classes: dict[RefinementClass, int] = {}
     counted = 0
     for (cone, chains), mult in live.items():
+        carried = kx, ky, kz = [row in cone.strict for row in _Q11_ROWS]
         for shape in shapes:
-            for child, xs, ys, zs in _children(table, cone, shape, chains, False):
-                if child is None:
-                    counted += mult * len(xs) * len(ys) * len(zs)
-                    continue
-                new = RefinementClass(child, (xs[0][1], ys[0][1], zs[0][1]))
-                classes[new] = classes.get(new, 0) + mult
+            if _dead(carried, chains, shape):
+                counted += mult * prod(c.count(n) for c, n in zip(chains, shape))
+                continue
+            xl, yl, zl = (c.choices(n) for c, n in zip(chains, shape))
+            xs = [x for x in xl if not (kx and x[1].empty)]
+            ys = [y for y in yl if not (ky and y[1].empty)] if xs else []
+            zs = [z for z in zl if not (kz and z[1].empty)] if ys else []
+            counted += mult * (len(xl) * len(yl) * len(zl) - len(xs) * len(ys) * len(zs))
+            for xset, xn in xs:
+                for yset, yn in ys:
+                    for zset, zn in zs:
+                        child = table.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
+                        new = RefinementClass(child, (xn, yn, zn))
+                        classes[new] = classes.get(new, 0) + mult
     return classes, counted
 
 
@@ -639,9 +613,9 @@ def _class_loop(
 
     Each class of a generation counts its multiplicity under the verdict
     ``table.verdict`` gives its cone, and only the live ones are refined
-    next.  The ``counted`` children of empty chains hold the run's empty
-    cone.  A record's seconds cover refining its generation and classifying
-    it.
+    next.  The counted children (see the module docstring) enter ``total``
+    and ``counted`` only.  A record's seconds cover refining its generation
+    and classifying it.
     """
     classes, counted, index = {table.root: 1}, 0, 0
     start = time.perf_counter()

@@ -193,14 +193,17 @@ def _tree_digest(root):
             10558,
             "213ca5b93d6d468771ab6959ff0f59cd55ae7cfcd7d32dfce262adc68dd1ce27",
         ),
+        (("--a", "3", "--b", "1"), 12, "391fee79c6b8e5a433f7cb13ff6990e68ee435ca05ea1f16658f79a46d930fe4"),
+        (("--a", "19", "--b", "1"), 8923, "206536306254f11250956259f22357a4bcfbf35a9e0441d20d6472c87e2ebd1b"),
     ],
 )
 def test_dump_digests(argv, files, digest, tmp_path, capsys):
-    # The --out trees of three reference runs from cold memos, as a fresh
-    # process makes them, byte for byte: a change to the rows, their order,
-    # the rays or the parameters of any pair shows here.  The (1, 0) run
-    # factors, and its replay runs the class loop in the table its
-    # (1, 0, 1) process filled.
+    # The --out trees of three reference runs and two runs that the 4-choice
+    # rule counts from cold memos, as a fresh process makes them, byte for
+    # byte: a change to the rows, their order, the rays or the parameters of
+    # any pair shows here.  The (1, 0) run factors, and its replay runs the
+    # class loop in the table its (1, 0, 1) process filled.  The (3, 1) and
+    # (19, 1) replays give the children of a dead shape the empty cone.
     refinement.clear_caches()
     code, _ = run_cli(capsys, "refine", *argv, "--out", str(tmp_path / "run"))
     assert code == 0

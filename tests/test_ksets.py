@@ -329,6 +329,17 @@ def test_dead_chain_has_only_empty_choices():
     assert not kset_zero_test(hexagonal.key)
 
 
+def test_dead_is_false_when_a_4_choice_has_a_reduced_form():
+    # The square form's first two sets: of the 4-choices of this chain,
+    # ((-2,1),(-1,2),(2,1),(1,2)) leads to a chain that is not empty, by its
+    # own test and by the independent zero test.  So neither dead(4) nor
+    # dead(5) holds, and a ``dead`` that read ``n >= 4`` alone fails here.
+    c = chain([[(1, 0), (0, 1)], [(-1, 1), (1, 1)]])
+    (live,) = [child for s, child in c.choices(4) if s == ((-2, 1), (-1, 2), (2, 1), (1, 2))]
+    assert not live.empty and not kset_zero_test(live.key)
+    assert not c.dead(4) and not c.dead(5)
+
+
 def _assert_count_matches_listing(key):
     # Chains outside the memo count n = 0..8 rising and falling, before they
     # list; then one reads its listing.

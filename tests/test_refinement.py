@@ -770,6 +770,28 @@ def test_class_counters_at_depth_16():
 
 
 @pytest.mark.parametrize(
+    "a, b, max_iter, counted, live_classes",
+    [
+        (
+            1, 2, 14,
+            [0, 0, 4, 10, 8, 17, 9, 9, 40, 30, 54, 24, 74, 35, 267],
+            [1, 3, 5, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 3],
+        ),
+        (19, 1, 13, [0, 2009, 2850, 4060, 0], [1, 1, 1, 0, 0]),
+    ],
+)
+def test_counted_and_live_class_rows(a, b, max_iter, counted, live_classes):
+    # The ``counted`` and ``live_classes`` rows of two diagonal runs, pinned
+    # apart from the replay that the next test checks them against.  On
+    # (1, 2)/14 some choices of a side lead to empty chains and others do
+    # not; on (19, 1)/13 the 4-choice rule counts every child of (20, 0, 19)
+    # and (0, 20, 1).
+    result = run_algorithm(a, b, "diagonal", max_iter)
+    assert [rec.counted for rec in result.log] == counted
+    assert [rec.live_classes for rec in result.log] == live_classes
+
+
+@pytest.mark.parametrize(
     "a, b, stop_kind, max_iter",
     [
         (1, 0, "q1_eq_q3", 13),
@@ -961,18 +983,25 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch
 def _link_sets(result):
     """Each class the run's live classes refine to, with the link set of the
     first path that reaches it: the root has none, and a child gets its
-    parent's set and the links of its step, each ``(i, u, j, v)``."""
+    parent's set and the links of its step, each ``(i, u, j, v)``.  A
+    class's children come from ``refine_pair`` on a pair with its cone, its
+    chains and no chosen sets, so each child's parameter holds the sets of
+    its step; the counted ones, of a dead shape or an empty chain, are
+    skipped."""
     shapes = linset(result.a, result.b)
     ((root, _),) = result.live_classes[0].items()
     sets = {root: frozenset()}
     for live in result.live_classes[:-1]:
         for cls in live:
+            pair = RefinementPair(cls.cone, CoveringParameter(), cls.chains)
+            carried = [row in cls.cone.strict for row in refinement._Q11_ROWS]
             for shape in shapes:
-                blocks = refinement._children(result.table, cls.cone, shape, cls.chains, True)
-                for child, xs, ys, zs in blocks:
-                    if child is not None:
-                        links = refinement._links(shape, xs[0][0][:1], ys[0][0][:1], zs[0][0][:1])
-                        new = refinement.RefinementClass(child, (xs[0][1], ys[0][1], zs[0][1]))
+                if refinement._dead(carried, cls.chains, shape):
+                    continue
+                for child in refine_pair(pair, [shape], result.table):
+                    if not any(k and c.empty for k, c in zip(carried, child.chains)):
+                        links = refinement._links(shape, *(seq[0][:1] for seq in child.param))
+                        new = refinement.RefinementClass(child.cone, child.chains)
                         sets.setdefault(new, sets[cls] | set(links))
     return sets
 
