@@ -337,6 +337,8 @@ class Cone:
         over bit for bit.  The result's DD runs now, from this cone's
         description (computed first if need be), and inserts only the new
         rows.  Every cone built from another cone's description is built here.
+        It keeps this cone's strict rows, so every cone a refinement run cuts
+        from its initial cone carries the three ``q11 > 0`` rows.
         """
         closed = tuple(dict.fromkeys(chain(self.closed, closed)))
         strict = tuple(dict.fromkeys(chain(self.strict, strict)))

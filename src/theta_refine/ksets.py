@@ -97,19 +97,24 @@ def _collapses(s: Sequence[Pair]) -> bool:
     return False
 
 
-def _step_rows(key: Key) -> list[tuple[int, int, int]]:
-    """The rows the last set ``s`` of ``key`` adds to its prefix's cone: the
-    link ``Q(s_0) >= Q(x)`` for the prefix's last vector ``x``, the
-    equalities within ``s``, and ``Q(w) >= Q(s_last)`` for every minimal
-    vector ``w`` outside the key.  Each is an integer row scaled primitive
-    (``_primitive``); none is zero, because distinct strongly primitive
-    vectors have distinct coefficient rows.  The key is checked, so its
-    minimal complement is read unchecked."""
-    s = key[-1]
-    rows = [_row_diff(s[0], key[-2][-1])] if len(key) > 1 else []
-    rows += (r for v in s[1:] for r in (_row_diff(v, s[0]), _row_diff(s[0], v)))
-    excluded = frozenset(v for t in key for v in t)
-    rows += (_row_diff(w, s[-1]) for w in _min_complement(excluded))
+def _step_rows(
+    s: Sequence[Pair], last: Pair | None, excluded: frozenset[Pair]
+) -> list[tuple[int, int, int]]:
+    """The rows a set ``s`` adds to a cone, each primitive, none zero: the
+    link ``Q(s_0) >= Q(last)`` unless ``last`` is None, the equalities in
+    ``s``, and ``Q(w) >= Q(s_last)`` for every minimal ``w`` outside the
+    checked exclusion ``excluded``, which holds ``s``.  The free walk
+    passes None: its ``s_0`` is minimal outside the prefix's exclusion, so
+    the link is a row of the prefix's cone."""
+    (x0, y0), (xl, yl) = s[0], s[-1]
+    rows = []
+    if last is not None:
+        x, y = last
+        rows.append((x0 * x0 - x * x, y0 * y0 - y * y, x0 * y0 - x * y))
+    for x, y in s[1:]:
+        row = (x * x - x0 * x0, y * y - y0 * y0, x * y - x0 * y0)
+        rows += row, (-row[0], -row[1], -row[2])
+    rows += ((x * x - xl * xl, y * y - yl * yl, x * y - xl * yl) for x, y in _min_complement(excluded))
     return [_primitive(r) for r in rows]
 
 
@@ -120,9 +125,10 @@ class Chain:
     follow from it, and each is computed at its first use.  Its prefix and
     its children, the key plus a set of its choices, are valid keys, looked
     up unchecked; a child's key shares its parent's set tuples.  ``kset(key)``
-    lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by
-    ``_step_rows(key)``, which are canonical already: it has the member set
-    of ``kset(key)``, and its DD resumes from the prefix cone's description.
+    lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by the
+    ``_step_rows`` of its last set, linked to the prefix's last vector,
+    which are canonical already: it has the member set of ``kset(key)``,
+    and its DD resumes from the prefix cone's description.
     The root, key ``()``, is ``kset(())``.
 
     ``empty`` is ``kset_zero_test(key)``: no reduced form has this
@@ -146,8 +152,11 @@ class Chain:
     def cone(self) -> Cone:
         """The chain cone, built at the first call from the prefix's cone."""
         if self._cone is None:
-            if self.key:
-                self._cone = _chain(self.key[:-1]).cone._cut(_step_rows(self.key))
+            key = self.key
+            if key:
+                last = key[-2][-1] if len(key) > 1 else None
+                excluded = frozenset(v for s in key for v in s)
+                self._cone = _chain(key[:-1]).cone._cut(_step_rows(key[-1], last, excluded))
             else:
                 self._cone = kset(())
         return self._cone

@@ -30,15 +30,16 @@ A run interns its cones, chain cones and children in the process's
 ``RunTable`` for its stop set.  Counted children: a chain with no reduced
 form of its structure (``Chain.empty``, the degenerate-cone certificate)
 gives every child built from it an empty member set when the parent
-carries that block's ``q11 > 0`` row.  With ``X``, ``Y`` and ``Z`` a
-shape's choices per factor and ``X'``, ``Y'`` and ``Z'`` those that lead
-to no such chain, a shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them; the
-run builds only the ``X' x Y' x Z'`` children, and tests a factor's chains
-only while every factor before it has a choice left.  Under the 4-choice
-rule, when a shape asks a block for ``n >= 4`` vectors, the parent carries
-that block's ``q11 > 0`` row and every 4-choice of the block's chain is
-empty (``Chain.dead``), all ``|X||Y||Z|`` children are counted from the
-sizes (``Chain.count``) and no choice is listed.  In a replay the counted
+carries that block's ``q11 > 0`` row, as every cone a run builds does
+(``Cone._cut``).  With ``X``, ``Y`` and ``Z`` a shape's choices per
+factor and ``X'``, ``Y'`` and ``Z'`` those that lead to no such chain, a
+shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them; the run builds only the
+``X' x Y' x Z'`` children, and tests a factor's chains only while every
+factor before it has a choice left.  Under the 4-choice rule, when a
+shape asks a block for ``n >= 4`` vectors, the parent carries that
+block's ``q11 > 0`` row and every 4-choice of the block's chain is empty
+(``Chain.dead``), all ``|X||Y||Z|`` children are counted from the sizes
+(``Chain.count``) and no choice is listed.  In a replay the counted
 children hold the run's one empty cone, which has no row merge or double
 description of its own.
 
@@ -51,11 +52,13 @@ another step only ``C`` and the other chains.  So ``run_algorithm`` steps
 two processes one generation at a time.  The first is the class loop
 from the root class under the other shapes; its free block keeps the root
 chain, whose cone has members with ``q11 > 0``, so its verdicts are
-those of ``C``.  The second walks the free block's chains
-(``Chain.choices``, ``Chain.empty``).  It is exact: the strict rows of
-every cone are the three ``q11 > 0`` rows, and a chain is empty when no
-ray of its cone has ``q11 > 0``, so a free child of a live class is live
-unless its chain is empty, when it is counted; it builds no cone.
+those of ``C``.  The second walks the free block's states ``(cone,
+excluded)``, with no ``Chain``: each ``s`` of ``minima._min_n(excluded,
+n)``, for each size ``n`` a shape asks of the block, gives the child cut
+by ``ksets._step_rows(s, None, excluded | s)``.  Its link row is a row of
+``cone`` already, so each state has its key's chain cone.  A free child
+of a live class is live unless no ray of its cone has ``q11 > 0``
+(``Chain.empty``), when it is counted.
 A pair of generation ``g`` with ``k`` steps of the first process is one
 of ``C(g, k)`` interleavings, ``C(g-1, k-1)`` of which end with a step of
 the first.  With ``A[k]`` and ``B[j]`` the processes' records,
@@ -88,7 +91,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ksets, minima
 from .geometry import Cone, Vector, _padded, _primitive, product3
-from .ksets import V_CONE, Chain, chain
+from .ksets import V_CONE, Chain, _step_rows, chain
 from .quadform import coeff_row
 
 Pair = tuple[int, int]
@@ -127,7 +130,7 @@ class CoveringParameter(NamedTuple):
 
     def chains(self) -> tuple[Chain, Chain, Chain]:
         """The process's ``Chain`` of each factor's set sequence."""
-        return (chain(self.x_sets), chain(self.y_sets), chain(self.z_sets))
+        return tuple(map(chain, self))
 
 
 class RefinementPair(NamedTuple):
@@ -328,18 +331,11 @@ def aux_cones(
     zs: tuple[Pair, ...],
     shape: Shape,
 ) -> tuple[Cone, Cone]:
-    """Product of the three extended chain cones, and the value-link rows.
-
-    The link rows use one representative per linked pair of sets (their first
-    elements); the remaining equalities are already enforced inside the chain
-    cones.  Shape (1,1,1) links factor 1 to both others; a shape with no
-    factor-2 part links factors 1 and 3; a shape with no factor-1 part links
-    factors 2 and 3.  A link is omitted when either side is empty.
-    """
-    k1 = chain(param.x_sets + (xs,)).cone
-    k2 = chain(param.y_sets + (ys,)).cone
-    k3 = chain(param.z_sets + (zs,)).cone
-    return product3(k1, k2, k3), Cone(9, _link_rows(_links(shape, xs, ys, zs)))
+    """Product of the three extended chain cones, and the rows of the
+    value links (``_links``) as a cone.  A link takes the first element of
+    each linked set; the chain cones hold the other equalities."""
+    ks = [chain(seq + (s,)).cone for seq, s in zip(param, (xs, ys, zs))]
+    return product3(*ks), Cone(9, _link_rows(_links(shape, xs, ys, zs)))
 
 
 _EMPTY, _ABSORBED, _LIVE = range(3)
@@ -435,10 +431,10 @@ class RunTable:
         return cone
 
 
-def _dead(carried: Sequence[bool], chains: Sequence[Chain], shape: Shape) -> bool:
+def _dead(chains: Sequence[Chain], shape: Shape, carried: Sequence[bool] = (True,) * 3) -> bool:
     """The 4-choice rule (see the module docstring) counts every child of
     ``shape``; ``carried`` tells which blocks' ``q11 > 0`` rows the parent
-    carries."""
+    carries, all three in a run."""
     return max(shape) >= 4 and any(k and c.dead(n) for k, c, n in zip(carried, chains, shape))
 
 
@@ -463,7 +459,7 @@ def refine_pair(
     carried = kx, ky, kz = [row in cone.strict for row in _Q11_ROWS]
     children = []
     for shape in shapes:
-        dead = _dead(carried, chains, shape)
+        dead = _dead(chains, shape, carried)
         sides = [[(s, c, seq + (s,)) for s, c in ch.choices(n)] for seq, ch, n in zip(param, chains, shape)]
         for (x, xn, xe), (y, yn, ye), (z, zn, ze) in product(*sides):
             if dead or kx and xn.empty or ky and yn.empty or kz and zn.empty:
@@ -487,15 +483,14 @@ def _refine_classes(
     classes: dict[RefinementClass, int] = {}
     counted = 0
     for (cone, chains), mult in live.items():
-        carried = kx, ky, kz = [row in cone.strict for row in _Q11_ROWS]
         for shape in shapes:
-            if _dead(carried, chains, shape):
+            if _dead(chains, shape):
                 counted += mult * prod(c.count(n) for c, n in zip(chains, shape))
                 continue
             xl, yl, zl = (c.choices(n) for c, n in zip(chains, shape))
-            xs = [x for x in xl if not (kx and x[1].empty)]
-            ys = [y for y in yl if not (ky and y[1].empty)] if xs else []
-            zs = [z for z in zl if not (kz and z[1].empty)] if ys else []
+            xs = [x for x in xl if not x[1].empty]
+            ys = [y for y in yl if not y[1].empty] if xs else []
+            zs = [z for z in zl if not z[1].empty] if ys else []
             counted += mult * (len(xl) * len(yl) * len(zl) - len(xs) * len(ys) * len(zs))
             for xset, xn in xs:
                 for yset, yn in ys:
@@ -530,10 +525,11 @@ def run_algorithm(
 
     Runs for at most ``max_iter`` refinements or until a generation is
     produced with no pairs at all.  A run with a free block steps its two
-    processes and combines their counts (see the module docstring); any
-    other run is ``_run_generic``.  The run is sequential and interns into
-    the process's table for its stop set; its log is the same whatever ran
-    before it.  ``threads`` is accepted for compatibility and must be 1.
+    processes, the class loop and the free walk, and combines their counts
+    (see the module docstring); any other run is ``_run_generic``.  The run
+    is sequential and interns into the process's table for its stop set;
+    its log is the same whatever ran before it.  ``threads`` is accepted
+    for compatibility and must be 1.
     """
     shapes = linset(a, b)
     if max_iter < 0:
@@ -549,15 +545,23 @@ def run_algorithm(
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
     loop = _class_loop(rest, table)
     log = [next(loop)[1]]
-    steps, walked, chains = log[:], [IterationRecord(0, 1, 1, 0, 1, 0, 0.0)], [table.root.chains[free]]
+    steps, walked = log[:], [IterationRecord(0, 1, 1, 0, 1, 0, 0.0)]
+    states = [(table.root.chains[free].cone, frozenset())]
     while log[-1].total and len(log) <= max_iter:
         start = time.perf_counter()
         steps.append(next(loop)[1])
-        # The free process: a child of a live chain is live unless its chain
-        # is empty, when it is counted.  Distinct steps give distinct chains.
-        children = [c for p in chains for n in ns for _, c in p.choices(n)]
-        chains = [c for c in children if not c.empty]
-        n = len(chains)
+        # The free process: a child of a live state is live unless no ray of
+        # its cone has q11 > 0, when it is counted.  Distinct steps give
+        # distinct states.
+        children = [
+            (cone._cut(_step_rows(s, None, e)), e)
+            for cone, excluded in states
+            for n in ns
+            for s in minima._min_n(excluded, n)
+            for e in [excluded.union(s)]
+        ]
+        states = [c for c in children if any(r[0] for r in c[0].edges())]
+        n = len(states)
         walked.append(IterationRecord(len(log), len(children), n, 0, n, len(children) - n, 0.0))
         log.append(_convolve(steps, walked, time.perf_counter() - start))
     return RunResult(a, b, stop_kind, log, table)

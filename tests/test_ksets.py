@@ -353,15 +353,19 @@ def _assert_count_matches_listing(key):
 
 
 def test_count_equals_listing_on_run_exclusions():
-    # Every exclusion held by a chain of the reference runs, n = 0..8.
+    # Every exclusion the reference runs ask ``minima`` about, n = 0..8: the
+    # exclusions of their chains, of the free walk's states, which build no
+    # chain, and of the prefixes ``min_n`` extends.  The chains alone held
+    # 164 of these 381.
     refinement.clear_caches()
     for args in ((1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13)):
         run_algorithm(*args)
     run_algorithm(19, 1, "diagonal", 13)
-    keys = {frozenset(v for s in key for v in s): key for key in list(ksets._chains)}
-    assert len(keys) == 164
-    for key in keys.values():
-        _assert_count_matches_listing(key)
+    exclusions = list(minima._min_complement_cache)
+    assert len(exclusions) == 381
+    assert {frozenset(v for s in key for v in s) for key in ksets._chains} <= set(exclusions)
+    for excluded in exclusions:
+        _assert_count_matches_listing((tuple(sorted(excluded)),) if excluded else ())
 
 
 @settings(max_examples=200, deadline=None)

@@ -643,17 +643,20 @@ def test_one_cone_object_per_member_set(run_10):
 
 
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
-    # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  Each of
-    # the 336 distinct chain sequences gets one three-dimensional DD, so its
-    # chain knows whether it is empty.  The run factors: the (0, 1, 0) steps
-    # walk the second block's chains and build no cone, and the (1, 0, 1)
-    # steps build 3 nine-dimensional cones, each tested once for emptiness,
-    # with the initial cone, 4 tests.  The class loop over both shapes
-    # (``_run_generic``) builds one cone per distinct construction (parent,
-    # interned chain cones, shape and link vectors) without an empty chain,
-    # 590, and tests each of the 315 member sets other than the empty
-    # cone's once.  The initial cone and the run's empty cone get no DD, as
-    # they were described at import.
+    # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  The run
+    # factors.  The (0, 1, 0) steps walk the second block's 335 states past
+    # the root, each cut from its parent's cone with one three-dimensional
+    # DD, and build no nine-dimensional cone.  The walk makes no chain, so
+    # the 3 chain cones past the root that the (1, 0, 1) steps use get DDs
+    # of their own: 1 + 3 + 335 = 339.  Those steps build 3 nine-dimensional
+    # cones, each tested once for emptiness, with the initial cone, 4 tests.
+    # The class loop over both shapes (``_run_generic``) gives each of the
+    # 336 distinct chain sequences one three-dimensional DD, so its chain
+    # knows whether it is empty, builds one cone per distinct construction
+    # (parent, interned chain cones, shape and link vectors) without an
+    # empty chain, 590, and tests each of the 315 member sets other than the
+    # empty cone's once.  The initial cone and the run's empty cone get no
+    # DD, as they were described at import.
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -662,7 +665,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
         return is_member_empty(self)
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    expected = ((run_algorithm, {3: 336, 9: 3}, 4), (refinement._run_generic, {3: 336, 9: 590}, 315))
+    expected = ((run_algorithm, {3: 339, 9: 3}, 4), (refinement._run_generic, {3: 336, 9: 590}, 315))
     for run, dds, tests in expected:
         dd = _count_dd_by_dim(monkeypatch)
         empties[0] = 0
@@ -672,15 +675,17 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
 
 
 def test_factored_replay_classifies_through_its_table(monkeypatch):
-    # The factored (1, 0) q1_eq_q3 run to 13 from cold memos builds every
-    # chain cone its pairs reach but only 3 nine-dimensional cones.  Its
-    # replay starts from the table's root and asks the table for the verdict
-    # of each pair it refines: it builds the other 587 constructions of the
-    # class loop over both shapes and no chain cone, and tests 193 member
-    # sets, not the class loop's 311 after the run's 4, because the last
-    # generation is never refined.  It runs no class loop and forms no live
-    # class.  The result keeps its table and the root chain, so a second
-    # replay after ``clear_caches`` runs no DD.
+    # The factored (1, 0) q1_eq_q3 run to 13 from cold memos walks the free
+    # block's cones with no chain, and builds only 3 nine-dimensional cones
+    # and the chain cones of the (1, 0, 1) steps.  Its replay starts from
+    # the table's root and asks the table for the verdict of each pair it
+    # refines: it builds the other 587 constructions of the class loop over
+    # both shapes and the 332 chain cones of the free block that the
+    # (1, 0, 1) steps did not build, and tests 193 member sets, not the class
+    # loop's 311 after the run's 4, because the last generation is never
+    # refined.  It runs no class loop and forms no live class.  The result
+    # keeps its table and the root chain, whose choices reach every chain
+    # the replay made, so a second replay after ``clear_caches`` runs no DD.
     dd = _count_dd_by_dim(monkeypatch)
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     dd.update({3: 0, 9: 0})
@@ -700,10 +705,10 @@ def test_factored_replay_classifies_through_its_table(monkeypatch):
     monkeypatch.setattr(refinement, "_run_generic", counting("generic", run_generic))
     monkeypatch.setattr(refinement, "_class_loop", counting("loop", class_loop))
     assert sum(map(len, result.generations)) == 10558
-    assert (dd, calls) == ({3: 0, 9: 587}, {"empty": 193, "generic": 0, "loop": 0})
+    assert (dd, calls) == ({3: 332, 9: 587}, {"empty": 193, "generic": 0, "loop": 0})
     refinement.clear_caches()
     assert sum(map(len, result.replay())) == 10558
-    assert dd == {3: 0, 9: 587}
+    assert dd == {3: 332, 9: 587}
 
 
 def test_min_complement_builds_from_cold_memos():
@@ -947,7 +952,8 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch
     # Every construction of a run from cold memos, built as one row merge,
     # has the rows, row order, rays and tight-row masks of the parent cut by
     # the product of the chain cones and the link cone; every chain cone has
-    # those of its prefix's cone cut by ``Cone(3, _step_rows(key))``.  The
+    # those of its prefix's cone cut by ``Cone(3, rows)``, the ``_step_rows``
+    # of its last set linked to the prefix's last vector.  The
     # table keeps a child interned, so each nine-dimensional ``Cone._cut``
     # is recorded as built and paired with the key the table files it under:
     # one cut per key, in build order.  The class loop runs over every
@@ -974,7 +980,9 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch
     chains = [c for c in ksets._chains.values() if c.key and c._cone is not None]
     for c in chains:
         prefix = ksets._chain(c.key[:-1]).cone
-        assert _description(c.cone) == _description(prefix.intersect(Cone(3, ksets._step_rows(c.key))))
+        last = c.key[-2][-1] if len(c.key) > 1 else None
+        rows = ksets._step_rows(c.key[-1], last, frozenset(v for s in c.key for v in s))
+        assert _description(c.cone) == _description(prefix.intersect(Cone(3, rows)))
     assert (len(children), len(chains)) == {
         (1, 0): (590, 335), (1, 2): (92, 223)
     }[a, b]
@@ -994,12 +1002,11 @@ def _link_sets(result):
     for live in result.live_classes[:-1]:
         for cls in live:
             pair = RefinementPair(cls.cone, CoveringParameter(), cls.chains)
-            carried = [row in cls.cone.strict for row in refinement._Q11_ROWS]
             for shape in shapes:
-                if refinement._dead(carried, cls.chains, shape):
+                if refinement._dead(cls.chains, shape):
                     continue
                 for child in refine_pair(pair, [shape], result.table):
-                    if not any(k and c.empty for k, c in zip(carried, child.chains)):
+                    if not any(c.empty for c in child.chains):
                         links = refinement._links(shape, *(seq[0][:1] for seq in child.param))
                         new = refinement.RefinementClass(child.cone, child.chains)
                         sets.setdefault(new, sets[cls] | set(links))
@@ -1112,3 +1119,71 @@ def test_only_the_b_zero_runs_under_q1_eq_q3_factor():
         (k, 0, "q1_eq_q3"): 1 for k in range(1, 13)
     }
     assert stop_set("diagonal") is stop_set("diagonal")
+
+
+@pytest.mark.filterwarnings("ignore:gcd")
+@pytest.mark.parametrize("a", [1, 2])
+def test_free_walk_states_have_their_chain_cones(a, monkeypatch):
+    # The factored (a, 0) q1_eq_q3 runs to 13 from cold memos walk the
+    # second block's states, each a cone and an exclusion, with no chain.
+    # A state's cone is its parent's cut by the ``_step_rows`` of its set
+    # ``s`` with no link row; each cut is recorded with its parent and set.
+    # Along the path of sets from the root chain's cone, every state has
+    # the closed rows, in order, and the rays of ``chain(key).cone``.  The
+    # link row that the chain adds, ``Q(s_0) >= Q(last)``, is a closed row
+    # of the parent's cone already, since ``s_0`` is minimal outside the
+    # parent's exclusion.  A state below the last depth has children iff
+    # its chain is not empty.
+    refinement.clear_caches()
+    steps, pending = {}, []
+    step_rows, cut = refinement._step_rows, Cone._cut
+
+    def recording_rows(s, last, excluded):
+        pending.append(s)
+        return step_rows(s, last, excluded)
+
+    def recording_cut(self, *rows):
+        cone = cut(self, *rows)
+        if pending:
+            steps[cone] = self, pending.pop()
+        return cone
+
+    monkeypatch.setattr(refinement, "_step_rows", recording_rows)
+    monkeypatch.setattr(Cone, "_cut", recording_cut)
+    result = run_algorithm(a, 0, "q1_eq_q3", 13)
+    monkeypatch.undo()
+    keys = {result.table.root.chains[1].cone: ()}
+    for cone, (parent, s) in steps.items():
+        key = keys[cone] = keys[parent] + (s,)
+        want = ksets.chain(key).cone
+        assert (cone.closed, cone.edges()) == (want.closed, want.edges()), key
+        if len(key) > 1:
+            assert geometry._primitive(ksets._row_diff(s[0], key[-2][-1])) in parent.closed, key
+    parents = {parent for parent, _ in steps.values()}
+    for cone, key in keys.items():
+        if len(key) < 13:
+            assert (cone in parents) == (not ksets.chain(key).empty), key
+    assert len(steps) == 335
+    assert max(map(len, keys.values())) == 13
+
+
+def test_every_run_cone_carries_the_q11_rows():
+    # ``Cone._cut`` keeps the strict rows of the cone it cuts, so every cone
+    # a run builds, cut from the initial cone, carries the three q11 > 0
+    # rows, and the class loop tests a chain's emptiness on every block.  On
+    # every coprime (a, b) with a + b <= 20, (1, 0) and (0, 1) among them,
+    # run to 13 under both stop sets from cold memos, every nine-dimensional
+    # cone the two tables intern, 1 329 diagonal and 699 q1_eq_q3, has
+    # exactly those strict rows.
+    refinement.clear_caches()
+    pairs = [(a, s - a) for s in range(1, 21) for a in range(s + 1) if gcd(a, s) == 1]
+    assert len(pairs) == 129
+    for kind in refinement.STOP_SET_KINDS:
+        for a, b in pairs:
+            run_algorithm(a, b, kind, 13)
+    cones = [
+        cone for table in refinement._tables.values() for cone in table._cones.values()
+        if cone.dim == 9
+    ]
+    assert len(cones) == 1329 + 699
+    assert all(cone.strict == refinement._Q11_ROWS for cone in cones)
