@@ -12,14 +12,16 @@ judges emptiness.
 sets; a chain looks up its prefix and children by its own key, and asks
 ``minima`` about it, unchecked.  A chain builds its cone at the first use,
 from its prefix's cone and the canonical rows its last set adds, and
-decides emptiness first from an integer certificate on its key.
+decides emptiness first from certificates that need no DD: on its key, on
+its prefix's listed choices, and on the signs of its rows at a prefix cone
+with one ray.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import Cone, _primitive
+from .geometry import Cone, _dot, _primitive
 from .minima import _count_n, _min_complement, _min_n, min_complement
 from .quadform import coeff_row, is_strongly_primitive
 
@@ -132,11 +134,26 @@ class Chain:
     The root, key ``()``, is ``kset(())``.
 
     ``empty`` is ``kset_zero_test(key)``: no reduced form has this
-    structure.  When a set of at least four vectors ``_collapses``, the
-    cone is ``{0}`` and ``empty`` is true without building it.  Otherwise
-    ``empty`` is true iff no extreme ray has ``q11 > 0``: the cone lies in
-    the pointed closed reduction domain, so it is the conic hull of its
-    rays.
+    structure.  It is true without a cone (``_dies``) when a set of at
+    least four vectors ``_collapses``, so the cone is ``{0}``; when the last
+    set ``s`` has ``n >= 2`` vectors and holds an ``(n-1)``-choice of the
+    prefix, among those the prefix has listed, whose chain is empty (the
+    sub-choice lemma below); or when the prefix cone has one extreme ray
+    ``r`` and a row of ``s`` is negative at ``r``: a pointed cone with one
+    ray, cut by closed rows, is ``cone(r)`` when every row is ``>= 0`` at
+    ``r`` and ``{0}`` otherwise.  Else the cone is cut from the rows just
+    computed, and ``empty`` is true iff no extreme ray has ``q11 > 0``: the
+    cone lies in the pointed closed reduction domain, so it is the conic
+    hull of its rays.
+
+    The sub-choice lemma: let ``t`` be an ``(n-1)``-choice of the prefix,
+    whose exclusion is ``E``, inside an ``n``-choice ``s``.  For ``Q`` in
+    the chain cone of ``s``, every ``w`` minimal outside ``E ∪ t`` is either
+    the remaining vector of ``s`` or dominated by some ``w'`` minimal
+    outside ``E ∪ s``, so ``Q(w) >= Q(w') >= Q(s_last) = Q(t_last)``; and
+    ``Q`` takes one value on ``s``, so it meets the link and equalities of
+    ``t``.  So ``Q`` lies in the chain cone of ``t``.  ``dead`` is the lemma
+    from size 4 on.
     """
 
     __slots__ = ("key", "_cone", "_empty", "_choices", "_counts")
@@ -152,23 +169,48 @@ class Chain:
     def cone(self) -> Cone:
         """The chain cone, built at the first call from the prefix's cone."""
         if self._cone is None:
-            key = self.key
-            if key:
-                last = key[-2][-1] if len(key) > 1 else None
-                excluded = frozenset(v for s in key for v in s)
-                self._cone = _chain(key[:-1]).cone._cut(_step_rows(key[-1], last, excluded))
+            if self.key:
+                prefix, rows = self._step()
+                self._cone = prefix._cut(rows)
             else:
                 self._cone = kset(())
         return self._cone
 
+    def _step(self) -> tuple[Cone, list[tuple[int, int, int]]]:
+        """The prefix's cone and the ``_step_rows`` of the last set, linked
+        to the prefix's last vector."""
+        key = self.key
+        last = key[-2][-1] if len(key) > 1 else None
+        excluded = frozenset(v for s in key for v in s)
+        return _chain(key[:-1]).cone, _step_rows(key[-1], last, excluded)
+
     @property
     def empty(self) -> bool:
-        """``kset_zero_test(key)``: the key's certificate, else the rays."""
+        """``kset_zero_test(key)``: a certificate with no DD, else the rays."""
         if self._empty is None:
-            self._empty = any(len(s) >= 4 and _collapses(s) for s in self.key) or all(
-                r[0] == 0 for r in self.cone.edges()
-            )
+            self._empty = self._dies() or all(r[0] == 0 for r in self.cone.edges())
         return self._empty
+
+    def _dies(self) -> bool:
+        """A certificate that the chain is empty, with no DD of its own (see
+        the class docstring); when there is none and the rows were
+        computed, it cuts the cone from them."""
+        key = self.key
+        if any(len(s) >= 4 and _collapses(s) for s in key):
+            return True
+        if not key or self._cone is not None:
+            return False
+        s = key[-1]
+        if len(s) >= 2 and any(
+            c.empty and set(s).issuperset(t) for t, c in _chain(key[:-1])._choices.get(len(s) - 1, ())
+        ):
+            return True
+        prefix, rows = self._step()
+        rays = prefix.edges()
+        if len(rays) == 1 and any(_dot(a, rays[0]) < 0 for a in rows):
+            return True
+        self._cone = prefix._cut(rows)
+        return False
 
     def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
         """Each set of ``min_n(excluded, n)`` with the chain it leads to; an
@@ -187,7 +229,8 @@ class Chain:
         """``n >= 4`` and every chain of ``choices(4)`` is empty.  Then so is
         every chain of ``choices(n)``: the first four vectors of an
         ``n``-choice, in construction order, are a 4-choice whose chain cone
-        contains the ``n``-choice's."""
+        contains the ``n``-choice's (the sub-choice lemma, applied
+        ``n - 4`` times)."""
         return n >= 4 and all(c.empty for _, c in self.choices(4))
 
     def count(self, n: int) -> int:

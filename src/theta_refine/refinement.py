@@ -41,7 +41,10 @@ block's ``q11 > 0`` row and every 4-choice of the block's chain is empty
 (``Chain.dead``), all ``|X||Y||Z|`` children are counted from the sizes
 (``Chain.count``) and no choice is listed.  In a replay the counted
 children hold the run's one empty cone, which has no row merge or double
-description of its own.
+description of its own.  Of the children a run builds, one whose parent
+cone has one extreme ray ``r`` needs neither: it is the parent when every
+row it adds is ``>= 0`` at ``r``, and the empty cone otherwise
+(``RunTable.child``).
 
 A run factors when one block is free: no stop row touches it, and every
 shape that touches it touches no other block, so no link row touches it
@@ -90,7 +93,7 @@ from math import comb, gcd, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ksets, minima
-from .geometry import Cone, Vector, _padded, _primitive, product3
+from .geometry import Cone, Vector, _dot, _padded, _primitive, product3
 from .ksets import V_CONE, Chain, _step_rows, chain
 from .quadform import coeff_row
 
@@ -357,9 +360,11 @@ class RunTable:
     child of a parent cone, three interned chain cones, a shape and the
     first elements of the linked sets, which fix the child's member set.
     Chains of equal geometry so share one child, and a repeated construction
-    skips the row merge and the double description.  Building from the
-    interned chain cone, not each chain's own, makes the DDs insert fewer
-    rows: 1 577 against 2 805 on ``(1,2)``/14.  ``verdict`` classifies a
+    skips the row merge and the double description; so does a child of a
+    parent with one extreme ray, which the signs at the ray decide.
+    Building from the interned chain cone, not each chain's own, makes the
+    nine-dim DDs insert fewer rows: 298 against 354 on ``(1,1)``/13 and 85
+    against 98 on ``(1,2)``/14.  ``verdict`` classifies a
     cone at its first query and memoises the verdict in ``verdicts``.
 
     A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held by
@@ -420,14 +425,34 @@ class RunTable:
         order, of ``parent.intersect(product3(k1, k2, k3), Cone(9, link
         rows))``, neither of which is built.  Chain cones carry no strict
         rows, so neither does the cut.
+
+        A pointed parent with one extreme ray ``r``, cut by closed rows, is
+        ``cone(r)`` when every row is ``>= 0`` at ``r`` and ``{0}``
+        otherwise, so the child reads each ``k_i``'s rows on block ``i`` of
+        ``r`` and each link ``(i, u, j, v)`` as ``Q_i(u)(r_i) ==
+        Q_j(v)(r_j)``, and is the table's cone with that member set: the
+        parent or ``_EMPTY_CONE``, with no cut.  A table that holds neither
+        (a hand-built parent) cuts, so the child is always
+        ``intern(parent._cut(rows))``.
         """
         ks = self._chain_cones
         k1, k2, k3 = (ks.get(c) or ks.setdefault(c, self.intern(c.cone)) for c in (c1, c2, c3))
         key = (parent, k1, k2, k3, shape, x1, y1, z1)
         cone = self._children.get(key)
         if cone is None:
-            rows = [*_padded((k1, k2, k3), "closed"), *_link_rows(_links(shape, x1, y1, z1))]
-            cone = self._children[key] = self.intern(parent._cut(rows))
+            links = _links(shape, x1, y1, z1)
+            rays, lin, _ = parent._closed_description()
+            if len(rays) == 1 and not lin:
+                r = rays[0]
+                rs = r[:3], r[3:6], r[6:]
+                keep = all(_dot(a, b) >= 0 for k, b in zip((k1, k2, k3), rs) for a in k.closed) and all(
+                    _dot(coeff_row(u), rs[i]) == _dot(coeff_row(v), rs[j]) for i, u, j, v in links
+                )
+                cone = self._cones.get((9, rays if keep else (), frozenset(parent.strict)))
+            if cone is None:
+                rows = [*_padded((k1, k2, k3), "closed"), *_link_rows(links)]
+                cone = self.intern(parent._cut(rows))
+            self._children[key] = cone
         return cone
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta_refine import ksets, minima, refinement
-from theta_refine.geometry import Cone, cones_closed_equal, cones_equivalent
+from theta_refine.geometry import Cone, _closed_within, cones_closed_equal, cones_equivalent
 from theta_refine.ksets import (
     V_CLOSURE_CONE,
     V_CONE,
@@ -338,6 +338,29 @@ def test_dead_is_false_when_a_4_choice_has_a_reduced_form():
     (live,) = [child for s, child in c.choices(4) if s == ((-2, 1), (-1, 2), (2, 1), (1, 2))]
     assert not live.empty and not kset_zero_test(live.key)
     assert not c.dead(4) and not c.dead(5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 99)), max_size=3))
+def test_chain_cone_lies_in_each_sub_choice_cone(path):
+    # The sub-choice lemma behind ``Chain.empty`` and ``Chain.dead``, beyond
+    # the runs: from a chain reached by a random path of choices from the
+    # root, each chain of ``choices(n)``, n = 2..5, has its closed cone in
+    # the chain cone of each ``(n - 1)``-choice inside its set.  So the
+    # ``n``-choice is empty when such a sub-choice is.
+    c = chain(())
+    for n, i in path:
+        choices = c.choices(n)
+        if not choices:
+            break
+        c = choices[i % len(choices)][1]
+    for n in range(2, 6):
+        subs = c.choices(n - 1)
+        for s, child in c.choices(n):
+            for t, sub in subs:
+                if set(t) <= set(s):
+                    assert _closed_within(child.cone._closed_description(), sub.cone), (c.key, s, t)
+                    assert child.empty or not sub.empty, (c.key, s, t)
 
 
 def _assert_count_matches_listing(key):

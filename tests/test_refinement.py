@@ -139,6 +139,8 @@ def test_run_validation():
 SWEEP_PAIRS = [
     (a, s - a) for s in range(4, 21) for a in range(1, s) if a < s - a and gcd(a, s) == 1
 ]
+# Every coprime (a, b) with a + b <= 20, (1, 0) and (0, 1) among them.
+COPRIME_TO_20 = [(a, s - a) for s in range(1, 21) for a in range(s + 1) if gcd(a, s) == 1]
 
 
 @pytest.mark.parametrize("a, b", SWEEP_PAIRS)
@@ -272,7 +274,10 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
     # dimensional DD of a run starts from scratch, and a run from cold memos
     # counts the same DDs whether or not the same run came before it.
     # A new table interns both as their own representatives and holds the
-    # empty cone's verdict, the one either stop set would compute.
+    # empty cone's verdict, the one either stop set would compute.  The
+    # (1, 2)/14 run makes {3: 103, 9: 22} DDs, not {3: 224, 9: 92}: the
+    # signs at a one-ray cone decide 70 of its 92 constructions and, with
+    # the sub-choice lemma, 121 of its 224 chains with no DD.
     from test_geometry import assert_exact_description
 
     counts = []
@@ -293,7 +298,7 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
         assert result.generations[0][0].cone is refinement._INITIAL_CONE
         assert result.table.verdicts[refinement._EMPTY_CONE] == refinement._EMPTY
     assert unseeded == []
-    assert counts[0] == counts[1] == {3: 224, 9: 92}
+    assert counts[0] == counts[1] == {3: 103, 9: 22}
     assert initial_pair().cone is initial_pair().cone
     assert_exact_description(refinement._INITIAL_CONE)
     assert_exact_description(refinement._EMPTY_CONE)
@@ -311,12 +316,16 @@ def test_work_counters_on_reference_run(monkeypatch):
     # Exact work on the (1, 2) diagonal run from cold memos: one chain made
     # per distinct sequence of non-empty sets, one three-dimensional DD per
     # chain whose cone the run needs (one chain is never asked whether it is
-    # empty), one nine-dimensional DD per distinct construction (parent,
-    # chain geometries, shape and link vectors) from chains that are not
-    # empty, none for the initial cone or the run's empty cone (both were
-    # described at import), and one emptiness test per distinct member set
-    # other than the empty cone's, whose verdict the table holds from the
-    # start: 17 for the 676 pairs produced.
+    # empty), 103, one nine-dimensional DD per distinct construction
+    # (parent, chain geometries, shape and link vectors) from chains that
+    # are not empty, 22, none for the initial cone or the run's empty cone
+    # (both were described at import), and one emptiness test per distinct
+    # member set other than the empty cone's, whose verdict the table holds
+    # from the start: 17 for the 676 pairs produced.  A chain that an empty
+    # sub-choice or the signs at its prefix cone's one ray show empty needs
+    # no cone (121 of the 224 the run asks), and a construction whose parent
+    # has one ray is that parent or the empty cone, read from the signs at
+    # the ray with no DD (70 of 92).
     builds = [0]
     empties = [0]
     chain_init = ksets.Chain.__init__
@@ -335,7 +344,7 @@ def test_work_counters_on_reference_run(monkeypatch):
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 2, "diagonal", 14)
     assert builds[0] == 225
-    assert dd == {3: 224, 9: 92}
+    assert dd == {3: 103, 9: 22}
     assert empties[0] == 17
     assert sum(result.totals()) == 676
 
@@ -393,7 +402,7 @@ def test_dead_blocks_build_no_chain(monkeypatch):
 
 @pytest.mark.parametrize(
     "a, b, stop_kind, max_iter, rows",
-    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 6}), (1, 2, "diagonal", 14, {3: 745, 9: 832})],
+    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 6}), (1, 2, "diagonal", 14, {3: 199, 9: 85})],
 )
 def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeypatch):
     # Rows inserted by every DD of a run from cold memos.  A chain cone's DD
@@ -402,7 +411,9 @@ def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeyp
     # cone's 9 rows and the empty cone's 10 were inserted at import.  The
     # (1, 0) run factors: its only nine-dimensional DDs are the three of its
     # (1, 0, 1) process, 6 rows, where the class loop over both shapes
-    # inserts 972 rows in 590 children.
+    # inserts 972 rows in 590 children.  On (1, 2) the chains and children
+    # decided from the signs at a one-ray cone, or by an empty sub-choice,
+    # insert no row: {3: 199, 9: 85}, not {3: 745, 9: 832}.
     refinement.clear_caches()
     inserted = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
@@ -650,9 +661,11 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # the 3 chain cones past the root that the (1, 0, 1) steps use get DDs
     # of their own: 1 + 3 + 335 = 339.  Those steps build 3 nine-dimensional
     # cones, each tested once for emptiness, with the initial cone, 4 tests.
-    # The class loop over both shapes (``_run_generic``) gives each of the
-    # 336 distinct chain sequences one three-dimensional DD, so its chain
-    # knows whether it is empty, builds one cone per distinct construction
+    # The class loop over both shapes (``_run_generic``) asks each of the
+    # 336 distinct chain sequences whether it is empty: an empty sub-choice
+    # or the signs at its prefix cone's one ray answer for 25, and each
+    # other chain gets one three-dimensional DD, 311.  The loop builds one
+    # cone per distinct construction
     # (parent, interned chain cones, shape and link vectors) without an
     # empty chain, 590, and tests each of the 315 member sets other than the
     # empty cone's once.  The initial cone and the run's empty cone get no
@@ -665,7 +678,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
         return is_member_empty(self)
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    expected = ((run_algorithm, {3: 339, 9: 3}, 4), (refinement._run_generic, {3: 336, 9: 590}, 315))
+    expected = ((run_algorithm, {3: 339, 9: 3}, 4), (refinement._run_generic, {3: 311, 9: 590}, 315))
     for run, dds, tests in expected:
         dd = _count_dd_by_dim(monkeypatch)
         empties[0] = 0
@@ -680,8 +693,9 @@ def test_factored_replay_classifies_through_its_table(monkeypatch):
     # and the chain cones of the (1, 0, 1) steps.  Its replay starts from
     # the table's root and asks the table for the verdict of each pair it
     # refines: it builds the other 587 constructions of the class loop over
-    # both shapes and the 332 chain cones of the free block that the
-    # (1, 0, 1) steps did not build, and tests 193 member sets, not the class
+    # both shapes and 307 chain cones of the free block: of the 332 chains
+    # the (1, 0, 1) steps did not build, 25 are shown empty with no cone.
+    # It tests 193 member sets, not the class
     # loop's 311 after the run's 4, because the last generation is never
     # refined.  It runs no class loop and forms no live class.  The result
     # keeps its table and the root chain, whose choices reach every chain
@@ -705,19 +719,21 @@ def test_factored_replay_classifies_through_its_table(monkeypatch):
     monkeypatch.setattr(refinement, "_run_generic", counting("generic", run_generic))
     monkeypatch.setattr(refinement, "_class_loop", counting("loop", class_loop))
     assert sum(map(len, result.generations)) == 10558
-    assert (dd, calls) == ({3: 332, 9: 587}, {"empty": 193, "generic": 0, "loop": 0})
+    assert (dd, calls) == ({3: 307, 9: 587}, {"empty": 193, "generic": 0, "loop": 0})
     refinement.clear_caches()
     assert sum(map(len, result.replay())) == 10558
-    assert dd == {3: 332, 9: 587}
+    assert dd == {3: 307, 9: 587}
 
 
 def test_min_complement_builds_from_cold_memos():
     # Exact chain-layer work: one minimal-complement build per distinct
-    # exclusion set the chains ask about, from cold memos.
+    # exclusion set the chains ask about, from cold memos.  A chain that an
+    # empty sub-choice shows empty computes no rows and asks about none:
+    # the two diagonal runs make 179 builds, 195 without that rule.
     refinement.clear_caches()
     run_algorithm(1, 1, "diagonal", 13)
     run_algorithm(1, 2, "diagonal", 14)
-    assert len(minima._min_complement_cache) == 195
+    assert len(minima._min_complement_cache) == 179
     refinement.clear_caches()
     run_algorithm(1, 0, "q1_eq_q3", 13)
     assert len(minima._min_complement_cache) == 47
@@ -947,45 +963,100 @@ def _link_cone(shape, xs, ys, zs):
     return Cone(9, rows)
 
 
-@pytest.mark.parametrize("a, b, stop_kind, max_iter", [(1, 0, "q1_eq_q3", 13), (1, 2, "diagonal", 14)])
-def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch):
-    # Every construction of a run from cold memos, built as one row merge,
-    # has the rows, row order, rays and tight-row masks of the parent cut by
-    # the product of the chain cones and the link cone; every chain cone has
-    # those of its prefix's cone cut by ``Cone(3, rows)``, the ``_step_rows``
-    # of its last set linked to the prefix's last vector.  The
-    # table keeps a child interned, so each nine-dimensional ``Cone._cut``
-    # is recorded as built and paired with the key the table files it under:
-    # one cut per key, in build order.  The class loop runs over every
-    # shape, also for the (1, 0) run that factors: 590 constructions on
-    # (1, 0), 92 on (1, 2).
-    refinement.clear_caches()
-    built = []
-    cut = Cone._cut
+def _recording_children(monkeypatch):
+    """Record each child a table memoises, per table and by its key: the
+    nine-dimensional ``Cone._cut`` that built it, or None when the signs at
+    its parent's one ray decided it with no cut."""
+    made, cuts = {}, []
+    cut, child = Cone._cut, refinement.RunTable.child
 
     def recording_cut(self, *rows):
         cone = cut(self, *rows)
         if cone.dim == 9:
-            built.append(cone)
+            cuts.append(cone)
+        return cone
+
+    def recording_child(self, *args):
+        before, built = len(self._children), len(cuts)
+        cone = child(self, *args)
+        if len(self._children) > before:
+            key = next(reversed(self._children))
+            made.setdefault(self, {})[key] = cuts[-1] if len(cuts) > built else None
         return cone
 
     monkeypatch.setattr(Cone, "_cut", recording_cut)
+    monkeypatch.setattr(refinement.RunTable, "child", recording_child)
+    return made
+
+
+@pytest.mark.parametrize("a, b, stop_kind, max_iter", [(1, 0, "q1_eq_q3", 13), (1, 2, "diagonal", 14)])
+def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch):
+    # Every construction of a run from cold memos is the parent cut by the
+    # product of the chain cones and the link cone.  A child built as one
+    # row merge has the rows, row order, rays and tight-row masks of that
+    # intersection; a child that the signs at its parent's one ray decided
+    # is the table's cone with the intersection's member set, the parent or
+    # the empty cone.  Every chain cone has the description of its prefix's
+    # cone cut by ``Cone(3, rows)``, the ``_step_rows`` of its last set
+    # linked to the prefix's last vector.  The class loop runs over every
+    # shape, also for the (1, 0) run that factors: none of its 590
+    # constructions has a one-ray parent, and 70 of the 92 on (1, 2) do.
+    refinement.clear_caches()
+    tables = _recording_children(monkeypatch)
     refinement._run_generic(a, b, stop_kind, max_iter)
     monkeypatch.undo()
-    children = refinement._tables[stop_set(stop_kind)]._children
-    assert len(built) == len(children)
-    for (parent, k1, k2, k3, shape, x1, y1, z1), cone in zip(children, built):
-        link = _link_cone(shape, x1, y1, z1)
-        assert _description(cone) == _description(parent.intersect(product3(k1, k2, k3), link))
+    table = refinement._tables[stop_set(stop_kind)]
+    made = tables[table]
+    assert list(made) == list(table._children)
+    for key, cone in table._children.items():
+        parent, k1, k2, k3, shape, x1, y1, z1 = key
+        want = parent.intersect(product3(k1, k2, k3), _link_cone(shape, x1, y1, z1))
+        if made[key] is None:
+            assert cone in (parent, refinement._EMPTY_CONE), key
+            assert geometry.cones_equivalent(cone, want), key
+        else:
+            assert _description(made[key]) == _description(want)
+        assert table.intern(want) is cone
     chains = [c for c in ksets._chains.values() if c.key and c._cone is not None]
     for c in chains:
         prefix = ksets._chain(c.key[:-1]).cone
         last = c.key[-2][-1] if len(c.key) > 1 else None
         rows = ksets._step_rows(c.key[-1], last, frozenset(v for s in c.key for v in s))
         assert _description(c.cone) == _description(prefix.intersect(Cone(3, rows)))
-    assert (len(children), len(chains)) == {
-        (1, 0): (590, 335), (1, 2): (92, 223)
+    decided = sum(cone is None for cone in made.values())
+    assert (len(made), decided, len(chains)) == {
+        (1, 0): (590, 0, 310), (1, 2): (92, 70, 102)
     }[a, b]
+
+
+def test_one_ray_decisions_are_the_cuts_they_skip(monkeypatch):
+    # A pointed cone with one ray r, cut by closed rows, is cone(r) when
+    # every row is >= 0 at r and {0} otherwise.  On every coprime (a, b)
+    # with a + b <= 20, (1, 0) and (0, 1) among them, run to 13 under both
+    # stop sets from cold memos, each child that a table decided from the
+    # signs at its parent's one ray is the object that interning the cut
+    # it skipped returns, and each chain shown empty with no cone, from the
+    # signs at its prefix cone's one ray, by an empty sub-choice or by a
+    # collapsing set, passes the independent zero test.
+    refinement.clear_caches()
+    tables = _recording_children(monkeypatch)
+    for kind in refinement.STOP_SET_KINDS:
+        for a, b in COPRIME_TO_20:
+            run_algorithm(a, b, kind, 13)
+    monkeypatch.undo()
+    decided = 0
+    for table, made in tables.items():
+        for key, built in made.items():
+            if built is None:
+                parent, k1, k2, k3, shape, x1, y1, z1 = key
+                rows = [*geometry._padded((k1, k2, k3), "closed")]
+                rows += refinement._link_rows(refinement._links(shape, x1, y1, z1))
+                assert table.intern(parent._cut(rows)) is table._children[key], key
+                decided += 1
+    chains = [c for c in ksets._chains.values() if c._empty and c._cone is None]
+    for c in chains:
+        assert ksets.kset_zero_test(c.key), c.key
+    assert (decided, len(chains)) == (232, 133)
 
 
 def _link_sets(result):
@@ -1176,10 +1247,9 @@ def test_every_run_cone_carries_the_q11_rows():
     # cone the two tables intern, 1 329 diagonal and 699 q1_eq_q3, has
     # exactly those strict rows.
     refinement.clear_caches()
-    pairs = [(a, s - a) for s in range(1, 21) for a in range(s + 1) if gcd(a, s) == 1]
-    assert len(pairs) == 129
+    assert len(COPRIME_TO_20) == 129
     for kind in refinement.STOP_SET_KINDS:
-        for a, b in pairs:
+        for a, b in COPRIME_TO_20:
             run_algorithm(a, b, kind, 13)
     cones = [
         cone for table in refinement._tables.values() for cone in table._cones.values()
