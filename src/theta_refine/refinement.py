@@ -44,7 +44,7 @@ children hold the run's one empty cone, which has no row merge or double
 description of its own.  Of the children a run builds, one whose parent
 cone has one extreme ray ``r`` needs neither: it is the parent when every
 row it adds is ``>= 0`` at ``r``, and the empty cone otherwise
-(``RunTable.child``).
+(``RunTable.child`` and ``_free_walk``).
 
 A run factors when one block is free: no stop row touches it, and every
 shape that touches it touches no other block, so no link row touches it
@@ -55,13 +55,14 @@ another step only ``C`` and the other chains.  So ``run_algorithm`` steps
 two processes one generation at a time.  The first is the class loop
 from the root class under the other shapes; its free block keeps the root
 chain, whose cone has members with ``q11 > 0``, so its verdicts are
-those of ``C``.  The second walks the free block's states ``(cone,
-excluded)``, with no ``Chain``: each ``s`` of ``minima._min_n(excluded,
-n)``, for each size ``n`` a shape asks of the block, gives the child cut
-by ``ksets._step_rows(s, None, excluded | s)``.  Its link row is a row of
-``cone`` already, so each state has its key's chain cone.  A free child
-of a live class is live unless no ray of its cone has ``q11 > 0``
-(``Chain.empty``), when it is counted.
+those of ``C``.  The second walks the free block's live states, with no
+``Chain``, as one list of cones per exclusion (``_free_walk``).  Each
+``s`` of ``minima._min_n(excluded, n)``, ``n`` a size a shape asks of the
+block, adds ``ksets._step_rows(s, None, excluded | s)``, computed once per
+group, to each cone: a one-ray cone is decided by signs and any other is
+cut.  The rows' link row is a row of each cone already, so each state has
+the member set of its key's chain cone.  A child is live unless no ray of
+its cone has ``q11 > 0`` (``Chain.empty``), when it is counted.
 A pair of generation ``g`` with ``k`` steps of the first process is one
 of ``C(g, k)`` interleavings, ``C(g-1, k-1)`` of which end with a step of
 the first.  With ``A[k]`` and ``B[j]`` the processes' records,
@@ -78,10 +79,9 @@ at import by its own DD over its own rows: no run pays a DD for either.
 Runs in one process share their work through three process memos: the
 chains (``ksets._chains``), the minimal complements
 (``minima._min_complement_cache``) and one ``RunTable`` per stop set
-(``_tables``), made at its first use.  A one-run command fills each once
-and keeps each cone once.  A process keeps every chain and table entry it
-met until ``clear_caches`` empties all three, so the 38 coprime runs with
-``4 <= a + b <= 11`` build 3 nine-dimensional cones, not 114.
+(``_tables``), made at its first use.  A process keeps every chain and
+table entry it met until ``clear_caches`` empties all three, so the 38
+coprime runs with ``4 <= a + b <= 11`` build 3 nine-dimensional cones.
 """
 
 from __future__ import annotations
@@ -139,9 +139,8 @@ class CoveringParameter(NamedTuple):
 class RefinementPair(NamedTuple):
     """A cone, its covering parameter and the ``Chain`` of each factor.
 
-    ``chains`` is ``param.chains()``, which ``refine_pair`` reads the next
-    choices from and never looks up again; a hand-built pair passes
-    ``param.chains()``.
+    ``refine_pair`` reads the next choices from ``chains``, which is
+    ``param.chains()``, also in a hand-built pair.
     """
 
     cone: Cone
@@ -185,8 +184,7 @@ class IterationRecord(NamedTuple):
 
 
 class RunResult:
-    """A run's log, the table it classified in and each generation's live
-    classes.
+    """A run's log, the table it classified in and its live classes.
 
     ``live_classes[i]`` maps each live class of generation ``i`` to its
     multiplicity: the classes that generation ``i + 1`` refines.  A factored
@@ -363,9 +361,8 @@ class RunTable:
     skips the row merge and the double description; so does a child of a
     parent with one extreme ray, which the signs at the ray decide.
     Building from the interned chain cone, not each chain's own, makes the
-    nine-dim DDs insert fewer rows: 298 against 354 on ``(1,1)``/13 and 85
-    against 98 on ``(1,2)``/14.  ``verdict`` classifies a
-    cone at its first query and memoises the verdict in ``verdicts``.
+    nine-dim DDs insert fewer rows.  ``verdict`` classifies a cone at its
+    first query and memoises the verdict in ``verdicts``.
 
     A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held by
     the children of an empty chain and by every cone with no ray and the
@@ -550,11 +547,10 @@ def run_algorithm(
 
     Runs for at most ``max_iter`` refinements or until a generation is
     produced with no pairs at all.  A run with a free block steps its two
-    processes, the class loop and the free walk, and combines their counts
-    (see the module docstring); any other run is ``_run_generic``.  The run
-    is sequential and interns into the process's table for its stop set;
-    its log is the same whatever ran before it.  ``threads`` is accepted
-    for compatibility and must be 1.
+    processes, ``_class_loop`` and ``_free_walk``, and combines their
+    counts (see the module docstring); any other run is ``_run_generic``.
+    The run interns into the process's table for its stop set; its log is
+    the same whatever ran before it.  ``threads`` must be 1.
     """
     shapes = linset(a, b)
     if max_iter < 0:
@@ -568,28 +564,42 @@ def run_algorithm(
     if free is None:
         return _run_generic(a, b, stop_kind, max_iter)
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
-    loop = _class_loop(rest, table)
+    loop, walk = _class_loop(rest, table), _free_walk(table.root.chains[free].cone, ns)
     log = [next(loop)[1]]
-    steps, walked = log[:], [IterationRecord(0, 1, 1, 0, 1, 0, 0.0)]
-    states = [(table.root.chains[free].cone, frozenset())]
+    steps, walked = log[:], [next(walk)[1]]
     while log[-1].total and len(log) <= max_iter:
         start = time.perf_counter()
         steps.append(next(loop)[1])
-        # The free process: a child of a live state is live unless no ray of
-        # its cone has q11 > 0, when it is counted.  Distinct steps give
-        # distinct states.
-        children = [
-            (cone._cut(_step_rows(s, None, e)), e)
-            for cone, excluded in states
-            for n in ns
-            for s in minima._min_n(excluded, n)
-            for e in [excluded.union(s)]
-        ]
-        states = [c for c in children if any(r[0] for r in c[0].edges())]
-        n = len(states)
-        walked.append(IterationRecord(len(log), len(children), n, 0, n, len(children) - n, 0.0))
+        walked.append(next(walk)[1])
         log.append(_convolve(steps, walked, time.perf_counter() - start))
     return RunResult(a, b, stop_kind, log, table)
+
+
+def _free_walk(
+    root: Cone, ns: Sequence[int]
+) -> Iterator[tuple[dict[frozenset[Pair], list[Cone]], IterationRecord]]:
+    """Each step's live free states, a list of cones per exclusion, and its record."""
+    groups, total, index = {frozenset(): [root]}, 1, 0
+    while True:
+        live = sum(map(len, groups.values()))
+        yield groups, IterationRecord(index, total, live, 0, live, total - live, 0.0)
+        children, total, index = {}, 0, index + 1
+        for excluded, cones in groups.items():
+            for n in ns:
+                for s in minima._min_n(excluded, n):
+                    e = excluded.union(s)
+                    rows = _step_rows(s, None, e)
+                    total += len(cones)
+                    for cone in cones:
+                        rays, lin, _ = cone._closed_description()
+                        if len(rays) == 1 and not lin:
+                            keep = all(_dot(a, rays[0]) >= 0 for a in rows)
+                        else:
+                            cone = cone._cut(rows)
+                            keep = any(r[0] for r in cone.edges())
+                        if keep:
+                            children.setdefault(e, []).append(cone)
+        groups = children
 
 
 def _free_block(shapes: Sequence[Shape], stop_rows: Sequence[Vector]) -> int | None:

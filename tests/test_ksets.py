@@ -378,8 +378,8 @@ def _assert_count_matches_listing(key):
 def test_count_equals_listing_on_run_exclusions():
     # Every exclusion the reference runs ask ``minima`` about, n = 0..8: the
     # exclusions of their chains, of the free walk's states, which build no
-    # chain, and of the prefixes ``min_n`` extends.  The chains alone held
-    # 164 of these 381.
+    # chain, and of the prefixes ``min_n`` extends.  The chains alone hold
+    # 156 of these 381.
     refinement.clear_caches()
     for args in ((1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13)):
         run_algorithm(*args)

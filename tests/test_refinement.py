@@ -1,5 +1,6 @@
 """Linsets, auxiliary cones, and the refinement loop invariants."""
 
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -402,7 +403,7 @@ def test_dead_blocks_build_no_chain(monkeypatch):
 
 @pytest.mark.parametrize(
     "a, b, stop_kind, max_iter, rows",
-    [(1, 0, "q1_eq_q3", 13, {3: 649, 9: 6}), (1, 2, "diagonal", 14, {3: 199, 9: 85})],
+    [(1, 0, "q1_eq_q3", 13, {3: 573, 9: 6}), (1, 2, "diagonal", 14, {3: 199, 9: 85})],
 )
 def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeypatch):
     # Rows inserted by every DD of a run from cold memos.  A chain cone's DD
@@ -413,7 +414,8 @@ def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeyp
     # (1, 0, 1) process, 6 rows, where the class loop over both shapes
     # inserts 972 rows in 590 children.  On (1, 2) the chains and children
     # decided from the signs at a one-ray cone, or by an empty sub-choice,
-    # insert no row: {3: 199, 9: 85}, not {3: 745, 9: 832}.
+    # insert no row: {3: 199, 9: 85}, not {3: 745, 9: 832}.  So do the 41
+    # free states of (1, 0) with a one-ray parent: {3: 573}, not {3: 649}.
     refinement.clear_caches()
     inserted = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
@@ -656,10 +658,13 @@ def test_one_cone_object_per_member_set(run_10):
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  The run
     # factors.  The (0, 1, 0) steps walk the second block's 335 states past
-    # the root, each cut from its parent's cone with one three-dimensional
-    # DD, and build no nine-dimensional cone.  The walk makes no chain, so
-    # the 3 chain cones past the root that the (1, 0, 1) steps use get DDs
-    # of their own: 1 + 3 + 335 = 339.  Those steps build 3 nine-dimensional
+    # the root and build no nine-dimensional cone.  41 of them have a parent
+    # with one ray, which the signs at the ray decide with no DD (16 keep
+    # the parent, 25 are {0}); each of the other 294 is cut from its parent
+    # with one three-dimensional DD, where the walk cut all 335 before and
+    # made 339 DDs.  The walk makes no chain, so the 3 chain cones past the
+    # root that the (1, 0, 1) steps use get DDs of their own: 1 + 3 + 294 =
+    # 298.  Those steps build 3 nine-dimensional
     # cones, each tested once for emptiness, with the initial cone, 4 tests.
     # The class loop over both shapes (``_run_generic``) asks each of the
     # 336 distinct chain sequences whether it is empty: an empty sub-choice
@@ -678,7 +683,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
         return is_member_empty(self)
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    expected = ((run_algorithm, {3: 339, 9: 3}, 4), (refinement._run_generic, {3: 311, 9: 590}, 315))
+    expected = ((run_algorithm, {3: 298, 9: 3}, 4), (refinement._run_generic, {3: 311, 9: 590}, 315))
     for run, dds, tests in expected:
         dd = _count_dd_by_dim(monkeypatch)
         empties[0] = 0
@@ -1192,50 +1197,175 @@ def test_only_the_b_zero_runs_under_q1_eq_q3_factor():
     assert stop_set("diagonal") is stop_set("diagonal")
 
 
+def _recording_walk(monkeypatch):
+    """Record the free walk of the runs that follow: each step's groups of
+    live cones by exclusion, the rows object computed for each set ``s``
+    and exclusion ``e``, which must be computed once, and each cut the walk
+    makes, keyed on its parent and the id of its rows object."""
+    walked, rows, cuts = [], {}, {}
+    free_walk, step_rows, cut = refinement._free_walk, refinement._step_rows, Cone._cut
+
+    def recording_walk(*args):
+        for groups, record in free_walk(*args):
+            walked.append(groups)
+            yield groups, record
+
+    def recording_rows(s, last, excluded):
+        assert last is None and (s, excluded) not in rows, (s, excluded)
+        rows[s, excluded] = step_rows(s, last, excluded)
+        return rows[s, excluded]
+
+    def recording_cut(self, closed, *rest):
+        cone = cut(self, closed, *rest)
+        if any(closed is r for r in rows.values()):
+            cuts[self, id(closed)] = cone
+        return cone
+
+    monkeypatch.setattr(refinement, "_free_walk", recording_walk)
+    monkeypatch.setattr(refinement, "_step_rows", recording_rows)
+    monkeypatch.setattr(Cone, "_cut", recording_cut)
+    return walked, rows, cuts
+
+
+def _ids(groups):
+    return {e: Counter(map(id, cones)) for e, cones in groups.items()}
+
+
 @pytest.mark.filterwarnings("ignore:gcd")
 @pytest.mark.parametrize("a", [1, 2])
 def test_free_walk_states_have_their_chain_cones(a, monkeypatch):
     # The factored (a, 0) q1_eq_q3 runs to 13 from cold memos walk the
-    # second block's states, each a cone and an exclusion, with no chain.
-    # A state's cone is its parent's cut by the ``_step_rows`` of its set
-    # ``s`` with no link row; each cut is recorded with its parent and set.
-    # Along the path of sets from the root chain's cone, every state has
-    # the closed rows, in order, and the rays of ``chain(key).cone``.  The
-    # link row that the chain adds, ``Q(s_0) >= Q(last)``, is a closed row
-    # of the parent's cone already, since ``s_0`` is minimal outside the
-    # parent's exclusion.  A state below the last depth has children iff
-    # its chain is not empty.
+    # second block's live states as lists of cones, one per exclusion, with
+    # no chain.  The rows of a set s are computed once per exclusion and
+    # shared by the group's cones.  Following each state's key, the path of
+    # sets from the root chain's cone: every cut state has the closed rows,
+    # in order, and the rays of ``chain(key).cone``, and the link row that
+    # the chain adds, ``Q(s_0) >= Q(last)``, is a closed row of its parent
+    # already, since s_0 is minimal outside the parent's exclusion.  Every
+    # child the walk did not cut has a parent with one ray: it is kept as
+    # its parent's ``Cone`` object, which has the rays of
+    # ``chain(key).cone``, when that chain is not empty, and dropped when it
+    # is.  Each step's groups hold exactly the cones of the keys whose
+    # chains are not empty.
     refinement.clear_caches()
-    steps, pending = {}, []
-    step_rows, cut = refinement._step_rows, Cone._cut
-
-    def recording_rows(s, last, excluded):
-        pending.append(s)
-        return step_rows(s, last, excluded)
-
-    def recording_cut(self, *rows):
-        cone = cut(self, *rows)
-        if pending:
-            steps[cone] = self, pending.pop()
-        return cone
-
-    monkeypatch.setattr(refinement, "_step_rows", recording_rows)
-    monkeypatch.setattr(Cone, "_cut", recording_cut)
+    walked, rows, cuts = _recording_walk(monkeypatch)
     result = run_algorithm(a, 0, "q1_eq_q3", 13)
     monkeypatch.undo()
-    keys = {result.table.root.chains[1].cone: ()}
-    for cone, (parent, s) in steps.items():
-        key = keys[cone] = keys[parent] + (s,)
-        want = ksets.chain(key).cone
-        assert (cone.closed, cone.edges()) == (want.closed, want.edges()), key
-        if len(key) > 1:
-            assert geometry._primitive(ksets._row_diff(s[0], key[-2][-1])) in parent.closed, key
-    parents = {parent for parent, _ in steps.values()}
-    for cone, key in keys.items():
-        if len(key) < 13:
-            assert (cone in parents) == (not ksets.chain(key).empty), key
-    assert len(steps) == 335
-    assert max(map(len, keys.values())) == 13
+    root = result.table.root.chains[1].cone
+    assert walked[0] == {frozenset(): [root]}
+    states, children, depths = {frozenset(): [((), root)]}, 0, set()
+    for groups in walked[1:]:
+        expected = {}
+        for excluded, held in states.items():
+            for s in minima._min_n(excluded, 1):
+                e = excluded.union(s)
+                for key, parent in held:
+                    key += (s,)
+                    want, child = ksets.chain(key), cuts.get((parent, id(rows[s, e])))
+                    if child is not None:
+                        assert (child.closed, child.edges()) == (want.cone.closed, want.cone.edges()), key
+                        assert any(r[0] for r in child.edges()) == (not want.empty), key
+                        if len(key) > 1:
+                            link = geometry._primitive(ksets._row_diff(s[0], key[-2][-1]))
+                            assert link in parent.closed, key
+                    else:
+                        assert len(parent.edges()) == 1, key
+                        child = parent
+                        assert want.empty or child.edges() == want.cone.edges(), key
+                    children += 1
+                    depths.add(len(key))
+                    if not want.empty:
+                        expected.setdefault(e, []).append((key, child))
+        assert _ids(groups) == {e: Counter(id(c) for _, c in held) for e, held in expected.items()}
+        states = expected
+    assert children == 335
+    assert max(depths) == 13
+
+
+def _check_sign_decisions(walked, rows, cuts):
+    """Check that the walk cut every child of a parent with several rays or
+    a line, and only those, and that each child it decided at a one-ray
+    parent, cut anyway, has the parent's rays where the walk kept the
+    parent and no ray where it dropped the child.  Returns the number of
+    decided children, kept and dropped."""
+    kept = dropped = 0
+    for groups, after in zip(walked, walked[1:]):
+        expected = {}
+        for excluded, cones in groups.items():
+            for s in minima._min_n(excluded, 1):
+                e = excluded.union(s)
+                r = rows[s, e]
+                for parent in cones:
+                    rays, lin, _ = parent._closed_description()
+                    child = cuts.get((parent, id(r)))
+                    assert (child is None) == (len(rays) == 1 and not lin), parent
+                    if child is None:
+                        cut = parent._cut(r)
+                        assert cut.edges() in (rays, ()), parent
+                        child = parent if cut.edges() else cut
+                        kept += child is parent
+                        dropped += child is not parent
+                    if any(ray[0] for ray in child.edges()):
+                        expected.setdefault(e, Counter())[id(child)] += 1
+        assert _ids(after) == expected
+    return kept, dropped
+
+
+@pytest.mark.filterwarnings("ignore:gcd")
+def test_free_walk_sign_decisions_are_the_cuts_they_skip(monkeypatch):
+    # A pointed cone with one ray r, cut by closed rows, is cone(r) when
+    # every row is >= 0 at r and {0} otherwise.  On the (k, 0) q1_eq_q3
+    # runs, k = 1, 2, 3, to 16 from cold memos, the free walk decides by
+    # the signs at the ray every child of a one-ray parent, and only those:
+    # cut anyway, each has the parent's rays where the walk kept the parent
+    # object, and no ray where the walk dropped it.  The runs
+    # are the same process for every k, so each walk decides the same
+    # children.  A parent with one ray and a line is not decided: the walk
+    # from the forms q11 x^2 + q22 y^2 with q11 >= 0, whose one ray q11
+    # does not span them, must cut its first child, which the signs at the
+    # ray would drop.
+    for k in (1, 2, 3):
+        refinement.clear_caches()
+        walked, rows, cuts = _recording_walk(monkeypatch)
+        run_algorithm(k, 0, "q1_eq_q3", 16)
+        monkeypatch.undo()
+        assert len(walked) == 17
+        assert _check_sign_decisions(walked, rows, cuts) == (78, 131), k
+    walked, rows, cuts = _recording_walk(monkeypatch)
+    walk = refinement._free_walk(Cone(3, ((1, 0, 0), (0, 0, 1), (0, 0, -1))), (1,))
+    records = [record for _, (_, record) in zip(range(6), walk)]
+    monkeypatch.undo()
+    assert [(r.total, r.non_empty) for r in records] == [(1, 1)] * 6
+    assert _check_sign_decisions(walked, rows, cuts) == (0, 0)
+
+
+@pytest.mark.filterwarnings("ignore:gcd")
+def test_free_walk_computes_rows_once_per_exclusion_and_set(monkeypatch):
+    # The rows a free child adds depend only on its set s and its exclusion
+    # e, not on the order in which its prefix chose e, and the choices of a
+    # state only on its exclusion.  So the walk of the (1, 0) q1_eq_q3 run
+    # asks ``_step_rows`` once per (s, e) and ``minima._min_n`` once per
+    # group of live states: at 13 from cold memos 71 and 35 calls for 335
+    # children and 129 live states walked, one of each per state before;
+    # at 20, 402 and 141 for 8 098 children and 2 295 live states.
+    calls = Counter()
+    step_rows, min_n = refinement._step_rows, minima._min_n
+
+    def counting(key, f):
+        def counted(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return counted
+
+    for depth, expected in ((13, (71, 35)), (20, (402, 141))):
+        refinement.clear_caches()
+        calls.clear()
+        monkeypatch.setattr(refinement, "_step_rows", counting("rows", step_rows))
+        monkeypatch.setattr(minima, "_min_n", counting("min_n", min_n))
+        run_algorithm(1, 0, "q1_eq_q3", depth)
+        monkeypatch.undo()
+        assert (calls["rows"], calls["min_n"]) == expected, depth
 
 
 def test_every_run_cone_carries_the_q11_rows():
