@@ -99,20 +99,23 @@ def _collapses(s: Sequence[Pair]) -> bool:
     return False
 
 
-def _step_rows(
-    s: Sequence[Pair], last: Pair | None, excluded: frozenset[Pair]
-) -> list[tuple[int, int, int]]:
-    """The rows a set ``s`` adds to a cone, each primitive, none zero: the
-    link ``Q(s_0) >= Q(last)`` unless ``last`` is None, the equalities in
-    ``s``, and ``Q(w) >= Q(s_last)`` for every minimal ``w`` outside the
-    checked exclusion ``excluded``, which holds ``s``.  The free walk
-    passes None: its ``s_0`` is minimal outside the prefix's exclusion, so
-    the link is a row of the prefix's cone."""
+def _step_rows(s: Sequence[Pair], excluded: frozenset[Pair]) -> list[tuple[int, int, int]]:
+    """The rows a set ``s`` adds to its prefix's cone, each primitive, none
+    zero: the equalities in ``s``, and ``Q(w) >= Q(s_last)`` for every
+    minimal ``w`` outside the checked exclusion ``excluded``, which holds
+    ``s``.
+
+    No row links ``s`` to the prefix's last vector ``last``: every form of
+    the prefix cone has ``Q(s_0) >= Q(last)``.  The cone lies in the closed
+    reduction domain, whose forms are non-negative sums of the three edge
+    forms, and has the row ``Q(w) >= Q(last)`` for every ``w`` minimal
+    outside the prefix's exclusion.  ``s_0`` lies outside that exclusion,
+    and only finitely many vectors lie below any vector, so ``s_0``
+    dominates some such ``w``, and ``Q(s_0) >= Q(w) >= Q(last)``.  When
+    ``s_0`` is itself minimal, as in every choice of ``Chain.choices``, the
+    link is one of the prefix cone's rows."""
     (x0, y0), (xl, yl) = s[0], s[-1]
     rows = []
-    if last is not None:
-        x, y = last
-        rows.append((x0 * x0 - x * x, y0 * y0 - y * y, x0 * y0 - x * y))
     for x, y in s[1:]:
         row = (x * x - x0 * x0, y * y - y0 * y0, x * y - x0 * y0)
         rows += row, (-row[0], -row[1], -row[2])
@@ -128,9 +131,9 @@ class Chain:
     its children, the key plus a set of its choices, are valid keys, looked
     up unchecked; a child's key shares its parent's set tuples.  ``kset(key)``
     lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by the
-    ``_step_rows`` of its last set, linked to the prefix's last vector,
-    which are canonical already: it has the member set of ``kset(key)``,
-    and its DD resumes from the prefix cone's description.
+    ``_step_rows`` of its last set, which are canonical already and leave
+    out the link row that the prefix's cone implies: it has the member set
+    of ``kset(key)``, and its DD resumes from the prefix cone's description.
     The root, key ``()``, is ``kset(())``.
 
     ``empty`` is ``kset_zero_test(key)``: no reduced form has this
@@ -139,21 +142,20 @@ class Chain:
     set ``s`` has ``n >= 2`` vectors and holds an ``(n-1)``-choice of the
     prefix, among those the prefix has listed, whose chain is empty (the
     sub-choice lemma below); or when the prefix cone has one extreme ray
-    ``r`` and a row of ``s`` is negative at ``r``: a pointed cone with one
-    ray, cut by closed rows, is ``cone(r)`` when every row is ``>= 0`` at
-    ``r`` and ``{0}`` otherwise.  Else the cone is cut from the rows just
-    computed, and ``empty`` is true iff no extreme ray has ``q11 > 0``: the
-    cone lies in the pointed closed reduction domain, so it is the conic
-    hull of its rays.
+    and a row of ``s`` is negative there (the one-ray rule of the
+    ``refinement`` module docstring).  Else the cone is cut from the rows
+    just computed, and ``empty`` is true iff no extreme ray has
+    ``q11 > 0``: the cone lies in the pointed closed reduction domain, so it
+    is the conic hull of its rays.
 
     The sub-choice lemma: let ``t`` be an ``(n-1)``-choice of the prefix,
     whose exclusion is ``E``, inside an ``n``-choice ``s``.  For ``Q`` in
     the chain cone of ``s``, every ``w`` minimal outside ``E ∪ t`` is either
     the remaining vector of ``s`` or dominated by some ``w'`` minimal
-    outside ``E ∪ s``, so ``Q(w) >= Q(w') >= Q(s_last) = Q(t_last)``; and
-    ``Q`` takes one value on ``s``, so it meets the link and equalities of
-    ``t``.  So ``Q`` lies in the chain cone of ``t``.  ``dead`` is the lemma
-    from size 4 on.
+    outside ``E ∪ s``, so ``Q(w) >= Q(w') >= Q(s_last) = Q(t_last)``; ``Q``
+    takes one value on ``s``, so it meets the equalities of ``t``; and it
+    lies in the prefix's cone.  So ``Q`` lies in the chain cone of ``t``.
+    ``dead`` is the lemma from size 4 on.
     """
 
     __slots__ = ("key", "_cone", "_empty", "_choices", "_counts")
@@ -177,12 +179,8 @@ class Chain:
         return self._cone
 
     def _step(self) -> tuple[Cone, list[tuple[int, int, int]]]:
-        """The prefix's cone and the ``_step_rows`` of the last set, linked
-        to the prefix's last vector."""
-        key = self.key
-        last = key[-2][-1] if len(key) > 1 else None
-        excluded = frozenset(v for s in key for v in s)
-        return _chain(key[:-1]).cone, _step_rows(key[-1], last, excluded)
+        """The prefix's cone and the ``_step_rows`` of the last set."""
+        return _chain(self.key[:-1]).cone, _step_rows(self.key[-1], frozenset(v for s in self.key for v in s))
 
     @property
     def empty(self) -> bool:

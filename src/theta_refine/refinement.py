@@ -20,11 +20,13 @@ The run refines classes, not pairs.  A class is a cone and three chains
 (``RefinementClass``): the pairs in one class have identical subtrees, so a
 generation is a dict from class to multiplicity, each class is classified
 and refined once, and every count of the table is a sum of multiplicities.
-The run keeps each generation's live classes, which the y-projection check
-reads instead of classifying again.  The pairs themselves are replayed on
-demand (``RunResult.replay`` and ``generations``) by ``refine_pair``, which
-lists the children the class loop builds and counts, and the verdicts of
-the table the run used.
+A run keeps only its log and its table.  Its live classes, which the
+y-projection check reads instead of classifying again, are formed at their
+first access by the class loop over all shapes in that table
+(``RunResult.live_classes``).  The pairs themselves are replayed on demand
+(``RunResult.replay`` and ``generations``) by ``refine_pair``, which lists
+the children the class loop builds and counts, and the verdicts of the
+table the run used.
 
 A run interns its cones, chain cones and children in the process's
 ``RunTable`` for its stop set.  Counted children: a chain with no reduced
@@ -41,10 +43,16 @@ block's ``q11 > 0`` row and every 4-choice of the block's chain is empty
 (``Chain.dead``), all ``|X||Y||Z|`` children are counted from the sizes
 (``Chain.count``) and no choice is listed.  In a replay the counted
 children hold the run's one empty cone, which has no row merge or double
-description of its own.  Of the children a run builds, one whose parent
-cone has one extreme ray ``r`` needs neither: it is the parent when every
-row it adds is ``>= 0`` at ``r``, and the empty cone otherwise
-(``RunTable.child`` and ``_free_walk``).
+description of its own.
+
+The one-ray rule: a pointed cone with one extreme ray ``r`` is ``cone(r)``,
+and a closed row ``a`` holds on all of it when ``a . r >= 0`` and only at 0
+otherwise.  So the cone cut by closed rows is ``cone(r)`` when every row is
+``>= 0`` at ``r``, and ``{0}`` otherwise, with no row merge or double
+description.  A child whose parent cone has one ray is the parent or the
+empty cone (``RunTable.child``), a chain is empty when a row of its last set
+is negative at its prefix cone's one ray (``ksets.Chain``), and a free state
+with one ray keeps its cone or is dropped (``_free_walk``).
 
 A run factors when one block is free: no stop row touches it, and every
 shape that touches it touches no other block, so no link row touches it
@@ -58,11 +66,11 @@ chain, whose cone has members with ``q11 > 0``, so its verdicts are
 those of ``C``.  The second walks the free block's live states, with no
 ``Chain``, as one list of cones per exclusion (``_free_walk``).  Each
 ``s`` of ``minima._min_n(excluded, n)``, ``n`` a size a shape asks of the
-block, adds ``ksets._step_rows(s, None, excluded | s)``, computed once per
-group, to each cone: a one-ray cone is decided by signs and any other is
-cut.  The rows' link row is a row of each cone already, so each state has
-the member set of its key's chain cone.  A child is live unless no ray of
-its cone has ``q11 > 0`` (``Chain.empty``), when it is counted.
+block, adds ``ksets._step_rows(s, excluded | s)``, computed once per group,
+to each cone: a one-ray cone is decided by the one-ray rule and any other
+is cut, so each state has the member set of its key's chain cone.  A child
+is live unless no ray of its cone has ``q11 > 0`` (``Chain.empty``), when
+it is counted.
 A pair of generation ``g`` with ``k`` steps of the first process is one
 of ``C(g, k)`` interleavings, ``C(g-1, k-1)`` of which end with a step of
 the first.  With ``A[k]`` and ``B[j]`` the processes' records,
@@ -184,33 +192,27 @@ class IterationRecord(NamedTuple):
 
 
 class RunResult:
-    """A run's log, the table it classified in and its live classes.
+    """A run's log and the table it classified in.
 
     ``live_classes[i]`` maps each live class of generation ``i`` to its
-    multiplicity: the classes that generation ``i + 1`` refines.  A factored
-    run (see the module docstring) makes its log without them; the first
-    access runs the class loop in ``table`` to the log's last generation.
-    ``replay`` and ``generations`` give the pairs themselves.  ``table`` is
-    the run's also after ``clear_caches``.
+    multiplicity: the classes that generation ``i + 1`` refines.  The first
+    access runs the class loop over all shapes in ``table`` to the log's
+    last generation.  After a run with no free block, every construction
+    and verdict of that loop is in the table, so it builds no cone and tests
+    none, also after ``clear_caches``.  ``replay`` and ``generations`` give
+    the pairs themselves.  ``table`` is the run's also after
+    ``clear_caches``.
     """
 
     __slots__ = ("a", "b", "stop_kind", "log", "table", "_classes", "_pairs")
 
-    def __init__(
-        self,
-        a: int,
-        b: int,
-        stop_kind: str,
-        log: list[IterationRecord],
-        table: RunTable,
-        live_classes: list[dict[RefinementClass, int]] | None = None,
-    ) -> None:
+    def __init__(self, a: int, b: int, stop_kind: str, log: list[IterationRecord], table: RunTable) -> None:
         self.a = a
         self.b = b
         self.stop_kind = stop_kind
         self.log = log
         self.table = table
-        self._classes = live_classes
+        self._classes: list[dict[RefinementClass, int]] | None = None
         self._pairs: list[list[RefinementPair]] | None = None
 
     @property
@@ -423,14 +425,13 @@ class RunTable:
         rows))``, neither of which is built.  Chain cones carry no strict
         rows, so neither does the cut.
 
-        A pointed parent with one extreme ray ``r``, cut by closed rows, is
-        ``cone(r)`` when every row is ``>= 0`` at ``r`` and ``{0}``
-        otherwise, so the child reads each ``k_i``'s rows on block ``i`` of
-        ``r`` and each link ``(i, u, j, v)`` as ``Q_i(u)(r_i) ==
-        Q_j(v)(r_j)``, and is the table's cone with that member set: the
-        parent or ``_EMPTY_CONE``, with no cut.  A table that holds neither
-        (a hand-built parent) cuts, so the child is always
-        ``intern(parent._cut(rows))``.
+        A pointed parent with one extreme ray ``r`` is cut by the one-ray
+        rule (see the module docstring): the child reads each ``k_i``'s rows
+        on block ``i`` of ``r`` and each link ``(i, u, j, v)`` as
+        ``Q_i(u)(r_i) == Q_j(v)(r_j)``, and is the table's cone with that
+        member set: the parent or ``_EMPTY_CONE``, with no cut.  A table
+        that holds neither (a hand-built parent) cuts, so the child is
+        always ``intern(parent._cut(rows))``.
         """
         ks = self._chain_cones
         k1, k2, k3 = (ks.get(c) or ks.setdefault(c, self.intern(c.cone)) for c in (c1, c2, c3))
@@ -546,11 +547,11 @@ def run_algorithm(
     """The refinement loop for ``a x + b y = (a+b) z`` until the stop set.
 
     Runs for at most ``max_iter`` refinements or until a generation is
-    produced with no pairs at all.  A run with a free block steps its two
-    processes, ``_class_loop`` and ``_free_walk``, and combines their
-    counts (see the module docstring); any other run is ``_run_generic``.
-    The run interns into the process's table for its stop set; its log is
-    the same whatever ran before it.  ``threads`` must be 1.
+    produced with no pairs at all, reading one record per generation: the
+    class loop's over all shapes, or for a run with a free block those that
+    ``_factored`` combines from its two processes (see the module
+    docstring).  The run interns into the process's table for its stop set;
+    its log is the same whatever ran before it.  ``threads`` must be 1.
     """
     shapes = linset(a, b)
     if max_iter < 0:
@@ -562,23 +563,37 @@ def run_algorithm(
     table = _table(stop_set(stop_kind))
     free = _free_block(shapes, table.rows)
     if free is None:
-        return _run_generic(a, b, stop_kind, max_iter)
+        records = (record for _, record in _class_loop(shapes, table))
+    else:
+        records = _factored(shapes, free, table)
+    log = [next(records)]
+    while log[-1].total and len(log) <= max_iter:
+        log.append(next(records))
+    return RunResult(a, b, stop_kind, log, table)
+
+
+def _factored(shapes: Sequence[Shape], free: int, table: RunTable) -> Iterator[IterationRecord]:
+    """Each generation's record of a run whose block ``free`` is free: the
+    class loop under the shapes that do not touch it and the walk of its
+    states under those that do, stepped together and combined by
+    ``_convolve``."""
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
     loop, walk = _class_loop(rest, table), _free_walk(table.root.chains[free].cone, ns)
-    log = [next(loop)[1]]
-    steps, walked = log[:], [next(walk)[1]]
-    while log[-1].total and len(log) <= max_iter:
+    steps, walked = [next(loop)[1]], [next(walk)[1]]
+    yield steps[0]
+    while True:
         start = time.perf_counter()
         steps.append(next(loop)[1])
         walked.append(next(walk)[1])
-        log.append(_convolve(steps, walked, time.perf_counter() - start))
-    return RunResult(a, b, stop_kind, log, table)
+        yield _convolve(steps, walked, time.perf_counter() - start)
 
 
 def _free_walk(
     root: Cone, ns: Sequence[int]
 ) -> Iterator[tuple[dict[frozenset[Pair], list[Cone]], IterationRecord]]:
-    """Each step's live free states, a list of cones per exclusion, and its record."""
+    """Each step's live free states, a list of cones per exclusion, and its
+    record.  A one-ray state's children follow from the one-ray rule (see
+    the module docstring) and keep its ``Cone``; any other is cut."""
     groups, total, index = {frozenset(): [root]}, 1, 0
     while True:
         live = sum(map(len, groups.values()))
@@ -588,7 +603,7 @@ def _free_walk(
             for n in ns:
                 for s in minima._min_n(excluded, n):
                     e = excluded.union(s)
-                    rows = _step_rows(s, None, e)
+                    rows = _step_rows(s, e)
                     total += len(cones)
                     for cone in cones:
                         rays, lin, _ = cone._closed_description()
@@ -628,21 +643,6 @@ def _convolve(
             sums[f] += (n - j) * x[f] * y.non_empty + j * x.non_empty * y[f]
         sums[4] += x.live_classes * y.live_classes
     return IterationRecord(*sums, seconds)
-
-
-def _run_generic(a: int, b: int, stop_kind: str, max_iter: int) -> RunResult:
-    """The class loop over all shapes, in the process's table for
-    ``stop_kind``, to ``max_iter`` or an empty generation.  Pairs whose
-    member set is empty are subsets of every stop set and are dropped
-    together with the absorbed ones.  The result keeps each generation's
-    live classes."""
-    table = _table(stop_set(stop_kind))
-    log, live_classes = [], []
-    for live, record in _class_loop(linset(a, b), table):
-        live_classes.append(live)
-        log.append(record)
-        if record.total == 0 or record.index == max_iter:
-            return RunResult(a, b, stop_kind, log, table, live_classes)
 
 
 def _class_loop(

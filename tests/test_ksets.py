@@ -276,13 +276,20 @@ _POOL = [(x, y) for x in range(-5, 6) for y in range(6) if is_strongly_primitive
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.sampled_from(_POOL), min_size=4, max_size=8, unique=True),
-    st.lists(st.sampled_from(_POOL), max_size=3, unique=True),
+    st.lists(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3, unique=True), max_size=3),
 )
 def test_certificate_and_seeded_cone_match_independent_builders(last, firsts):
     # The certificate is the rank-3 test, and when it fires no reduced form
     # has the structure.  The chain cone, built from its prefixes' cones,
-    # has the member set of the cone built from scratch.
-    key = [[v] for v in firsts if v not in last] + [last]
+    # has the member set of the cone built from scratch.  The earlier sets
+    # hold one to three vectors, each dropped when an earlier set or the
+    # last holds it, and need not be minimal, so the link row that a chain
+    # cone leaves out joins sets whose first and last vectors differ.
+    used, key = set(last), []
+    for s in firsts:
+        key.append([v for v in s if v not in used])
+        used.update(s)
+    key.append(last)
     diffs = [tuple(a - b for a, b in zip(coeff_row(v), coeff_row(last[0]))) for v in last]
     collapses = ksets._collapses(tuple(last))
     assert collapses == (_rank(diffs) == 3)

@@ -256,6 +256,19 @@ def _count_dd_by_dim(monkeypatch):
     return dd
 
 
+def _class_loop_run(a, b, stop_kind, max_iter):
+    """The class loop over every shape in the process's table for
+    ``stop_kind``, to ``max_iter`` or an empty generation, as
+    ``run_algorithm`` steps a run that does not factor: the reference for
+    the runs that do."""
+    table = refinement._table(stop_set(stop_kind))
+    log = []
+    for _, record in refinement._class_loop(linset(a, b), table):
+        log.append(record)
+        if record.total == 0 or record.index == max_iter:
+            return refinement.RunResult(a, b, stop_kind, log, table)
+
+
 def test_descriptions_do_not_depend_on_process_history():
     # The reduction domain's rays, cached by whatever ran earlier in the
     # process, must not reach the run: every cone's rays and tight-row masks
@@ -666,7 +679,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # root that the (1, 0, 1) steps use get DDs of their own: 1 + 3 + 294 =
     # 298.  Those steps build 3 nine-dimensional
     # cones, each tested once for emptiness, with the initial cone, 4 tests.
-    # The class loop over both shapes (``_run_generic``) asks each of the
+    # The class loop over both shapes (``_class_loop_run``) asks each of the
     # 336 distinct chain sequences whether it is empty: an empty sub-choice
     # or the signs at its prefix cone's one ray answer for 25, and each
     # other chain gets one three-dimensional DD, 311.  The loop builds one
@@ -683,7 +696,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
         return is_member_empty(self)
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    expected = ((run_algorithm, {3: 298, 9: 3}, 4), (refinement._run_generic, {3: 311, 9: 590}, 315))
+    expected = ((run_algorithm, {3: 298, 9: 3}, 4), (_class_loop_run, {3: 311, 9: 590}, 315))
     for run, dds, tests in expected:
         dd = _count_dd_by_dim(monkeypatch)
         empties[0] = 0
@@ -708,10 +721,8 @@ def test_factored_replay_classifies_through_its_table(monkeypatch):
     dd = _count_dd_by_dim(monkeypatch)
     result = run_algorithm(1, 0, "q1_eq_q3", 13)
     dd.update({3: 0, 9: 0})
-    calls = {"empty": 0, "generic": 0, "loop": 0}
-    is_member_empty, run_generic, class_loop = (
-        Cone.is_member_empty, refinement._run_generic, refinement._class_loop
-    )
+    calls = {"empty": 0, "loop": 0}
+    is_member_empty, class_loop = Cone.is_member_empty, refinement._class_loop
 
     def counting(key, f):
         def counted(*args):
@@ -721,13 +732,48 @@ def test_factored_replay_classifies_through_its_table(monkeypatch):
         return counted
 
     monkeypatch.setattr(Cone, "is_member_empty", counting("empty", is_member_empty))
-    monkeypatch.setattr(refinement, "_run_generic", counting("generic", run_generic))
     monkeypatch.setattr(refinement, "_class_loop", counting("loop", class_loop))
     assert sum(map(len, result.generations)) == 10558
-    assert (dd, calls) == ({3: 307, 9: 587}, {"empty": 193, "generic": 0, "loop": 0})
+    assert (dd, calls) == ({3: 307, 9: 587}, {"empty": 193, "loop": 0})
     refinement.clear_caches()
     assert sum(map(len, result.replay())) == 10558
     assert dd == {3: 307, 9: 587}
+
+
+def test_live_classes_are_derived_with_no_geometry(monkeypatch):
+    # A result keeps only its log and table, and forms its live classes at
+    # their first access by the class loop over all shapes in that table.
+    # After a run that does not factor, the table holds every construction,
+    # chain cone and verdict of that loop: reading the classes runs no DD,
+    # no row merge and no emptiness test, from cold memos on (1, 2)/14 and
+    # after ``clear_caches`` on (3, 1)/13, whose result still holds its table
+    # and its root chains.  Each generation's classes are as many as its
+    # record's live classes, and their multiplicities sum to its non-empty
+    # pairs.
+    dd = _count_dd_by_dim(monkeypatch)
+    calls = Counter()
+    cut, is_member_empty = Cone._cut, Cone.is_member_empty
+
+    def counting(key, f):
+        def counted(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(Cone, "_cut", counting("cut", cut))
+    monkeypatch.setattr(Cone, "is_member_empty", counting("empty", is_member_empty))
+    for a, b, max_iter, clear, generations in ((1, 2, 14, False, 15), (3, 1, 13, True, 5)):
+        result = run_algorithm(a, b, "diagonal", max_iter)
+        if clear:
+            refinement.clear_caches()
+        dd.update({3: 0, 9: 0})
+        calls.clear()
+        classes = result.live_classes
+        assert (dd, calls) == ({3: 0, 9: 0}, {}), (a, b)
+        assert len(classes) == len(result.log) == generations
+        for live, rec in zip(classes, result.log):
+            assert (len(live), sum(live.values())) == (rec.live_classes, rec.non_empty), rec
 
 
 def test_min_complement_builds_from_cold_memos():
@@ -1002,13 +1048,13 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch
     # intersection; a child that the signs at its parent's one ray decided
     # is the table's cone with the intersection's member set, the parent or
     # the empty cone.  Every chain cone has the description of its prefix's
-    # cone cut by ``Cone(3, rows)``, the ``_step_rows`` of its last set
-    # linked to the prefix's last vector.  The class loop runs over every
+    # cone cut by ``Cone(3, rows)``, the ``_step_rows`` of its last set,
+    # which leave out the link row.  The class loop runs over every
     # shape, also for the (1, 0) run that factors: none of its 590
     # constructions has a one-ray parent, and 70 of the 92 on (1, 2) do.
     refinement.clear_caches()
     tables = _recording_children(monkeypatch)
-    refinement._run_generic(a, b, stop_kind, max_iter)
+    _class_loop_run(a, b, stop_kind, max_iter)
     monkeypatch.undo()
     table = refinement._tables[stop_set(stop_kind)]
     made = tables[table]
@@ -1025,8 +1071,7 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch
     chains = [c for c in ksets._chains.values() if c.key and c._cone is not None]
     for c in chains:
         prefix = ksets._chain(c.key[:-1]).cone
-        last = c.key[-2][-1] if len(c.key) > 1 else None
-        rows = ksets._step_rows(c.key[-1], last, frozenset(v for s in c.key for v in s))
+        rows = ksets._step_rows(c.key[-1], frozenset(v for s in c.key for v in s))
         assert _description(c.cone) == _description(prefix.intersect(Cone(3, rows)))
     decided = sum(cone is None for cone in made.values())
     assert (len(made), decided, len(chains)) == {
@@ -1107,7 +1152,7 @@ def test_class_cones_are_chain_products_cut_by_links():
     # q1_eq_q3/13 the 590 constructions have 315 such keys, one per
     # non-empty member set.
     refinement.clear_caches()
-    runs = [refinement._run_generic(1, 0, "q1_eq_q3", 13), run_algorithm(1, 1), run_algorithm(1, 2, "diagonal", 14)]
+    runs = [run_algorithm(1, 0, "q1_eq_q3", 13), run_algorithm(1, 1), run_algorithm(1, 2, "diagonal", 14)]
     for a, b in SWEEP_PAIRS:
         runs += [run_algorithm(a, b), run_algorithm(b, a)]
     checked = 0
@@ -1165,7 +1210,7 @@ def test_factored_log_equals_the_class_loop(a):
     # max_iter, so its log to depth d is the first d + 1 records of its log
     # to 20.  A factored result forms the class loop's live classes at their
     # first access, with the log it already has.
-    generic = [rec[:-1] for rec in refinement._run_generic(a, 0, "q1_eq_q3", 20).log]
+    generic = [rec[:-1] for rec in _class_loop_run(a, 0, "q1_eq_q3", 20).log]
     assert len(generic) == 21 and generic[-1][1] > 0
     for depth in range(21):
         result = run_algorithm(a, 0, "q1_eq_q3", depth)
@@ -1210,9 +1255,9 @@ def _recording_walk(monkeypatch):
             walked.append(groups)
             yield groups, record
 
-    def recording_rows(s, last, excluded):
-        assert last is None and (s, excluded) not in rows, (s, excluded)
-        rows[s, excluded] = step_rows(s, last, excluded)
+    def recording_rows(s, excluded):
+        assert (s, excluded) not in rows, (s, excluded)
+        rows[s, excluded] = step_rows(s, excluded)
         return rows[s, excluded]
 
     def recording_cut(self, closed, *rest):
@@ -1239,9 +1284,9 @@ def test_free_walk_states_have_their_chain_cones(a, monkeypatch):
     # no chain.  The rows of a set s are computed once per exclusion and
     # shared by the group's cones.  Following each state's key, the path of
     # sets from the root chain's cone: every cut state has the closed rows,
-    # in order, and the rays of ``chain(key).cone``, and the link row that
-    # the chain adds, ``Q(s_0) >= Q(last)``, is a closed row of its parent
-    # already, since s_0 is minimal outside the parent's exclusion.  Every
+    # in order, and the rays of ``chain(key).cone``, and the link row
+    # ``Q(s_0) >= Q(last)``, which neither adds, is a closed row of its
+    # parent already, since s_0 is minimal outside the parent's exclusion.  Every
     # child the walk did not cut has a parent with one ray: it is kept as
     # its parent's ``Cone`` object, which has the rays of
     # ``chain(key).cone``, when that chain is not empty, and dropped when it
