@@ -121,6 +121,8 @@ def _check_out(path: str) -> None:
     if not path:
         raise ValueError("--out needs a directory path, got ''")
     if os.path.lexists(path):
+        if not os.path.isdir(path):
+            raise ValueError(f"--out path {path} is not a directory")
         if os.listdir(path):
             raise ValueError(f"--out directory {path} is not empty")
         return

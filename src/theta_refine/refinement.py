@@ -50,9 +50,8 @@ and a closed row ``a`` holds on all of it when ``a . r >= 0`` and only at 0
 otherwise.  So the cone cut by closed rows is ``cone(r)`` when every row is
 ``>= 0`` at ``r``, and ``{0}`` otherwise, with no row merge or double
 description.  A child whose parent cone has one ray is the parent or the
-empty cone (``RunTable.child``), a chain is empty when a row of its last set
-is negative at its prefix cone's one ray (``ksets.Chain``), and a free state
-with one ray keeps its cone or is dropped (``_free_walk``).
+empty cone (``RunTable.child``), and a chain is empty when a row of its last
+set is negative at its prefix cone's one ray (``ksets.Chain``).
 
 A run factors when one block is free: no stop row touches it, and every
 shape that touches it touches no other block, so no link row touches it
@@ -64,13 +63,13 @@ two processes one generation at a time.  The first is the class loop
 from the root class under the other shapes; its free block keeps the root
 chain, whose cone has members with ``q11 > 0``, so its verdicts are
 those of ``C``.  The second walks the free block's live states, with no
-``Chain``, as one list of cones per exclusion (``_free_walk``).  Each
+``Chain`` and no ``Cone``, as one list of ray cycles per exclusion
+(``_free_walk``): a state is its cone's extreme rays in cyclic order.  Each
 ``s`` of ``minima._min_n(excluded, n)``, ``n`` a size a shape asks of the
-block, adds ``ksets._step_rows(s, excluded | s)``, computed once per group,
-to each cone: a one-ray cone is decided by the one-ray rule and any other
-is cut, so each state has the member set of its key's chain cone.  A child
-is live unless no ray of its cone has ``q11 > 0`` (``Chain.empty``), when
-it is counted.
+block, clips each state by ``ksets._step_rows(s, excluded | s)``, computed
+once per group, with no DD (``_clip``), so each state has the rays of its
+key's chain cone.  A child is live unless none of its rays has ``q11 > 0``
+(``Chain.empty``), when it is counted.
 A pair of generation ``g`` with ``k`` steps of the first process is one
 of ``C(g, k)`` interleavings, ``C(g-1, k-1)`` of which end with a step of
 the first.  With ``A[k]`` and ``B[j]`` the processes' records,
@@ -590,31 +589,54 @@ def _factored(shapes: Sequence[Shape], free: int, table: RunTable) -> Iterator[I
 
 def _free_walk(
     root: Cone, ns: Sequence[int]
-) -> Iterator[tuple[dict[frozenset[Pair], list[Cone]], IterationRecord]]:
-    """Each step's live free states, a list of cones per exclusion, and its
-    record.  A one-ray state's children follow from the one-ray rule (see
-    the module docstring) and keep its ``Cone``; any other is cut."""
-    groups, total, index = {frozenset(): [root]}, 1, 0
+) -> Iterator[tuple[dict[frozenset[Pair], list[tuple[Vector, ...]]], IterationRecord]]:
+    """Each step's live free states, a list of ray cycles per exclusion, and
+    its record.  The root is pointed (``edges`` raises
+    ``NonPointedConeError``) with at most 3 rays, a cycle in any order."""
+    rays = root.edges()
+    if len(rays) > 3:
+        raise ValueError(f"the free walk's root must have at most 3 extreme rays, got {len(rays)}")
+    groups, total, index = {frozenset(): [rays]}, 1, 0
     while True:
         live = sum(map(len, groups.values()))
         yield groups, IterationRecord(index, total, live, 0, live, total - live, 0.0)
         children, total, index = {}, 0, index + 1
-        for excluded, cones in groups.items():
+        for excluded, states in groups.items():
             for n in ns:
                 for s in minima._min_n(excluded, n):
                     e = excluded.union(s)
                     rows = _step_rows(s, e)
-                    total += len(cones)
-                    for cone in cones:
-                        rays, lin, _ = cone._closed_description()
-                        if len(rays) == 1 and not lin:
-                            keep = all(_dot(a, rays[0]) >= 0 for a in rows)
-                        else:
-                            cone = cone._cut(rows)
-                            keep = any(r[0] for r in cone.edges())
-                        if keep:
-                            children.setdefault(e, []).append(cone)
+                    total += len(states)
+                    for rays in states:
+                        rays = _clip(rays, rows)
+                        if any(r[0] for r in rays):
+                            children.setdefault(e, []).append(rays)
         groups = children
+
+
+def _clip(rays: tuple[Vector, ...], rows: Iterable[Vector]) -> tuple[Vector, ...]:
+    """The extreme rays ``rays`` of a pointed three-dim cone, in cyclic
+    order, cut by the closed ``rows``: a cross-section is a convex polygon,
+    clipped by each row in turn (Sutherland and Hodgman, 1974).  A row ``a``
+    negative at some ray keeps each ray with ``s_i = a . r_i >= 0`` and puts
+    after ray ``i`` the primitive ``|s_i| r_j + |s_j| r_i``, where ``a``
+    vanishes, of each edge ``(i, j)`` with signs strictly opposite.  Edges
+    join consecutive rays, and the last to the first when there are 3 or
+    more; 1 ray is the one-ray rule.  Exact, and the rays stay cyclic."""
+    for a0, a1, a2 in rows:
+        d = [a0 * x + a1 * y + a2 * z for x, y, z in rays]
+        if not d or min(d) >= 0:
+            continue
+        n, cut = len(rays), []
+        for i, (r, s) in enumerate(zip(rays, d)):
+            if s >= 0:
+                cut.append(r)
+            j = (i + 1) % n
+            if s * d[j] < 0 and (j or n > 2):
+                (x, y, z), (u, v, w), p, q = r, rays[j], abs(s), abs(d[j])
+                cut.append(_primitive((p * u + q * x, p * v + q * y, p * w + q * z)))
+        rays = tuple(cut)
+    return rays
 
 
 def _free_block(shapes: Sequence[Shape], stop_rows: Sequence[Vector]) -> int | None:

@@ -114,6 +114,18 @@ def test_bad_input_leaves_no_out_directory(argv, tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # --out naming an existing file is refused on its own terms, in one
+    # line, before the run, and nothing is made.
+    out = tmp_path / "file"
+    out.write_text("")
+    monkeypatch.setattr(cli, "run_algorithm", None)
+    code, stdout, err = run_cli_error(capsys, "refine", "--a", "1", "--b", "2", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: --out path {out} is not a directory\n"
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == ""
+
+
 def test_nonempty_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
     # A second dump into the same directory would leave the first run's
     # extra generations and pairs behind, so a non-empty --out is refused

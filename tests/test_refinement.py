@@ -4,6 +4,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from theta_refine import geometry, ksets, minima, refinement
 from theta_refine.cli import format_table
@@ -416,7 +417,7 @@ def test_dead_blocks_build_no_chain(monkeypatch):
 
 @pytest.mark.parametrize(
     "a, b, stop_kind, max_iter, rows",
-    [(1, 0, "q1_eq_q3", 13, {3: 573, 9: 6}), (1, 2, "diagonal", 14, {3: 199, 9: 85})],
+    [(1, 0, "q1_eq_q3", 13, {3: 3, 9: 6}), (1, 2, "diagonal", 14, {3: 199, 9: 85})],
 )
 def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeypatch):
     # Rows inserted by every DD of a run from cold memos.  A chain cone's DD
@@ -427,8 +428,11 @@ def test_dd_rows_inserted_per_dimension(a, b, stop_kind, max_iter, rows, monkeyp
     # (1, 0, 1) process, 6 rows, where the class loop over both shapes
     # inserts 972 rows in 590 children.  On (1, 2) the chains and children
     # decided from the signs at a one-ray cone, or by an empty sub-choice,
-    # insert no row: {3: 199, 9: 85}, not {3: 745, 9: 832}.  So do the 41
-    # free states of (1, 0) with a one-ray parent: {3: 573}, not {3: 649}.
+    # insert no row: {3: 199, 9: 85}, not {3: 745, 9: 832}.  The free walk
+    # of (1, 0) clips its states' ray cycles with no DD, so its three-dim
+    # DDs are the root chain cone's, 3 rows, and those of the 3 chain cones
+    # of its (1, 0, 1) process, which add no new row: {3: 3}, where cutting
+    # the walked states by DD inserted {3: 573}.
     refinement.clear_caches()
     inserted = {3: 0, 9: 0}
     extreme_rays = geometry._extreme_rays
@@ -671,14 +675,12 @@ def test_one_cone_object_per_member_set(run_10):
 def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
     # Exact work on the (1, 0) q1_eq_q3 run to 13 from cold memos.  The run
     # factors.  The (0, 1, 0) steps walk the second block's 335 states past
-    # the root and build no nine-dimensional cone.  41 of them have a parent
-    # with one ray, which the signs at the ray decide with no DD (16 keep
-    # the parent, 25 are {0}); each of the other 294 is cut from its parent
-    # with one three-dimensional DD, where the walk cut all 335 before and
-    # made 339 DDs.  The walk makes no chain, so the 3 chain cones past the
-    # root that the (1, 0, 1) steps use get DDs of their own: 1 + 3 + 294 =
-    # 298.  Those steps build 3 nine-dimensional
-    # cones, each tested once for emptiness, with the initial cone, 4 tests.
+    # the root as ray cycles, clipped with no DD and no nine-dimensional
+    # cone, where cutting each state by DD made 294 DDs.  The walk makes no
+    # chain, so the root chain cone and the 3 chain cones past the root
+    # that the (1, 0, 1) steps use get DDs of their own: 1 + 3 = 4.  Those
+    # steps build 3 nine-dimensional cones, each tested once for emptiness,
+    # with the initial cone, 4 tests.
     # The class loop over both shapes (``_class_loop_run``) asks each of the
     # 336 distinct chain sequences whether it is empty: an empty sub-choice
     # or the signs at its prefix cone's one ray answer for 25, and each
@@ -696,7 +698,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
         return is_member_empty(self)
 
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
-    expected = ((run_algorithm, {3: 298, 9: 3}, 4), (_class_loop_run, {3: 311, 9: 590}, 315))
+    expected = ((run_algorithm, {3: 4, 9: 3}, 4), (_class_loop_run, {3: 311, 9: 590}, 315))
     for run, dds, tests in expected:
         dd = _count_dd_by_dim(monkeypatch)
         empties[0] = 0
@@ -707,7 +709,7 @@ def test_one_dd_and_one_verdict_per_distinct_cone(monkeypatch):
 
 def test_factored_replay_classifies_through_its_table(monkeypatch):
     # The factored (1, 0) q1_eq_q3 run to 13 from cold memos walks the free
-    # block's cones with no chain, and builds only 3 nine-dimensional cones
+    # block's ray cycles with no chain, and builds only 3 nine-dimensional cones
     # and the chain cones of the (1, 0, 1) steps.  Its replay starts from
     # the table's root and asks the table for the verdict of each pair it
     # refines: it builds the other 587 constructions of the class loop over
@@ -1244,11 +1246,11 @@ def test_only_the_b_zero_runs_under_q1_eq_q3_factor():
 
 def _recording_walk(monkeypatch):
     """Record the free walk of the runs that follow: each step's groups of
-    live cones by exclusion, the rows object computed for each set ``s``
-    and exclusion ``e``, which must be computed once, and each cut the walk
-    makes, keyed on its parent and the id of its rows object."""
-    walked, rows, cuts = [], {}, {}
-    free_walk, step_rows, cut = refinement._free_walk, refinement._step_rows, Cone._cut
+    live states by exclusion, the rows object computed for each set ``s``
+    and exclusion ``e``, which must be computed once, and each clip the
+    walk makes, keyed on its parent state and the id of its rows object."""
+    walked, rows, clips = [], {}, {}
+    free_walk, step_rows, clip = refinement._free_walk, refinement._step_rows, refinement._clip
 
     def recording_walk(*args):
         for groups, record in free_walk(*args):
@@ -1260,43 +1262,32 @@ def _recording_walk(monkeypatch):
         rows[s, excluded] = step_rows(s, excluded)
         return rows[s, excluded]
 
-    def recording_cut(self, closed, *rest):
-        cone = cut(self, closed, *rest)
-        if any(closed is r for r in rows.values()):
-            cuts[self, id(closed)] = cone
-        return cone
+    def recording_clip(rays, closed):
+        clips[rays, id(closed)] = clip(rays, closed)
+        return clips[rays, id(closed)]
 
     monkeypatch.setattr(refinement, "_free_walk", recording_walk)
     monkeypatch.setattr(refinement, "_step_rows", recording_rows)
-    monkeypatch.setattr(Cone, "_cut", recording_cut)
-    return walked, rows, cuts
-
-
-def _ids(groups):
-    return {e: Counter(map(id, cones)) for e, cones in groups.items()}
+    monkeypatch.setattr(refinement, "_clip", recording_clip)
+    return walked, rows, clips
 
 
 @pytest.mark.filterwarnings("ignore:gcd")
 @pytest.mark.parametrize("a", [1, 2])
 def test_free_walk_states_have_their_chain_cones(a, monkeypatch):
     # The factored (a, 0) q1_eq_q3 runs to 13 from cold memos walk the
-    # second block's live states as lists of cones, one per exclusion, with
+    # second block's live states as ray cycles, one list per exclusion, with
     # no chain.  The rows of a set s are computed once per exclusion and
-    # shared by the group's cones.  Following each state's key, the path of
-    # sets from the root chain's cone: every cut state has the closed rows,
-    # in order, and the rays of ``chain(key).cone``, and the link row
-    # ``Q(s_0) >= Q(last)``, which neither adds, is a closed row of its
-    # parent already, since s_0 is minimal outside the parent's exclusion.  Every
-    # child the walk did not cut has a parent with one ray: it is kept as
-    # its parent's ``Cone`` object, which has the rays of
-    # ``chain(key).cone``, when that chain is not empty, and dropped when it
-    # is.  Each step's groups hold exactly the cones of the keys whose
-    # chains are not empty.
+    # shared by the group's states.  Following each state's key, the path
+    # of sets from the root chain's cone: every child is its parent clipped
+    # by those rows, its sorted rays are the rays of ``chain(key).cone``,
+    # and it is live exactly when that chain is not empty.  Each step's
+    # groups hold exactly the states of the keys whose chains are not empty.
     refinement.clear_caches()
-    walked, rows, cuts = _recording_walk(monkeypatch)
+    walked, rows, clips = _recording_walk(monkeypatch)
     result = run_algorithm(a, 0, "q1_eq_q3", 13)
     monkeypatch.undo()
-    root = result.table.root.chains[1].cone
+    root = result.table.root.chains[1].cone.edges()
     assert walked[0] == {frozenset(): [root]}
     states, children, depths = {frozenset(): [((), root)]}, 0, set()
     for groups in walked[1:]:
@@ -1306,82 +1297,123 @@ def test_free_walk_states_have_their_chain_cones(a, monkeypatch):
                 e = excluded.union(s)
                 for key, parent in held:
                     key += (s,)
-                    want, child = ksets.chain(key), cuts.get((parent, id(rows[s, e])))
-                    if child is not None:
-                        assert (child.closed, child.edges()) == (want.cone.closed, want.cone.edges()), key
-                        assert any(r[0] for r in child.edges()) == (not want.empty), key
-                        if len(key) > 1:
-                            link = geometry._primitive(ksets._row_diff(s[0], key[-2][-1]))
-                            assert link in parent.closed, key
-                    else:
-                        assert len(parent.edges()) == 1, key
-                        child = parent
-                        assert want.empty or child.edges() == want.cone.edges(), key
+                    want, child = ksets.chain(key), clips[parent, id(rows[s, e])]
+                    assert tuple(sorted(child)) == want.cone.edges(), key
+                    assert any(r[0] for r in child) == (not want.empty), key
                     children += 1
                     depths.add(len(key))
                     if not want.empty:
                         expected.setdefault(e, []).append((key, child))
-        assert _ids(groups) == {e: Counter(id(c) for _, c in held) for e, held in expected.items()}
+        assert {e: Counter(g) for e, g in groups.items()} == {
+            e: Counter(c for _, c in held) for e, held in expected.items()
+        }
         states = expected
     assert children == 335
     assert max(depths) == 13
 
 
-def _check_sign_decisions(walked, rows, cuts):
-    """Check that the walk cut every child of a parent with several rays or
-    a line, and only those, and that each child it decided at a one-ray
-    parent, cut anyway, has the parent's rays where the walk kept the
-    parent and no ray where it dropped the child.  Returns the number of
-    decided children, kept and dropped."""
-    kept = dropped = 0
-    for groups, after in zip(walked, walked[1:]):
-        expected = {}
-        for excluded, cones in groups.items():
-            for s in minima._min_n(excluded, 1):
-                e = excluded.union(s)
-                r = rows[s, e]
-                for parent in cones:
-                    rays, lin, _ = parent._closed_description()
-                    child = cuts.get((parent, id(r)))
-                    assert (child is None) == (len(rays) == 1 and not lin), parent
-                    if child is None:
-                        cut = parent._cut(r)
-                        assert cut.edges() in (rays, ()), parent
-                        child = parent if cut.edges() else cut
-                        kept += child is parent
-                        dropped += child is not parent
-                    if any(ray[0] for ray in child.edges()):
-                        expected.setdefault(e, Counter())[id(child)] += 1
-        assert _ids(after) == expected
-    return kept, dropped
+def test_free_walk_root_is_pointed_with_at_most_three_rays():
+    # A root with a line has no ray cycle: the walk from the forms
+    # q11 x^2 + q22 y^2 with q11 >= 0 raises at its first step.  Three rays
+    # are in cyclic order in any order, more need not be, so a square
+    # pyramid is refused.
+    with pytest.raises(geometry.NonPointedConeError):
+        next(refinement._free_walk(Cone(3, ((1, 0, 0), (0, 0, 1), (0, 0, -1))), (1,)))
+    with pytest.raises(ValueError, match="at most 3"):
+        next(refinement._free_walk(Cone(3, ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))), (1,)))
 
 
-@pytest.mark.filterwarnings("ignore:gcd")
-def test_free_walk_sign_decisions_are_the_cuts_they_skip(monkeypatch):
-    # A pointed cone with one ray r, cut by closed rows, is cone(r) when
-    # every row is >= 0 at r and {0} otherwise.  On the (k, 0) q1_eq_q3
-    # runs, k = 1, 2, 3, to 16 from cold memos, the free walk decides by
-    # the signs at the ray every child of a one-ray parent, and only those:
-    # cut anyway, each has the parent's rays where the walk kept the parent
-    # object, and no ray where the walk dropped it.  The runs
-    # are the same process for every k, so each walk decides the same
-    # children.  A parent with one ray and a line is not decided: the walk
-    # from the forms q11 x^2 + q22 y^2 with q11 >= 0, whose one ray q11
-    # does not span them, must cut its first child, which the signs at the
-    # ray would drop.
-    for k in (1, 2, 3):
-        refinement.clear_caches()
-        walked, rows, cuts = _recording_walk(monkeypatch)
-        run_algorithm(k, 0, "q1_eq_q3", 16)
-        monkeypatch.undo()
-        assert len(walked) == 17
-        assert _check_sign_decisions(walked, rows, cuts) == (78, 131), k
-    walked, rows, cuts = _recording_walk(monkeypatch)
-    walk = refinement._free_walk(Cone(3, ((1, 0, 0), (0, 0, 1), (0, 0, -1))), (1,))
-    records = [record for _, (_, record) in zip(range(6), walk)]
-    monkeypatch.undo()
-    assert [(r.total, r.non_empty) for r in records] == [(1, 1)] * 6
-    assert _check_sign_decisions(walked, rows, cuts) == (0, 0)
+def _product(u, v):
+    """The cross product of two triples."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _det(u, v, w):
+    return geometry._dot(u, _product(v, w))
+
+
+def _is_cycle(rays):
+    """Each edge of the cycle, consecutive rays and the last to the first
+    when there are 3 or more, has every other ray strictly on one side."""
+    n = len(rays)
+    for i in range(n if n > 2 else n - 1):
+        u, v = rays[i], rays[(i + 1) % n]
+        signs = {(d > 0) - (d < 0) for d in (_det(u, v, r) for r in rays if r not in (u, v))}
+        if len(signs) > 1 or 0 in signs:
+            return False
+    return True
+
+
+_SMALL = st.integers(-4, 4)
+# A row is a triple, or built from the input state's rays: ``at`` vanishes
+# at ray i, ``edge`` on the plane of rays i and j (the whole cone of a
+# 2-ray state) with the sign that holds on the state or its opposite,
+# ``split`` on the bisector of rays i and j in that plane, strictly positive
+# at one and negative at the other, ``neg`` is negative at every ray.
+_CLIP_ROWS = st.lists(
+    st.one_of(
+        st.tuples(st.just("row"), st.tuples(_SMALL, _SMALL, _SMALL)),
+        st.tuples(st.just("at"), st.integers(0, 5), st.tuples(_SMALL, _SMALL, _SMALL)),
+        st.tuples(st.just("edge"), st.integers(0, 5), st.integers(0, 5), st.sampled_from((1, -1))),
+        st.tuples(st.just("split"), st.integers(0, 5), st.integers(0, 5), st.sampled_from((1, -1))),
+        st.just(("neg",)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _clip_row(kind, rays):
+    """The row that ``kind`` of ``_CLIP_ROWS`` draws for the state ``rays``."""
+    if kind[0] == "row":
+        return kind[1]
+    if not rays:
+        return (0, 0, 0)
+    if kind[0] == "at":
+        return _product(rays[kind[1] % len(rays)], kind[2])
+    if kind[0] == "neg":
+        return tuple(-sum(col) for col in zip(*rays))
+    u, v = rays[kind[1] % len(rays)], rays[kind[2] % len(rays)]
+    row = _product(u, v)
+    if kind[0] == "split":
+        return tuple(kind[3] * x for x in _product(row, [x + y for x, y in zip(u, v)]))
+    if any(geometry._dot(row, r) < 0 for r in rays):
+        row = tuple(-x for x in row)
+    return tuple(kind[3] * x for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SMALL, _SMALL, _SMALL), max_size=3), _CLIP_ROWS)
+@example([(-1, 0, 0)], [("row", (0, 0, 1))])
+@example([(-1, 0, 0)], [("row", (0, 0, -1))])
+@example([(-1, 0, 0)], [("at", 0, (1, 0, 0))])
+@example([(-1, 0, 1)], [("edge", 0, 1, -1)])
+@example([(-1, 0, 1)], [("at", 0, (0, 1, 0))])
+@example([(-1, 0, 1)], [("at", 1, (0, 1, 0))])
+@example([(-1, 0, 1)], [("neg",)])
+@example([(-1, 0, 1)], [("split", 0, 1, 1)])
+@example([(-1, 0, 1)], [("split", 0, 1, -1)])
+@example([], [("split", 0, 2, 1)])
+@example([], [("edge", 0, 1, -1)])
+@example([], [("edge", 1, 2, 1)])
+@example([], [("at", 2, (1, 0, 0))])
+@example([], [("neg",)])
+def test_clip_is_the_cut_in_cyclic_order(pre, kinds):
+    # A pointed three-dim cone, a cut of the closed reduction domain by
+    # small rows whose ray cycle is the clip of the domain's three rays,
+    # clipped by rows that may vanish at a ray, on an edge or on the whole
+    # cone, split an edge between its rays, or leave 2, 1 or 0 rays, 1-ray
+    # and 2-ray states among them: the rays are those of ``Cone._cut``,
+    # sorted, and in cyclic order, the input's and the output's.
+    root = ksets.V_CLOSURE_CONE
+    pre = [geometry._primitive(r) for r in pre if any(r)]
+    rays, cone = refinement._clip(root.edges(), pre), root._cut(pre)
+    assert tuple(sorted(rays)) == cone.edges() and _is_cycle(rays)
+    rows = [_clip_row(kind, rays) for kind in kinds]
+    rows = [geometry._primitive(r) for r in rows if any(r)]
+    clipped = refinement._clip(rays, rows)
+    assert tuple(sorted(clipped)) == cone._cut(rows).edges()
+    assert _is_cycle(clipped)
 
 
 @pytest.mark.filterwarnings("ignore:gcd")
