@@ -19,7 +19,7 @@ from .geometry import cone_to_json_dict, format_cone
 from .ksets import kset
 from .minima import min_complement, min_n
 from .quadform import parse_int_form, reduce_gl2, sp_theta_coeffs, theta_coeffs
-from .refinement import RunResult, check_y_projection_argument, run_algorithm
+from .refinement import RunResult, run_algorithm, y_projection_holds
 from .relations import classify, key_lemma_decompose, verify_relation
 from . import fixtures
 
@@ -265,8 +265,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_ycheck(args) -> int:
-    result = run_algorithm(1, 0, "q1_eq_q3", args.max_iter)
-    ok = check_y_projection_argument(result.live_classes[-1])
+    ok = y_projection_holds(args.max_iter)
     print(f"y-projection check: {'holds' if ok else 'fails'}")
     return 0 if ok else 1
 

@@ -28,7 +28,9 @@ are consulted only by membership and emptiness tests.  Emptiness is exact
 for every cone: when the ray sum misses a strict row, the test enumerates
 the rays of the closed cone cut by ``b . x >= 0`` for the strict rows, a DD
 that resumes from the closed description and runs only when the missed row
-is negative somewhere on the closed cone.
+is negative somewhere on the closed cone.  The DD is the one source of a
+``Cone``'s rays; the free walk's ray cycles are no ``Cone``, and
+``refinement._clip`` cuts them by polygon clipping, with no DD.
 """
 
 from __future__ import annotations

@@ -20,10 +20,7 @@ The run refines classes, not pairs.  A class is a cone and three chains
 (``RefinementClass``): the pairs in one class have identical subtrees, so a
 generation is a dict from class to multiplicity, each class is classified
 and refined once, and every count of the table is a sum of multiplicities.
-A run keeps only its log and its table.  Its live classes, which the
-y-projection check reads instead of classifying again, are formed at their
-first access by the class loop over all shapes in that table
-(``RunResult.live_classes``).  The pairs themselves are replayed on demand
+A run keeps only its log and its table.  The pairs are replayed on demand
 (``RunResult.replay`` and ``generations``) by ``refine_pair``, which lists
 the children the class loop builds and counts, and the verdicts of the
 table the run used.
@@ -191,19 +188,10 @@ class IterationRecord(NamedTuple):
 
 
 class RunResult:
-    """A run's log and the table it classified in.
+    """A run's log and the table it classified in, which it keeps after
+    ``clear_caches``.  ``replay`` and ``generations`` give the pairs."""
 
-    ``live_classes[i]`` maps each live class of generation ``i`` to its
-    multiplicity: the classes that generation ``i + 1`` refines.  The first
-    access runs the class loop over all shapes in ``table`` to the log's
-    last generation.  After a run with no free block, every construction
-    and verdict of that loop is in the table, so it builds no cone and tests
-    none, also after ``clear_caches``.  ``replay`` and ``generations`` give
-    the pairs themselves.  ``table`` is the run's also after
-    ``clear_caches``.
-    """
-
-    __slots__ = ("a", "b", "stop_kind", "log", "table", "_classes", "_pairs")
+    __slots__ = ("a", "b", "stop_kind", "log", "table", "_pairs")
 
     def __init__(self, a: int, b: int, stop_kind: str, log: list[IterationRecord], table: RunTable) -> None:
         self.a = a
@@ -211,15 +199,7 @@ class RunResult:
         self.stop_kind = stop_kind
         self.log = log
         self.table = table
-        self._classes: list[dict[RefinementClass, int]] | None = None
         self._pairs: list[list[RefinementPair]] | None = None
-
-    @property
-    def live_classes(self) -> list[dict[RefinementClass, int]]:
-        if self._classes is None:
-            loop = _class_loop(linset(self.a, self.b), self.table)
-            self._classes = [next(loop)[0] for _ in self.log]
-        return self._classes
 
     def totals(self) -> list[int]:
         return [rec.total for rec in self.log]
@@ -523,23 +503,6 @@ def _refine_classes(
     return classes, counted
 
 
-def check_y_projection_argument(
-    items: Iterable[RefinementPair] | Iterable[RefinementClass],
-) -> bool:
-    """Every live pair chose a non-empty factor-2 set.
-
-    ``items`` are the live pairs or the live classes of a generation: the
-    pairs of ``RunResult.generations`` whose cone ``RunResult.table``
-    calls live, or ``RunResult.live_classes``.  A pair chose a non-empty
-    factor-2 set exactly when its factor-2 chain has a non-empty key, and
-    the pairs of a class share their chains.  This is the machine-checkable
-    core of the argument that, for the relation with zero second
-    coefficient, the factor-2 choices carry no information and all genuine
-    solutions already lie in the stop set.
-    """
-    return all(p.chains[1].key for p in items)
-
-
 def run_algorithm(
     a: int, b: int, stop_kind: str = "diagonal", max_iter: int = 13, threads: int = 1
 ) -> RunResult:
@@ -561,14 +524,28 @@ def run_algorithm(
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
     table = _table(stop_set(stop_kind))
     free = _free_block(shapes, table.rows)
-    if free is None:
-        records = (record for _, record in _class_loop(shapes, table))
-    else:
-        records = _factored(shapes, free, table)
+    records = _class_loop(shapes, table) if free is None else _factored(shapes, free, table)
     log = [next(records)]
     while log[-1].total and len(log) <= max_iter:
         log.append(next(records))
     return RunResult(a, b, stop_kind, log, table)
+
+
+def y_projection_holds(max_iter: int) -> bool:
+    """Every live pair of generation ``max_iter`` of the ``(1, 0)`` q1_eq_q3
+    run chose a non-empty factor-2 set.  Block 2 is free, so a live class
+    of generation ``g`` is a class of the ``(1, 0, 1)`` process after ``k``
+    steps times a free state after ``g - k``, whose factor-2 key is empty
+    exactly when ``k = g``: the check fails iff that process has a live
+    class at step ``g``.  Every ``(k, 0)`` run has this linset."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    shapes, table = linset(1, 0), _table(stop_set("q1_eq_q3"))
+    if _free_block(shapes, table.rows) != 1:
+        return False
+    for record in _class_loop([s for s in shapes if not s[1]], table):
+        if record.index == max_iter or not record.total:
+            return not record.non_empty
 
 
 def _factored(shapes: Sequence[Shape], free: int, table: RunTable) -> Iterator[IterationRecord]:
@@ -578,11 +555,11 @@ def _factored(shapes: Sequence[Shape], free: int, table: RunTable) -> Iterator[I
     ``_convolve``."""
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
     loop, walk = _class_loop(rest, table), _free_walk(table.root.chains[free].cone, ns)
-    steps, walked = [next(loop)[1]], [next(walk)[1]]
+    steps, walked = [next(loop)], [next(walk)[1]]
     yield steps[0]
     while True:
         start = time.perf_counter()
-        steps.append(next(loop)[1])
+        steps.append(next(loop))
         walked.append(next(walk)[1])
         yield _convolve(steps, walked, time.perf_counter() - start)
 
@@ -667,10 +644,8 @@ def _convolve(
     return IterationRecord(*sums, seconds)
 
 
-def _class_loop(
-    shapes: Sequence[Shape], table: RunTable
-) -> Iterator[tuple[dict[RefinementClass, int], IterationRecord]]:
-    """Each generation's live classes and record, from ``table.root``.
+def _class_loop(shapes: Sequence[Shape], table: RunTable) -> Iterator[IterationRecord]:
+    """Each generation's record, from ``table.root``.
 
     Each class of a generation counts its multiplicity under the verdict
     ``table.verdict`` gives its cone, and only the live ones are refined
@@ -692,6 +667,6 @@ def _class_loop(
             elif verdict == _ABSORBED:
                 stopped += mult
         seconds = time.perf_counter() - start
-        yield live, IterationRecord(index, total, non_empty, stopped, len(live), counted, seconds)
+        yield IterationRecord(index, total, non_empty, stopped, len(live), counted, seconds)
         start, index = time.perf_counter(), index + 1
         classes, counted = _refine_classes(live, shapes, table)

@@ -17,6 +17,10 @@ lives with the tests and costs the package's import nothing.
   ``RATIONALS``, the ``int`` and ``Fraction`` inputs they are compared on.
 * ``verify_relation_walk``: ``relations.verify_relation`` without the Sturm
   bound, walking every form to ``m_max``.
+* ``live_classes`` and ``check_y_projection_argument``: a run's live
+  classes per generation, refined generation by generation with
+  ``refinement._refine_classes`` and classified by the run's table, and the
+  y-projection check on them, the oracle of ``refinement.y_projection_holds``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,14 @@ from hypothesis import strategies as st
 from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict
 from theta_refine.minima import min_of_finite
 from theta_refine.quadform import IntBQF, is_strongly_primitive, theta_coeffs
+from theta_refine.refinement import (
+    _LIVE,
+    RefinementClass,
+    RefinementPair,
+    RunResult,
+    _refine_classes,
+    linset,
+)
 from theta_refine.relations import (
     DegenerateRelation,
     NormalizedRelation,
@@ -303,3 +315,38 @@ def verify_relation_walk(
     theta_coeffs(q3, m_max, weight=-(a + b), out=defect)
     failing = None if defect.count(0) > m_max else next(compress(range(m_max + 1), defect))
     return failing is None, failing
+
+
+def live_classes(result: RunResult) -> list[dict[RefinementClass, int]]:
+    """Each generation's live classes with their multiplicities, the
+    classes that the next generation refines, to the log's last: from
+    ``result.table.root``, each generation is ``_refine_classes`` of the
+    last one's live classes over all shapes, and a class is live when
+    ``result.table.verdict`` says so.  After a run with no free block the
+    table holds every construction and verdict this needs, so it builds no
+    cone and tests none, also after ``clear_caches``."""
+    shapes, table = linset(result.a, result.b), result.table
+    generations = []
+    classes = {table.root: 1}
+    for i in range(len(result.log)):
+        if i:
+            classes, _ = _refine_classes(generations[-1], shapes, table)
+        generations.append({c: m for c, m in classes.items() if table.verdict(c.cone) == _LIVE})
+    return generations
+
+
+def check_y_projection_argument(
+    items: Iterable[RefinementPair] | Iterable[RefinementClass],
+) -> bool:
+    """Every live pair chose a non-empty factor-2 set.
+
+    ``items`` are the live pairs or the live classes of a generation: the
+    pairs of ``RunResult.generations`` whose cone ``RunResult.table``
+    calls live, or an entry of ``live_classes``.  A pair chose a non-empty
+    factor-2 set exactly when its factor-2 chain has a non-empty key, and
+    the pairs of a class share their chains.  This is the machine-checkable
+    core of the argument that, for the relation with zero second
+    coefficient, the factor-2 choices carry no information and all genuine
+    solutions already lie in the stop set.
+    """
+    return all(p.chains[1].key for p in items)

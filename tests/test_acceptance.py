@@ -15,15 +15,11 @@ from theta_refine.geometry import Cone, cones_closed_equal
 from theta_refine.ksets import kset_zero_test
 from theta_refine.minima import min_n
 from theta_refine.quadform import IntBQF, sp_theta_coeffs
-from theta_refine.refinement import (
-    check_y_projection_argument,
-    run_algorithm,
-    stop_set,
-)
+from theta_refine.refinement import run_algorithm, stop_set
 from theta_refine.relations import key_lemma_decompose, nontrivial_family, verify_relation
 from theta_refine.fixtures import T0_A, T1_A, T2_A, T3_A
 
-from oracles import sp_from_rep_moebius, sp_rep_number
+from oracles import check_y_projection_argument, live_classes, sp_from_rep_moebius, sp_rep_number
 
 
 def _report(criterion, ok, note=""):
@@ -145,7 +141,7 @@ def test_criterion_5_short_chain_diagram():
 
 
 def test_criterion_6_y_projection(run_10):
-    live = run_10.live_classes[-1]
+    live = live_classes(run_10)[-1]
     ok = check_y_projection_argument(live)
     _report(
         6,

@@ -364,6 +364,13 @@ def test_fixtures_command(capsys):
     assert all(r["ok"] for r in results) and len(results) > 25
 
 
+def test_ycheck_fails_to_depth_2_and_holds_from_3(capsys):
+    # The (1, 0, 1) process of the (1, 0) run has a live class at steps 0-2
+    # and none from step 3 on, so the check fails, exit 1, and then holds.
+    for n, (word, code) in enumerate([("fails", 1)] * 3 + [("holds", 0)] * 2):
+        assert run_cli(capsys, "ycheck", "--max-iter", str(n)) == (code, f"y-projection check: {word}\n")
+
+
 def test_fixture_comparison_detects_corruption():
     # negative control: a deliberately wrong golden value must not pass the
     # member-set comparison

@@ -22,7 +22,7 @@ from theta_refine.ksets import (
 from theta_refine.quadform import coeff_row, is_strongly_primitive
 from theta_refine.refinement import run_algorithm
 
-from oracles import BQF, in_v, is_successive_minima_prefix
+from oracles import BQF, in_v, is_successive_minima_prefix, live_classes
 
 
 def test_reduction_domain_constants():
@@ -314,7 +314,7 @@ def test_dead_chain_has_only_empty_choices():
     live = set()
     for a, b in SWEEP_PAIRS:
         result = run_algorithm(a, b, "diagonal", 13)
-        live.update(c for classes in result.live_classes for cls in classes for c in cls.chains)
+        live.update(c for classes in live_classes(result) for cls in classes for c in cls.chains)
         result.generations
     chains = [c for c in list(ksets._chains.values()) if not c.empty]
     assert live <= set(chains)

@@ -15,13 +15,14 @@ from theta_refine.refinement import (
     CoveringParameter,
     RefinementPair,
     aux_cones,
-    check_y_projection_argument,
     initial_pair,
     linset,
     refine_pair,
     run_algorithm,
     stop_set,
 )
+
+from oracles import check_y_projection_argument, live_classes
 
 TARGET_POINT = (1, 1, 1, 4, 4, 4, 1, 3, 0)
 
@@ -190,13 +191,14 @@ def _live_pairs(result, i):
 
 def test_iteration_log_consistency(run_11):
     # produced pairs at i+1 all descend from pairs counted non-empty at i
+    classes = live_classes(run_11)
     for i in range(len(run_11.log) - 1):
         rec = run_11.log[i]
         assert rec.total == len(run_11.generations[i])
         assert rec.non_empty + rec.stop_absorbed <= rec.total
         live = _live_pairs(run_11, i)
         assert len(live) == rec.non_empty
-        assert sum(run_11.live_classes[i].values()) == rec.non_empty
+        assert sum(classes[i].values()) == rec.non_empty
         children = run_11.generations[i + 1]
         parents = {(p.param.x_sets, p.param.y_sets, p.param.z_sets) for p in live}
         for child in children:
@@ -264,7 +266,7 @@ def _class_loop_run(a, b, stop_kind, max_iter):
     the runs that do."""
     table = refinement._table(stop_set(stop_kind))
     log = []
-    for _, record in refinement._class_loop(linset(a, b), table):
+    for record in refinement._class_loop(linset(a, b), table):
         log.append(record)
         if record.total == 0 or record.index == max_iter:
             return refinement.RunResult(a, b, stop_kind, log, table)
@@ -743,15 +745,15 @@ def test_factored_replay_classifies_through_its_table(monkeypatch):
 
 
 def test_live_classes_are_derived_with_no_geometry(monkeypatch):
-    # A result keeps only its log and table, and forms its live classes at
-    # their first access by the class loop over all shapes in that table.
-    # After a run that does not factor, the table holds every construction,
-    # chain cone and verdict of that loop: reading the classes runs no DD,
-    # no row merge and no emptiness test, from cold memos on (1, 2)/14 and
-    # after ``clear_caches`` on (3, 1)/13, whose result still holds its table
-    # and its root chains.  Each generation's classes are as many as its
-    # record's live classes, and their multiplicities sum to its non-empty
-    # pairs.
+    # A result keeps only its log and table, from which the oracle
+    # ``live_classes`` forms its live classes by refining them over all
+    # shapes in that table.  After a run that does not factor, the table
+    # holds every construction, chain cone and verdict of that refinement:
+    # forming the classes runs no DD, no row merge and no emptiness test,
+    # from cold memos on (1, 2)/14 and after ``clear_caches`` on (3, 1)/13,
+    # whose result still holds its table and its root chains.  Each
+    # generation's classes are as many as its record's live classes, and
+    # their multiplicities sum to its non-empty pairs.
     dd = _count_dd_by_dim(monkeypatch)
     calls = Counter()
     cut, is_member_empty = Cone._cut, Cone.is_member_empty
@@ -771,7 +773,7 @@ def test_live_classes_are_derived_with_no_geometry(monkeypatch):
             refinement.clear_caches()
         dd.update({3: 0, 9: 0})
         calls.clear()
-        classes = result.live_classes
+        classes = live_classes(result)
         assert (dd, calls) == ({3: 0, 9: 0}, {}), (a, b)
         assert len(classes) == len(result.log) == generations
         for live, rec in zip(classes, result.log):
@@ -801,10 +803,10 @@ def test_min_complement_builds_from_cold_memos():
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
     # The last generation of the (1, 0) run holds 5 890 pairs, 3 185 of them
-    # live.  The run's class loop classified each of its cones once, when it
-    # formed the live classes; the check reads those classes, or the pairs
-    # the run's table calls live, and tests no cone again.
-    classes = run_10.live_classes[-1]
+    # live.  The oracle ``live_classes`` classified each of its cones once,
+    # when it formed the live classes; the check reads those classes, or the
+    # pairs the run's table calls live, and tests no cone again.
+    classes = live_classes(run_10)[-1]
     empties = [0]
     is_member_empty = Cone.is_member_empty
 
@@ -838,7 +840,7 @@ def test_class_counters_at_depth_16():
     assert [rec.live_classes for rec in result.log] == [
         1, 2, 3, 3, 3, 3, 4, 6, 11, 18, 34, 59, 103, 162, 256, 378, 568
     ]
-    for rec, live in zip(result.log, result.live_classes):
+    for rec, live in zip(result.log, live_classes(result)):
         assert len(live) == rec.live_classes
         assert sum(live.values()) == rec.non_empty
 
@@ -881,11 +883,11 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     # order of first appearance, the pairs that are not children of an
     # empty chain must be the classes with their multiplicities, and the
     # others must number ``counted`` and hold the run's empty cone.  The
-    # replay computes no double description and tests no cone.  A factored
-    # run, (1, 0) here, runs the class loop in its table at the first access
-    # to its live classes, which comes before the counters.
+    # replay computes no double description and tests no cone.  For a
+    # factored run, (1, 0) here, the oracle ``live_classes`` refines the
+    # classes over all shapes in the run's table before the counters start.
     result = run_algorithm(a, b, stop_kind, max_iter)
-    table, live_classes = result.table, result.live_classes
+    table, live = result.table, live_classes(result)
     dd, empties = [0], [0]
     extreme_rays, is_member_empty = geometry._extreme_rays, Cone.is_member_empty
 
@@ -904,12 +906,12 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
     monkeypatch.undo()
 
     shapes = linset(a, b)
-    assert len(generations) == len(result.log) == len(live_classes)
+    assert len(generations) == len(result.log) == len(live)
     (first,) = generations[0]
     classes, counted = {refinement.RefinementClass(first.cone, first.chains): 1}, 0
     for i, rec in enumerate(result.log):
         if i:
-            classes, counted = refinement._refine_classes(live_classes[i - 1], shapes, table)
+            classes, counted = refinement._refine_classes(live[i - 1], shapes, table)
         built, killed = {}, 0
         for p in generations[i]:
             if any(c.empty for c in p.chains):
@@ -925,7 +927,7 @@ def test_classes_match_replayed_pairs(a, b, stop_kind, max_iter, monkeypatch):
         for p in _live_pairs(result, i):
             live_built[p.cone, p.chains] = live_built.get((p.cone, p.chains), 0) + 1
         assert list(live_built.items()) == [
-            (tuple(cls), mult) for cls, mult in live_classes[i].items()
+            (tuple(cls), mult) for cls, mult in live[i].items()
         ]
     assert sum(rec.counted for rec in result.log) > 0
 
@@ -948,12 +950,13 @@ def test_no_further_relations_sweep_to_30(a, b):
     for res in (forward, backward):
         assert res.non_empty_counts() == [1, 1, 1, 0, 0]
         assert [rec.stop_absorbed for rec in res.log] == [0, 0, 0, 1, 0]
-        gen3, _ = refinement._refine_classes(res.live_classes[2], linset(res.a, res.b), res.table)
+        live = live_classes(res)
+        gen3, _ = refinement._refine_classes(live[2], linset(res.a, res.b), res.table)
         absorbed = {
             cls: mult for cls, mult in gen3.items()
             if res.table.verdicts[cls.cone] == refinement._ABSORBED
         }
-        for classes, want in zip(res.live_classes[:3] + [absorbed], expected):
+        for classes, want in zip(live[:3] + [absorbed], expected):
             ((cls, mult),) = classes.items()
             assert mult == 1
             assert geometry.cones_closed_equal(cls.cone, want)
@@ -1120,9 +1123,10 @@ def _link_sets(result):
     its step; the counted ones, of a dead shape or an empty chain, are
     skipped."""
     shapes = linset(result.a, result.b)
-    ((root, _),) = result.live_classes[0].items()
+    generations = live_classes(result)
+    ((root, _),) = generations[0].items()
     sets = {root: frozenset()}
-    for live in result.live_classes[:-1]:
+    for live in generations[:-1]:
         for cls in live:
             pair = RefinementPair(cls.cone, CoveringParameter(), cls.chains)
             for shape in shapes:
@@ -1164,7 +1168,7 @@ def test_class_cones_are_chain_products_cut_by_links():
         for cls, links in sets.items():
             key = (tuple(c.cone.edges() for c in cls.chains), links)
             assert by_key.setdefault(key, cls.cone) is cls.cone
-        for live in result.live_classes:
+        for live in live_classes(result):
             for cls in live:
                 assert geometry.cones_equivalent(cls.cone, _product_cut_by_links(cls.chains, sets[cls]))
                 checked += 1
@@ -1210,15 +1214,16 @@ def test_factored_log_equals_the_class_loop(a):
     # of the factored log but the seconds equals the class loop's over both
     # shapes.  The class loop stops only at an empty generation or at
     # max_iter, so its log to depth d is the first d + 1 records of its log
-    # to 20.  A factored result forms the class loop's live classes at their
-    # first access, with the log it already has.
+    # to 20.  The oracle ``live_classes`` forms a factored result's live
+    # classes over both shapes in its table, with the log it already has.
     generic = [rec[:-1] for rec in _class_loop_run(a, 0, "q1_eq_q3", 20).log]
     assert len(generic) == 21 and generic[-1][1] > 0
     for depth in range(21):
         result = run_algorithm(a, 0, "q1_eq_q3", depth)
         assert [rec[:-1] for rec in result.log] == generic[: depth + 1], depth
-    assert [len(live) for live in result.live_classes] == [rec[4] for rec in generic]
-    assert sum(result.live_classes[-1].values()) == generic[-1][2]
+    classes = live_classes(result)
+    assert [len(live) for live in classes] == [rec[4] for rec in generic]
+    assert sum(classes[-1].values()) == generic[-1][2]
 
 
 def test_only_the_b_zero_runs_under_q1_eq_q3_factor():
@@ -1228,7 +1233,9 @@ def test_only_the_b_zero_runs_under_q1_eq_q3_factor():
     # its linset is (1, 0, 1), (0, 1, 0) for every k.  No link touches a
     # free block: a shape's set in a block is empty exactly when the shape
     # does not touch it, and a shape links two blocks only when both of its
-    # sets there are non-empty.
+    # sets there are non-empty.  ``y_projection_holds`` reads (1, 0) for
+    # every (k, 0): their linsets are one.
+    assert {linset(k, 0) for k in range(1, 13)} == {linset(1, 0)}
     shapes = {s for a in range(13) for b in range(13 - a) if (a, b) != (0, 0) for s in linset(a, b)}
     for shape in shapes:
         for i, _, j, _ in refinement._links(shape, *[[(1, 0)][:n] for n in shape]):
@@ -1242,6 +1249,62 @@ def test_only_the_b_zero_runs_under_q1_eq_q3_factor():
         (k, 0, "q1_eq_q3"): 1 for k in range(1, 13)
     }
     assert stop_set("diagonal") is stop_set("diagonal")
+
+
+def test_y_projection_holds_equals_the_class_loop_oracle():
+    # ``y_projection_holds`` steps the (1, 0, 1) process alone; the oracle
+    # reads the live classes of the (1, 0) run over both shapes.  At every
+    # depth to 20 they agree: the check fails at 0, 1 and 2 and holds from 3.
+    classes = live_classes(run_algorithm(1, 0, "q1_eq_q3", 20))
+    want = [check_y_projection_argument(live) for live in classes]
+    assert want == [False] * 3 + [True] * 18
+    assert [refinement.y_projection_holds(depth) for depth in range(21)] == want
+    with pytest.raises(ValueError, match="max_iter must be non-negative, got -1"):
+        refinement.y_projection_holds(-1)
+
+
+def test_y_projection_holds_makes_only_the_first_process_dds(monkeypatch):
+    # From cold memos the check to 20, and to 1000, makes the DDs of the
+    # (1, 0, 1) process, {3: 4, 9: 3}: the root chain cone, its 3 chain
+    # cones and its 3 nine-dimensional cones.  It walks no free state.
+    calls = Counter()
+    for name in ("_free_walk", "_clip"):
+
+        def counted(*args, name=name, f=getattr(refinement, name)):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(refinement, name, counted)
+    dd = _count_dd_by_dim(monkeypatch)
+    for depth in (20, 1000):
+        refinement.clear_caches()
+        dd.update({3: 0, 9: 0})
+        assert refinement.y_projection_holds(depth)
+        assert dd == {3: 4, 9: 3}, depth
+    assert calls == {}
+
+
+def test_y_projection_holds_fails_when_its_premises_do(monkeypatch):
+    # Two mutations make the check fail at depths where it holds: verdicts
+    # that call an absorbed cone live, so the (1, 0, 1) process stays live,
+    # and no free block.  Cold memos before and after keep the constructions
+    # the first one adds out of the other tests' tables.
+    refinement.clear_caches()
+    verdict = refinement.RunTable.verdict
+
+    def no_absorbed(self, cone):
+        v = verdict(self, cone)
+        return refinement._LIVE if v == refinement._ABSORBED else v
+
+    for owner, name, mutant in (
+        (refinement.RunTable, "verdict", no_absorbed),
+        (refinement, "_free_block", lambda *args: None),
+    ):
+        assert all(map(refinement.y_projection_holds, (3, 13, 20)))
+        monkeypatch.setattr(owner, name, mutant)
+        assert not any(map(refinement.y_projection_holds, (3, 13, 20))), name
+        monkeypatch.undo()
+        refinement.clear_caches()
 
 
 def _recording_walk(monkeypatch):
