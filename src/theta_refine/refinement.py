@@ -26,17 +26,17 @@ the children the class loop builds and counts, and the verdicts of the
 table the run used.
 
 A run interns its cones, chain cones and children in the process's
-``RunTable`` for its stop set.  Counted children: a chain with no reduced
-form of its structure (``Chain.empty``, the degenerate-cone certificate)
-gives every child built from it an empty member set when the parent
-carries that block's ``q11 > 0`` row, as every cone a run builds does
-(``Cone._cut``).  With ``X``, ``Y`` and ``Z`` a shape's choices per
-factor and ``X'``, ``Y'`` and ``Z'`` those that lead to no such chain, a
-shape has ``|X||Y||Z| - |X'||Y'||Z'|`` of them; the run builds only the
-``X' x Y' x Z'`` children, and tests a factor's chains only while every
-factor before it has a choice left.  Under the 4-choice rule, when a
-shape asks a block for ``n >= 4`` vectors, the parent carries that
-block's ``q11 > 0`` row and every 4-choice of the block's chain is empty
+``RunTable`` for its stop set.  Counted children: every run cone carries
+the three ``q11 > 0`` rows, as ``_INITIAL_CONE`` does, ``Cone._cut`` keeps
+them and ``refine_pair`` refuses a pair without them.  So a chain with no
+reduced form of its structure (``Chain.empty``, the degenerate-cone
+certificate) gives every child built from it an empty member set.  With
+``X``, ``Y`` and ``Z`` a shape's choices per factor and ``X'``, ``Y'`` and
+``Z'`` those that lead to no such chain, a shape has ``|X||Y||Z| -
+|X'||Y'||Z'|`` of them; the run builds only the ``X' x Y' x Z'``
+children, and tests a factor's chains only while every factor before it
+has a choice left.  Under the 4-choice rule, when a shape asks a block for
+``n >= 4`` vectors and every 4-choice of the block's chain is empty
 (``Chain.dead``), all ``|X||Y||Z|`` children are counted from the sizes
 (``Chain.count``) and no choice is listed.  In a replay the counted
 children hold the run's one empty cone, which has no row merge or double
@@ -143,8 +143,8 @@ class CoveringParameter(NamedTuple):
 class RefinementPair(NamedTuple):
     """A cone, its covering parameter and the ``Chain`` of each factor.
 
-    ``refine_pair`` reads the next choices from ``chains``, which is
-    ``param.chains()``, also in a hand-built pair.
+    ``chains`` is ``param.chains()`` and ``cone`` has the three ``q11 > 0``
+    strict rows, also in a hand-built pair (``refine_pair`` checks them).
     """
 
     cone: Cone
@@ -330,9 +330,10 @@ class RunTable:
     ``root`` is ``_INITIAL_CONE`` with the root chain on all three blocks,
     the one class of generation 0 of every run in the table.  ``intern``
     maps every cone to the table's first cone with the same key ``(dim,
-    edges(), frozenset(strict))``; it is the only code that decides whether
-    two cones are one.  Refinement and chain cones are pointed, so the
-    sorted primitive extreme rays and the strict rows fix the member set:
+    edges())``; it is the only code that decides whether two cones are one.
+    Refinement and chain cones are pointed, nine-dim ones carry the three
+    ``q11 > 0`` rows and chain cones none, so the sorted primitive extreme
+    rays fix the member set:
     cones with one member set share one ``Cone`` and one verdict, however
     their rows were built.  ``child`` maps each chain to its interned chain
     cone (the table's first chain cone of that geometry) and memoises the
@@ -346,8 +347,8 @@ class RunTable:
     first query and memoises the verdict in ``verdicts``.
 
     A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held by
-    the children of an empty chain and by every cone with no ray and the
-    same strict rows, and holds the empty cone's verdict from the start.
+    the children of an empty chain and by every nine-dim cone with no ray,
+    and holds the empty cone's verdict from the start.
     The constructions and chain cones a table meets first fix the rows a
     shared cone is dumped with.  So a run in a new table dumps the same
     bytes each time, and a run in a table that other runs filled may give a
@@ -380,8 +381,9 @@ class RunTable:
         return verdict
 
     def intern(self, cone: Cone) -> Cone:
-        """The table's cone with this member set; computes ``cone``'s rays."""
-        return self._cones.setdefault((cone.dim, cone.edges(), frozenset(cone.strict)), cone)
+        """The table's cone with this member set, keyed by its dimension and
+        rays (see the class docstring); computes ``cone``'s rays."""
+        return self._cones.setdefault((cone.dim, cone.edges()), cone)
 
     def child(
         self,
@@ -408,9 +410,7 @@ class RunTable:
         rule (see the module docstring): the child reads each ``k_i``'s rows
         on block ``i`` of ``r`` and each link ``(i, u, j, v)`` as
         ``Q_i(u)(r_i) == Q_j(v)(r_j)``, and is the table's cone with that
-        member set: the parent or ``_EMPTY_CONE``, with no cut.  A table
-        that holds neither (a hand-built parent) cuts, so the child is
-        always ``intern(parent._cut(rows))``.
+        member set: ``intern(parent)`` or ``_EMPTY_CONE``, with no cut.
         """
         ks = self._chain_cones
         k1, k2, k3 = (ks.get(c) or ks.setdefault(c, self.intern(c.cone)) for c in (c1, c2, c3))
@@ -425,19 +425,18 @@ class RunTable:
                 keep = all(_dot(a, b) >= 0 for k, b in zip((k1, k2, k3), rs) for a in k.closed) and all(
                     _dot(coeff_row(u), rs[i]) == _dot(coeff_row(v), rs[j]) for i, u, j, v in links
                 )
-                cone = self._cones.get((9, rays if keep else (), frozenset(parent.strict)))
-            if cone is None:
+                cone = self.intern(parent) if keep else _EMPTY_CONE
+            else:
                 rows = [*_padded((k1, k2, k3), "closed"), *_link_rows(links)]
                 cone = self.intern(parent._cut(rows))
             self._children[key] = cone
         return cone
 
 
-def _dead(chains: Sequence[Chain], shape: Shape, carried: Sequence[bool] = (True,) * 3) -> bool:
+def _dead(chains: Sequence[Chain], shape: Shape) -> bool:
     """The 4-choice rule (see the module docstring) counts every child of
-    ``shape``; ``carried`` tells which blocks' ``q11 > 0`` rows the parent
-    carries, all three in a run."""
-    return max(shape) >= 4 and any(k and c.dead(n) for k, c, n in zip(carried, chains, shape))
+    ``shape``."""
+    return max(shape) >= 4 and any(c.dead(n) for c, n in zip(chains, shape))
 
 
 def refine_pair(
@@ -453,18 +452,21 @@ def refine_pair(
     ``pair.chains``, each child carries the chains its choices lead to, and
     each extended set sequence is built once per shape and choice and shared
     by the children that take it.  Children with equal member sets share
-    one ``Cone`` of ``table`` (a fresh table when none is given).
+    one ``Cone`` of ``table`` (a fresh table when none is given).  A cone
+    whose strict rows are not the three ``q11 > 0`` rows raises
+    ``ValueError`` before the table is touched.
     """
+    cone, param, chains = pair
+    if set(cone.strict) != set(_Q11_ROWS):
+        raise ValueError("a refined cone's strict rows must be the three q11 > 0 rows")
     if table is None:
         table = RunTable(())
-    cone, param, chains = pair
-    carried = kx, ky, kz = [row in cone.strict for row in _Q11_ROWS]
     children = []
     for shape in shapes:
-        dead = _dead(chains, shape, carried)
+        dead = _dead(chains, shape)
         sides = [[(s, c, seq + (s,)) for s, c in ch.choices(n)] for seq, ch, n in zip(param, chains, shape)]
         for (x, xn, xe), (y, yn, ye), (z, zn, ze) in product(*sides):
-            if dead or kx and xn.empty or ky and yn.empty or kz and zn.empty:
+            if dead or xn.empty or yn.empty or zn.empty:
                 child = _EMPTY_CONE
             else:
                 child = table.child(cone, xn, yn, zn, shape, x[:1], y[:1], z[:1])
@@ -554,7 +556,7 @@ def _factored(shapes: Sequence[Shape], free: int, table: RunTable) -> Iterator[I
     states under those that do, stepped together and combined by
     ``_convolve``."""
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
-    loop, walk = _class_loop(rest, table), _free_walk(table.root.chains[free].cone, ns)
+    loop, walk = _class_loop(rest, table), _free_walk(ns)
     steps, walked = [next(loop)], [next(walk)[1]]
     yield steps[0]
     while True:
@@ -564,16 +566,11 @@ def _factored(shapes: Sequence[Shape], free: int, table: RunTable) -> Iterator[I
         yield _convolve(steps, walked, time.perf_counter() - start)
 
 
-def _free_walk(
-    root: Cone, ns: Sequence[int]
-) -> Iterator[tuple[dict[frozenset[Pair], list[tuple[Vector, ...]]], IterationRecord]]:
+def _free_walk(ns: Sequence[int]) -> Iterator[tuple[dict[frozenset[Pair], list[tuple[Vector, ...]]], IterationRecord]]:
     """Each step's live free states, a list of ray cycles per exclusion, and
-    its record.  The root is pointed (``edges`` raises
-    ``NonPointedConeError``) with at most 3 rays, a cycle in any order."""
-    rays = root.edges()
-    if len(rays) > 3:
-        raise ValueError(f"the free walk's root must have at most 3 extreme rays, got {len(rays)}")
-    groups, total, index = {frozenset(): [rays]}, 1, 0
+    its record, from the root chain's cone: the closed reduction domain,
+    pointed with three rays, a cycle in any order."""
+    groups, total, index = {frozenset(): [ksets._chain(()).cone.edges()]}, 1, 0
     while True:
         live = sum(map(len, groups.values()))
         yield groups, IterationRecord(index, total, live, 0, live, total - live, 0.0)

@@ -21,6 +21,9 @@ lives with the tests and costs the package's import nothing.
   classes per generation, refined generation by generation with
   ``refinement._refine_classes`` and classified by the run's table, and the
   y-projection check on them, the oracle of ``refinement.y_projection_holds``.
+* ``naive_log``: a run's counts per generation from a loop over pairs that
+  builds every child as an intersection and classifies it, with no memo,
+  no table and no chain: the oracle of ``refinement.run_algorithm``.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
-from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict
-from theta_refine.minima import min_of_finite
+from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict, product3
+from theta_refine.ksets import V_CONE, kset
+from theta_refine.minima import min_n, min_of_finite
 from theta_refine.quadform import IntBQF, is_strongly_primitive, theta_coeffs
 from theta_refine.refinement import (
     _LIVE,
@@ -44,6 +48,7 @@ from theta_refine.refinement import (
     RunResult,
     _refine_classes,
     linset,
+    stop_set,
 )
 from theta_refine.relations import (
     DegenerateRelation,
@@ -350,3 +355,48 @@ def check_y_projection_argument(
     solutions already lie in the stop set.
     """
     return all(p.chains[1].key for p in items)
+
+
+def naive_log(a: int, b: int, stop_kind: str, depth: int) -> list[tuple[int, int, int]]:
+    """Each generation's ``(total, non_empty, stop_absorbed)`` of the run
+    ``run_algorithm(a, b, stop_kind, depth)``, under its stopping rule: to
+    generation ``depth``, or to the first with no pair.
+
+    A pair is a cone and its three set sequences; the root is the product
+    of three reduction domains with empty sequences.  A pair whose cone has
+    a member outside the stop set is live, and each of its children takes a
+    shape of the linset and a set ``s_i`` of ``min_n`` outside each
+    sequence's vectors: its cone is the pair's cone cut by the product of
+    the ``kset`` cones of the extended sequences and by the value links
+    between the first elements of the sets, block 1 to blocks 2 and 3 for
+    ``(1, 1, 1)`` and otherwise the non-empty one of blocks 1 and 2 to
+    block 3.  Every child is built; none is counted or shared.
+    """
+    shapes, stop = linset(a, b), stop_set(stop_kind)
+    pairs = [(product3(V_CONE, V_CONE, V_CONE), ((), (), ()))]
+    log = []
+    while True:
+        kept = [p for p in pairs if not p[0].is_member_empty()]
+        live = [p for p in kept if not p[0].is_subset_of(stop)]
+        log.append((len(pairs), len(live), len(kept) - len(live)))
+        if not pairs or len(log) > depth:
+            return log
+        pairs = [child for pair in live for shape in shapes for child in _naive_children(pair, shape)]
+
+
+def _naive_children(pair, shape):
+    """The children of one live pair under ``shape`` (see ``naive_log``)."""
+    cone, seqs = pair
+    choices = [min_n([v for s in seq for v in s], n) for seq, n in zip(seqs, shape)]
+    for sets in product(*choices):
+        new = tuple(seq + (s,) for seq, s in zip(seqs, sets))
+        links = [(0, 1), (0, 2)] if shape == (1, 1, 1) else [(0 if sets[0] else 1, 2)]
+        rows = []
+        for i, j in links:
+            if sets[i] and sets[j]:
+                (x, y), (u, v) = sets[i][0], sets[j][0]
+                row = [0] * 9
+                row[3 * i : 3 * i + 3] = x * x, y * y, x * y
+                row[3 * j : 3 * j + 3] = -u * u, -v * v, -u * v
+                rows += row, [-c for c in row]
+        yield cone.intersect(product3(*map(kset, new)), Cone(9, rows)), new

@@ -22,7 +22,7 @@ from theta_refine.refinement import (
     stop_set,
 )
 
-from oracles import check_y_projection_argument, live_classes
+from oracles import check_y_projection_argument, live_classes, naive_log
 
 TARGET_POINT = (1, 1, 1, 4, 4, 4, 1, 3, 0)
 
@@ -621,26 +621,35 @@ def test_shared_cones_equal_rebuilt_intersections(run_10, run_12):
         assert len(empty) == 1
 
 
-def test_no_empty_cone_without_the_q11_row():
-    # A bare pair whose cone has the initial closed rows but no strict rows
-    # has members in every child, empty chain or not, so every child must be
-    # the full construction.  Chains with one cone geometry have one member
-    # set, so one rebuild per distinct construction covers every child.
-    shapes = linset(19, 1)
-    depth1 = run_algorithm(19, 1, "diagonal", 1).generations[1]
-    (live,) = [p for p in depth1 if not p.cone.is_member_empty()]
-    bare = RefinementPair(Cone(9, initial_pair().cone.closed), live.param, live.chains)
-    children = refine_pair(bare, shapes)
-    assert len(children) == 2851
-    assert sum(any(c.empty for c in child.chains) for child in children) == 2850
-    rebuilt = {}
+def test_refine_pair_refuses_a_cone_without_the_q11_rows():
+    # Every run cone carries the three q11 > 0 strict rows, so a child of an
+    # empty chain has no member; refine_pair checks them where a pair
+    # enters.  The live (19, 1) depth-1 pair's cone rebuilt from its closed
+    # rows with no strict row, with two of the three, or with the three and
+    # one more, raises a one-line ValueError and leaves the table as it was.
+    # The cone with the three rows and no closed row has a line, and still
+    # refines: each child has the member set of the parent cut by its chain
+    # cones and links.
+    run = run_algorithm(19, 1, "diagonal", 1)
+    (live,) = [p for p in run.generations[1] if not p.cone.is_member_empty()]
+    table, q11 = run.table, refinement._Q11_ROWS
+    before = dict(table._cones), dict(table._children)
+    for strict in ((), q11[:2], q11 + (refinement._UNIT_ROWS[1],)):
+        bare = RefinementPair(Cone(9, live.cone.closed, strict), live.param, live.chains)
+        with pytest.raises(ValueError, match="q11 > 0") as error:
+            refine_pair(bare, linset(19, 1), table)
+        assert "\n" not in str(error.value)
+        assert (table._cones, table._children) == before
+    param = CoveringParameter()
+    whole = RefinementPair(Cone(9, (), q11), param, param.chains())
+    children = refine_pair(whole, linset(1, 2))
+    assert children
     for child in children:
-        last = tuple(s[-1] for s in (child.param.x_sets, child.param.y_sets, child.param.z_sets))
-        key = (tuple(c.cone.edges() for c in child.chains), tuple(s[:1] for s in last), tuple(map(len, last)))
-        if key not in rebuilt:
-            rebuilt[key] = _rebuilt(bare, child)
-        assert geometry.cones_equivalent(child.cone, rebuilt[key])
-        assert not child.cone.is_member_empty()
+        rebuilt = _rebuilt(whole, child)
+        if child.cone.edges():
+            assert geometry.cones_equivalent(child.cone, rebuilt)
+        else:
+            assert rebuilt.is_member_empty()
 
 
 def test_chain_empty_flag_matches_zero_test(run_10, run_12):
@@ -1114,6 +1123,30 @@ def test_one_ray_decisions_are_the_cuts_they_skip(monkeypatch):
     assert (decided, len(chains)) == (232, 133)
 
 
+def test_one_ray_hand_built_parent_is_decided_as_its_cut(monkeypatch):
+    # The (1, 2) generation-4 cone cone(r), r the paper's triple, rebuilt
+    # from its closed rows with the three q11 > 0 rows, is a parent that a
+    # fresh table has never met.  Each of its children that a table builds
+    # is decided from the signs at r: the parent interned, or the empty
+    # cone, and the object that interning the cut it skips returns.
+    run = run_algorithm(1, 2, "diagonal", 4)
+    held = next(p for p in run.generations[4] if p.cone.edges() == (TARGET_POINT,))
+    parent = Cone(9, held.cone.closed, refinement._Q11_ROWS)
+    table = refinement.RunTable(())
+    tables = _recording_children(monkeypatch)
+    refine_pair(RefinementPair(parent, held.param, held.chains), linset(1, 2), table)
+    monkeypatch.undo()
+    made = tables[table]
+    assert list(made) == list(table._children) and set(made.values()) == {None}
+    for key, cone in table._children.items():
+        _, k1, k2, k3, shape, x1, y1, z1 = key
+        assert cone in (table.intern(parent), refinement._EMPTY_CONE), key
+        rows = [*geometry._padded((k1, k2, k3), "closed")]
+        rows += refinement._link_rows(refinement._links(shape, x1, y1, z1))
+        assert table.intern(parent._cut(rows)) is cone, key
+    assert set(table._children.values()) == {parent, refinement._EMPTY_CONE}
+
+
 def _link_sets(result):
     """Each class the run's live classes refine to, with the link set of the
     first path that reaches it: the root has none, and a child gets its
@@ -1375,17 +1408,6 @@ def test_free_walk_states_have_their_chain_cones(a, monkeypatch):
     assert max(depths) == 13
 
 
-def test_free_walk_root_is_pointed_with_at_most_three_rays():
-    # A root with a line has no ray cycle: the walk from the forms
-    # q11 x^2 + q22 y^2 with q11 >= 0 raises at its first step.  Three rays
-    # are in cyclic order in any order, more need not be, so a square
-    # pyramid is refused.
-    with pytest.raises(geometry.NonPointedConeError):
-        next(refinement._free_walk(Cone(3, ((1, 0, 0), (0, 0, 1), (0, 0, -1))), (1,)))
-    with pytest.raises(ValueError, match="at most 3"):
-        next(refinement._free_walk(Cone(3, ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))), (1,)))
-
-
 def _product(u, v):
     """The cross product of two triples."""
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
@@ -1515,15 +1537,48 @@ def test_every_run_cone_carries_the_q11_rows():
     # every coprime (a, b) with a + b <= 20, (1, 0) and (0, 1) among them,
     # run to 13 under both stop sets from cold memos, every nine-dimensional
     # cone the two tables intern, 1 329 diagonal and 699 q1_eq_q3, has
-    # exactly those strict rows.
+    # exactly those strict rows, and no chain cone has a strict row: the
+    # tables key a cone by its dimension and rays.
     refinement.clear_caches()
     assert len(COPRIME_TO_20) == 129
     for kind in refinement.STOP_SET_KINDS:
         for a, b in COPRIME_TO_20:
             run_algorithm(a, b, kind, 13)
-    cones = [
-        cone for table in refinement._tables.values() for cone in table._cones.values()
-        if cone.dim == 9
-    ]
+    interned = [cone for table in refinement._tables.values() for cone in table._cones.values()]
+    cones = [cone for cone in interned if cone.dim == 9]
     assert len(cones) == 1329 + 699
     assert all(cone.strict == refinement._Q11_ROWS for cone in cones)
+    assert not any(cone.strict for cone in interned if cone.dim == 3)
+
+
+COPRIME_TO_8 = [(a, b) for a, b in COPRIME_TO_20 if a + b <= 8]
+NAIVE_RUNS = [(1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13)] + [
+    (a, b, kind, 8) for kind in refinement.STOP_SET_KINDS for a, b in COPRIME_TO_8
+]
+
+
+def _counts(a, b, stop_kind, depth):
+    return [(r.total, r.non_empty, r.stop_absorbed) for r in run_algorithm(a, b, stop_kind, depth).log]
+
+
+@pytest.mark.filterwarnings("ignore:gcd")
+def test_naive_refinement_equals_the_engine():
+    # The naive loop over pairs (oracles.naive_log) builds every child as an
+    # intersection and classifies it, with no memo, table, chain, class,
+    # certificate or counted child.  Every generation of the three reference
+    # runs and of every coprime a + b <= 8 run to 8 under both stop sets has
+    # its total, live and absorbed counts.
+    assert len(NAIVE_RUNS) == 49
+    for run in NAIVE_RUNS:
+        assert naive_log(*run) == _counts(*run), run
+
+
+@pytest.mark.filterwarnings("ignore:gcd")
+@settings(deadline=None)
+@given(
+    st.sampled_from([(a, b) for a, b in COPRIME_TO_20 if a + b <= 10]),
+    st.sampled_from(refinement.STOP_SET_KINDS),
+    st.integers(0, 8),
+)
+def test_naive_refinement_equals_the_engine_on_random_runs(ab, stop_kind, depth):
+    assert naive_log(*ab, stop_kind, depth) == _counts(*ab, stop_kind, depth)
