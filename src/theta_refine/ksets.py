@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .geometry import Cone, _dot, _primitive
-from .minima import _count_n, _min_complement, _min_n, min_complement
+from .minima import _count, _min_complement, _min_n, min_complement
 from .quadform import coeff_row, is_strongly_primitive
 
 Pair = tuple[int, int]
@@ -233,12 +233,13 @@ class Chain:
 
     def count(self, n: int) -> int:
         """``len(choices(n))``, with no choice listed when none is: one
-        ``minima._count_n`` walk gives every ``k <= n``."""
+        ``minima._count`` walk on the process's cover graph gives every
+        ``k <= n``, with no frozenset and no minimal complement."""
         listed = self._choices.get(n)
         if listed is not None:
             return len(listed)
         if n >= len(self._counts):
-            self._counts = _count_n(frozenset(v for s in self.key for v in s), n)
+            self._counts = _count(frozenset(v for s in self.key for v in s), n)
         return self._counts[n]
 
 

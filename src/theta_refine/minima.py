@@ -10,8 +10,17 @@ exclusion set: a witness (a, 1) outside the exclusion dominates all but
 finitely many of them, and the rest, the witness's region, are enumerated
 and ranked by edge values once per witness, so a build is one pass over a
 ranked region.  ``min_n`` enumerates every way of picking the next n
-minimal vectors in sequence; ``_count_n`` counts them.  The public functions
+minimal vectors in sequence; ``_count`` counts them.  The public functions
 check their exclusion; the private ones take one that is already checked.
+
+The regions nest.  The witnesses (0, 1), (-1, 1), (1, 1), (-2, 1), ... of
+the scan order form a domination chain, and the region of ``w``, the
+witness and every vector that ``w`` does not dominate, is a down-set; so
+each region lies in the next.  A finite set that misses the witness ``w``
+has its minimal complement in the region of ``w``: a vector above ``w`` is
+not minimal while ``w`` is outside the set.  ``_count`` walks one box per
+process (``_Box``), the region of the last witness it took in, which grows
+by one region only when a set the walk reaches holds that witness.
 """
 
 from __future__ import annotations
@@ -64,6 +73,12 @@ def min_of_finite(vectors: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
 _min_complement_cache: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 # The ranked candidate region of each witness (a, 1), keyed by a.
 _regions: dict[int, tuple[tuple[tuple[int, int, int], Pair], ...]] = {}
+
+
+def _witness(k: int) -> int:
+    """``a`` of the ``k``-th witness (a, 1) in the scan order 0, -1, 1, -2,
+    2, ..., which ``_min_complement`` steps inline."""
+    return -((k + 1) // 2) if k % 2 else k // 2
 
 
 def _region(a: int) -> tuple[tuple[tuple[int, int, int], Pair], ...]:
@@ -179,16 +194,114 @@ def _min_n(exc: frozenset[Pair], n: int) -> tuple[tuple[Pair, ...], ...]:
     return result
 
 
-def _count_n(exc: frozenset[Pair], n: int) -> list[int]:
-    """``len(_min_n(exc, k))`` for ``k = 0..n``: ``_min_n``'s walk over the
-    sets of each level, with no tuples and no sort."""
-    level, sizes = {frozenset()}, [1]
-    for _ in range(n):
-        level = {p.union((v,)) for p in level for v in _min_complement(exc.union(p))}
-        sizes.append(len(level))
+class _Box:
+    """The process's cover graph: the region of the last witness in
+    ``witnesses`` (the ranks of the witnesses taken in), ranked in a linear
+    extension of the domination order.  Rank ``i`` holds the bitmask
+    ``below[i]`` of the ranks strictly below it and its upper covers
+    ``covers[i]``; ``rank`` maps each vector to its rank."""
+
+    __slots__ = ("rank", "edges", "below", "covers", "witnesses")
+
+    def __init__(self) -> None:
+        self.rank: dict[Pair, int] = {}
+        self.edges: list[tuple[int, int, int]] = []
+        self.below: list[int] = []
+        self.covers: list[list[int]] = []
+        self.witnesses: list[int] = []
+        self.grow()
+
+    def grow(self) -> int:
+        """Take in the next witness's region and return its first new rank.
+
+        The old box is a region, a down-set, so no new vector lies below an
+        old one: the new ones, ranked by edge values, go after all the old
+        ones, and no old vector's lower set changes.  A new vector's lower
+        set is found from the highest rank down: a vector below it that is
+        not yet in the mask is a lower cover, since whatever lies between
+        them has a higher rank and is already in the mask with its own
+        lower set."""
+        start = i = len(self.rank)
+        k = len(self.witnesses)
+        edges, below, covers = self.edges, self.below, self.covers
+        for e, v in _region(_witness(k)):
+            if v in self.rank:
+                continue
+            mask = 0
+            for j in range(i - 1, -1, -1):
+                d = edges[j]
+                if not mask >> j & 1 and d[0] <= e[0] and d[1] <= e[1] and d[2] <= e[2]:
+                    mask |= below[j] | 1 << j
+                    covers[j].append(i)
+            self.rank[v] = i
+            edges.append(e)
+            below.append(mask)
+            covers.append([])
+            i += 1
+        self.witnesses.append(self.rank[_witness(k), 1])
+        return start
+
+
+_box = _Box()
+
+
+def _count(exc: frozenset[Pair], n: int) -> list[int]:
+    """``len(_min_n(exc, k))`` for ``k = 0..n``, by a depth-first walk on the
+    box (see the module docstring) that lists no choice.
+
+    A set ``S`` outside ``exc`` is a choice iff everything below a vector of
+    ``S`` lies in ``exc | S``: added in rank order, each vector is then
+    minimal outside the exclusion so far.  So the walk adds, from a node
+    whose last added vector has rank ``r``, each free vector of rank above
+    ``r``, and reaches each choice once.  Adding ``v`` frees a vector ``u``
+    iff ``u``'s lower set is now covered and a chain of upper covers leads
+    from ``v`` to ``u`` through excluded vectors only: what lies between
+    them is below ``u``, so in ``exc``, or in ``S``, whose ranks are below
+    ``v``'s.  A node that holds the box's last witness grows the box, and
+    frees what it frees there, before its free vectors are read."""
+    box = _box
+    rank, below, covers, witnesses = box.rank, box.below, box.covers, box.witnesses
+    sizes = [1] + [0] * n
+    excluded = 0
+
+    def grown(added: int, free: list[int], start: int) -> list[int]:
+        """``free`` and the free vectors of rank ``start`` on."""
+        nonlocal excluded
+        while True:
+            excluded = sum(1 << r for r in map(rank.get, exc) if r is not None)
+            covered = added | excluded
+            free = free + [i for i in range(start, len(below)) if not covered >> i & 1 and below[i] | covered == covered]
+            if not covered >> witnesses[-1] & 1:
+                return free
+            start = box.grow()
+
+    def walk(added: int, free: list[int], depth: int) -> None:
+        sizes[depth] += len(free)
+        if depth == n:
+            return
+        for v in free:
+            now = added | 1 << v
+            covered = now | excluded
+            after = [u for u in free if u > v]
+            up = [v]
+            while up:
+                for u in covers[up.pop()]:
+                    if not covered >> u & 1:
+                        if below[u] | covered == covered and u not in after:
+                            after.append(u)
+                    elif u not in up:
+                        up.append(u)
+            if covered >> witnesses[-1] & 1:
+                after = grown(now, after, box.grow())
+            walk(now, after, depth + 1)
+
+    if n:
+        walk(0, grown(0, [], 0), 1)
     return sizes
 
 
 def clear_caches() -> None:
+    global _box
     _min_complement_cache.clear()
     _regions.clear()
+    _box = _Box()

@@ -80,12 +80,13 @@ The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
 at import by its own DD over its own rows: no run pays a DD for either.
 
-Runs in one process share their work through three process memos: the
-chains (``ksets._chains``), the minimal complements
-(``minima._min_complement_cache``) and one ``RunTable`` per stop set
-(``_tables``), made at its first use.  A process keeps every chain and
-table entry it met until ``clear_caches`` empties all three, so the 38
-coprime runs with ``4 <= a + b <= 11`` build 3 nine-dimensional cones.
+Runs in one process share their work through the process memos: the
+chains (``ksets._chains``), the minimal complements and the cover graph of
+the counts (``minima``), and one ``RunTable`` per stop set (``_tables``),
+made at its first use.  A process keeps every chain and table entry it met
+until ``clear_caches`` empties them all, so the 38 coprime runs with
+``4 <= a + b <= 11`` build 3 nine-dimensional cones, and 37 of them read
+the ``(1, 1, 1)`` steps of the first from its table.
 """
 
 from __future__ import annotations
@@ -265,8 +266,9 @@ def _table(stop_rows: tuple[Vector, ...]) -> RunTable:
 
 def clear_caches() -> None:
     """Empty every process memo: the chains (``ksets._chains``), the
-    minimal complements (``minima._min_complement_cache``) and the tables.
-    A run made after it starts from a new table and dumps the cold bytes."""
+    minimal complements and the cover graph (``minima``) and the tables,
+    with their steps.  A run made after it starts from a new table and
+    dumps the cold bytes."""
     ksets.clear_cache()
     minima.clear_caches()
     _tables.clear()
@@ -344,7 +346,8 @@ class RunTable:
     parent with one extreme ray, which the signs at the ray decide.
     Building from the interned chain cone, not each chain's own, makes the
     nine-dim DDs insert fewer rows.  ``verdict`` classifies a cone at its
-    first query and memoises the verdict in ``verdicts``.
+    first query and memoises the verdict in ``verdicts``, and ``step``
+    makes a class's step under a shape and memoises it in ``steps``.
 
     A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held by
     the children of an empty chain and by every nine-dim cone with no ray,
@@ -356,7 +359,7 @@ class RunTable:
     rays, strict rows or parameters.
     """
 
-    __slots__ = ("rows", "root", "_cones", "_chain_cones", "_children", "verdicts")
+    __slots__ = ("rows", "root", "_cones", "_chain_cones", "_children", "steps", "verdicts")
 
     def __init__(self, stop_rows: tuple[Vector, ...]) -> None:
         self.rows = stop_rows
@@ -364,6 +367,7 @@ class RunTable:
         self._cones: dict[tuple, Cone] = {}
         self._chain_cones: dict[Chain, Cone] = {}
         self._children: dict[tuple, Cone] = {}
+        self.steps: dict[tuple[RefinementClass, Shape], tuple[list[RefinementClass], int]] = {}
         self.intern(_INITIAL_CONE)
         self.intern(_EMPTY_CONE)
         self.verdicts: dict[Cone, int] = {_EMPTY_CONE: _EMPTY}
@@ -432,6 +436,30 @@ class RunTable:
             self._children[key] = cone
         return cone
 
+    def step(self, cls: RefinementClass, shape: Shape) -> tuple[list[RefinementClass], int]:
+        """The child classes of ``cls`` under ``shape``, in build order, and
+        its number of counted children (see the module docstring), memoised
+        in ``steps``, which ``_refine_classes`` reads first.  A factor's
+        chains are tested only while every factor before it has a choice
+        left."""
+        cone, chains = cls
+        children: list[RefinementClass] = []
+        if _dead(chains, shape):
+            counted = prod(c.count(n) for c, n in zip(chains, shape))
+        else:
+            xl, yl, zl = (c.choices(n) for c, n in zip(chains, shape))
+            xs = [x for x in xl if not x[1].empty]
+            ys = [y for y in yl if not y[1].empty] if xs else []
+            zs = [z for z in zl if not z[1].empty] if ys else []
+            counted = len(xl) * len(yl) * len(zl) - len(xs) * len(ys) * len(zs)
+            for xset, xn in xs:
+                for yset, yn in ys:
+                    for zset, zn in zs:
+                        child = self.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
+                        children.append(RefinementClass(child, (xn, yn, zn)))
+        self.steps[cls, shape] = children, counted
+        return children, counted
+
 
 def _dead(chains: Sequence[Chain], shape: Shape) -> bool:
     """The 4-choice rule (see the module docstring) counts every child of
@@ -480,28 +508,18 @@ def _refine_classes(
     """The next generation's classes with their multiplicities, in order of
     first appearance, and its counted children (see the module docstring).
 
-    Each live class is refined once, and its multiplicity is added to each
-    child class and, times the number of its counted children, to the
-    count.
+    Each live class is stepped once under each shape (``table.steps``, or
+    ``table.step`` on a miss), and its multiplicity is added to each child
+    class and, times the number of its counted children, to the count.
     """
     classes: dict[RefinementClass, int] = {}
-    counted = 0
-    for (cone, chains), mult in live.items():
+    counted, steps = 0, table.steps
+    for cls, mult in live.items():
         for shape in shapes:
-            if _dead(chains, shape):
-                counted += mult * prod(c.count(n) for c, n in zip(chains, shape))
-                continue
-            xl, yl, zl = (c.choices(n) for c, n in zip(chains, shape))
-            xs = [x for x in xl if not x[1].empty]
-            ys = [y for y in yl if not y[1].empty] if xs else []
-            zs = [z for z in zl if not z[1].empty] if ys else []
-            counted += mult * (len(xl) * len(yl) * len(zl) - len(xs) * len(ys) * len(zs))
-            for xset, xn in xs:
-                for yset, yn in ys:
-                    for zset, zn in zs:
-                        child = table.child(cone, xn, yn, zn, shape, xset[:1], yset[:1], zset[:1])
-                        new = RefinementClass(child, (xn, yn, zn))
-                        classes[new] = classes.get(new, 0) + mult
+            children, n = steps.get((cls, shape)) or table.step(cls, shape)
+            counted += mult * n
+            for new in children:
+                classes[new] = classes.get(new, 0) + mult
     return classes, counted
 
 

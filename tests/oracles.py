@@ -10,6 +10,8 @@ lives with the tests and costs the package's import nothing.
 * ``min_complement_row_scan``: ``minima.min_complement`` as it was built
   before witness regions were ranked once: the witness's region scanned row
   by row for each exclusion, then ranked by ``minima.min_of_finite``.
+* ``count_n``: the number of choices of each size, as the levels of
+  ``minima._min_n``'s walk, the oracle of ``minima._count``.
 * ``cone_to_json`` and ``cone_from_json``: the JSON text round trip of a cone.
 * ``fraction_scale_primitive`` and ``fraction_normalize``: the ``Fraction``
   versions of ``geometry.scale_primitive`` and ``relations.normalize``, which
@@ -39,7 +41,7 @@ from hypothesis import strategies as st
 
 from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict, product3
 from theta_refine.ksets import V_CONE, kset
-from theta_refine.minima import min_n, min_of_finite
+from theta_refine.minima import _min_complement, min_n, min_of_finite
 from theta_refine.quadform import IntBQF, is_strongly_primitive, theta_coeffs
 from theta_refine.refinement import (
     _LIVE,
@@ -247,6 +249,17 @@ def min_complement_row_scan(excluded: Iterable[Sequence[int]]) -> tuple[Pair, ..
         candidates += ((x, y) for x in xs if (x, y) not in exc and gcd(x, y) == 1)
         y += 1
     return min_of_finite(candidates)
+
+
+def count_n(exc: frozenset[Pair], n: int) -> list[int]:
+    """``len(minima._min_n(exc, k))`` for ``k = 0..n``, for a checked
+    exclusion: ``_min_n``'s walk over the sets of each level, with no tuples
+    and no sort.  Every set it reaches enters ``_min_complement``'s memo."""
+    level, sizes = {frozenset()}, [1]
+    for _ in range(n):
+        level = {p.union((v,)) for p in level for v in _min_complement(exc.union(p))}
+        sizes.append(len(level))
+    return sizes
 
 
 def cone_to_json(cone: Cone) -> str:

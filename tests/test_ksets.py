@@ -22,7 +22,7 @@ from theta_refine.ksets import (
 from theta_refine.quadform import coeff_row, is_strongly_primitive
 from theta_refine.refinement import run_algorithm
 
-from oracles import BQF, in_v, is_successive_minima_prefix, live_classes
+from oracles import BQF, count_n, in_v, is_successive_minima_prefix, live_classes
 
 
 def test_reduction_domain_constants():
@@ -384,13 +384,19 @@ def _assert_count_matches_listing(key):
 
 def test_count_equals_listing_on_run_exclusions():
     # Every exclusion the reference runs ask ``minima`` about, n = 0..8: the
-    # exclusions of their chains, of the free walk's states, which build no
-    # chain, and of the prefixes ``min_n`` extends.  The chains alone hold
-    # 156 of these 381.
+    # exclusions of their chains' cones, of the free walk's states, which
+    # build no chain, and of the prefixes ``min_n`` extends, 189 in all; and
+    # every set that the oracle's level walk reaches when it counts what
+    # ``(19, 1)`` counted on the cover graph, 192 more.  The chains alone
+    # hold 156 of these 381.
     refinement.clear_caches()
     for args in ((1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13)):
         run_algorithm(*args)
     run_algorithm(19, 1, "diagonal", 13)
+    assert len(minima._min_complement_cache) == 189
+    for c in list(ksets._chains.values()):
+        if c._counts:
+            count_n(frozenset(v for s in c.key for v in s), len(c._counts) - 1)
     exclusions = list(minima._min_complement_cache)
     assert len(exclusions) == 381
     assert {frozenset(v for s in key for v in s) for key in ksets._chains} <= set(exclusions)

@@ -7,12 +7,12 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theta_refine import minima, refinement
+from theta_refine import ksets, minima, refinement
 from theta_refine.minima import edge_values, min_complement, min_n, min_of_finite, preceq
 from theta_refine.quadform import is_strongly_primitive
 from theta_refine.refinement import run_algorithm
 
-from oracles import BQF, is_successive_minima_prefix, min_complement_row_scan
+from oracles import BQF, count_n, is_successive_minima_prefix, min_complement_row_scan
 
 BOX12 = [
     (x, y)
@@ -142,12 +142,18 @@ def test_min_complement_far_witness_against_box_scan():
 
 def test_min_complement_equals_row_scan_on_run_exclusions():
     # Every exclusion the chains of four reference runs ask about, from cold
-    # memos: the walk over the witness's ranked region gives the row scan's
-    # tuple, order included.  (19, 1) counts the children of its dead
-    # blocks without listing them, so the runs ask about 381, not 382.
+    # memos, and every set the oracle's level walk reaches when it counts
+    # what they counted: the walk over the witness's ranked region gives the
+    # row scan's tuple, order included.  (19, 1) counts the children of its
+    # dead blocks on the cover graph, which asks no minimal complement, so
+    # the runs ask about 189; the oracle's counts ask about 192 more.
     refinement.clear_caches()
     for args in ((1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13), (19, 1, "diagonal", 13)):
         run_algorithm(*args)
+    assert len(minima._min_complement_cache) == 189
+    for c in list(ksets._chains.values()):
+        if c._counts:
+            count_n(frozenset(v for s in c.key for v in s), len(c._counts) - 1)
     entries = dict(minima._min_complement_cache)
     assert len(entries) == 381
     for exc, found in entries.items():
@@ -165,6 +171,112 @@ def test_min_complement_equals_row_scan_on_random_exclusions(vectors, n):
     excluded = set(vectors) | {(x, 1) for x in range(-n, n + 1)}
     minima.clear_caches()
     assert min_complement(excluded) == min_complement_row_scan(excluded)
+
+
+# Every strongly primitive vector with |x|, y <= 24: it holds every vector
+# below one with |x|, y <= 12 (squared norm at most 2 * 12^2), and the region
+# of every witness (a, 1) with |a| <= 12.
+BOX24 = [(x, y) for x in range(-24, 25) for y in range(25) if is_strongly_primitive((x, y))]
+
+
+def _region_by_definition(a):
+    # The witness and every vector it does not dominate.
+    w = (a, 1)
+    return {w} | {v for v in BOX24 if not preceq(w, v)}
+
+
+def _first_missed_witness(excluded):
+    k = 0
+    while (minima._witness(k), 1) in excluded:
+        k += 1
+    return minima._witness(k)
+
+
+def _min_complement_by_box(excluded):
+    inner = [v for v in min_of_finite(v for v in BOX24 if v not in excluded) if max(map(abs, v)) <= 12]
+    return set(inner)
+
+
+def test_witness_regions_nest_as_down_sets():
+    # The witnesses of the scan order form a domination chain, and each
+    # region is a down-set inside the next: the facts the box rests on.
+    regions = [_region_by_definition(minima._witness(k)) for k in range(22)]
+    for k, region in enumerate(regions):
+        assert {v for _, v in minima._region(minima._witness(k))} == region
+        assert all(u in region for v in region for u in BOX24 if preceq(u, v)), k
+        if k:
+            assert preceq((minima._witness(k - 1), 1), (minima._witness(k), 1))
+            assert regions[k - 1] <= region
+
+
+def test_min_complement_lies_in_the_first_missed_witness_region():
+    # Every down-set of size 12 or less, and random sets: the minimal
+    # complement, by brute force over a box, lies in the region of the
+    # first witness the set misses.
+    level, downsets = {frozenset()}, [frozenset()]
+    for _ in range(12):
+        level = {d | {v} for d in level for v in min_complement(d)}
+        downsets += level
+    assert len(downsets) == sum(count_n(frozenset(), 12))
+    rng = random.Random(43)
+    pool = [v for v in BOX12 if max(map(abs, v)) <= 5]
+    sets = downsets + [frozenset(rng.sample(pool, rng.randint(0, 20))) for _ in range(60)]
+    for excluded in sets:
+        found = _min_complement_by_box(excluded)
+        assert found <= _region_by_definition(_first_missed_witness(excluded)), sorted(excluded)
+        assert found == set(min_complement(excluded))
+
+
+def test_box_grows_by_regions_with_exact_lower_sets_and_covers():
+    # A new box from the first witness's region on: after each growth it is
+    # the last witness's region, its ranks are a linear extension, each
+    # lower-set mask is the set of vectors below, and each cover list holds
+    # exactly the vectors that cover it.
+    box, vs = minima._Box(), []
+    for k in range(16):
+        if k:
+            assert box.grow() == len(vs)
+        vs = sorted(box.rank, key=box.rank.get)
+        assert set(vs) == _region_by_definition(minima._witness(k))
+        assert vs[box.witnesses[-1]] == (minima._witness(k), 1)
+        below = [{j for j, u in enumerate(vs) if u != v and preceq(u, v)} for v in vs]
+        assert all(max(b, default=-1) < i for i, b in enumerate(below))
+        assert [{j for j in range(len(vs)) if box.below[i] >> j & 1} for i in range(len(vs))] == below
+        covers = [
+            {j for j in range(len(vs)) if i in below[j] and not any(i in below[m] for m in below[j])}
+            for i in range(len(vs))
+        ]
+        assert [set(c) for c in box.covers] == covers
+        assert all(len(c) == len(set(c)) for c in box.covers)
+
+
+EXCLUSION_POOL = [(x, y) for x in range(-6, 7) for y in range(5) if is_strongly_primitive((x, y))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(EXCLUSION_POOL), max_size=16, unique=True), st.booleans())
+def test_count_equals_oracle_on_arbitrary_exclusions(vectors, cold):
+    # Sets that need not be down-sets: an excluded vector can sit above a
+    # vector that is not excluded, so adding that vector frees what lies
+    # above the excluded one.  From a new box the walk also grows it on
+    # the way down.
+    excluded = frozenset(vectors)
+    if cold:
+        minima.clear_caches()
+    assert minima._count(excluded, 7) == count_n(excluded, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30), st.booleans())
+def test_count_equals_oracle_on_random_down_sets(picks, cold):
+    # A random down-set, built by adding a minimal vector at each step.
+    excluded = frozenset()
+    for i in picks:
+        found = min_complement(excluded)
+        excluded |= {found[i % len(found)]}
+    if cold:
+        minima.clear_caches()
+    assert minima._count(excluded, 7) == count_n(excluded, 7)
 
 
 def test_min_n_examples():

@@ -1,6 +1,8 @@
 """Linsets, auxiliary cones, and the refinement loop invariants."""
 
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from math import gcd
 
 import pytest
@@ -395,12 +397,39 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     assert dd[9] == 0
 
 
+@contextmanager
+def _walk_nodes(monkeypatch):
+    """The nodes ``minima._count``'s walk visits, as calls of its nested
+    ``walk`` seen by a profile hook, and the sizes each count returns.  The
+    walk visits one node per choice of a size below the count's ``n``."""
+    nodes, sizes = [0], []
+    count = minima._count
+
+    def recording(exc, n):
+        sizes.append(count(exc, n))
+        return sizes[-1]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk" and frame.f_code.co_filename == minima.__file__:
+            nodes[0] += 1
+
+    monkeypatch.setattr(ksets, "_count", recording)
+    sys.setprofile(profile)
+    try:
+        yield nodes, sizes
+    finally:
+        sys.setprofile(None)
+
+
 def test_dead_blocks_build_no_chain(monkeypatch):
     # The 38 coprime runs with 4 <= a + b <= 11 from cold memos in one
     # process: every child of a shape that asks a block for a + b vectors is
     # counted by the 4-choice rule, so the runs make 8 chains, 6 three-
     # dimensional DDs and 3 nine-dimensional ones; counting them from empty
-    # chains made 105 chains and 20 three-dimensional DDs.
+    # chains made 105 chains and 20 three-dimensional DDs.  The counts walk
+    # 299 nodes on a box of 39 vectors, the regions of 12 witnesses, and the
+    # table memoises 231 class steps: 37 runs read the 3 (1, 1, 1) steps of
+    # the first from it.
     builds = [0]
     chain_init = ksets.Chain.__init__
 
@@ -412,9 +441,29 @@ def test_dead_blocks_build_no_chain(monkeypatch):
     monkeypatch.setattr(ksets.Chain, "__init__", counting_chain)
     pairs = [(a, s - a) for s in range(4, 12) for a in range(1, s) if gcd(a, s) == 1]
     assert len(pairs) == 38
-    for a, b in pairs:
-        assert run_algorithm(a, b, "diagonal", 13).non_empty_counts() == [1, 1, 1, 0, 0]
+    with _walk_nodes(monkeypatch) as (nodes, sizes):
+        for a, b in pairs:
+            assert run_algorithm(a, b, "diagonal", 13).non_empty_counts() == [1, 1, 1, 0, 0]
     assert (dd, builds[0]) == ({3: 6, 9: 3}, 8)
+    assert nodes[0] == sum(sum(c[:-1]) for c in sizes) == 299
+    assert (len(minima._box.rank), len(minima._box.witnesses)) == (39, 12)
+    assert len(refinement._tables[stop_set("diagonal")].steps) == 231
+
+
+def test_wide_run_counts_on_a_small_box(monkeypatch):
+    # (1, 39)/13 from cold memos: its dead blocks ask three counts to 40, of
+    # the chains (), [(1,0)] and [(1,0)], [(0,1)].  They walk 35 908 nodes
+    # on a box of 501 vectors, the regions of 41 witnesses, and ask no
+    # minimal complement; the oracle's level walk held 14 006 sets in the
+    # memo.
+    refinement.clear_caches()
+    with _walk_nodes(monkeypatch) as (nodes, sizes):
+        result = run_algorithm(1, 39, "diagonal", 13)
+    assert result.totals() == [1, 2922481, 3933827, 5272437, 0]
+    assert [len(c) - 1 for c in sizes] == [40, 40, 40]
+    assert nodes[0] == sum(sum(c[:-1]) for c in sizes) == 35908
+    assert (len(minima._box.rank), len(minima._box.witnesses)) == (501, 41)
+    assert len(minima._min_complement_cache) == 7
 
 
 @pytest.mark.parametrize(
@@ -803,11 +852,12 @@ def test_min_complement_builds_from_cold_memos():
     assert len(minima._min_complement_cache) == 47
     # A chain asks about its own exclusion only when it builds its cone, so
     # the many chains of (1, 29) that the certificate shows empty ask none.
-    # Counting the children of a dead block asks about the exclusions that
-    # listing them would, and builds none of their chains: 2 208, not 2 209.
+    # Counting the children of a dead block walks the cover graph, which
+    # asks about no exclusion: 7, where counting by the oracle's level walk
+    # asked about 2 208.
     refinement.clear_caches()
     run_algorithm(1, 29, "diagonal", 13)
-    assert len(minima._min_complement_cache) == 2208
+    assert len(minima._min_complement_cache) == 7
 
 
 def test_y_projection_classifies_each_cone_once(run_10, monkeypatch):
@@ -1406,6 +1456,29 @@ def test_free_walk_states_have_their_chain_cones(a, monkeypatch):
         states = expected
     assert children == 335
     assert max(depths) == 13
+
+
+def test_free_walk_drops_a_state_whose_rays_all_have_q11_zero():
+    # The factored runs walk singletons only, and no chain of singletons has
+    # rays with q11 = 0 alone.  A walk under the sizes (1, 3) reaches the
+    # chain [(1,0)], [(0,1), (-1,1), (1,1)]: one value at those three
+    # vectors forces q11 = q12 = 0, so its cone is the ray of y^2.  That
+    # state has a ray and is not live, as its chain is empty.  Each step's
+    # record and groups are those of the chains along every path of choices
+    # from the root.
+    walk, chains = refinement._free_walk((1, 3)), [ksets.chain(())]
+    flat = ksets.chain([[(1, 0)], [(0, 1), (-1, 1), (1, 1)]])
+    assert flat.cone.edges() == ((0, 1, 0),) and flat.empty
+    met = False
+    for step in range(5):
+        groups, record = next(walk)
+        live = [c for c in chains if not c.empty]
+        assert (record.index, record.total, record.non_empty) == (step, len(chains), len(live))
+        exclusions = Counter(frozenset(v for s in c.key for v in s) for c in live)
+        assert {e: len(g) for e, g in groups.items()} == exclusions
+        met |= flat in chains
+        chains = [child for c in live for n in (1, 3) for _, child in c.choices(n)]
+    assert met
 
 
 def _product(u, v):
