@@ -7,14 +7,15 @@ equalities that each set takes a single value.  These cones carry closed rows
 only; the open condition q11 > 0 is re-imposed where the refinement loop
 judges emptiness.
 
-``kset`` builds a cone from scratch.  ``chain`` keeps the process's one
-``Chain`` per sequence of non-empty sets, for every run.  Both check their
-sets; a chain looks up its prefix and children by its own key, and asks
-``minima`` about it, unchecked.  A chain builds its cone at the first use,
-from its prefix's cone and the canonical rows its last set adds, and
-decides emptiness first from certificates that need no DD: on its key, on
-its prefix's listed choices, and on the signs of its rows at a prefix cone
-with one ray.
+``kset`` builds a cone from scratch.  ``chain`` finds the process's one
+``Chain`` per sequence of non-empty sets, for every run, in a prefix trie:
+a chain holds its prefix, exclusion and collapse flag and finds its
+children by their last set, so a step costs its new set.  Both check their
+sets; a chain makes its children and asks ``minima`` about its exclusion
+unchecked.  A chain builds its cone at the first use, from its prefix's
+cone and the canonical rows its last set adds, and decides emptiness first
+from certificates that need no DD: its collapse flag, its prefix's listed
+choices, and the signs of its rows at a prefix cone with one ray.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .quadform import coeff_row, is_strongly_primitive
 
 Pair = tuple[int, int]
 Key = tuple[tuple[Pair, ...], ...]
+Choices = tuple[tuple[tuple[Pair, ...], "Chain"], ...]
 
 V_CLOSED_ROWS: tuple[tuple[int, int, int], ...] = ((-1, 1, 0), (1, 0, -1), (0, 0, 1))
 V_STRICT_ROWS: tuple[tuple[int, int, int], ...] = ((1, 0, 0),)
@@ -124,29 +126,32 @@ def _step_rows(s: Sequence[Pair], excluded: frozenset[Pair]) -> list[tuple[int, 
 
 
 class Chain:
-    """A sequence of non-empty sets (``key``) with its ``kset`` cone.
+    """A sequence of non-empty sets (``key``) with its ``kset`` cone: a node
+    of the process's prefix trie.
 
     A plain value of its key: the cone, ``empty`` and the next choices all
-    follow from it, and each is computed at its first use.  Its prefix and
-    its children, the key plus a set of its choices, are valid keys, looked
-    up unchecked; a child's key shares its parent's set tuples.  ``kset(key)``
-    lies in ``kset(key[:-1])``, so the cone is the prefix's cone cut by the
-    ``_step_rows`` of its last set, which are canonical already and leave
-    out the link row that the prefix's cone implies: it has the member set
-    of ``kset(key)``, and its DD resumes from the prefix cone's description.
-    The root, key ``()``, is ``kset(())``.
+    follow from it, each computed at its first use.  ``prefix`` is the
+    chain of ``key[:-1]``, also for a ``Chain(key)`` made outside the trie
+    (``None`` at the root, key ``()``); ``collapsed`` (a set of four or
+    more vectors ``_collapses``) and ``excluded`` (the flattened key) are
+    built once from the prefix's.  ``_next`` holds ``choices(n)`` by ``n``
+    and each child by its last set; a child's key shares its parent's set
+    tuples.  ``kset(key)`` lies in ``kset(key[:-1])``, so the cone is the
+    prefix's cone cut by the ``_step_rows`` of its last set, which are
+    canonical already and leave out the link row that the prefix's cone
+    implies: it has the member set of ``kset(key)``, and its DD resumes
+    from the prefix cone's description.  The root's cone is ``kset(())``.
 
     ``empty`` is ``kset_zero_test(key)``: no reduced form has this
-    structure.  It is true without a cone (``_dies``) when a set of at
-    least four vectors ``_collapses``, so the cone is ``{0}``; when the last
-    set ``s`` has ``n >= 2`` vectors and holds an ``(n-1)``-choice of the
-    prefix, among those the prefix has listed, whose chain is empty (the
-    sub-choice lemma below); or when the prefix cone has one extreme ray
-    and a row of ``s`` is negative there (the one-ray rule of the
-    ``refinement`` module docstring).  Else the cone is cut from the rows
-    just computed, and ``empty`` is true iff no extreme ray has
-    ``q11 > 0``: the cone lies in the pointed closed reduction domain, so it
-    is the conic hull of its rays.
+    structure.  It is true without a cone (``_dies``) when ``collapsed``, so
+    the cone is ``{0}``; when the last set ``s`` has ``n >= 2`` vectors and
+    holds an ``(n-1)``-choice of the prefix, among those the prefix has
+    listed, whose chain is empty (the sub-choice lemma below); or when the
+    prefix cone has one extreme ray and a row of ``s`` is negative there
+    (the one-ray rule of the ``refinement`` module docstring).  Else the
+    cone is cut from the rows just computed, and ``empty`` is true iff no
+    extreme ray has ``q11 > 0``: the cone lies in the pointed closed
+    reduction domain, so it is the conic hull of its rays.
 
     The sub-choice lemma: let ``t`` be an ``(n-1)``-choice of the prefix,
     whose exclusion is ``E``, inside an ``n``-choice ``s``.  For ``Q`` in
@@ -158,14 +163,35 @@ class Chain:
     ``dead`` is the lemma from size 4 on.
     """
 
-    __slots__ = ("key", "_cone", "_empty", "_choices", "_counts")
+    __slots__ = ("key", "prefix", "collapsed", "_excluded", "_next", "_cone", "_empty", "_counts")
 
-    def __init__(self, key: Key) -> None:
+    def __init__(self, key: Key, prefix: Chain | None = None) -> None:
         self.key = key
+        self.collapsed = False
+        self._excluded: frozenset[Pair] | None = None
+        if key:
+            s = key[-1]
+            prefix = prefix or _chain(key[:-1])
+            self.collapsed = prefix.collapsed or (len(s) >= 4 and _collapses(s))
+        else:
+            self._excluded = frozenset()
+        self.prefix = prefix
+        self._next: dict[int | tuple[Pair, ...], Choices | Chain] = {}
         self._cone: Cone | None = None
         self._empty: bool | None = None
-        self._choices: dict[int, tuple[tuple[tuple[Pair, ...], Chain], ...]] = {}
         self._counts: Sequence[int] = ()
+
+    def _child(self, s: tuple[Pair, ...]) -> Chain:
+        """The child by its last set; ``setdefault`` gives concurrent misses
+        one chain."""
+        return self._next.get(s) or self._next.setdefault(s, Chain(self.key + (s,), self))
+
+    @property
+    def excluded(self) -> frozenset[Pair]:
+        """The flattened key, built at the first call from the prefix's."""
+        if self._excluded is None:
+            self._excluded = self.prefix.excluded.union(self.key[-1])
+        return self._excluded
 
     @property
     def cone(self) -> Cone:
@@ -180,7 +206,7 @@ class Chain:
 
     def _step(self) -> tuple[Cone, list[tuple[int, int, int]]]:
         """The prefix's cone and the ``_step_rows`` of the last set."""
-        return _chain(self.key[:-1]).cone, _step_rows(self.key[-1], frozenset(v for s in self.key for v in s))
+        return self.prefix.cone, _step_rows(self.key[-1], self.excluded)
 
     @property
     def empty(self) -> bool:
@@ -193,14 +219,13 @@ class Chain:
         """A certificate that the chain is empty, with no DD of its own (see
         the class docstring); when there is none and the rows were
         computed, it cuts the cone from them."""
-        key = self.key
-        if any(len(s) >= 4 and _collapses(s) for s in key):
+        if self.collapsed:
             return True
-        if not key or self._cone is not None:
+        if not self.key or self._cone is not None:
             return False
-        s = key[-1]
+        s = self.key[-1]
         if len(s) >= 2 and any(
-            c.empty and set(s).issuperset(t) for t, c in _chain(key[:-1])._choices.get(len(s) - 1, ())
+            c.empty and set(s).issuperset(t) for t, c in self.prefix._next.get(len(s) - 1, ())
         ):
             return True
         prefix, rows = self._step()
@@ -210,17 +235,14 @@ class Chain:
         self._cone = prefix._cut(rows)
         return False
 
-    def choices(self, n: int) -> tuple[tuple[tuple[Pair, ...], Chain], ...]:
+    def choices(self, n: int) -> Choices:
         """Each set of ``min_n(excluded, n)`` with the chain it leads to; an
         empty set changes nothing and leads back to ``self``.  The key is
-        checked, so ``min_n`` runs unchecked.  Memoised per ``n``: the
-        process's only memo of next choices."""
-        found = self._choices.get(n)
+        checked, so ``min_n`` runs unchecked.  Memoised per ``n`` in
+        ``_next``: the process's only memo of next choices."""
+        found = self._next.get(n)
         if found is None:
-            excluded = frozenset(v for s in self.key for v in s)
-            found = self._choices[n] = tuple(
-                (s, _chain(self.key + (s,)) if s else self) for s in _min_n(excluded, n)
-            )
+            found = self._next[n] = tuple((s, self._child(s) if s else self) for s in _min_n(self.excluded, n))
         return found
 
     def dead(self, n: int) -> bool:
@@ -235,29 +257,32 @@ class Chain:
         """``len(choices(n))``, with no choice listed when none is: one
         ``minima._count`` walk on the process's cover graph gives every
         ``k <= n``, with no frozenset and no minimal complement."""
-        listed = self._choices.get(n)
+        listed = self._next.get(n)
         if listed is not None:
             return len(listed)
         if n >= len(self._counts):
-            self._counts = _count(frozenset(v for s in self.key for v in s), n)
+            self._counts = _count(self.excluded, n)
         return self._counts[n]
 
 
-# The process's one memo of chains.
-_chains: dict[Key, Chain] = {}
+# The root of the process's trie of chains.
+_root = Chain(())
 
 
 def _chain(key: Key) -> Chain:
-    """The chain of a checked key; ``setdefault`` gives concurrent misses one chain."""
-    return _chains.get(key) or _chains.setdefault(key, Chain(key))
+    """The chain of a checked key, walked from the root of the trie."""
+    node = _root
+    for s in key:
+        node = node._child(s)
+    return node
 
 
 def chain(sets: Iterable[Iterable[Pair]]) -> Chain:
     """The process's ``Chain`` for an ordered sequence of disjoint sets.
 
     The key is the non-empty sets as tuples, so ``chain([[v], [], [w]])`` is
-    ``chain(((v,), (w,)))``.  It is checked on every call, before the memo
-    is read, so an invalid sequence is never stored and raises every time.
+    ``chain(((v,), (w,)))``.  It is checked on every call, before the trie
+    is walked, so an invalid sequence is never stored and raises every time.
     """
     return _chain(_normalize_sets(sets))
 
@@ -276,4 +301,5 @@ def kset_zero_test(sets: Iterable[Iterable[Pair]]) -> bool:
 
 
 def clear_cache() -> None:
-    _chains.clear()
+    global _root
+    _root = Chain(())

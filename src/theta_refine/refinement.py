@@ -80,8 +80,8 @@ The initial cone and the empty cone are the same in every run, so they are
 process constants (``_INITIAL_CONE`` and ``_EMPTY_CONE``), each described
 at import by its own DD over its own rows: no run pays a DD for either.
 
-Runs in one process share their work through the process memos: the
-chains (``ksets._chains``), the minimal complements and the cover graph of
+Runs in one process share their work through the process memos: the trie
+of chains (``ksets._root``), the minimal complements and the cover graph of
 the counts (``minima``), and one ``RunTable`` per stop set (``_tables``),
 made at its first use.  A process keeps every chain and table entry it met
 until ``clear_caches`` empties them all, so the 38 coprime runs with
@@ -265,8 +265,8 @@ def _table(stop_rows: tuple[Vector, ...]) -> RunTable:
 
 
 def clear_caches() -> None:
-    """Empty every process memo: the chains (``ksets._chains``), the
-    minimal complements and the cover graph (``minima``) and the tables,
+    """Empty every process memo: the trie of chains (a new ``ksets._root``),
+    the minimal complements and the cover graph (``minima``) and the tables,
     with their steps.  A run made after it starts from a new table and
     dumps the cold bytes."""
     ksets.clear_cache()
@@ -426,9 +426,9 @@ class RunTable:
             if len(rays) == 1 and not lin:
                 r = rays[0]
                 rs = r[:3], r[3:6], r[6:]
-                keep = all(_dot(a, b) >= 0 for k, b in zip((k1, k2, k3), rs) for a in k.closed) and all(
-                    _dot(coeff_row(u), rs[i]) == _dot(coeff_row(v), rs[j]) for i, u, j, v in links
-                )
+                keep = all(
+                    a0 * p + a1 * q + a2 * w >= 0 for k, (p, q, w) in zip((k1, k2, k3), rs) for a0, a1, a2 in k.closed
+                ) and all(_dot(coeff_row(u), rs[i]) == _dot(coeff_row(v), rs[j]) for i, u, j, v in links)
                 cone = self.intern(parent) if keep else _EMPTY_CONE
             else:
                 rows = [*_padded((k1, k2, k3), "closed"), *_link_rows(links)]

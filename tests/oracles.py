@@ -26,6 +26,7 @@ lives with the tests and costs the package's import nothing.
 * ``naive_log``: a run's counts per generation from a loop over pairs that
   builds every child as an intersection and classifies it, with no memo,
   no table and no chain: the oracle of ``refinement.run_algorithm``.
+* ``trie_chains``: every chain in the process's trie of ``ksets.Chain``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
+from theta_refine import ksets
 from theta_refine.geometry import Cone, Vector, cone_from_json_dict, cone_to_json_dict, product3
-from theta_refine.ksets import V_CONE, kset
+from theta_refine.ksets import V_CONE, Chain, kset
 from theta_refine.minima import _min_complement, min_n, min_of_finite
 from theta_refine.quadform import IntBQF, is_strongly_primitive, theta_coeffs
 from theta_refine.refinement import (
@@ -413,3 +415,12 @@ def _naive_children(pair, shape):
                 row[3 * j : 3 * j + 3] = -u * u, -v * v, -u * v
                 rows += row, [-c for c in row]
         yield cone.intersect(product3(*map(kset, new)), Cone(9, rows)), new
+
+
+def trie_chains() -> list[Chain]:
+    """Every chain in the process's trie, the root first, each level in the
+    order its chains were made under each parent."""
+    chains = [ksets._root]
+    for c in chains:
+        chains.extend(child for s, child in c._next.items() if type(s) is tuple)
+    return chains

@@ -22,7 +22,7 @@ from theta_refine.ksets import (
 from theta_refine.quadform import coeff_row, is_strongly_primitive
 from theta_refine.refinement import run_algorithm
 
-from oracles import BQF, count_n, in_v, is_successive_minima_prefix, live_classes
+from oracles import BQF, count_n, in_v, is_successive_minima_prefix, live_classes, trie_chains
 
 
 def test_reduction_domain_constants():
@@ -85,12 +85,12 @@ def test_invalid_kset_key_raises_every_time(bad):
     kset([[(1, 0)]])
     kset([[(1, 0)], [(0, 1)]])
     chain([[(1, 0)], [(0, 1)]])
-    keys = set(ksets._chains)
+    chains = trie_chains()
     built = dict(minima._min_complement_cache)
     for call in (kset, chain, kset, chain):
         with pytest.raises(ValueError):
             call(bad)
-        assert set(ksets._chains) == keys
+        assert trie_chains() == chains
         assert minima._min_complement_cache == built
 
 
@@ -220,23 +220,27 @@ def test_invalid_chain_is_never_stored(bad, key):
     for _ in range(2):
         with pytest.raises(ValueError):
             chain(bad)
-        assert key not in ksets._chains
+        assert key not in [c.key for c in trie_chains()]
 
 
 def test_chain_memo_keys_are_normal_and_share_their_prefix_sets():
     # A run reaches every chain but the root through its parent's choices,
-    # not through chain(), so every stored key is already normal, its prefix
-    # is stored, and it holds its prefix's set tuples rather than copies.
+    # not through chain(), so every stored key is already normal, the chain
+    # is its prefix's child under its last set, and it holds its prefix's
+    # set tuples rather than copies.
     refinement.clear_caches()
     run_algorithm(1, 0, "q1_eq_q3", 13)
     run_algorithm(1, 2, "diagonal", 14)
-    assert len(ksets._chains) > 1
-    for key, c in ksets._chains.items():
-        assert c.key is key
+    chains = trie_chains()
+    assert len(chains) > 1
+    for c in chains:
+        key = c.key
         assert ksets._normalize_sets(key) == key
         if key:
-            prefix = ksets._chains[key[:-1]].key
-            assert all(s is t for s, t in zip(key, prefix)), key
+            assert c.prefix._next[key[-1]] is c
+            prefix = ksets._chain(key[:-1])
+            assert c.prefix is prefix
+            assert all(s is t for s, t in zip(key, prefix.key)), key
 
 
 def _rank(rows):
@@ -271,6 +275,37 @@ def test_certificate_needs_rank_three():
 
 
 _POOL = [(x, y) for x in range(-5, 6) for y in range(6) if is_strongly_primitive((x, y))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_POOL), max_size=6, unique=True), max_size=5), st.integers(0, 1))
+def test_trie_chain_carries_its_key(sets, bad):
+    # Keys beyond the runs' choices: each set holds up to six vectors, drops
+    # those an earlier set holds and so may be empty, need not be a
+    # down-set, and from four vectors on usually collapses.  The chain the
+    # trie gives carries the flattened key as its exclusion and the whole
+    # key's collapse scan as its flag, its prefix is the chain of the key
+    # less its last set, and the trie keeps it until ``clear_caches``.  A
+    # key with a repeated vector or one that is not strongly primitive
+    # raises and adds no chain.
+    used, checked = set(), []
+    for s in sets:
+        checked.append([v for v in s if v not in used])
+        used.update(s)
+    c = chain(checked)
+    key = c.key
+    assert key == tuple(tuple(s) for s in checked if s)
+    assert c.excluded == frozenset(used)
+    assert c.collapsed == any(len(s) >= 4 and ksets._collapses(s) for s in key)
+    assert c.prefix is (chain(key[:-1]) if key else None)
+    assert chain(checked) is c
+    chains = trie_chains()
+    with pytest.raises(ValueError):
+        chain(checked + [[next(iter(used))] if used and bad else [(2, 2)]])
+    assert trie_chains() == chains
+    refinement.clear_caches()
+    fresh = chain(checked)
+    assert fresh is not c and fresh.key == key and fresh.excluded == c.excluded
 
 
 @settings(max_examples=150, deadline=None)
@@ -316,7 +351,7 @@ def test_dead_chain_has_only_empty_choices():
         result = run_algorithm(a, b, "diagonal", 13)
         live.update(c for classes in live_classes(result) for cls in classes for c in cls.chains)
         result.generations
-    chains = [c for c in list(ksets._chains.values()) if not c.empty]
+    chains = [c for c in trie_chains() if not c.empty]
     assert live <= set(chains)
     fired = checked = 0
     for c in chains:
@@ -394,12 +429,12 @@ def test_count_equals_listing_on_run_exclusions():
         run_algorithm(*args)
     run_algorithm(19, 1, "diagonal", 13)
     assert len(minima._min_complement_cache) == 189
-    for c in list(ksets._chains.values()):
+    for c in trie_chains():
         if c._counts:
             count_n(frozenset(v for s in c.key for v in s), len(c._counts) - 1)
     exclusions = list(minima._min_complement_cache)
     assert len(exclusions) == 381
-    assert {frozenset(v for s in key for v in s) for key in ksets._chains} <= set(exclusions)
+    assert {frozenset(v for s in c.key for v in s) for c in trie_chains()} <= set(exclusions)
     for excluded in exclusions:
         _assert_count_matches_listing((tuple(sorted(excluded)),) if excluded else ())
 

@@ -12,7 +12,7 @@ from theta_refine.minima import edge_values, min_complement, min_n, min_of_finit
 from theta_refine.quadform import is_strongly_primitive
 from theta_refine.refinement import run_algorithm
 
-from oracles import BQF, count_n, is_successive_minima_prefix, min_complement_row_scan
+from oracles import BQF, count_n, is_successive_minima_prefix, min_complement_row_scan, trie_chains
 
 BOX12 = [
     (x, y)
@@ -151,7 +151,7 @@ def test_min_complement_equals_row_scan_on_run_exclusions():
     for args in ((1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (1, 0, "q1_eq_q3", 13), (19, 1, "diagonal", 13)):
         run_algorithm(*args)
     assert len(minima._min_complement_cache) == 189
-    for c in list(ksets._chains.values()):
+    for c in trie_chains():
         if c._counts:
             count_n(frozenset(v for s in c.key for v in s), len(c._counts) - 1)
     entries = dict(minima._min_complement_cache)

@@ -1,5 +1,6 @@
 """Linsets, auxiliary cones, and the refinement loop invariants."""
 
+import hashlib
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ from theta_refine.refinement import (
     stop_set,
 )
 
-from oracles import check_y_projection_argument, live_classes, naive_log
+from oracles import check_y_projection_argument, live_classes, naive_log, trie_chains
 
 TARGET_POINT = (1, 1, 1, 4, 4, 4, 1, 3, 0)
 
@@ -332,10 +333,11 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
 
 
 def test_work_counters_on_reference_run(monkeypatch):
-    # Exact work on the (1, 2) diagonal run from cold memos: one chain made
-    # per distinct sequence of non-empty sets, one three-dimensional DD per
-    # chain whose cone the run needs (one chain is never asked whether it is
-    # empty), 103, one nine-dimensional DD per distinct construction
+    # Exact work on the (1, 2) diagonal run from cold memos: one chain in
+    # the process's trie per distinct sequence of non-empty sets, the root
+    # among them, 225, one three-dimensional DD per chain whose cone the run
+    # needs (one chain is never asked whether it is empty), 103, one
+    # nine-dimensional DD per distinct construction
     # (parent, chain geometries, shape and link vectors) from chains that
     # are not empty, 22, none for the initial cone or the run's empty cone
     # (both were described at import), and one emptiness test per distinct
@@ -345,27 +347,50 @@ def test_work_counters_on_reference_run(monkeypatch):
     # no cone (121 of the 224 the run asks), and a construction whose parent
     # has one ray is that parent or the empty cone, read from the signs at
     # the ray with no DD (70 of 92).
-    builds = [0]
     empties = [0]
-    chain_init = ksets.Chain.__init__
     is_member_empty = Cone.is_member_empty
-
-    def counting_chain(self, key):
-        builds[0] += 1
-        chain_init(self, key)
 
     def counting_empty(self):
         empties[0] += 1
         return is_member_empty(self)
 
     dd = _count_dd_by_dim(monkeypatch)
-    monkeypatch.setattr(ksets.Chain, "__init__", counting_chain)
     monkeypatch.setattr(Cone, "is_member_empty", counting_empty)
     result = run_algorithm(1, 2, "diagonal", 14)
-    assert builds[0] == 225
+    assert len(trie_chains()) == 225
     assert dd == {3: 103, 9: 22}
     assert empties[0] == 17
     assert sum(result.totals()) == 676
+
+
+# The runs whose logs ``test_run_logs_digest`` pins, in order: the three
+# reference runs, (19, 1)/13, (1, 29)/13 and every coprime (a, b) with
+# a + b <= 30 under both stop sets, to 13.
+LOGGED_RUNS = [
+    (1, 0, "q1_eq_q3", 13), (1, 1, "diagonal", 13), (1, 2, "diagonal", 14), (19, 1, "diagonal", 13),
+    (1, 29, "diagonal", 13),
+] + [
+    (a, s - a, kind, 13) for kind in refinement.STOP_SET_KINDS for s in range(1, 31) for a in range(s + 1)
+    if gcd(a, s) == 1
+]
+
+
+def test_run_logs_digest(monkeypatch):
+    # The 563 runs of ``LOGGED_RUNS`` in one process from cold memos: the
+    # SHA-256 of every field but ``seconds`` of every record, and the DDs by
+    # dimension.  A change to any count of any table shows in the digest,
+    # and a change to the work that the chains and tables share between
+    # runs shows in the DDs.
+    dd = _count_dd_by_dim(monkeypatch)
+    logs = [
+        (a, b, kind, depth, [tuple(rec[:-1]) for rec in run_algorithm(a, b, kind, depth).log])
+        for a, b, kind, depth in LOGGED_RUNS
+    ]
+    assert len(logs) == 563
+    assert hashlib.sha256(repr(logs).encode()).hexdigest() == (
+        "0273ae584fb477e4e15fa96340f3dafb0e085777ff06b847a00b0dde426031e9"
+    )
+    assert dd == {3: 415, 9: 14849}
 
 
 def test_chain_geometry_collapses_constructions(monkeypatch):
@@ -430,21 +455,13 @@ def test_dead_blocks_build_no_chain(monkeypatch):
     # 299 nodes on a box of 39 vectors, the regions of 12 witnesses, and the
     # table memoises 231 class steps: 37 runs read the 3 (1, 1, 1) steps of
     # the first from it.
-    builds = [0]
-    chain_init = ksets.Chain.__init__
-
-    def counting_chain(self, key):
-        builds[0] += 1
-        chain_init(self, key)
-
     dd = _count_dd_by_dim(monkeypatch)
-    monkeypatch.setattr(ksets.Chain, "__init__", counting_chain)
     pairs = [(a, s - a) for s in range(4, 12) for a in range(1, s) if gcd(a, s) == 1]
     assert len(pairs) == 38
     with _walk_nodes(monkeypatch) as (nodes, sizes):
         for a, b in pairs:
             assert run_algorithm(a, b, "diagonal", 13).non_empty_counts() == [1, 1, 1, 0, 0]
-    assert (dd, builds[0]) == ({3: 6, 9: 3}, 8)
+    assert (dd, len(trie_chains())) == ({3: 6, 9: 3}, 8)
     assert nodes[0] == sum(sum(c[:-1]) for c in sizes) == 299
     assert (len(minima._box.rank), len(minima._box.witnesses)) == (39, 12)
     assert len(refinement._tables[stop_set("diagonal")].steps) == 231
@@ -509,7 +526,7 @@ def test_chain_cones_match_independent_builders():
     for a, b in SWEEP_PAIRS:
         run_algorithm(a, b, "diagonal", 13).generations
         run_algorithm(b, a, "diagonal", 13).generations
-    chains = list(ksets._chains.values())
+    chains = trie_chains()
     certified = [
         c for c in chains if any(len(s) >= 4 and ksets._collapses(s) for s in c.key)
     ]
@@ -717,7 +734,7 @@ def test_chain_empty_flag_matches_zero_test(run_10, run_12):
     }
     certificates = [ksets.chain(spec) for spec in CERTIFICATE_SPECS]
     assert all(c.empty for c in certificates)
-    for c in chains.union(certificates, ksets._chains.values()):
+    for c in chains.union(certificates, trie_chains()):
         assert c.empty == ksets.kset_zero_test(c.key), c.key
     assert 0 < sum(c.empty for c in chains) < len(chains)
 
@@ -1132,7 +1149,7 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch
         else:
             assert _description(made[key]) == _description(want)
         assert table.intern(want) is cone
-    chains = [c for c in ksets._chains.values() if c.key and c._cone is not None]
+    chains = [c for c in trie_chains() if c.key and c._cone is not None]
     for c in chains:
         prefix = ksets._chain(c.key[:-1]).cone
         rows = ksets._step_rows(c.key[-1], frozenset(v for s in c.key for v in s))
@@ -1167,7 +1184,7 @@ def test_one_ray_decisions_are_the_cuts_they_skip(monkeypatch):
                 rows += refinement._link_rows(refinement._links(shape, x1, y1, z1))
                 assert table.intern(parent._cut(rows)) is table._children[key], key
                 decided += 1
-    chains = [c for c in ksets._chains.values() if c._empty and c._cone is None]
+    chains = [c for c in trie_chains() if c._empty and c._cone is None]
     for c in chains:
         assert ksets.kset_zero_test(c.key), c.key
     assert (decided, len(chains)) == (232, 133)
