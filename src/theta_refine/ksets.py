@@ -87,18 +87,18 @@ def kset(sets: Iterable[Iterable[Pair]]) -> Cone:
 
 
 def _collapses(s: Sequence[Pair]) -> bool:
-    """The rows ``coeff_row(v) - coeff_row(s[0])`` of ``s`` have rank 3.
+    """The rows ``coeff_row(v) - coeff_row(s[0])`` of ``s``, of 3 or more
+    vectors, have rank 3.
 
     Then only Q = 0 takes one value on all of ``s``.  Exact in integers: a
-    pair ``u``, ``v`` with ``u x v != 0`` and a row ``w`` off their plane.
+    row off the plane of the first two, ``u`` and ``v``.  ``u x v != 0``:
+    the ``coeff_row`` of distinct strongly primitive vectors are pairwise
+    non-proportional points of the cone ``q12^2 = q11 q22``, and a line
+    meeting it in three points lies in it, so passes through 0.
     """
-    diffs = [_row_diff(v, s[0]) for v in s[1:]]
-    u = diffs[0]
-    for v in diffs:
-        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-        if any(n):
-            return any(n[0] * w[0] + n[1] * w[1] + n[2] * w[2] for w in diffs)
-    return False
+    u, v, *rest = (_row_diff(w, s[0]) for w in s[1:])
+    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return any(n[0] * w[0] + n[1] * w[1] + n[2] * w[2] for w in rest)
 
 
 def _step_rows(s: Sequence[Pair], excluded: frozenset[Pair]) -> list[tuple[int, int, int]]:

@@ -23,10 +23,10 @@ and refined once, and every count of the table is a sum of multiplicities.
 A run keeps only its log and its table.  The pairs are replayed on demand
 (``RunResult.replay`` and ``generations``) by ``refine_pair``, which lists
 the children the class loop builds and counts, and the verdicts of the
-table the run used.
+table the run used under its stop set.
 
 A run interns its cones, chain cones and children in the process's
-``RunTable`` for its stop set.  Counted children: every run cone carries
+``RunTable`` (``_table``).  Counted children: every run cone carries
 the three ``q11 > 0`` rows, as ``_INITIAL_CONE`` does, ``Cone._cut`` keeps
 them and ``refine_pair`` refuses a pair without them.  So a chain with no
 reduced form of its structure (``Chain.empty``, the degenerate-cone
@@ -82,17 +82,18 @@ at import by its own DD over its own rows: no run pays a DD for either.
 
 Runs in one process share their work through the process memos: the trie
 of chains (``ksets._root``), the minimal complements and the cover graph of
-the counts (``minima``), and one ``RunTable`` per stop set (``_tables``),
-made at its first use.  A process keeps every chain and table entry it met
-until ``clear_caches`` empties them all, so the 38 coprime runs with
-``4 <= a + b <= 11`` build 3 nine-dimensional cones, and 37 of them read
-the ``(1, 1, 1)`` steps of the first from its table.
+the counts (``minima``), and one ``RunTable`` (``_table``), made at import,
+whose verdicts alone depend on the stop set.  A process keeps every chain
+and table entry it met until ``clear_caches`` replaces them all, so the 38
+coprime runs with ``4 <= a + b <= 11`` build 3 nine-dimensional cones, and
+37 of them read the ``(1, 1, 1)`` steps of the first from the table.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from collections import defaultdict
 from itertools import product
 from math import comb, gcd, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -104,6 +105,7 @@ from .quadform import coeff_row
 
 Pair = tuple[int, int]
 Shape = tuple[int, int, int]
+Rows = tuple[Vector, ...]
 # A value link ``(i, u, j, v)`` with blocks ``i < j``: the forms of blocks
 # ``i`` and ``j`` take one value at ``u`` and ``v``.
 Link = tuple[int, Pair, int, Pair]
@@ -217,14 +219,13 @@ class RunResult:
         double description and tests no cone; it lists the choices the run
         counted.  After a factored run it builds and classifies what the
         class loop would have.  Nothing is kept."""
-        shapes = linset(self.a, self.b)
-        table = self.table
+        shapes, rows, table = linset(self.a, self.b), stop_set(self.stop_kind), self.table
         cone, chains = table.root
         generation = [RefinementPair(cone, CoveringParameter(), chains)]
         for i in range(len(self.log)):
             if i:
                 generation = [
-                    c for p in generation if table.verdict(p.cone) == _LIVE
+                    c for p in generation if table.verdict(p.cone, rows) == _LIVE
                     for c in refine_pair(p, shapes, table)
                 ]
             yield generation
@@ -237,7 +238,7 @@ class RunResult:
         return self._pairs
 
 
-def stop_set(kind: str) -> tuple[Vector, ...]:
+def stop_set(kind: str) -> Rows:
     """Equality rows (dim 9) of the stop subspace, built at import."""
     rows = _STOP_ROWS.get(kind)
     if rows is None:
@@ -254,24 +255,16 @@ _INITIAL_CONE.edges()
 _EMPTY_CONE = Cone(9, _UNIT_ROWS + ((-1,) * 9,), _Q11_ROWS)
 _EMPTY_CONE.edges()
 
-# The process's table per stop set, keyed by its rows: a cone can be absorbed
-# under one stop set and live under the other.
-_tables: dict[tuple[Vector, ...], RunTable] = {}
-
-
-def _table(stop_rows: tuple[Vector, ...]) -> RunTable:
-    """The process's table for ``stop_rows``, made at its first use."""
-    return _tables.get(stop_rows) or _tables.setdefault(stop_rows, RunTable(stop_rows))
-
 
 def clear_caches() -> None:
     """Empty every process memo: the trie of chains (a new ``ksets._root``),
-    the minimal complements and the cover graph (``minima``) and the tables,
-    with their steps.  A run made after it starts from a new table and
+    the minimal complements and the cover graph (``minima``), and the table
+    (a new ``_table``).  A run made after it starts from a new table and
     dumps the cold bytes."""
+    global _table
     ksets.clear_cache()
     minima.clear_caches()
-    _tables.clear()
+    _table = RunTable()
 
 
 def initial_pair() -> RefinementPair:
@@ -326,8 +319,8 @@ _EMPTY, _ABSORBED, _LIVE = range(3)
 
 
 class RunTable:
-    """The facts of the runs under one stop set: its ``rows``, the ``root``
-    class, the cones hash-consed by member set, and their verdicts.
+    """The facts of the runs in one process: the ``root`` class, the cones
+    hash-consed by member set, and their verdicts under each stop set.
 
     ``root`` is ``_INITIAL_CONE`` with the root chain on all three blocks,
     the one class of generation 0 of every run in the table.  ``intern``
@@ -345,13 +338,15 @@ class RunTable:
     skips the row merge and the double description; so does a child of a
     parent with one extreme ray, which the signs at the ray decide.
     Building from the interned chain cone, not each chain's own, makes the
-    nine-dim DDs insert fewer rows.  ``verdict`` classifies a cone at its
-    first query and memoises the verdict in ``verdicts``, and ``step``
+    nine-dim DDs insert fewer rows.  Only a verdict depends on the stop
+    set: ``verdict`` classifies a cone against a stop set's rows at its
+    first query and memoises the verdict in ``verdicts[rows]``, since a cone
+    can be absorbed under one stop set and live under the other.  ``step``
     makes a class's step under a shape and memoises it in ``steps``.
 
     A new table interns ``_INITIAL_CONE`` and then ``_EMPTY_CONE``, held by
     the children of an empty chain and by every nine-dim cone with no ray,
-    and holds the empty cone's verdict from the start.
+    and each stop set's verdicts start with the empty cone's.
     The constructions and chain cones a table meets first fix the rows a
     shared cone is dumped with.  So a run in a new table dumps the same
     bytes each time, and a run in a table that other runs filled may give a
@@ -359,10 +354,9 @@ class RunTable:
     rays, strict rows or parameters.
     """
 
-    __slots__ = ("rows", "root", "_cones", "_chain_cones", "_children", "steps", "verdicts")
+    __slots__ = ("root", "_cones", "_chain_cones", "_children", "steps", "verdicts")
 
-    def __init__(self, stop_rows: tuple[Vector, ...]) -> None:
-        self.rows = stop_rows
+    def __init__(self) -> None:
         self.root = RefinementClass(_INITIAL_CONE, (ksets._chain(()),) * 3)
         self._cones: dict[tuple, Cone] = {}
         self._chain_cones: dict[Chain, Cone] = {}
@@ -370,18 +364,20 @@ class RunTable:
         self.steps: dict[tuple[RefinementClass, Shape], tuple[list[RefinementClass], int]] = {}
         self.intern(_INITIAL_CONE)
         self.intern(_EMPTY_CONE)
-        self.verdicts: dict[Cone, int] = {_EMPTY_CONE: _EMPTY}
+        self.verdicts: dict[Rows, dict[Cone, int]] = defaultdict(lambda: {_EMPTY_CONE: _EMPTY})
 
-    def verdict(self, cone: Cone) -> int:
+    def verdict(self, cone: Cone, rows: Rows) -> int:
         """``_EMPTY`` when the member set is empty, ``_ABSORBED`` when the
-        cone lies in the stop set, otherwise ``_LIVE``."""
-        verdict = self.verdicts.get(cone)
+        cone lies in the stop set with equality ``rows``, otherwise
+        ``_LIVE``."""
+        verdicts = self.verdicts[rows]
+        verdict = verdicts.get(cone)
         if verdict is None:
             if cone.is_member_empty():
                 verdict = _EMPTY
             else:
-                verdict = _ABSORBED if cone.is_subset_of(self.rows) else _LIVE
-            self.verdicts[cone] = verdict
+                verdict = _ABSORBED if cone.is_subset_of(rows) else _LIVE
+            verdicts[cone] = verdict
         return verdict
 
     def intern(self, cone: Cone) -> Cone:
@@ -461,6 +457,9 @@ class RunTable:
         return children, counted
 
 
+_table = RunTable()
+
+
 def _dead(chains: Sequence[Chain], shape: Shape) -> bool:
     """The 4-choice rule (see the module docstring) counts every child of
     ``shape``."""
@@ -488,7 +487,7 @@ def refine_pair(
     if set(cone.strict) != set(_Q11_ROWS):
         raise ValueError("a refined cone's strict rows must be the three q11 > 0 rows")
     if table is None:
-        table = RunTable(())
+        table = RunTable()
     children = []
     for shape in shapes:
         dead = _dead(chains, shape)
@@ -532,8 +531,8 @@ def run_algorithm(
     produced with no pairs at all, reading one record per generation: the
     class loop's over all shapes, or for a run with a free block those that
     ``_factored`` combines from its two processes (see the module
-    docstring).  The run interns into the process's table for its stop set;
-    its log is the same whatever ran before it.  ``threads`` must be 1.
+    docstring).  The run interns into the process's table; its log is the
+    same whatever ran before it.  ``threads`` must be 1.
     """
     shapes = linset(a, b)
     if max_iter < 0:
@@ -542,13 +541,13 @@ def run_algorithm(
         raise ValueError(f"runs are single-threaded; threads must be 1, got {threads}")
     if gcd(a, b) != 1:
         warnings.warn(f"gcd({a}, {b}) != 1; the relation is not in lowest terms")
-    table = _table(stop_set(stop_kind))
-    free = _free_block(shapes, table.rows)
-    records = _class_loop(shapes, table) if free is None else _factored(shapes, free, table)
+    rows = stop_set(stop_kind)
+    free = _free_block(shapes, rows)
+    records = _class_loop(shapes, _table, rows) if free is None else _factored(shapes, free, _table, rows)
     log = [next(records)]
     while log[-1].total and len(log) <= max_iter:
         log.append(next(records))
-    return RunResult(a, b, stop_kind, log, table)
+    return RunResult(a, b, stop_kind, log, _table)
 
 
 def y_projection_holds(max_iter: int) -> bool:
@@ -560,21 +559,21 @@ def y_projection_holds(max_iter: int) -> bool:
     class at step ``g``.  Every ``(k, 0)`` run has this linset."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
-    shapes, table = linset(1, 0), _table(stop_set("q1_eq_q3"))
-    if _free_block(shapes, table.rows) != 1:
+    shapes, rows = linset(1, 0), stop_set("q1_eq_q3")
+    if _free_block(shapes, rows) != 1:
         return False
-    for record in _class_loop([s for s in shapes if not s[1]], table):
+    for record in _class_loop([s for s in shapes if not s[1]], _table, rows):
         if record.index == max_iter or not record.total:
             return not record.non_empty
 
 
-def _factored(shapes: Sequence[Shape], free: int, table: RunTable) -> Iterator[IterationRecord]:
+def _factored(shapes: Sequence[Shape], free: int, table: RunTable, rows: Rows) -> Iterator[IterationRecord]:
     """Each generation's record of a run whose block ``free`` is free: the
     class loop under the shapes that do not touch it and the walk of its
     states under those that do, stepped together and combined by
     ``_convolve``."""
     rest, ns = [s for s in shapes if not s[free]], [s[free] for s in shapes if s[free]]
-    loop, walk = _class_loop(rest, table), _free_walk(ns)
+    loop, walk = _class_loop(rest, table, rows), _free_walk(ns)
     steps, walked = [next(loop)], [next(walk)[1]]
     yield steps[0]
     while True:
@@ -659,13 +658,13 @@ def _convolve(
     return IterationRecord(*sums, seconds)
 
 
-def _class_loop(shapes: Sequence[Shape], table: RunTable) -> Iterator[IterationRecord]:
+def _class_loop(shapes: Sequence[Shape], table: RunTable, rows: Rows) -> Iterator[IterationRecord]:
     """Each generation's record, from ``table.root``.
 
     Each class of a generation counts its multiplicity under the verdict
-    ``table.verdict`` gives its cone, and only the live ones are refined
-    next.  The counted children (see the module docstring) enter ``total``
-    and ``counted`` only.  A record's seconds cover refining its generation
+    ``table.verdict`` gives its cone under the stop set ``rows``, and only
+    the live ones are refined next.  The counted children (see the module
+    docstring) enter ``total`` and ``counted`` only.  A record's seconds cover refining its generation
     and classifying it.
     """
     classes, counted, index = {table.root: 1}, 0, 0
@@ -675,7 +674,7 @@ def _class_loop(shapes: Sequence[Shape], table: RunTable) -> Iterator[IterationR
         total, non_empty, stopped = counted, 0, 0
         for cls, mult in classes.items():
             total += mult
-            verdict = table.verdict(cls.cone)
+            verdict = table.verdict(cls.cone, rows)
             if verdict == _LIVE:
                 live[cls] = mult
                 non_empty += mult

@@ -342,16 +342,17 @@ def live_classes(result: RunResult) -> list[dict[RefinementClass, int]]:
     classes that the next generation refines, to the log's last: from
     ``result.table.root``, each generation is ``_refine_classes`` of the
     last one's live classes over all shapes, and a class is live when
-    ``result.table.verdict`` says so.  After a run with no free block the
-    table holds every construction and verdict this needs, so it builds no
-    cone and tests none, also after ``clear_caches``."""
-    shapes, table = linset(result.a, result.b), result.table
+    ``result.table.verdict`` says so under the run's stop set.  After a run
+    with no free block the table holds every construction and verdict this
+    needs, so it builds no cone and tests none, also after
+    ``clear_caches``."""
+    shapes, table, rows = linset(result.a, result.b), result.table, stop_set(result.stop_kind)
     generations = []
     classes = {table.root: 1}
     for i in range(len(result.log)):
         if i:
             classes, _ = _refine_classes(generations[-1], shapes, table)
-        generations.append({c: m for c, m in classes.items() if table.verdict(c.cone) == _LIVE})
+        generations.append({c: m for c, m in classes.items() if table.verdict(c.cone, rows) == _LIVE})
     return generations
 
 

@@ -73,6 +73,8 @@ def test_bad_input_exits_2_with_one_line(capsys):
         ("min", "--exclude", "1,2,3"),
         ("classify", "--alphas", "1,2,3", "--q1", "1,0,1", "--q2", "1,0,1",
          "--q3", "1,0,1"),
+        ("classify", "--alphas", "1,2", "--q1", "1,0,1", "--q2", "1,0,1",
+         "--q3", "1,0,1"),
         # a form that is not positive-definite, with coefficient zero
         ("classify", "--alphas", "0,1,-1", "--q1", "0,0,0", "--q2", "1,0,1",
          "--q3", "1,0,2"),
@@ -140,6 +142,19 @@ def test_nonempty_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and "not empty" in err and len(err.splitlines()) == 1
     assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+
+def test_empty_out_directory_takes_the_dump(tmp_path, capsys):
+    # An existing empty directory is a valid --out: the run dumps into it
+    # what it dumps into a directory it makes.
+    made, empty = tmp_path / "made", tmp_path / "empty"
+    empty.mkdir()
+    for out in (made, empty):
+        code, _ = run_cli(capsys, "refine", "--a", "1", "--b", "2", "--max-iter", "3", "--out", str(out))
+        assert code == 0
+    files = sorted(p.relative_to(made) for p in made.rglob("*.json"))
+    assert files == sorted(p.relative_to(empty) for p in empty.rglob("*.json")) != []
+    assert all((made / f).read_bytes() == (empty / f).read_bytes() for f in files)
 
 
 def test_refine_json_and_determinism(capsys):

@@ -109,6 +109,10 @@ def test_constructor_dedup_and_validation():
         Cone(3, [(1, 0)])
     with pytest.raises(ConeDimensionError):
         Cone(2, [(1, 0)]).intersect(Cone(3))
+    with pytest.raises(ConeDimensionError):
+        Cone(0, [])
+    with pytest.raises(ConeDimensionError):
+        c.is_subset_of([(1, 0)])
 
 
 def test_member_emptiness_cases():
@@ -185,6 +189,8 @@ def test_closed_equality_for_non_pointed_cones():
     assert cones_closed_equal(quadrant, Cone(2, [(1, 0), (0, 1), (1, 1)]))
     assert not cones_closed_equal(quadrant, Cone(2, [(1, 0), (1, 1)]))
     assert not cones_closed_equal(quadrant, half)
+    # cones of different dimensions are never equal, not even the whole spaces
+    assert not cones_closed_equal(Cone(3), Cone(9))
 
 
 @pytest.mark.parametrize("point", [(5,), (1, 2, 3)])

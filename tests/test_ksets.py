@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta_refine import ksets, minima, refinement
+from theta_refine.fixtures import ZERO_CONE_SPECS
 from theta_refine.geometry import Cone, _closed_within, cones_closed_equal, cones_equivalent
 from theta_refine.ksets import (
     V_CLOSURE_CONE,
@@ -275,6 +276,28 @@ def test_certificate_needs_rank_three():
 
 
 _POOL = [(x, y) for x in range(-5, 6) for y in range(6) if is_strongly_primitive((x, y))]
+
+
+def _rank_three(s):
+    """The rows ``coeff_row(v) - coeff_row(s[0])`` of ``s`` have rank 3, by
+    elimination over all of them."""
+    return _rank([tuple(a - b for a, b in zip(coeff_row(v), coeff_row(s[0]))) for v in s]) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_POOL), min_size=4, max_size=7, unique=True))
+def test_collapse_scan_is_the_exact_rank(s):
+    # ``_collapses`` tests the rows after the first two against the cross
+    # product of the first two, which is never zero on distinct strongly
+    # primitive vectors, so it must agree with an exact rank.
+    assert ksets._collapses(s) == _rank_three(s)
+
+
+def test_zero_cone_sets_collapse_as_their_rank_says():
+    # The last sets of the four zero-cone fixtures: two collapse, and two
+    # have rank 2.
+    sets = [spec[-1] for _, spec in ZERO_CONE_SPECS]
+    assert [ksets._collapses(s) for s in sets] == [_rank_three(s) for s in sets] == [True, False, False, True]
 
 
 @settings(max_examples=150, deadline=None)

@@ -188,8 +188,8 @@ def test_table_formatting(run_11):
 
 def _live_pairs(result, i):
     """The pairs of generation ``i`` whose cone the run's table calls live."""
-    table = result.table
-    return [p for p in result.generations[i] if table.verdict(p.cone) == refinement._LIVE]
+    table, rows = result.table, stop_set(result.stop_kind)
+    return [p for p in result.generations[i] if table.verdict(p.cone, rows) == refinement._LIVE]
 
 
 def test_iteration_log_consistency(run_11):
@@ -263,13 +263,13 @@ def _count_dd_by_dim(monkeypatch):
 
 
 def _class_loop_run(a, b, stop_kind, max_iter):
-    """The class loop over every shape in the process's table for
+    """The class loop over every shape in the process's table under
     ``stop_kind``, to ``max_iter`` or an empty generation, as
     ``run_algorithm`` steps a run that does not factor: the reference for
     the runs that do."""
-    table = refinement._table(stop_set(stop_kind))
+    table = refinement._table
     log = []
-    for record in refinement._class_loop(linset(a, b), table):
+    for record in refinement._class_loop(linset(a, b), table, stop_set(stop_kind)):
         log.append(record)
         if record.total == 0 or record.index == max_iter:
             return refinement.RunResult(a, b, stop_kind, log, table)
@@ -294,7 +294,7 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
     # dimensional DD of a run starts from scratch, and a run from cold memos
     # counts the same DDs whether or not the same run came before it.
     # A new table interns both as their own representatives and holds the
-    # empty cone's verdict, the one either stop set would compute.  The
+    # empty cone's verdict under each stop set, the one it would compute.  The
     # (1, 2)/14 run makes {3: 103, 9: 22} DDs, not {3: 224, 9: 92}: the
     # signs at a one-ray cone decide 70 of its 92 constructions and, with
     # the sub-choice lemma, 121 of its 224 chains with no DD.
@@ -316,20 +316,19 @@ def test_constant_cones_cost_a_run_no_dd(monkeypatch):
         counts.append({3: 0, 9: 0})
         result = run_algorithm(1, 2, "diagonal", 14)
         assert result.generations[0][0].cone is refinement._INITIAL_CONE
-        assert result.table.verdicts[refinement._EMPTY_CONE] == refinement._EMPTY
+        assert result.table.verdicts[stop_set("diagonal")][refinement._EMPTY_CONE] == refinement._EMPTY
     assert unseeded == []
     assert counts[0] == counts[1] == {3: 103, 9: 22}
     assert initial_pair().cone is initial_pair().cone
     assert_exact_description(refinement._INITIAL_CONE)
     assert_exact_description(refinement._EMPTY_CONE)
-    table = refinement.RunTable(())
+    table = refinement.RunTable()
     for cone in (refinement._INITIAL_CONE, refinement._EMPTY_CONE):
         assert table.intern(Cone(9, cone.closed, cone.strict)) is cone
-    assert table.verdicts == {refinement._EMPTY_CONE: refinement._EMPTY}
-    for kind in refinement.STOP_SET_KINDS:
-        table = refinement.RunTable(stop_set(kind))
-        table.verdicts.clear()
-        assert table.verdict(refinement._EMPTY_CONE) == refinement._EMPTY
+    for rows in map(stop_set, refinement.STOP_SET_KINDS):
+        assert table.verdicts[rows] == {refinement._EMPTY_CONE: refinement._EMPTY}
+        table.verdicts[rows].clear()
+        assert table.verdict(refinement._EMPTY_CONE, rows) == refinement._EMPTY
 
 
 def test_work_counters_on_reference_run(monkeypatch):
@@ -378,9 +377,11 @@ LOGGED_RUNS = [
 def test_run_logs_digest(monkeypatch):
     # The 563 runs of ``LOGGED_RUNS`` in one process from cold memos: the
     # SHA-256 of every field but ``seconds`` of every record, and the DDs by
-    # dimension.  A change to any count of any table shows in the digest,
-    # and a change to the work that the chains and tables share between
-    # runs shows in the DDs.
+    # dimension.  A change to any count of any run shows in the digest, and
+    # a change to the work that the chains and the table share between runs
+    # shows in the DDs.  Runs under both stop sets share one table, so the
+    # q1_eq_q3 runs build no nine-dimensional cone that the diagonal runs
+    # built before them: 9 857 nine-dimensional DDs, not 14 849.
     dd = _count_dd_by_dim(monkeypatch)
     logs = [
         (a, b, kind, depth, [tuple(rec[:-1]) for rec in run_algorithm(a, b, kind, depth).log])
@@ -390,7 +391,7 @@ def test_run_logs_digest(monkeypatch):
     assert hashlib.sha256(repr(logs).encode()).hexdigest() == (
         "0273ae584fb477e4e15fa96340f3dafb0e085777ff06b847a00b0dde426031e9"
     )
-    assert dd == {3: 415, 9: 14849}
+    assert dd == {3: 415, 9: 9857}
 
 
 def test_chain_geometry_collapses_constructions(monkeypatch):
@@ -401,7 +402,7 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     # run's only ones: the initial cone and the empty cone were described at
     # import.  The run makes 8 chains, not the 326 chain sequences of its
     # pairs; 6 get a cone and its three-dimensional DD, and the certificate
-    # on the key shows the other 2 empty.  The chains and the diagonal table are shared
+    # on the key shows the other 2 empty.  The chains and the table are shared
     # by the whole process: after (1, 2)/14 and (2, 1)/13 have made the same
     # constructions, the run makes none and pays no nine-dimensional DD.
     dd = _count_dd_by_dim(monkeypatch)
@@ -413,7 +414,7 @@ def test_chain_geometry_collapses_constructions(monkeypatch):
     refinement.clear_caches()
     run_algorithm(1, 2, "diagonal", 14)
     run_algorithm(2, 1, "diagonal", 13)
-    children = refinement._tables[stop_set("diagonal")]._children
+    children = refinement._table._children
     before = len(children)
     dd[9] = 0
     result = run_algorithm(19, 1, "diagonal", 13)
@@ -464,7 +465,7 @@ def test_dead_blocks_build_no_chain(monkeypatch):
     assert (dd, len(trie_chains())) == ({3: 6, 9: 3}, 8)
     assert nodes[0] == sum(sum(c[:-1]) for c in sizes) == 299
     assert (len(minima._box.rank), len(minima._box.witnesses)) == (39, 12)
-    assert len(refinement._tables[stop_set("diagonal")].steps) == 231
+    assert len(refinement._table.steps) == 231
 
 
 def test_wide_run_counts_on_a_small_box(monkeypatch):
@@ -538,12 +539,11 @@ def test_chain_cones_match_independent_builders():
 
 
 def test_warm_run_keeps_member_sets_and_cleared_run_dumps_cold_rows():
-    # Runs under one stop set intern into one table per process, so after
+    # Runs under both stop sets intern into one table per process, so after
     # (1, 1)/13 the (1, 2)/14 run gives its cold log, and every pair its
     # cold rays, strict rows and covering parameter, but a cone may keep the
     # rows of the (1, 1) construction with its member set: 33 of the 676
-    # pairs do.  A run under the other stop set fills the other table and
-    # changes no row.  After ``clear_caches`` the run gives the cold rows
+    # pairs do.  The (1, 0) q1_eq_q3/8 run before it changes no row.  After ``clear_caches`` the run gives the cold rows
     # again.
     def snapshot():
         result = run_algorithm(1, 2, "diagonal", 14)
@@ -572,9 +572,9 @@ def test_warm_run_keeps_member_sets_and_cleared_run_dumps_cold_rows():
 
 def test_verdict_memo_is_per_stop_set():
     # A cone can be absorbed under q1_eq_q3 and live under the diagonal, so
-    # each stop set has its own table and verdicts: in either order in one
+    # the table keeps one verdict memo per stop set: in either order in one
     # process, each run's log, stop_absorbed included, equals its log from
-    # cold memos, and some member set has a different verdict in each.
+    # cold memos, and some cone has a different verdict under each.
     def log(stop_kind):
         return [rec[:-1] for rec in run_algorithm(1, 0, stop_kind, 13).log]
 
@@ -586,13 +586,26 @@ def test_verdict_memo_is_per_stop_set():
         refinement.clear_caches()
         for kind in order:
             assert log(kind) == cold[kind], (order, kind)
-    # Each table holds its own cones, so verdicts are compared by member set.
-    tables = [refinement._tables[stop_set(kind)] for kind in ("q1_eq_q3", "diagonal")]
-    known = [
-        {(c.dim, c.edges(), frozenset(c.strict)): v for c, v in table.verdicts.items()}
-        for table in tables
-    ]
-    assert any(known[0][key] != known[1][key] for key in known[0].keys() & known[1].keys())
+    # Both runs intern into one table, so verdicts are compared by cone.
+    q1q3, diagonal = (refinement._table.verdicts[stop_set(kind)] for kind in ("q1_eq_q3", "diagonal"))
+    assert any(q1q3[cone] != diagonal[cone] for cone in q1q3.keys() & diagonal.keys())
+
+
+def test_run_logs_do_not_depend_on_run_order():
+    # Runs under both stop sets intern into one table, and only the verdicts
+    # depend on the stop set.  So the log of every coprime a + b <= 30 run
+    # under both stop sets, to 13, is the same in four orders from cold
+    # memos: stop set by stop set, q1_eq_q3 first, both stop sets per pair,
+    # and the first order reversed.
+    runs, half = LOGGED_RUNS[5:], 279
+    assert len(runs) == 2 * half
+    by_pair = [(a, b, kind, 13) for a, b, _, _ in runs[:half] for kind in refinement.STOP_SET_KINDS]
+    orders = (runs, runs[half:] + runs[:half], by_pair, runs[::-1])
+    logs = []
+    for order in orders:
+        refinement.clear_caches()
+        logs.append({run: [rec[:-1] for rec in run_algorithm(*run).log] for run in order})
+    assert all(log == logs[0] for log in logs[1:])
 
 
 def test_repeated_run_does_no_geometry_and_replay_needs_no_memo(monkeypatch):
@@ -1030,7 +1043,7 @@ def test_no_further_relations_sweep_to_30(a, b):
         gen3, _ = refinement._refine_classes(live[2], linset(res.a, res.b), res.table)
         absorbed = {
             cls: mult for cls, mult in gen3.items()
-            if res.table.verdicts[cls.cone] == refinement._ABSORBED
+            if res.table.verdicts[stop_set("diagonal")][cls.cone] == refinement._ABSORBED
         }
         for classes, want in zip(live[:3] + [absorbed], expected):
             ((cls, mult),) = classes.items()
@@ -1137,7 +1150,7 @@ def test_merged_cones_equal_intersections(a, b, stop_kind, max_iter, monkeypatch
     tables = _recording_children(monkeypatch)
     _class_loop_run(a, b, stop_kind, max_iter)
     monkeypatch.undo()
-    table = refinement._tables[stop_set(stop_kind)]
+    table = refinement._table
     made = tables[table]
     assert list(made) == list(table._children)
     for key, cone in table._children.items():
@@ -1164,11 +1177,13 @@ def test_one_ray_decisions_are_the_cuts_they_skip(monkeypatch):
     # A pointed cone with one ray r, cut by closed rows, is cone(r) when
     # every row is >= 0 at r and {0} otherwise.  On every coprime (a, b)
     # with a + b <= 20, (1, 0) and (0, 1) among them, run to 13 under both
-    # stop sets from cold memos, each child that a table decided from the
+    # stop sets from cold memos, each child that the table decided from the
     # signs at its parent's one ray is the object that interning the cut
     # it skipped returns, and each chain shown empty with no cone, from the
     # signs at its prefix cone's one ray, by an empty sub-choice or by a
-    # collapsing set, passes the independent zero test.
+    # collapsing set, passes the independent zero test.  Both stop sets
+    # share the table's children and the process's chains, so each
+    # decision is made once: 116 children, not 232, and 133 chains.
     refinement.clear_caches()
     tables = _recording_children(monkeypatch)
     for kind in refinement.STOP_SET_KINDS:
@@ -1187,7 +1202,7 @@ def test_one_ray_decisions_are_the_cuts_they_skip(monkeypatch):
     chains = [c for c in trie_chains() if c._empty and c._cone is None]
     for c in chains:
         assert ksets.kset_zero_test(c.key), c.key
-    assert (decided, len(chains)) == (232, 133)
+    assert (decided, len(chains)) == (116, 133)
 
 
 def test_one_ray_hand_built_parent_is_decided_as_its_cut(monkeypatch):
@@ -1199,7 +1214,7 @@ def test_one_ray_hand_built_parent_is_decided_as_its_cut(monkeypatch):
     run = run_algorithm(1, 2, "diagonal", 4)
     held = next(p for p in run.generations[4] if p.cone.edges() == (TARGET_POINT,))
     parent = Cone(9, held.cone.closed, refinement._Q11_ROWS)
-    table = refinement.RunTable(())
+    table = refinement.RunTable()
     tables = _recording_children(monkeypatch)
     refine_pair(RefinementPair(parent, held.param, held.chains), linset(1, 2), table)
     monkeypatch.undo()
@@ -1288,7 +1303,7 @@ def test_refine_pair_on_a_hand_built_pair_uses_no_link_key():
     # its chain cones and its link cone.
     refinement.clear_caches()
     shapes = linset(1, 2)
-    table = refinement.RunTable(())
+    table = refinement.RunTable()
     start = initial_pair()
     root = refinement.RefinementClass(start.cone, start.chains)
     linked, _ = refinement._refine_classes({root: 1}, shapes, table)
@@ -1388,12 +1403,12 @@ def test_y_projection_holds_fails_when_its_premises_do(monkeypatch):
     # Two mutations make the check fail at depths where it holds: verdicts
     # that call an absorbed cone live, so the (1, 0, 1) process stays live,
     # and no free block.  Cold memos before and after keep the constructions
-    # the first one adds out of the other tests' tables.
+    # the first one adds out of the table of the other tests.
     refinement.clear_caches()
     verdict = refinement.RunTable.verdict
 
-    def no_absorbed(self, cone):
-        v = verdict(self, cone)
+    def no_absorbed(self, cone, rows):
+        v = verdict(self, cone, rows)
         return refinement._LIVE if v == refinement._ABSORBED else v
 
     for owner, name, mutant in (
@@ -1626,17 +1641,18 @@ def test_every_run_cone_carries_the_q11_rows():
     # rows, and the class loop tests a chain's emptiness on every block.  On
     # every coprime (a, b) with a + b <= 20, (1, 0) and (0, 1) among them,
     # run to 13 under both stop sets from cold memos, every nine-dimensional
-    # cone the two tables intern, 1 329 diagonal and 699 q1_eq_q3, has
-    # exactly those strict rows, and no chain cone has a strict row: the
-    # tables key a cone by its dimension and rays.
+    # cone the table interns, 1 329 of them, has exactly those strict rows,
+    # and no chain cone has a strict row: the table keys a cone by its
+    # dimension and rays.  The 699 nine-dimensional cones of the q1_eq_q3
+    # runs are all among the 1 329 of the diagonal runs.
     refinement.clear_caches()
     assert len(COPRIME_TO_20) == 129
     for kind in refinement.STOP_SET_KINDS:
         for a, b in COPRIME_TO_20:
             run_algorithm(a, b, kind, 13)
-    interned = [cone for table in refinement._tables.values() for cone in table._cones.values()]
+    interned = refinement._table._cones.values()
     cones = [cone for cone in interned if cone.dim == 9]
-    assert len(cones) == 1329 + 699
+    assert len(cones) == 1329
     assert all(cone.strict == refinement._Q11_ROWS for cone in cones)
     assert not any(cone.strict for cone in interned if cone.dim == 3)
 

@@ -291,8 +291,16 @@ def test_classify_cases():
     equiv = IntBQF(2, 5, 6)  # (2,1,3) shifted by x -> x + y
     assert classify((2, -2, 0), (q, equiv, IntBQF(1, 0, 7))).label == "trivial-2-term"
     assert classify((0, 0, 0), fam).label == "degenerate"
-    wrong = classify((1, 1, -2), (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3)), 50)
+    forms = (IntBQF(1, 0, 1), IntBQF(1, 0, 2), IntBQF(1, 0, 3))
+    wrong = classify((1, 1, -2), forms, 50)
     assert wrong.label == "no-relation-detected" and "m=1" in wrong.detail
+    inequivalent = classify((1, -1, 0), forms)
+    assert inequivalent.label == "no-relation-detected"
+    assert inequivalent.detail == "Q1 and Q2 are inequivalent"
+    # to m = 0 every three-term relation holds, so only the shape can decide
+    unknown = classify((1, 1, -2), forms, 0)
+    assert unknown.label == "no-relation-detected"
+    assert unknown.detail == "verified up to the bound but matches no known solution shape"
     with pytest.raises(ObstructionError):
         classify((1, 2, 3), fam)
     # every form is checked, also one whose coefficient is zero, before the
